@@ -28,7 +28,7 @@ from scipy.special import expit
 from . import cf as cf_mod
 from .errors import DataError, TrainingError
 from .gradcheck import max_relative_gradient_error
-from .optim import make_optimizer
+from .optim import make_optimizer, xavier
 
 __all__ = [
     "AlignmentNetwork",
@@ -106,18 +106,14 @@ def init_alignment(
     if rng is None:
         rng = np.random.default_rng(0)
 
-    def xavier(fan_out: int, fan_in: int) -> np.ndarray:
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(fan_out, fan_in))
-
     params = {
-        "enc_c.w": xavier(latent_dim, collab_dim),
+        "enc_c.w": xavier(rng, latent_dim, collab_dim),
         "enc_c.b": np.zeros(latent_dim),
-        "enc_s.w": xavier(latent_dim, sem_dim),
+        "enc_s.w": xavier(rng, latent_dim, sem_dim),
         "enc_s.b": np.zeros(latent_dim),
-        "dec_c.w": xavier(collab_dim, latent_dim),
+        "dec_c.w": xavier(rng, collab_dim, latent_dim),
         "dec_c.b": np.zeros(collab_dim),
-        "dec_s.w": xavier(sem_dim, latent_dim),
+        "dec_s.w": xavier(rng, sem_dim, latent_dim),
         "dec_s.b": np.zeros(sem_dim),
     }
     return AlignmentNetwork(collab_dim, sem_dim, latent_dim, alpha, beta, params)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import TrainingError
-from .optim import make_optimizer
+from .optim import make_optimizer, xavier
 
 __all__ = [
     "CfConfig",
@@ -81,13 +81,9 @@ def _init_params(config: CfConfig, n_items: int, rng: np.random.Generator) -> di
     params["item_emb"][0] = 0.0
     params["pos_emb"] = rng.normal(0.0, 0.1, size=(config.max_history, d))
 
-    def xavier(fan_out: int, fan_in: int) -> np.ndarray:
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(fan_out, fan_in))
-
     for b in range(config.blocks):
         for name in ("wq", "wk", "wv", "wo", "w1", "w2"):
-            params[f"blk{b}.{name}"] = xavier(d, d)
+            params[f"blk{b}.{name}"] = xavier(rng, d, d)
         for name in ("bq", "bk", "bv", "bo", "b1", "b2"):
             params[f"blk{b}.{name}"] = np.zeros(d)
     return params
@@ -134,13 +130,13 @@ def _forward(params: dict, config: CfConfig, ids: np.ndarray, drop_masks=None, h
             return x.reshape(n_b, length, heads, d_h).transpose(0, 2, 1, 3)
 
         qh, kh, vh = split(q), split(k), split(v)
-        scores = np.einsum("bhid,bhjd->bhij", qh, kh) / math.sqrt(d_h)
+        scores = qh @ kh.swapaxes(-1, -2) / math.sqrt(d_h)
         scores = np.where(allow, scores, _NEG_INF)
         m = scores.max(axis=-1, keepdims=True)
         e = np.exp(scores - m) * allow
         denom = np.maximum(e.sum(axis=-1, keepdims=True), 1e-30)
         attn = e / denom
-        ctx_h = np.einsum("bhij,bhjd->bhid", attn, vh)
+        ctx_h = attn @ vh
         ctx = ctx_h.transpose(0, 2, 1, 3).reshape(n_b, length, d)
         out = ctx @ p("wo").T + p("bo")
         if drop_masks is not None:
@@ -184,11 +180,11 @@ def _backward(params: dict, config: CfConfig, cache: dict, d_rep: np.ndarray, dr
             d_ffn = d_ffn * drop_masks[f"ffn{b}"]
         d_h_attn = d_sum.copy()
         # ffn = relu(h_attn @ w1.T + b1) @ w2.T + b2
-        g("w2")[...] += np.einsum("bld,blf->df", d_ffn, blk["act"])
+        g("w2")[...] += d_ffn.reshape(-1, d).T @ blk["act"].reshape(-1, d)
         g("b2")[...] += d_ffn.sum(axis=(0, 1))
         d_act = d_ffn @ p("w2")
         d_pre = d_act * (blk["pre"] > 0)
-        g("w1")[...] += np.einsum("blf,bld->fd", d_pre, blk["h_attn"])
+        g("w1")[...] += d_pre.reshape(-1, d).T @ blk["h_attn"].reshape(-1, d)
         g("b1")[...] += d_pre.sum(axis=(0, 1))
         d_h_attn += d_pre @ p("w1")
         # h_attn = (h_in + out) * mask
@@ -198,27 +194,27 @@ def _backward(params: dict, config: CfConfig, cache: dict, d_rep: np.ndarray, dr
             d_out = d_out * drop_masks[f"attn{b}"]
         dh = d_sum2.copy()
         # out = ctx @ wo.T + bo
-        g("wo")[...] += np.einsum("bld,blc->dc", d_out, blk["ctx"])
+        g("wo")[...] += d_out.reshape(-1, d).T @ blk["ctx"].reshape(-1, d)
         g("bo")[...] += d_out.sum(axis=(0, 1))
         d_ctx = d_out @ p("wo")
         d_ctx_h = d_ctx.reshape(n_b, length, heads, d_h).transpose(0, 2, 1, 3)
         attn = blk["attn"]
-        d_attn = np.einsum("bhid,bhjd->bhij", d_ctx_h, blk["vh"])
-        d_vh = np.einsum("bhij,bhid->bhjd", attn, d_ctx_h)
+        d_attn = d_ctx_h @ blk["vh"].swapaxes(-1, -2)
+        d_vh = attn.swapaxes(-1, -2) @ d_ctx_h
         # softmax over allowed keys (pad-query rows are identically zero)
         inner = (d_attn * attn).sum(axis=-1, keepdims=True)
         d_scores = attn * (d_attn - inner)
         d_scores = np.where(allow, d_scores, 0.0) / math.sqrt(d_h)
-        d_qh = np.einsum("bhij,bhjd->bhid", d_scores, blk["kh"])
-        d_kh = np.einsum("bhij,bhid->bhjd", d_scores, blk["qh"])
+        d_qh = d_scores @ blk["kh"]
+        d_kh = d_scores.swapaxes(-1, -2) @ blk["qh"]
 
         def merge(x):
             return x.transpose(0, 2, 1, 3).reshape(n_b, length, d)
 
         d_q, d_k, d_v = merge(d_qh), merge(d_kh), merge(d_vh)
-        h_in = blk["h_in"]
+        h_in = blk["h_in"].reshape(-1, d)
         for nm, dx in (("wq", d_q), ("wk", d_k), ("wv", d_v)):
-            g(nm)[...] += np.einsum("bld,blc->dc", dx, h_in)
+            g(nm)[...] += dx.reshape(-1, d).T @ h_in
             grads[f"blk{b}.b{nm[1]}"] += dx.sum(axis=(0, 1))
             dh += dx @ p(nm)
     if drop_masks is not None:

@@ -26,7 +26,7 @@ from .align import unified_item_embedding
 from .cot import _unescape
 from .errors import DataError, TrainingError
 from .gradcheck import max_relative_gradient_error
-from .optim import make_optimizer
+from .optim import make_optimizer, xavier
 from .semantic import fallback_embed
 
 __all__ = [
@@ -141,15 +141,11 @@ def init_projection_stack(
     if rng is None:
         rng = np.random.default_rng(0)
 
-    def xavier(fan_out: int, fan_in: int) -> np.ndarray:
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(fan_out, fan_in))
-
     params: dict[str, np.ndarray] = {}
     for prefix, d_in in (("fx", d_user), ("fz", d_item), ("fr", d_cot)):
-        params[f"{prefix}.w1"] = xavier(hidden, d_in)
+        params[f"{prefix}.w1"] = xavier(rng, hidden, d_in)
         params[f"{prefix}.b1"] = np.zeros(hidden)
-        params[f"{prefix}.w2"] = xavier(d_token, hidden)
+        params[f"{prefix}.w2"] = xavier(rng, d_token, hidden)
         params[f"{prefix}.b2"] = np.zeros(d_token)
     return ProjectionStack(d_user, d_item, d_cot, d_token, hidden, params)
 

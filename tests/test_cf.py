@@ -6,6 +6,11 @@ import pytest
 from conftest import log_from_planted
 from fusionrec.cf import (
     CfConfig,
+    _backward,
+    _draw_drop_masks,
+    _forward,
+    _init_params,
+    _pad_batch,
     item_embedding,
     next_item_probabilities,
     next_item_scores,
@@ -26,6 +31,7 @@ from fusionrec.data import (
 from fusionrec.errors import TrainingError
 from fusionrec.gradcheck import max_relative_gradient_error
 from fusionrec.synthetic import make_planted_dataset
+from oracles import oracle_cf_backward, oracle_cf_forward
 
 
 def _toy_instances():
@@ -45,18 +51,56 @@ def _thawed(model):
 _TOY_CONFIG = dict(embed_dim=6, max_history=4, blocks=2, heads=2, epochs=0, batch_size=4)
 
 
-def test_gradients_match_finite_differences():
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_gradients_match_finite_differences(dropout):
     instances = _toy_instances()
-    config = CfConfig(**_TOY_CONFIG)
+    config = CfConfig(**_TOY_CONFIG, dropout=dropout)
     model = train_cf(instances, config, np.random.default_rng(0))
     params = _thawed(model)
-    _, grads = training_loss_and_gradients(params, config, instances, model.item_index)
+    # fixed masks (None without dropout), drawn for the padded batch the loss builds
+    length = min(config.max_history, max(len(inst.history) for inst in instances))
+    drop = _draw_drop_masks(config, (len(instances), length, config.embed_dim),
+                            np.random.default_rng(1))
+    _, grads = training_loss_and_gradients(params, config, instances, model.item_index, drop)
 
     def loss_fn():
-        value, _ = training_loss_and_gradients(params, config, instances, model.item_index)
+        value, _ = training_loss_and_gradients(params, config, instances, model.item_index, drop)
         return value
 
     assert max_relative_gradient_error(loss_fn, params, grads, h=1e-5) <= 1e-4
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("case", ["plain", "dropout", "h0"])
+def test_attention_stack_matches_einsum_reference(case, heads):
+    config = CfConfig(embed_dim=8, max_history=7, blocks=2, heads=heads,
+                      dropout=0.3 if case == "dropout" else 0.0)
+    rng = np.random.default_rng(heads)
+    n_items = 15
+    params = _init_params(config, n_items, rng)
+    for name, arr in params.items():
+        if ".b" in name:  # biases start at zero; give them values the check can see
+            params[name] = rng.normal(0.0, 0.1, size=arr.shape)
+    histories = [list(rng.integers(1, n_items + 1, size=n)) for n in (1, 3, 7, 9, 5, 2)]
+    ids = _pad_batch(histories, config.max_history)
+    shape = (*ids.shape, config.embed_dim)
+    drop = _draw_drop_masks(config, shape, rng)
+    h0 = rng.normal(0.0, 0.1, size=shape) if case == "h0" else None
+
+    rep, cache = _forward(params, config, ids, drop, h0)
+    ref_rep, ref_cache = oracle_cf_forward(params, config, ids, drop, h0)
+    d_rep = rng.normal(size=rep.shape)
+    grads = _backward(params, config, cache, d_rep, drop)
+    ref_grads = oracle_cf_backward(params, config, ref_cache, d_rep, drop)
+
+    def close(a, b):
+        return np.allclose(a, b, rtol=1e-10, atol=1e-12)
+
+    assert close(rep, ref_rep)
+    assert close(cache["h_final"], ref_cache["h_final"])
+    assert grads.keys() == ref_grads.keys()
+    for name in grads:
+        assert close(grads[name], ref_grads[name]), name
 
 
 def test_single_step_representation_matches_hand_computation():

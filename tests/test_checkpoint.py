@@ -7,6 +7,7 @@ from fusionrec.checkpoint import load_checkpoint, save_checkpoint
 from fusionrec.errors import DataError
 from fusionrec.gradcheck import max_relative_gradient_error
 from fusionrec.optim import Adam, Sgd, make_optimizer
+from oracles import oracle_adam
 
 
 def _sample_arrays():
@@ -96,6 +97,23 @@ def test_adam_keeps_per_parameter_state():
     assert opt.t == 2
     assert set(opt._m) == {"a", "b"}
     assert params["a"][0] < 0 < params["b"][0]
+
+
+def test_adam_in_place_update_equals_the_textbook_expression_bit_for_bit():
+    rng = np.random.default_rng(4)
+    shapes = {"w": (7, 5), "b": (7,), "s": ()}
+    start = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    grad_seq = [
+        {name: rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 2) for name, shape in shapes.items()}
+        for _ in range(50)
+    ]
+    params = {name: arr.copy() for name, arr in start.items()}
+    opt = Adam(0.01)
+    for grads in grad_seq:
+        opt.step(params, grads)
+    expected = oracle_adam(dict(start), grad_seq, 0.01)
+    for name in shapes:
+        assert np.array_equal(params[name], expected[name]), name
 
 
 def test_make_optimizer_dispatch():
