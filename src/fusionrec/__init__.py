@@ -3,7 +3,7 @@ representations, scored reasoning traces, and a soft-prompt ranking head."""
 
 from .align import (
     AlignmentBatch,
-    AlignmentExample,
+    AlignmentDataset,
     AlignmentNetwork,
     UnifiedEmbedding,
     alignment_loss,
@@ -13,6 +13,7 @@ from .align import (
     init_alignment,
     reconstruction_loss,
     recommendation_loss,
+    stack_alignment_dataset,
     total_loss,
     train_alignment,
     unified_item_embedding,

@@ -29,11 +29,12 @@ from . import cf as cf_mod
 from .errors import DataError, TrainingError
 from .gradcheck import max_relative_gradient_error
 from .optim import make_optimizer, xavier
+from .semantic import SEMANTIC_DIM
 
 __all__ = [
     "AlignmentNetwork",
     "AlignmentBatch",
-    "AlignmentExample",
+    "AlignmentDataset",
     "UnifiedEmbedding",
     "init_alignment",
     "encode",
@@ -45,6 +46,7 @@ __all__ = [
     "total_loss_and_gradients",
     "train_alignment",
     "build_alignment_dataset",
+    "stack_alignment_dataset",
     "unified_item_embedding",
     "gradient_check",
 ]
@@ -72,20 +74,119 @@ class AlignmentNetwork:
 
 @dataclass
 class AlignmentBatch:
-    """Groups of (collab_vec, sem_vec) pairs per user sequence, plus
-    (user_rep, pos_collab, neg_collab) triples for the recommendation term."""
+    """Inputs of one training step.
 
-    groups: list
-    triples: list
+    `e`, `q` and `w` hold one row per distinct item in the chosen users'
+    sequences: its collaborative vector, its semantic vector, and the sum of
+    the nested-mean weights of its occurrences. `x`, `pos` and `neg` hold the
+    chosen users' (user_rep, pos_collab, neg_collab) triples, one per row.
+    """
+
+    e: np.ndarray
+    q: np.ndarray
+    w: np.ndarray
+    x: np.ndarray
+    pos: np.ndarray
+    neg: np.ndarray
 
 
 @dataclass
-class AlignmentExample:
-    """Per-user training record: one sequence group and its triples."""
+class AlignmentDataset:
+    """Per-user alignment records, stacked once into arrays.
 
-    user: str
-    pairs: list
-    triples: list
+    Row j of the item table (`e` collaborative, `q` semantic) belongs to
+    `items[j]`. User u's sequence pairs are the table rows
+    `pair_item[pair_ptr[u]:pair_ptr[u + 1]]`, one per occurrence in sequence
+    order; its triples are rows `triple_ptr[u]:triple_ptr[u + 1]` of `x`,
+    `pos` and `neg`. `len()` is the number of users.
+    """
+
+    users: list[str]
+    items: list[str]
+    e: np.ndarray
+    q: np.ndarray
+    pair_ptr: np.ndarray
+    pair_item: np.ndarray
+    triple_ptr: np.ndarray
+    x: np.ndarray
+    pos: np.ndarray
+    neg: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    def batch(self, chosen) -> AlignmentBatch:
+        """The batch of the chosen user indices.
+
+        Each occurrence weighs 1 / (G * |group|), where G counts the chosen
+        users that have at least one pair; an item's weights are summed, so
+        the alignment and reconstruction terms are evaluated once per
+        distinct item.
+        """
+        chosen = np.asarray(chosen, dtype=np.int64)
+        pair_rows, sizes = _segments(self.pair_ptr, chosen)
+        sizes = sizes[sizes > 0]
+        weights = np.repeat(1.0 / (len(sizes) * sizes), sizes)
+        summed = np.bincount(
+            self.pair_item[pair_rows], weights=weights, minlength=len(self.items)
+        )
+        present = np.flatnonzero(summed)
+        triple_rows, _ = _segments(self.triple_ptr, chosen)
+        return AlignmentBatch(
+            e=self.e[present],
+            q=self.q[present],
+            w=summed[present],
+            x=self.x[triple_rows],
+            pos=self.pos[triple_rows],
+            neg=self.neg[triple_rows],
+        )
+
+
+def _segments(ptr: np.ndarray, chosen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices of the chosen segments of an offset array, in the order
+    chosen, and the size of each chosen segment."""
+    starts = ptr[chosen]
+    sizes = ptr[chosen + 1] - starts
+    # output position i of segment k maps to starts[k] + (i - first position of k)
+    first = np.cumsum(sizes) - sizes
+    return np.arange(sizes.sum()) + np.repeat(starts - first, sizes), sizes
+
+
+def _offsets(segments) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum([len(s) for s in segments], dtype=np.int64)))
+
+
+def stack_alignment_dataset(users, items, e, q, pairs, triples) -> AlignmentDataset:
+    """Stack per-user records into an AlignmentDataset.
+
+    `e` and `q` are 2-D item tables with one row per entry of `items`.
+    `pairs[u]` lists user u's table indices in sequence order (repeats
+    allowed) and `triples[u]` its (x, pos, neg) vectors. Every user needs at
+    least one pair or one triple.
+    """
+    if not len(users) == len(pairs) == len(triples):
+        raise ValueError("users, pairs and triples must have one entry per user")
+    for user, group, trip in zip(users, pairs, triples):
+        if not group and not trip:
+            raise ValueError(f"empty group and no triples for user {user!r}")
+    e = np.asarray(e, dtype=np.float64)
+    rows = [t for trip in triples for t in trip]
+
+    def stacked(col: int) -> np.ndarray:
+        return np.array([r[col] for r in rows], dtype=np.float64).reshape(-1, e.shape[1])
+
+    return AlignmentDataset(
+        users=list(users),
+        items=list(items),
+        e=e,
+        q=np.asarray(q, dtype=np.float64),
+        pair_ptr=_offsets(pairs),
+        pair_item=np.array([j for group in pairs for j in group], dtype=np.intp),
+        triple_ptr=_offsets(triples),
+        x=stacked(0),
+        pos=stacked(1),
+        neg=stacked(2),
+    )
 
 
 @dataclass
@@ -143,139 +244,95 @@ def decode(net: AlignmentNetwork, modality: str, latent) -> np.ndarray:
     raise ValueError(f"unknown modality {modality!r}")
 
 
-def _stack_groups(groups):
-    """Flatten groups into arrays plus per-item nested-mean weights."""
-    e_rows, q_rows, weights = [], [], []
-    n_groups = len(groups)
-    for group in groups:
-        if not group:
-            raise ValueError("empty group in alignment batch")
-        w = 1.0 / (n_groups * len(group))
-        for e, q in group:
-            e_rows.append(np.asarray(e, dtype=np.float64))
-            q_rows.append(np.asarray(q, dtype=np.float64))
-            weights.append(w)
-    return np.array(e_rows), np.array(q_rows), np.array(weights)
-
-
-def alignment_loss(net: AlignmentNetwork, groups) -> float:
+def alignment_loss(net: AlignmentNetwork, batch: AlignmentBatch) -> float:
     """Nested mean of squared encoder gaps: inner mean per sequence first."""
-    if not groups:
-        return 0.0
-    e, q, w = _stack_groups(groups)
-    diff = encode(net, COLLABORATIVE, e) - encode(net, SEMANTIC, q)
-    return float(np.sum(w * np.sum(diff * diff, axis=1)))
+    diff = encode(net, COLLABORATIVE, batch.e) - encode(net, SEMANTIC, batch.q)
+    return float(np.sum(batch.w * np.sum(diff * diff, axis=1)))
 
 
-def reconstruction_loss(net: AlignmentNetwork, groups) -> float:
+def reconstruction_loss(net: AlignmentNetwork, batch: AlignmentBatch) -> float:
     """alpha * collaborative + beta * semantic autoencoder error (nested means)."""
-    if not groups:
-        return 0.0
-    e, q, w = _stack_groups(groups)
-    r_c = decode(net, COLLABORATIVE, encode(net, COLLABORATIVE, e)) - e
-    r_s = decode(net, SEMANTIC, encode(net, SEMANTIC, q)) - q
-    item_term = float(np.sum(w * np.sum(r_c * r_c, axis=1)))
-    text_term = float(np.sum(w * np.sum(r_s * r_s, axis=1)))
+    r_c = decode(net, COLLABORATIVE, encode(net, COLLABORATIVE, batch.e)) - batch.e
+    r_s = decode(net, SEMANTIC, encode(net, SEMANTIC, batch.q)) - batch.q
+    item_term = float(np.sum(batch.w * np.sum(r_c * r_c, axis=1)))
+    text_term = float(np.sum(batch.w * np.sum(r_s * r_s, axis=1)))
     return net.alpha * item_term + net.beta * text_term
 
 
 def _rec_scores(net: AlignmentNetwork, x, e):
-    latent = encode(net, COLLABORATIVE, e)
-    recon = decode(net, COLLABORATIVE, latent)
-    return np.sum(x * recon, axis=1), latent, recon
+    return np.sum(x * decode(net, COLLABORATIVE, encode(net, COLLABORATIVE, e)), axis=1)
 
 
-def recommendation_loss(net: AlignmentNetwork, triples) -> float:
+def recommendation_loss(net: AlignmentNetwork, batch: AlignmentBatch) -> float:
     """Summed BCE of sigmoid(x . dec(enc(e))) over (x, pos, neg) triples."""
-    if not triples:
-        return 0.0
-    x = np.array([np.asarray(t[0], dtype=np.float64) for t in triples])
-    e_pos = np.array([np.asarray(t[1], dtype=np.float64) for t in triples])
-    e_neg = np.array([np.asarray(t[2], dtype=np.float64) for t in triples])
-    s_pos, _, _ = _rec_scores(net, x, e_pos)
-    s_neg, _, _ = _rec_scores(net, x, e_neg)
-    p_pos = np.clip(expit(s_pos), _CLAMP, 1.0 - _CLAMP)
-    p_neg = np.clip(1.0 - expit(s_neg), _CLAMP, 1.0 - _CLAMP)
+    p_pos = np.clip(expit(_rec_scores(net, batch.x, batch.pos)), _CLAMP, 1.0 - _CLAMP)
+    p_neg = np.clip(1.0 - expit(_rec_scores(net, batch.x, batch.neg)), _CLAMP, 1.0 - _CLAMP)
     return float(-np.sum(np.log(p_pos) + np.log(p_neg)))
 
 
 def total_loss(net: AlignmentNetwork, batch: AlignmentBatch) -> float:
     """Unweighted sum of alignment, reconstruction, and recommendation terms."""
     return (
-        alignment_loss(net, batch.groups)
-        + reconstruction_loss(net, batch.groups)
-        + recommendation_loss(net, batch.triples)
+        alignment_loss(net, batch)
+        + reconstruction_loss(net, batch)
+        + recommendation_loss(net, batch)
     )
 
 
 def total_loss_and_gradients(net: AlignmentNetwork, batch: AlignmentBatch):
-    """Analytic gradients of total_loss over all eight parameter arrays."""
+    """Analytic gradients of total_loss over all eight parameter arrays.
+
+    An empty item or triple set contributes zero loss and zero gradient.
+    """
     p = net.params
-    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
-    loss = 0.0
+    e, q, w = batch.e, batch.q, batch.w
+    wcol = w[:, None]
+    u = e @ p["enc_c.w"].T + p["enc_c.b"]
+    v = q @ p["enc_s.w"].T + p["enc_s.b"]
+    diff = u - v
+    r_c = u @ p["dec_c.w"].T + p["dec_c.b"] - e
+    r_s = v @ p["dec_s.w"].T + p["dec_s.b"] - q
+    loss = float(np.sum(w * np.sum(diff * diff, axis=1)))
+    loss += net.alpha * float(np.sum(w * np.sum(r_c * r_c, axis=1)))
+    loss += net.beta * float(np.sum(w * np.sum(r_s * r_s, axis=1)))
 
-    if batch.groups:
-        e, q, w = _stack_groups(batch.groups)
-        wcol = w[:, None]
-        u = e @ p["enc_c.w"].T + p["enc_c.b"]
-        v = q @ p["enc_s.w"].T + p["enc_s.b"]
-        diff = u - v
-        loss += float(np.sum(w * np.sum(diff * diff, axis=1)))
-        wd = 2.0 * wcol * diff
-        grads["enc_c.w"] += wd.T @ e
-        grads["enc_c.b"] += wd.sum(axis=0)
-        grads["enc_s.w"] -= wd.T @ q
-        grads["enc_s.b"] -= wd.sum(axis=0)
+    wd = 2.0 * wcol * diff
+    wr = 2.0 * net.alpha * wcol * r_c
+    wt = 2.0 * net.beta * wcol * r_s
+    d_u = wd + wr @ p["dec_c.w"]
+    d_v = wt @ p["dec_s.w"] - wd
+    grads = {
+        "enc_c.w": d_u.T @ e,
+        "enc_c.b": d_u.sum(axis=0),
+        "enc_s.w": d_v.T @ q,
+        "enc_s.b": d_v.sum(axis=0),
+        "dec_c.w": wr.T @ u,
+        "dec_c.b": wr.sum(axis=0),
+        "dec_s.w": wt.T @ v,
+        "dec_s.b": wt.sum(axis=0),
+    }
 
-        r_c = u @ p["dec_c.w"].T + p["dec_c.b"] - e
-        loss += net.alpha * float(np.sum(w * np.sum(r_c * r_c, axis=1)))
-        wr = 2.0 * net.alpha * wcol * r_c
-        grads["dec_c.w"] += wr.T @ u
-        grads["dec_c.b"] += wr.sum(axis=0)
-        du = wr @ p["dec_c.w"]
-        grads["enc_c.w"] += du.T @ e
-        grads["enc_c.b"] += du.sum(axis=0)
-
-        r_s = v @ p["dec_s.w"].T + p["dec_s.b"] - q
-        loss += net.beta * float(np.sum(w * np.sum(r_s * r_s, axis=1)))
-        wt = 2.0 * net.beta * wcol * r_s
-        grads["dec_s.w"] += wt.T @ v
-        grads["dec_s.b"] += wt.sum(axis=0)
-        dv = wt @ p["dec_s.w"]
-        grads["enc_s.w"] += dv.T @ q
-        grads["enc_s.b"] += dv.sum(axis=0)
-
-    if batch.triples:
-        x = np.array([np.asarray(t[0], dtype=np.float64) for t in batch.triples])
-        for sign, col in ((1, 1), (-1, 2)):
-            e_in = np.array([np.asarray(t[col], dtype=np.float64) for t in batch.triples])
-            u = e_in @ p["enc_c.w"].T + p["enc_c.b"]
-            recon = u @ p["dec_c.w"].T + p["dec_c.b"]
-            s = np.sum(x * recon, axis=1)
-            sig = expit(s)
-            if sign > 0:
-                prob = np.clip(sig, _CLAMP, 1.0 - _CLAMP)
-                loss += float(-np.sum(np.log(prob)))
-                active = (sig > _CLAMP) & (sig < 1.0 - _CLAMP)
-                ds = -(1.0 - sig) * active
-            else:
-                prob = np.clip(1.0 - sig, _CLAMP, 1.0 - _CLAMP)
-                loss += float(-np.sum(np.log(prob)))
-                active = (1.0 - sig > _CLAMP) & (1.0 - sig < 1.0 - _CLAMP)
-                ds = sig * active
-            d_recon = ds[:, None] * x
-            grads["dec_c.w"] += d_recon.T @ u
-            grads["dec_c.b"] += d_recon.sum(axis=0)
-            du = d_recon @ p["dec_c.w"]
-            grads["enc_c.w"] += du.T @ e_in
-            grads["enc_c.b"] += du.sum(axis=0)
+    x = batch.x
+    for e_in, positive in ((batch.pos, True), (batch.neg, False)):
+        u_in = e_in @ p["enc_c.w"].T + p["enc_c.b"]
+        sig = expit(np.sum(x * (u_in @ p["dec_c.w"].T + p["dec_c.b"]), axis=1))
+        prob = sig if positive else 1.0 - sig
+        loss -= float(np.sum(np.log(np.clip(prob, _CLAMP, 1.0 - _CLAMP))))
+        active = (prob > _CLAMP) & (prob < 1.0 - _CLAMP)
+        ds = (sig - 1.0 if positive else sig) * active
+        d_recon = ds[:, None] * x
+        grads["dec_c.w"] += d_recon.T @ u_in
+        grads["dec_c.b"] += d_recon.sum(axis=0)
+        d_in = d_recon @ p["dec_c.w"]
+        grads["enc_c.w"] += d_in.T @ e_in
+        grads["enc_c.b"] += d_in.sum(axis=0)
 
     return loss, grads
 
 
 def train_alignment(
     net: AlignmentNetwork,
-    dataset: list[AlignmentExample],
+    dataset: AlignmentDataset,
     epochs: int = 10,
     batch_size: int = 16,
     learning_rate: float = 1e-4,
@@ -284,9 +341,9 @@ def train_alignment(
 ) -> AlignmentNetwork:
     """Plain gradient descent (by default) on the summed objective.
 
-    One example = one user sequence group with its recommendation triples;
-    batches group `batch_size` users. Per-epoch mean batch losses are stored
-    on net.training_log.
+    Each epoch draws a permutation of the dataset's users; a batch holds
+    `batch_size` consecutive users of it (see AlignmentDataset.batch).
+    Per-epoch mean batch losses are stored on net.training_log.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -297,11 +354,7 @@ def train_alignment(
         perm = rng.permutation(order)
         batch_losses = []
         for start in range(0, len(perm), batch_size):
-            chosen = [dataset[i] for i in perm[start : start + batch_size]]
-            batch = AlignmentBatch(
-                groups=[ex.pairs for ex in chosen if ex.pairs],
-                triples=[t for ex in chosen for t in ex.triples],
-            )
+            batch = dataset.batch(perm[start : start + batch_size])
             loss, grads = total_loss_and_gradients(net, batch)
             if not math.isfinite(loss):
                 raise TrainingError(
@@ -320,27 +373,35 @@ def build_alignment_dataset(
     semantic_map: dict[str, np.ndarray],
     rng: np.random.Generator | None = None,
     negatives_per_user: int = 1,
-) -> list[AlignmentExample]:
-    """Per-user training examples from a trained CF model and a split.
+) -> AlignmentDataset:
+    """Per-user training data from a trained CF model and a split.
 
     Pairs follow the user's train sequence, one (collaborative, semantic)
-    pair per occurrence of an item that has both representations. Each
-    recommendation triple uses the user's train history representation, the
-    validation item as positive, and sampled out-of-sequence negatives. Users
-    contributing neither pairs nor triples are dropped.
+    pair per occurrence of an item that has both representations; each such
+    item gets one row of the item table. Each recommendation triple uses the
+    user's train history representation, the validation item as positive,
+    and sampled out-of-sequence negatives. Users contributing neither pairs
+    nor triples are dropped.
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    dataset: list[AlignmentExample] = []
+    table: dict[str, int] = {}
+    e_rows, q_rows = [], []
+    users, pairs, triples = [], [], []
     for user in split.users():
         sequence = split.train[user]
-        pairs = []
+        group = []
         for item in sequence:
-            e = cf_mod.item_embedding(cf_model, item)
-            q = semantic_map.get(item)
-            if e is not None and q is not None:
-                pairs.append((e, q))
-        triples = []
+            if item not in table:
+                e = cf_mod.item_embedding(cf_model, item)
+                q = semantic_map.get(item)
+                if e is None or q is None:
+                    continue
+                table[item] = len(e_rows)
+                e_rows.append(e)
+                q_rows.append(q)
+            group.append(table[item])
+        trip = []
         positive = cf_mod.item_embedding(cf_model, split.validation[user])
         history = [item for item in sequence if cf_model.has_item(item)]
         if positive is not None and history:
@@ -351,12 +412,22 @@ def build_alignment_dataset(
                 if not eligible:
                     break
                 negative = eligible[int(rng.integers(len(eligible)))]
-                triples.append((x, positive, cf_mod.item_embedding(cf_model, negative)))
-        if pairs or triples:
-            dataset.append(AlignmentExample(user=user, pairs=pairs, triples=triples))
-    if not dataset:
+                trip.append((x, positive, cf_mod.item_embedding(cf_model, negative)))
+        if group or trip:
+            users.append(user)
+            pairs.append(group)
+            triples.append(trip)
+    if not users:
         raise DataError("no user contributed alignment pairs or triples")
-    return dataset
+    sem_dim = len(next(iter(semantic_map.values()))) if semantic_map else SEMANTIC_DIM
+    return stack_alignment_dataset(
+        users,
+        list(table),
+        np.array(e_rows, dtype=np.float64).reshape(-1, cf_model.config.embed_dim),
+        np.array(q_rows, dtype=np.float64).reshape(-1, sem_dim),
+        pairs,
+        triples,
+    )
 
 
 def unified_item_embedding(
@@ -377,7 +448,7 @@ def unified_item_embedding(
 
 def gradient_check(net: AlignmentNetwork, batch: AlignmentBatch, h: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients."""
-    if not batch.groups and not batch.triples:
+    if not len(batch.w) and not len(batch.x):
         return 0.0
     _, grads = total_loss_and_gradients(net, batch)
     return max_relative_gradient_error(

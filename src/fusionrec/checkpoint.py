@@ -4,20 +4,40 @@ Layout: magic line, one ASCII line with the header byte length, a JSON header
 (sorted keys) naming the kind, config, index maps, and array shapes, then the
 arrays concatenated as little-endian float64 in row-major order. No
 timestamps or environment-dependent fields, so identical runs produce
-identical files.
+identical files. Files are written atomically (see `atomic_open`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 
 import numpy as np
 
 from .errors import DataError
 
-__all__ = ["save_checkpoint", "load_checkpoint"]
+__all__ = ["atomic_open", "save_checkpoint", "load_checkpoint"]
 
 _MAGIC = b"FRCKPT1\n"
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "wb", **kwargs):
+    """Open a temp file beside `path` and rename it over `path` on success.
+
+    If the body raises, the temp file is removed and `path` keeps whatever
+    it held before, so a crash never leaves a half-written artifact.
+    """
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def save_checkpoint(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -28,7 +48,7 @@ def save_checkpoint(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) 
         "meta": meta,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(_MAGIC)
         fh.write(f"{len(header_bytes)}\n".encode("ascii"))
         fh.write(header_bytes)
@@ -47,14 +67,18 @@ def load_checkpoint(path) -> tuple[str, dict, dict[str, np.ndarray]]:
             header_len = int(length_line.strip())
         except ValueError:
             raise DataError(f"{path}: corrupt header length") from None
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+            kind, meta = header["kind"], header["meta"]
+            entries = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
+        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise DataError(f"{path}: corrupt header ({type(exc).__name__}: {exc})") from None
         fh.read(1)  # trailing newline
         arrays: dict[str, np.ndarray] = {}
-        for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
+        for name, shape in entries:
             count = int(np.prod(shape)) if shape else 1
             buf = fh.read(count * 8)
             if len(buf) != count * 8:
-                raise DataError(f"{path}: truncated array payload for {entry['name']!r}")
-            arrays[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    return header["kind"], header["meta"], arrays
+                raise DataError(f"{path}: truncated array payload for {name!r}")
+            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+    return kind, meta, arrays

@@ -4,8 +4,8 @@ Subcommands chain the full system over file artifacts in one output
 directory: prepare -> train-cf -> train-align -> cot -> train-proj -> eval,
 plus sweep and report. Every stage writes atomically (temp file + rename),
 refuses to overwrite existing outputs unless --force is given, takes a lock
-on the output directory, and embeds the config digest and master seed in its
-artifacts. Per-stage randomness is derived from the master seed with a fixed
+on the output directory (breaking one whose recorded pid no longer exists),
+and embeds the config digest and master seed in its artifacts. Per-stage randomness is derived from the master seed with a fixed
 per-stage offset, so reruns are byte-identical.
 """
 
@@ -28,7 +28,7 @@ from .align import (
     unified_item_embedding,
 )
 from .cf import CfConfig, CfModel, next_item_probabilities, rank_by_score, train_cf, verbalize_prior
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .config import RunConfig, default_config, parse_config
 from .cot import (
     CotRecord,
@@ -91,16 +91,48 @@ def _stage_seed_int(seed: int, stage: str) -> int:
     return int(np.random.SeedSequence([seed, _STAGE_OFFSETS[stage]]).generate_state(1)[0])
 
 
+def _lock_is_stale(lock: str) -> bool:
+    """True when the lock file names a pid that no longer exists.
+
+    Unreadable or unparsable content, and a pid we may not signal, count as
+    held: only a lock whose owner is known to be gone is broken.
+    """
+    try:
+        with open(lock, encoding="ascii") as fh:
+            pid = int(fh.read().strip())
+    except FileNotFoundError:
+        return True  # released between our attempt and this read
+    except (OSError, ValueError):
+        return False
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except PermissionError:  # alive, but owned by another user
+        return False
+    return False
+
+
 @contextlib.contextmanager
 def _output_lock(out_dir: str):
     lock = os.path.join(out_dir, ".lock")
+    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
     try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        fd = os.open(lock, flags)
     except FileExistsError:
-        raise DependencyError(
-            f"output directory is locked ({lock}); another stage is running "
-            "or a previous one crashed"
-        ) from None
+        fd = None
+        if _lock_is_stale(lock):
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(lock)
+            with contextlib.suppress(FileExistsError):
+                fd = os.open(lock, flags)
+        if fd is None:
+            raise DependencyError(
+                f"output directory is locked ({lock}); another stage is running "
+                "or a previous one crashed"
+            ) from None
     try:
         os.write(fd, f"{os.getpid()}\n".encode("ascii"))
         os.close(fd)
@@ -110,10 +142,26 @@ def _output_lock(out_dir: str):
 
 
 def _write_atomic(path: str, data: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(data)
-    os.replace(tmp, path)
+
+
+@contextlib.contextmanager
+def _artifact_fields(path: str):
+    """Turn a missing or malformed field of a parsed artifact into a DataError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: missing or malformed field ({type(exc).__name__}: {exc})") from None
+
+
+def _load_json(path: str):
+    """Parse a JSON artifact; an undecodable file is a DataError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path}: corrupt JSON artifact ({type(exc).__name__}: {exc})") from None
 
 
 def _write_json(path: str, obj) -> None:
@@ -134,11 +182,11 @@ def _require_artifact(out_dir: str, filename: str, producing_stage: str, stage: 
 
 def _load_split(out_dir: str, stage: str) -> SplitDataset:
     path = _require_artifact(out_dir, "split.json", "prepare", stage)
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return SplitDataset(
-        train=payload["train"], validation=payload["validation"], test=payload["test"]
-    )
+    payload = _load_json(path)
+    with _artifact_fields(path):
+        return SplitDataset(
+            train=payload["train"], validation=payload["validation"], test=payload["test"]
+        )
 
 
 def _load_cf(out_dir: str, stage: str) -> CfModel:
@@ -146,15 +194,16 @@ def _load_cf(out_dir: str, stage: str) -> CfModel:
     kind, meta, arrays = load_checkpoint(path)
     if kind != "cf":
         raise DataError(f"{path} holds a {kind!r} checkpoint, expected cf")
-    items = list(meta["items"])
-    return CfModel(
-        config=CfConfig(**meta["config"]),
-        item_index={item: i + 1 for i, item in enumerate(items)},
-        items=items,
-        params=arrays,
-        frozen=True,
-        training_log=list(meta.get("training_log", [])),
-    )
+    with _artifact_fields(path):
+        items = list(meta["items"])
+        return CfModel(
+            config=CfConfig(**meta["config"]),
+            item_index={item: i + 1 for i, item in enumerate(items)},
+            items=items,
+            params=arrays,
+            frozen=True,
+            training_log=list(meta.get("training_log", [])),
+        )
 
 
 def _load_align(out_dir: str, stage: str) -> AlignmentNetwork:
@@ -162,15 +211,16 @@ def _load_align(out_dir: str, stage: str) -> AlignmentNetwork:
     kind, meta, arrays = load_checkpoint(path)
     if kind != "align":
         raise DataError(f"{path} holds a {kind!r} checkpoint, expected align")
-    return AlignmentNetwork(
-        collab_dim=meta["collab_dim"],
-        sem_dim=meta["sem_dim"],
-        latent_dim=meta["latent_dim"],
-        alpha=meta["alpha"],
-        beta=meta["beta"],
-        params=arrays,
-        training_log=list(meta.get("training_log", [])),
-    )
+    with _artifact_fields(path):
+        return AlignmentNetwork(
+            collab_dim=meta["collab_dim"],
+            sem_dim=meta["sem_dim"],
+            latent_dim=meta["latent_dim"],
+            alpha=meta["alpha"],
+            beta=meta["beta"],
+            params=arrays,
+            training_log=list(meta.get("training_log", [])),
+        )
 
 
 def _semantic_map(config: RunConfig) -> dict[str, np.ndarray]:
@@ -393,8 +443,7 @@ def cmd_train_proj(config: RunConfig, out_dir: str, seed: int, force: bool) -> N
     cot_signals: dict[tuple[str, str], CotSignal] = {}
     cots_path = os.path.join(out_dir, "cots.json")
     if os.path.exists(cots_path):
-        with open(cots_path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = _load_json(cots_path)
         for row in payload["records"]:
             if row["retained"]:
                 cot_signals[(row["user"], row["item"])] = CotSignal(
@@ -514,8 +563,7 @@ def cmd_eval(config: RunConfig, out_dir: str, seed: int, force: bool) -> None:
 
     partition_path = os.path.join(out_dir, "partition.json")
     if os.path.exists(partition_path):
-        with open(partition_path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = _load_json(partition_path)
         partition = ColdWarmPartition(
             cold=set(payload["cold"]),
             warm=set(payload["warm"]),
@@ -549,8 +597,7 @@ def cmd_sweep(config: RunConfig, out_dir: str, seed: int, force: bool) -> None:
     sweep_txt = os.path.join(out_dir, "sweep.txt")
     for path in (sweep_json, sweep_txt):
         _refuse_overwrite(path, force)
-    with open(cots_path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = _load_json(cots_path)
     records = [
         CotRecord(
             instance=None, cot=row["cot"], dims=tuple(row["dims"]), score=row["score"]
@@ -579,8 +626,7 @@ def cmd_report(config: RunConfig, out_dir: str, seed: int, force: bool) -> None:
 
     split_path = os.path.join(out_dir, "split.json")
     if os.path.exists(split_path):
-        with open(split_path, encoding="utf-8") as fh:
-            split_payload = json.load(fh)
+        split_payload = _load_json(split_path)
         section(
             "data",
             f"users: {len(split_payload['train'])}",
@@ -594,8 +640,7 @@ def cmd_report(config: RunConfig, out_dir: str, seed: int, force: bool) -> None:
             section(name, f"checkpoint {ckpt}; {tail}")
     cots_path = os.path.join(out_dir, "cots.json")
     if os.path.exists(cots_path):
-        with open(cots_path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = _load_json(cots_path)
         section(
             "reasoning traces",
             f"records: {len(payload['records'])}; coverage {payload['coverage']:.4f} "
@@ -603,14 +648,12 @@ def cmd_report(config: RunConfig, out_dir: str, seed: int, force: bool) -> None:
         )
     standard_path = os.path.join(out_dir, "report_standard.json")
     if os.path.exists(standard_path):
-        with open(standard_path, encoding="utf-8") as fh:
-            report = json.load(fh)
+        report = _load_json(standard_path)
         hr = ", ".join(f"hr@{k}={v:.4f}" for k, v in sorted(report["hr"].items(), key=lambda kv: int(kv[0])))
         section("evaluation (standard)", f"n_users={report['n_users']}; {hr}")
     coldwarm_path = os.path.join(out_dir, "report_coldwarm.json")
     if os.path.exists(coldwarm_path):
-        with open(coldwarm_path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = _load_json(coldwarm_path)
         section(
             "evaluation (cold/warm)",
             f"warm n={payload['warm']['n_users']}, cold n={payload['cold']['n_users']}; "

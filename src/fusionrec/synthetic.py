@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .align import AlignmentExample
+from .align import AlignmentDataset, stack_alignment_dataset
 
 __all__ = [
     "PlantedDataset",
@@ -172,7 +172,7 @@ def write_dataset(dataset: PlantedDataset, interactions_path, catalog_path) -> N
 class LinearAlignmentSuite:
     """Alignment training set whose modalities are exactly linearly related."""
 
-    dataset: list[AlignmentExample]
+    dataset: AlignmentDataset
     collab: dict[str, np.ndarray]
     semantic: dict[str, np.ndarray]
     matrix: np.ndarray
@@ -195,9 +195,15 @@ def make_linear_alignment_suite(
     item_ids = [f"i{j:03d}" for j in range(n_items)]
     collab = {item: rng.normal(0.0, scale, size=collab_dim) for item in item_ids}
     semantic = {item: matrix @ collab[item] for item in item_ids}
-    dataset = []
-    for u in range(n_users):
-        chosen = rng.choice(n_items, size=pairs_per_user, replace=False)
-        pairs = [(collab[item_ids[j]], semantic[item_ids[j]]) for j in chosen]
-        dataset.append(AlignmentExample(user=f"u{u:03d}", pairs=pairs, triples=[]))
+    pairs = [
+        rng.choice(n_items, size=pairs_per_user, replace=False).tolist() for _ in range(n_users)
+    ]
+    dataset = stack_alignment_dataset(
+        users=[f"u{u:03d}" for u in range(n_users)],
+        items=item_ids,
+        e=np.array([collab[item] for item in item_ids]),
+        q=np.array([semantic[item] for item in item_ids]),
+        pairs=pairs,
+        triples=[[] for _ in range(n_users)],
+    )
     return LinearAlignmentSuite(dataset=dataset, collab=collab, semantic=semantic, matrix=matrix)

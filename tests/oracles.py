@@ -10,6 +10,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import expit
 
 
 def oracle_hit_rate(rankings: dict, targets: dict, k: int) -> float:
@@ -224,3 +225,92 @@ def oracle_adam(params: dict, grad_seq: list, lr: float, beta1=0.9, beta2=0.999,
             v_hat = v[name] / (1.0 - beta2**t)
             params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
     return params
+
+
+# The alignment loss and gradients as first written: lists of per-user
+# (collab_vec, sem_vec) groups and (user_rep, pos, neg) triples, one encoder
+# and decoder pass per occurrence. The package stacks its data once and
+# evaluates each distinct item once, which sums in another order, so
+# comparisons use a tolerance.
+
+_ALIGN_CLAMP = 1e-7
+
+
+def oracle_stack_groups(groups):
+    """Flatten groups into arrays plus per-item nested-mean weights."""
+    e_rows, q_rows, weights = [], [], []
+    n_groups = len(groups)
+    for group in groups:
+        if not group:
+            raise ValueError("empty group in alignment batch")
+        w = 1.0 / (n_groups * len(group))
+        for e, q in group:
+            e_rows.append(np.asarray(e, dtype=np.float64))
+            q_rows.append(np.asarray(q, dtype=np.float64))
+            weights.append(w)
+    return np.array(e_rows), np.array(q_rows), np.array(weights)
+
+
+def oracle_alignment_loss_and_gradients(net, groups: list, triples: list):
+    """Loss and gradients of the alignment objective over list-form inputs."""
+    p = net.params
+    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+    loss = 0.0
+
+    if groups:
+        e, q, w = oracle_stack_groups(groups)
+        wcol = w[:, None]
+        u = e @ p["enc_c.w"].T + p["enc_c.b"]
+        v = q @ p["enc_s.w"].T + p["enc_s.b"]
+        diff = u - v
+        loss += float(np.sum(w * np.sum(diff * diff, axis=1)))
+        wd = 2.0 * wcol * diff
+        grads["enc_c.w"] += wd.T @ e
+        grads["enc_c.b"] += wd.sum(axis=0)
+        grads["enc_s.w"] -= wd.T @ q
+        grads["enc_s.b"] -= wd.sum(axis=0)
+
+        r_c = u @ p["dec_c.w"].T + p["dec_c.b"] - e
+        loss += net.alpha * float(np.sum(w * np.sum(r_c * r_c, axis=1)))
+        wr = 2.0 * net.alpha * wcol * r_c
+        grads["dec_c.w"] += wr.T @ u
+        grads["dec_c.b"] += wr.sum(axis=0)
+        du = wr @ p["dec_c.w"]
+        grads["enc_c.w"] += du.T @ e
+        grads["enc_c.b"] += du.sum(axis=0)
+
+        r_s = v @ p["dec_s.w"].T + p["dec_s.b"] - q
+        loss += net.beta * float(np.sum(w * np.sum(r_s * r_s, axis=1)))
+        wt = 2.0 * net.beta * wcol * r_s
+        grads["dec_s.w"] += wt.T @ v
+        grads["dec_s.b"] += wt.sum(axis=0)
+        dv = wt @ p["dec_s.w"]
+        grads["enc_s.w"] += dv.T @ q
+        grads["enc_s.b"] += dv.sum(axis=0)
+
+    if triples:
+        x = np.array([np.asarray(t[0], dtype=np.float64) for t in triples])
+        for sign, col in ((1, 1), (-1, 2)):
+            e_in = np.array([np.asarray(t[col], dtype=np.float64) for t in triples])
+            u = e_in @ p["enc_c.w"].T + p["enc_c.b"]
+            recon = u @ p["dec_c.w"].T + p["dec_c.b"]
+            s = np.sum(x * recon, axis=1)
+            sig = expit(s)
+            if sign > 0:
+                prob = np.clip(sig, _ALIGN_CLAMP, 1.0 - _ALIGN_CLAMP)
+                loss += float(-np.sum(np.log(prob)))
+                active = (sig > _ALIGN_CLAMP) & (sig < 1.0 - _ALIGN_CLAMP)
+                ds = -(1.0 - sig) * active
+            else:
+                prob = np.clip(1.0 - sig, _ALIGN_CLAMP, 1.0 - _ALIGN_CLAMP)
+                loss += float(-np.sum(np.log(prob)))
+                active = (1.0 - sig > _ALIGN_CLAMP) & (1.0 - sig < 1.0 - _ALIGN_CLAMP)
+                ds = sig * active
+            d_recon = ds[:, None] * x
+            grads["dec_c.w"] += d_recon.T @ u
+            grads["dec_c.b"] += d_recon.sum(axis=0)
+            du = d_recon @ p["dec_c.w"]
+            grads["enc_c.w"] += du.T @ e_in
+            grads["enc_c.b"] += du.sum(axis=0)
+
+    return loss, grads

@@ -28,12 +28,12 @@ from oracles import (
 )
 
 from fusionrec.align import (
-    AlignmentBatch,
     AlignmentNetwork,
     alignment_loss,
     build_alignment_dataset,
     gradient_check,
     init_alignment,
+    stack_alignment_dataset,
     train_alignment,
     unified_item_embedding,
 )
@@ -248,7 +248,15 @@ def test_gradients_match_finite_differences_in_all_three_models():
     triples = [
         tuple(rng.normal(scale=0.5, size=net.collab_dim) for _ in range(3)) for _ in range(2)
     ]
-    align_err = gradient_check(net, AlignmentBatch(groups=groups, triples=triples))
+    dataset = stack_alignment_dataset(
+        users=["u0", "u1"],
+        items=["i0", "i1", "i2"],
+        e=np.array([e for group in groups for e, _ in group]),
+        q=np.array([q for group in groups for _, q in group]),
+        pairs=[[0], [1, 2]],
+        triples=[triples, []],
+    )
+    align_err = gradient_check(net, dataset.batch([0, 1]))
 
     rng = np.random.default_rng(7)
     stack = init_projection_stack(
@@ -301,13 +309,13 @@ def test_alignment_loss_nests_per_sequence_means():
             "dec_s.b": np.zeros(3),
         },
     )
-    zeros = np.zeros(3)
-    groups = [
-        [(np.array([1.0, 0.0, 0.0]), zeros), (np.array([1.0, 1.0, 1.0]), zeros)],
-        [(np.array([2.0, 1.0, 0.0]), zeros)],
-    ]
-    nested = alignment_loss(net, groups)
-    flat = alignment_loss(net, [[pair for group in groups for pair in group]])
+    items = ["i0", "i1", "i2"]
+    e = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 1.0, 0.0]])
+    zeros = np.zeros((3, 3))
+    two_sequences = stack_alignment_dataset(["u0", "u1"], items, e, zeros, [[0, 1], [2]], [[], []])
+    one_sequence = stack_alignment_dataset(["u0"], items, e, zeros, [[0, 1, 2]], [[]])
+    nested = alignment_loss(net, two_sequences.batch([0, 1]))
+    flat = alignment_loss(net, one_sequence.batch([0]))
     _verdict(
         "per-sequence loss nesting",
         nested == 3.5 and flat == 3.0,
@@ -320,12 +328,12 @@ def test_alignment_converges_on_linearly_related_modalities():
     suite = make_linear_alignment_suite()
     rng = np.random.default_rng(0)
     net = init_alignment(50, 768, 128, 0.5, 0.2, rng=rng)
-    groups = [example.pairs for example in suite.dataset]
-    before = alignment_loss(net, groups)
+    everyone = suite.dataset.batch(np.arange(len(suite.dataset)))
+    before = alignment_loss(net, everyone)
     train_alignment(
         net, suite.dataset, epochs=200, batch_size=16, learning_rate=1e-4, rng=rng, optimizer="sgd"
     )
-    after = alignment_loss(net, groups)
+    after = alignment_loss(net, everyone)
     drop = 1.0 - after / before
     elapsed = time.time() - t0
     _verdict(

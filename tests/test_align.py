@@ -8,8 +8,6 @@ import pytest
 from fusionrec.align import (
     COLLABORATIVE,
     SEMANTIC,
-    AlignmentBatch,
-    AlignmentExample,
     AlignmentNetwork,
     alignment_loss,
     build_alignment_dataset,
@@ -19,6 +17,7 @@ from fusionrec.align import (
     init_alignment,
     reconstruction_loss,
     recommendation_loss,
+    stack_alignment_dataset,
     total_loss,
     total_loss_and_gradients,
     train_alignment,
@@ -29,6 +28,7 @@ from fusionrec.data import TrainingInstance
 from fusionrec.errors import DataError, TrainingError
 from fusionrec.gradcheck import max_relative_gradient_error
 from fusionrec.semantic import fallback_embed
+from oracles import oracle_alignment_loss_and_gradients
 
 
 def _net_from_matrices(alpha=0.5, beta=0.2, dim=3, decoder_scale=1.0):
@@ -40,6 +40,45 @@ def _net_from_matrices(alpha=0.5, beta=0.2, dim=3, decoder_scale=1.0):
         "dec_s.w": decoder_scale * eye, "dec_s.b": np.zeros(dim),
     }
     return AlignmentNetwork(dim, dim, dim, alpha, beta, params)
+
+
+def _dataset(e, q, pairs, triples=None):
+    """Dataset over item tables `e`, `q`; pairs[u] are user u's table rows."""
+    if triples is None:
+        triples = [[] for _ in pairs]
+    return stack_alignment_dataset(
+        [f"u{u}" for u in range(len(pairs))],
+        [f"i{j}" for j in range(len(e))],
+        np.asarray(e, dtype=np.float64),
+        np.asarray(q, dtype=np.float64),
+        pairs,
+        triples,
+    )
+
+
+def _whole(dataset):
+    """One batch holding every user of the dataset, in order."""
+    return dataset.batch(np.arange(len(dataset)))
+
+
+def _from_records(records, collab_dim, sem_dim):
+    """Dataset from per-user (pairs, triples) records, where each pair is an
+    explicit (collab_vec, sem_vec) and gets its own item-table row."""
+    e_rows, q_rows, pairs = [], [], []
+    for group, _ in records:
+        pairs.append(list(range(len(e_rows), len(e_rows) + len(group))))
+        e_rows.extend(e for e, _ in group)
+        q_rows.extend(q for _, q in group)
+    return _dataset(
+        np.reshape(e_rows, (-1, collab_dim)),
+        np.reshape(q_rows, (-1, sem_dim)),
+        pairs,
+        [trip for _, trip in records],
+    )
+
+
+def _triples_only(triples, dim=3):
+    return _whole(_dataset(np.zeros((0, dim)), np.zeros((0, dim)), [[]], [triples]))
 
 
 def _random_batch(net, rng, n_groups=2, triples=2):
@@ -60,33 +99,69 @@ def _random_batch(net, rng, n_groups=2, triples=2):
         )
         for _ in range(triples)
     ]
-    return AlignmentBatch(groups=groups, triples=trip)
+    records = [(group, trip if g == 0 else []) for g, group in enumerate(groups)]
+    return _whole(_from_records(records, net.collab_dim, net.sem_dim))
+
+
+def _repeated_items_dataset(net, rng, with_triples=True):
+    """Five items shared by five users, repeating inside a sequence and
+    across sequences. With triples, each user draws 0-2 of them and a sixth
+    user has triples but no pairs."""
+    e = rng.normal(scale=0.5, size=(5, net.collab_dim))
+    q = rng.normal(scale=0.5, size=(5, net.sem_dim))
+    pairs = [[0, 1, 0], [1, 2, 2, 2], [3], [0, 3, 4, 1, 0], [4, 4]]
+
+    def draw(n):
+        return [tuple(rng.normal(scale=0.5, size=net.collab_dim) for _ in range(3))
+                for _ in range(n)]
+
+    triples = [draw(int(rng.integers(0, 3)) if with_triples else 0) for _ in pairs]
+    if with_triples:
+        pairs.append([])
+        triples.append(draw(2))
+    return pairs, triples, _dataset(e, q, pairs, triples)
 
 
 def test_alignment_loss_uses_nested_means():
     net = _net_from_matrices()
-    zeros = np.zeros(3)
-    groups = [
-        [(np.array([1.0, 0.0, 0.0]), zeros), (np.array([1.0, 1.0, 1.0]), zeros)],
-        [(np.array([2.0, 1.0, 0.0]), zeros)],
-    ]
+    e = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 1.0, 0.0]])
+    q = np.zeros((3, 3))
     # inner means (1+3)/2 and 5, averaged across the two sequences
-    assert alignment_loss(net, groups) == 3.5
+    assert alignment_loss(net, _whole(_dataset(e, q, [[0, 1], [2]]))) == 3.5
     # a flat mean over the three pairs would give 3.0 instead
-    assert alignment_loss(net, [[pair for group in groups for pair in group]]) == 3.0
-    assert alignment_loss(net, []) == 0.0
+    assert alignment_loss(net, _whole(_dataset(e, q, [[0, 1, 2]]))) == 3.0
+    assert alignment_loss(net, _triples_only([(np.ones(3),) * 3])) == 0.0
+
+
+def test_repeated_items_carry_their_summed_weights():
+    net = _net_from_matrices()
+    e = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    dataset = _dataset(e, np.zeros((2, 3)), [[0, 1, 0], [0], [1, 1]])
+    batch = _whole(dataset)
+    # item 0: 2/9 + 1/3 from the first two users; item 1: 1/9 + 1/3
+    assert np.array_equal(batch.e, e)
+    assert batch.w.tolist() == pytest.approx([5 / 9, 4 / 9], rel=1e-15)
+    # per sequence: (1+3+1)/3, 1 and 3, averaged
+    assert alignment_loss(net, batch) == pytest.approx((5 / 3 + 1 + 3) / 3, rel=1e-15)
+    # a user with triples but no pairs does not count towards G
+    with_triple = _dataset(e, np.zeros((2, 3)), [[0], []], [[], [(np.ones(3),) * 3]])
+    assert _whole(with_triple).w.tolist() == [1.0]
+    assert len(_whole(with_triple).x) == 1
+    # the batch follows the chosen users, not the dataset order
+    assert dataset.batch([2]).w.tolist() == [1.0]
+    assert np.array_equal(dataset.batch([2]).e, e[1:])
 
 
 def test_reconstruction_loss_weights_the_two_autoencoders():
     net = _net_from_matrices(alpha=0.5, beta=0.2, decoder_scale=0.0)
-    groups = [[(np.array([1.0, 1.0, 0.0]), np.array([2.0, 1.0, 0.0]))]]
+    batch = _whole(_dataset([[1.0, 1.0, 0.0]], [[2.0, 1.0, 0.0]], [[0]]))
     # zero decoders reproduce nothing, so the residuals are the inputs
-    assert reconstruction_loss(net, groups) == 2.0
+    assert reconstruction_loss(net, batch) == 2.0
     net.beta = 0.0  # silence the semantic term to see the item term alone
-    assert reconstruction_loss(net, groups) == 1.0
+    assert reconstruction_loss(net, batch) == 1.0
     net.alpha, net.beta = 1.0, 1.0
-    assert reconstruction_loss(net, groups) == 7.0
-    assert reconstruction_loss(net, []) == 0.0
+    assert reconstruction_loss(net, batch) == 7.0
+    assert reconstruction_loss(net, _triples_only([(np.ones(3),) * 3])) == 0.0
 
 
 def test_alpha_beta_must_be_positive():
@@ -101,17 +176,18 @@ def test_alpha_beta_must_be_positive():
 def test_recommendation_loss_matches_closed_form():
     net = _net_from_matrices()
     x = np.array([math.log(9.0), 0.0, 0.0])
-    triples = [(x, np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]))]
+    batch = _triples_only([(x, np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]))])
     # sigmoid(ln 9) = 0.9 on the positive and 0.9 again on the flipped negative
-    assert recommendation_loss(net, triples) == pytest.approx(-2.0 * math.log(0.9), rel=1e-12)
-    assert recommendation_loss(net, []) == 0.0
+    assert recommendation_loss(net, batch) == pytest.approx(-2.0 * math.log(0.9), rel=1e-12)
+    pairs_only = _whole(_dataset(np.ones((1, 3)), np.ones((1, 3)), [[0]]))
+    assert recommendation_loss(net, pairs_only) == 0.0
 
 
 def test_recommendation_loss_is_clamped_at_saturation():
     net = _net_from_matrices()
     x = np.array([100.0, 0.0, 0.0])
     e = np.array([1.0, 0.0, 0.0])
-    loss = recommendation_loss(net, [(x, e, e)])
+    loss = recommendation_loss(net, _triples_only([(x, e, e)]))
     assert math.isfinite(loss)
     assert loss == pytest.approx(-math.log(1e-7) - math.log(1.0 - 1e-7), rel=1e-9)
 
@@ -120,9 +196,9 @@ def test_total_loss_is_the_unweighted_sum():
     net = init_alignment(5, 7, 4, 0.5, 0.2, rng=np.random.default_rng(1))
     batch = _random_batch(net, np.random.default_rng(2))
     expected = (
-        alignment_loss(net, batch.groups)
-        + reconstruction_loss(net, batch.groups)
-        + recommendation_loss(net, batch.triples)
+        alignment_loss(net, batch)
+        + reconstruction_loss(net, batch)
+        + recommendation_loss(net, batch)
     )
     assert total_loss(net, batch) == expected
     loss, _ = total_loss_and_gradients(net, batch)
@@ -130,17 +206,45 @@ def test_total_loss_is_the_unweighted_sum():
     zero_net = _net_from_matrices(decoder_scale=0.0)
     zero_net.params["enc_c.w"][...] = 0.0
     trip = [(np.ones(3), np.ones(3), np.ones(3))] * 3
-    assert total_loss(zero_net, AlignmentBatch([], trip)) == pytest.approx(
+    assert total_loss(zero_net, _triples_only(trip)) == pytest.approx(
         6.0 * math.log(2.0), rel=1e-15
     )
-    assert total_loss(net, AlignmentBatch([], [])) == 0.0
+    empty = _random_batch(net, np.random.default_rng(2), n_groups=0, triples=0)
+    assert total_loss(net, empty) == 0.0
 
 
 def test_gradients_match_finite_differences():
     net = init_alignment(5, 7, 4, 0.5, 0.2, rng=np.random.default_rng(1))
     batch = _random_batch(net, np.random.default_rng(2))
     assert gradient_check(net, batch) <= 1e-4
-    assert gradient_check(net, AlignmentBatch([], [])) == 0.0
+    empty = _random_batch(net, np.random.default_rng(2), n_groups=0, triples=0)
+    assert gradient_check(net, empty) == 0.0
+
+
+def test_gradients_match_finite_differences_with_repeated_items():
+    net = init_alignment(5, 7, 4, 0.5, 0.2, rng=np.random.default_rng(1))
+    _, _, dataset = _repeated_items_dataset(net, np.random.default_rng(4))
+    batch = _whole(dataset)
+    assert len(batch.w) == 5 < int(dataset.pair_ptr[-1]) == 15
+    assert gradient_check(net, batch) <= 1e-4
+
+
+@pytest.mark.parametrize("with_triples", [True, False])
+def test_stacked_batches_match_the_list_form_reference(with_triples):
+    rng = np.random.default_rng(8 + with_triples)
+    for trial in range(20):
+        net = init_alignment(5, 7, 4, 0.5, 0.2, rng=rng)
+        pairs, triples, dataset = _repeated_items_dataset(net, rng, with_triples)
+        chosen = rng.permutation(len(dataset))[: int(rng.integers(1, len(dataset) + 1))]
+        loss, grads = total_loss_and_gradients(net, dataset.batch(chosen))
+        groups = [[(dataset.e[j], dataset.q[j]) for j in pairs[u]] for u in chosen if pairs[u]]
+        ref_loss, ref_grads = oracle_alignment_loss_and_gradients(
+            net, groups, [t for u in chosen for t in triples[u]]
+        )
+        assert np.allclose(loss, ref_loss, rtol=1e-10, atol=1e-12)
+        for name, ref in ref_grads.items():
+            assert grads[name].shape == ref.shape
+            assert np.allclose(grads[name], ref, rtol=1e-10, atol=1e-12), (trial, name)
 
 
 def test_gradient_check_catches_a_corrupted_gradient():
@@ -156,14 +260,17 @@ def test_gradient_check_catches_a_corrupted_gradient():
 def test_training_reduces_the_objective():
     rng = np.random.default_rng(5)
     net = init_alignment(6, 9, 4, 0.5, 0.2, rng=rng)
-    dataset = [
-        AlignmentExample(
-            user=f"u{i}",
-            pairs=[(rng.normal(size=6), rng.normal(size=9)) for _ in range(3)],
-            triples=[(rng.normal(size=6), rng.normal(size=6), rng.normal(size=6))],
-        )
-        for i in range(8)
-    ]
+    dataset = _from_records(
+        [
+            (
+                [(rng.normal(size=6), rng.normal(size=9)) for _ in range(3)],
+                [(rng.normal(size=6), rng.normal(size=6), rng.normal(size=6))],
+            )
+            for i in range(8)
+        ],
+        6,
+        9,
+    )
     out = train_alignment(net, dataset, epochs=30, batch_size=4, learning_rate=1e-3,
                           rng=np.random.default_rng(0))
     assert out is net
@@ -173,14 +280,17 @@ def test_training_reduces_the_objective():
 
 def test_training_is_deterministic_and_zero_rate_is_a_noop():
     rng = np.random.default_rng(5)
-    dataset = [
-        AlignmentExample(
-            user=f"u{i}",
-            pairs=[(rng.normal(size=4), rng.normal(size=6))],
-            triples=[(rng.normal(size=4), rng.normal(size=4), rng.normal(size=4))],
-        )
-        for i in range(5)
-    ]
+    dataset = _from_records(
+        [
+            (
+                [(rng.normal(size=4), rng.normal(size=6))],
+                [(rng.normal(size=4), rng.normal(size=4), rng.normal(size=4))],
+            )
+            for i in range(5)
+        ],
+        4,
+        6,
+    )
     nets = [
         train_alignment(
             init_alignment(4, 6, 3, 0.5, 0.2, rng=np.random.default_rng(1)),
@@ -204,14 +314,9 @@ def test_training_is_deterministic_and_zero_rate_is_a_noop():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergent_training_raises():
     rng = np.random.default_rng(5)
-    dataset = [
-        AlignmentExample(
-            user=f"u{i}",
-            pairs=[(rng.normal(size=4), rng.normal(size=6))],
-            triples=[],
-        )
-        for i in range(6)
-    ]
+    dataset = _from_records(
+        [([(rng.normal(size=4), rng.normal(size=6))], []) for i in range(6)], 4, 6
+    )
     net = init_alignment(4, 6, 3, 0.5, 0.2, rng=np.random.default_rng(1))
     with pytest.raises(TrainingError, match="non-finite alignment loss"):
         train_alignment(net, dataset, epochs=4, batch_size=2, learning_rate=1e18,
@@ -230,7 +335,7 @@ def test_encode_decode_contracts():
     with pytest.raises(ValueError, match="does not match"):
         encode(net, COLLABORATIVE, np.ones(5))
     with pytest.raises(ValueError, match="empty group"):
-        alignment_loss(net, [[]])
+        _dataset(np.zeros((0, 3)), np.zeros((0, 3)), [[]])
 
 
 def test_build_alignment_dataset_pairs_and_triples(toy_world):
@@ -239,27 +344,44 @@ def test_build_alignment_dataset_pairs_and_triples(toy_world):
     semantic = toy_world["semantic"]
     dataset = build_alignment_dataset(model, split, semantic, rng=np.random.default_rng(3),
                                       negatives_per_user=2)
-    assert dataset
-    users = {ex.user for ex in dataset}
-    assert users <= set(split.users())
+    assert len(dataset)
+    assert set(dataset.users) <= set(split.users())
+    assert len(set(dataset.items)) == len(dataset.items) == len(dataset.e) == len(dataset.q)
     rows = {q: model.params["item_emb"][idx] for q, idx in model.item_index.items()}
-    for ex in dataset[:8]:
-        in_vocab = [q for q in split.train[ex.user] if model.has_item(q)]
-        assert len(ex.pairs) == len(in_vocab)
-        for (e, q_vec), item in zip(ex.pairs, in_vocab):
-            assert np.array_equal(e, rows[item])
-            assert np.array_equal(q_vec, semantic[item])
-        if model.has_item(split.validation[ex.user]) and in_vocab:
-            assert len(ex.triples) == 2
-            owned = set(split.full_sequence(ex.user))
-            for x, pos, neg in ex.triples:
-                assert np.array_equal(pos, rows[split.validation[ex.user]])
+    for u, user in enumerate(dataset.users[:8]):
+        in_vocab = [q for q in split.train[user] if model.has_item(q)]
+        table_rows = dataset.pair_item[dataset.pair_ptr[u]:dataset.pair_ptr[u + 1]]
+        assert len(table_rows) == len(in_vocab)
+        for j, item in zip(table_rows, in_vocab):
+            assert dataset.items[j] == item
+            assert np.array_equal(dataset.e[j], rows[item])
+            assert np.array_equal(dataset.q[j], semantic[item])
+        trip = slice(dataset.triple_ptr[u], dataset.triple_ptr[u + 1])
+        if model.has_item(split.validation[user]) and in_vocab:
+            assert trip.stop - trip.start == 2
+            owned = set(split.full_sequence(user))
+            for pos, neg in zip(dataset.pos[trip], dataset.neg[trip]):
+                assert np.array_equal(pos, rows[split.validation[user]])
                 negative_ids = [q for q, row in rows.items() if np.array_equal(row, neg)]
                 assert negative_ids and all(q not in owned for q in negative_ids)
 
     bare = build_alignment_dataset(model, split, semantic, rng=np.random.default_rng(3),
                                    negatives_per_user=0)
-    assert all(ex.triples == [] for ex in bare)
+    assert len(bare.x) == 0 and not bare.triple_ptr.any()
+
+
+def test_triples_alone_train_without_semantic_vectors(toy_world):
+    model = toy_world["cf"]
+    dataset = build_alignment_dataset(model, toy_world["split"], {}, rng=np.random.default_rng(3))
+    assert len(dataset) and len(dataset.items) == 0
+    assert dataset.e.shape == (0, model.config.embed_dim) and dataset.q.shape == (0, 768)
+    assert len(dataset.x) == len(dataset)
+    net = init_alignment(model.config.embed_dim, 768, 8, 0.5, 0.2, rng=np.random.default_rng(1))
+    enc_s = net.params["enc_s.w"].copy()
+    train_alignment(net, dataset, epochs=2, batch_size=8, learning_rate=1e-3,
+                    rng=np.random.default_rng(2))
+    assert all(math.isfinite(loss) for loss in net.training_log)
+    assert np.array_equal(net.params["enc_s.w"], enc_s)
 
 
 def test_build_alignment_dataset_requires_some_signal(toy_world):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,40 @@ def test_checkpoint_rejects_foreign_and_damaged_files(tmp_path):
     truncated.write_bytes(blob[:-16])
     with pytest.raises(DataError, match="truncated array payload for 'w'"):
         load_checkpoint(truncated)
+
+
+def _with_header(header: bytes) -> bytes:
+    return b"FRCKPT1\n" + f"{len(header)}\n".encode("ascii") + header + b"\n"
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        _with_header(b'{"arrays":[],"kind":"cf","me'),
+        _with_header(b'{"arrays":[],"kind":"\xff\xfe","meta":{}}'),
+        _with_header(b'{"arrays":[],"meta":{}}'),
+        _with_header(b'{"arrays":[{"shape":[2]}],"kind":"cf","meta":{}}'),
+        _with_header(b'[1, 2]'),
+    ],
+    ids=["cut-json", "bad-utf8", "no-kind", "array-without-name", "not-an-object"],
+)
+def test_corrupt_checkpoint_header_is_a_data_error(tmp_path, blob):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(blob)
+    with pytest.raises(DataError, match="corrupt header"):
+        load_checkpoint(path)
+
+
+def test_failed_save_keeps_the_previous_checkpoint_and_no_temp_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, "cf", {"version": 1}, _sample_arrays())
+    before = path.read_bytes()
+    # "a" is written first; "b" cannot become float64, so the write fails partway
+    arrays = {"a": np.ones(64), "b": np.array(["not a number"], dtype=object)}
+    with pytest.raises(ValueError):
+        save_checkpoint(path, "cf", {"version": 2}, arrays)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.ckpt"]
 
 
 def test_sgd_step_is_exact_and_in_place():

@@ -6,6 +6,9 @@ import contextlib
 import io
 import json
 import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -185,16 +188,66 @@ def test_missing_dependencies_are_reported(chain, tmp_path):
     assert "sweep requires cots.json; run cot first" in err
 
 
-def test_stale_lock_blocks_the_stage(chain, tmp_path):
+@pytest.mark.parametrize(
+    "content", ["live-pid", "not a pid\n", ""], ids=["live-pid", "not-a-pid", "empty"]
+)
+def test_live_or_unreadable_lock_blocks_the_stage(chain, tmp_path, content):
+    if content == "live-pid":
+        content = f"{os.getpid()}\n"
     out_dir = tmp_path / "locked"
     out_dir.mkdir()
-    (out_dir / ".lock").write_text("12345\n", encoding="utf-8")
+    (out_dir / ".lock").write_text(content, encoding="utf-8")
     rc, _, err = _run(
         ["prepare", "--config", str(chain["config"]), "--out", str(out_dir), "--seed", "0"]
     )
     assert rc == 5
     assert "output directory is locked" in err
-    assert (out_dir / ".lock").exists()
+    assert (out_dir / ".lock").read_text(encoding="utf-8") == content
+    assert not (out_dir / "split.json").exists()
+
+
+def test_lock_of_a_dead_process_is_broken(chain, tmp_path):
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    assert child.wait(timeout=60) == 0
+    out_dir = tmp_path / "stale"
+    out_dir.mkdir()
+    (out_dir / ".lock").write_text(f"{child.pid}\n", encoding="utf-8")
+    rc, _, err = _run(
+        ["prepare", "--config", str(chain["config"]), "--out", str(out_dir), "--seed", "0"]
+    )
+    assert rc == 0, err
+    assert (out_dir / "split.json").exists()
+    assert not (out_dir / ".lock").exists()
+
+
+def _ckpt_with_header(header: bytes) -> bytes:
+    return b"FRCKPT1\n" + f"{len(header)}\n".encode("ascii") + header + b"\n"
+
+
+@pytest.mark.parametrize(
+    "artifact, damage, stage",
+    [
+        ("cf.ckpt", lambda blob: blob[:60], "train-align"),
+        ("cf.ckpt", lambda blob: _ckpt_with_header(b'{"kind":"cf","meta":{}}'), "cot"),
+        ("cf.ckpt", lambda blob: _ckpt_with_header(b'{"arrays":[],"kind":"cf","meta":{}}'), "cot"),
+        ("split.json", lambda blob: blob[:3], "train-cf"),
+        ("split.json", lambda blob: b"\xff\xfe" + blob, "train-align"),
+        ("split.json", lambda blob: b'{"train": {}}', "eval"),
+    ],
+    ids=["cf-cut", "cf-no-arrays", "cf-no-items", "split-cut", "split-bad-utf8", "split-no-keys"],
+)
+def test_corrupt_artifact_is_one_error_line_and_exit_3(chain, tmp_path, artifact, damage, stage):
+    out_dir = tmp_path / "damaged"
+    shutil.copytree(chain["out"], out_dir)
+    path = out_dir / artifact
+    path.write_bytes(damage(path.read_bytes()))
+    rc, _, err = _run(
+        [stage, "--config", str(chain["config"]), "--out", str(out_dir), "--seed", "0", "--force"]
+    )
+    assert rc == 3
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert artifact in err
+    assert not (out_dir / ".lock").exists()
 
 
 def test_unknown_config_key_fails_fast(chain, tmp_path):

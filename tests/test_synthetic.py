@@ -151,12 +151,16 @@ def test_linear_alignment_suite_is_exactly_linear():
     assert len(suite.collab) == len(suite.semantic) == 8
     for item, e in suite.collab.items():
         assert np.array_equal(suite.semantic[item], suite.matrix @ e)
-    assert len(suite.dataset) == 6
-    for example in suite.dataset:
-        assert len(example.pairs) == 3
-        assert example.triples == []
-        for e, q in example.pairs:
-            assert np.array_equal(q, suite.matrix @ e)
+    dataset = suite.dataset
+    assert len(dataset) == 6
+    assert np.diff(dataset.pair_ptr).tolist() == [3] * 6
+    assert len(dataset.x) == 0 and not dataset.triple_ptr.any()
+    for u in range(6):
+        chosen = dataset.pair_item[dataset.pair_ptr[u]:dataset.pair_ptr[u + 1]]
+        assert len(set(chosen.tolist())) == 3
+        for j in chosen:
+            assert np.array_equal(dataset.e[j], suite.collab[dataset.items[j]])
+            assert np.array_equal(dataset.q[j], suite.matrix @ dataset.e[j])
     again = make_linear_alignment_suite(
         n_users=6, n_items=8, collab_dim=5, sem_dim=7, latent_dim=4,
         pairs_per_user=3, scale=2.0, seed=9,
