@@ -19,6 +19,7 @@ from fusionrec.cf import CfConfig, train_cf
 from fusionrec.data import (
     Event,
     InteractionLog,
+    SplitDataset,
     build_sequences,
     build_training_instances,
     filter_dataset,
@@ -52,15 +53,21 @@ print(f"{len(split.train)} users; {len(partition.cold)} cold items, "
       f"{len(partition.warm)} warm items")
 
 # --- train the backbone with the cold band withheld ---
+# The CF vocabulary is exactly the items of the train sequences, so removing
+# the cold band from them keeps every cold item out of it.
 rng = np.random.default_rng(1)
-instances = build_training_instances(split, negatives_per_positive=1, rng=rng)
-kept = [inst for inst in instances
-        if inst.candidate not in partition.cold
-        and not any(item in partition.cold for item in inst.history)]
-model = train_cf(kept, CfConfig(epochs=12), rng)
+config = CfConfig(epochs=12)
+warm_split = SplitDataset(
+    train={user: [item for item in seq if item not in partition.cold]
+           for user, seq in split.train.items()},
+    validation=split.validation,
+    test=split.test,
+)
+instances = build_training_instances(warm_split, config.max_history)
+model = train_cf(instances, config, rng)
 in_vocab = sum(model.has_item(item) for item in partition.cold)
-print(f"kept {len(kept)}/{len(instances)} instances; "
-      f"{in_vocab}/{len(partition.cold)} cold items leaked into the vocabulary")
+print(f"trained on {len(instances)} sequences with the cold band removed; "
+      f"{in_vocab}/{len(partition.cold)} cold items in the vocabulary")
 
 # --- align the collaborative and semantic spaces ---
 semantic_map = embed_catalog(planted.catalog)

@@ -36,12 +36,16 @@ filtered = filter_dataset(log, min_user_events=3, min_item_popularity=1)
 split = leave_one_out_split(build_sequences(filtered))
 
 # --- train the self-attention backbone ---
+# One record per user: the next train item is predicted at every position,
+# scored by a softmax over the whole vocabulary; batches hold 8 sequences.
 rng = np.random.default_rng(0)
-instances = build_training_instances(split, negatives_per_positive=1, rng=rng)
-config = CfConfig(embed_dim=32, max_history=12, blocks=1, heads=2, epochs=10, batch_size=32)
+config = CfConfig(embed_dim=32, max_history=12, blocks=1, heads=2, epochs=10, batch_size=8,
+                  learning_rate=0.005)
+instances = build_training_instances(split, config.max_history)
 model = train_cf(instances, config, rng)
-print(f"trained on {len(instances)} instances; "
-      f"loss {model.training_log[0]:.4f} -> {model.training_log[-1]:.4f}")
+positions = sum(len(inst.history) for inst in instances)
+print(f"trained on {len(instances)} sequences ({positions} positions); "
+      f"cross-entropy {model.training_log[0]:.4f} -> {model.training_log[-1]:.4f}")
 
 # --- one user under the microscope ---
 user = split.users()[0]

@@ -50,7 +50,7 @@ from .data import (
     ColdWarmPartition,
     InteractionLog,
     SplitDataset,
-    TrainingInstance,
+    TrainingSequence,
     build_sequences,
     build_training_instances,
     filter_dataset,
@@ -58,7 +58,6 @@ from .data import (
     load_catalog,
     load_interactions,
     partition_cold_warm,
-    sample_negative,
 )
 from .errors import (
     ConfigError,

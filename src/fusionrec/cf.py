@@ -2,8 +2,15 @@
 
 Pure numpy (float64) with hand-written gradients so that finite-difference
 verification is exact and checkpoints are byte-stable. Sequences are
-right-aligned with pad index 0; the user representation is the output of the
-final (most recent) position after the attention blocks.
+left-aligned with absolute positions (position t adds ``pos_emb[t]``) and pad
+index 0 after the last item; the user representation is the output at the
+last real position after the attention blocks.
+
+Training is SASRec's causal objective (Kang & McAuley, ICDM 2018): one pass
+per batch of train sequences, predicting the next item at every position,
+with a softmax cross-entropy over the whole vocabulary (Klenitskiy &
+Vasilev, RecSys 2023). No negatives are drawn, so the vocabulary is exactly
+the set of items in the train sequences.
 
 Supplies the collaborative item embeddings, user representations, next-item
 score distributions, and verbalized priors consumed downstream.
@@ -15,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import TrainingError
 from .optim import make_optimizer, xavier
@@ -45,7 +51,7 @@ class CfConfig:
     heads: int = 1
     dropout: float = 0.0
     epochs: int = 20
-    batch_size: int = 64
+    batch_size: int = 8  # sequences per step
     learning_rate: float = 1e-3
     optimizer: str = "adam"
 
@@ -84,60 +90,53 @@ def _init_params(config: CfConfig, n_items: int, rng: np.random.Generator) -> di
     for b in range(config.blocks):
         for name in ("wq", "wk", "wv", "wo", "w1", "w2"):
             params[f"blk{b}.{name}"] = xavier(rng, d, d)
-        for name in ("bq", "bk", "bv", "bo", "b1", "b2"):
+        for name in ("bq", "bv", "bo", "b1", "b2"):
             params[f"blk{b}.{name}"] = np.zeros(d)
     return params
 
 
-def _pad_batch(histories: list[list[int]], max_history: int) -> np.ndarray:
-    """Right-align index lists into a (B, L) int matrix with pad 0 on the left."""
-    clipped = [h[-max_history:] for h in histories]
-    length = max(len(h) for h in clipped)
-    ids = np.zeros((len(clipped), length), dtype=np.int64)
-    for i, h in enumerate(clipped):
-        ids[i, length - len(h):] = h
+def _left_align(rows: list[list[int]]) -> np.ndarray:
+    """Index lists as a (B, L) int matrix, each row from position 0, pad 0 after it."""
+    ids = np.zeros((len(rows), max(len(r) for r in rows)), dtype=np.int64)
+    for i, r in enumerate(rows):
+        ids[i, : len(r)] = r
     return ids
 
 
 def _forward(params: dict, config: CfConfig, ids: np.ndarray, drop_masks=None, h0=None):
-    """Run the attention stack; returns final-position outputs and a cache.
+    """Run the attention stack over left-aligned rows; returns (B, L, d) outputs and a cache.
 
-    ``h0`` overrides the embedding-plus-position lookup when the caller
-    supplies per-step input vectors directly (zero-shot histories).
+    Pads trail every row, so the causal window of a real position holds only
+    real positions and no key mask is needed; pad positions are zeroed after
+    every block. ``h0`` overrides the embedding-plus-position lookup when the
+    caller supplies per-step input vectors directly (zero-shot histories).
     """
     n_b, length = ids.shape
     d = config.embed_dim
     heads = config.heads
     d_h = d // heads
-    real = (ids != 0).astype(np.float64)
-    mask = real[:, :, None]
+    mask = (ids != 0).astype(np.float64)[:, :, None]
     if h0 is None:
-        pos = params["pos_emb"][config.max_history - length:]
-        h0 = params["item_emb"][ids] + pos[None, :, :]
+        h0 = params["item_emb"][ids] + params["pos_emb"][:length]
     h = h0 * mask
     if drop_masks is not None:
         h = h * drop_masks["emb"]
     causal = np.tril(np.ones((length, length), dtype=bool))
-    allow = causal[None, None, :, :] & (real[:, None, None, :] > 0)
-    cache = {"ids": ids, "mask": mask, "allow": allow, "length": length, "blocks": []}
+    cache = {"ids": ids, "mask": mask, "length": length, "blocks": []}
     for b in range(config.blocks):
         p = lambda n: params[f"blk{b}.{n}"]
         q = h @ p("wq").T + p("bq")
-        k = h @ p("wk").T + p("bk")
+        k = h @ p("wk").T
         v = h @ p("wv").T + p("bv")
 
         def split(x):
             return x.reshape(n_b, length, heads, d_h).transpose(0, 2, 1, 3)
 
         qh, kh, vh = split(q), split(k), split(v)
-        scores = qh @ kh.swapaxes(-1, -2) / math.sqrt(d_h)
-        scores = np.where(allow, scores, _NEG_INF)
-        m = scores.max(axis=-1, keepdims=True)
-        e = np.exp(scores - m) * allow
-        denom = np.maximum(e.sum(axis=-1, keepdims=True), 1e-30)
-        attn = e / denom
-        ctx_h = attn @ vh
-        ctx = ctx_h.transpose(0, 2, 1, 3).reshape(n_b, length, d)
+        scores = np.where(causal, qh @ kh.swapaxes(-1, -2) / math.sqrt(d_h), _NEG_INF)
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))  # exactly 0 above the diagonal
+        attn = e / e.sum(axis=-1, keepdims=True)
+        ctx = (attn @ vh).transpose(0, 2, 1, 3).reshape(n_b, length, d)
         out = ctx @ p("wo").T + p("bo")
         if drop_masks is not None:
             out = out * drop_masks[f"attn{b}"]
@@ -153,22 +152,17 @@ def _forward(params: dict, config: CfConfig, ids: np.ndarray, drop_masks=None, h
              "h_attn": h_attn, "pre": pre, "act": act}
         )
         h = h_new
-    cache["h_final"] = h
-    return h[:, -1, :], cache
+    return h, cache
 
 
-def _backward(params: dict, config: CfConfig, cache: dict, d_rep: np.ndarray, drop_masks=None):
-    """Backpropagate d(loss)/d(final outputs) through the stack."""
-    n_b = d_rep.shape[0]
-    length = cache["length"]
-    d = config.embed_dim
+def _backward(params: dict, config: CfConfig, cache: dict, d_outputs: np.ndarray, drop_masks=None):
+    """Backpropagate d(loss)/d(outputs), given at every (B, L) position, through the stack."""
+    n_b, length, d = d_outputs.shape
     heads = config.heads
     d_h = d // heads
     mask = cache["mask"]
-    allow = cache["allow"]
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
-    dh = np.zeros((n_b, length, d))
-    dh[:, -1, :] = d_rep
+    dh = d_outputs
     for b in reversed(range(config.blocks)):
         blk = cache["blocks"][b]
         p = lambda n: params[f"blk{b}.{n}"]
@@ -201,10 +195,9 @@ def _backward(params: dict, config: CfConfig, cache: dict, d_rep: np.ndarray, dr
         attn = blk["attn"]
         d_attn = d_ctx_h @ blk["vh"].swapaxes(-1, -2)
         d_vh = attn.swapaxes(-1, -2) @ d_ctx_h
-        # softmax over allowed keys (pad-query rows are identically zero)
+        # softmax over the causal window; attn is exactly 0 outside it
         inner = (d_attn * attn).sum(axis=-1, keepdims=True)
-        d_scores = attn * (d_attn - inner)
-        d_scores = np.where(allow, d_scores, 0.0) / math.sqrt(d_h)
+        d_scores = attn * (d_attn - inner) / math.sqrt(d_h)
         d_qh = d_scores @ blk["kh"]
         d_kh = d_scores.swapaxes(-1, -2) @ blk["qh"]
 
@@ -215,46 +208,62 @@ def _backward(params: dict, config: CfConfig, cache: dict, d_rep: np.ndarray, dr
         h_in = blk["h_in"].reshape(-1, d)
         for nm, dx in (("wq", d_q), ("wk", d_k), ("wv", d_v)):
             g(nm)[...] += dx.reshape(-1, d).T @ h_in
-            grads[f"blk{b}.b{nm[1]}"] += dx.sum(axis=(0, 1))
             dh += dx @ p(nm)
+        g("bq")[...] += d_q.sum(axis=(0, 1))  # keys carry no bias: softmax ignores q . bk
+        g("bv")[...] += d_v.sum(axis=(0, 1))
     if drop_masks is not None:
         dh = dh * drop_masks["emb"]
     d_h0 = dh * mask
     np.add.at(grads["item_emb"], cache["ids"], d_h0)
-    grads["pos_emb"][config.max_history - length:] += d_h0.sum(axis=0)
+    grads["pos_emb"][:length] += d_h0.sum(axis=0)
     return grads
 
 
-def _batch_loss(params, config, histories, cand_idx, labels, drop_masks=None):
-    """Mean binary cross-entropy of sigmoid(rep . item_emb[candidate])."""
-    ids = _pad_batch(histories, config.max_history)
-    rep, cache = _forward(params, config, ids, drop_masks)
-    e_c = params["item_emb"][cand_idx]
-    s = np.sum(rep * e_c, axis=1)
-    # log(1 + exp(s)) - y*s, computed stably
-    losses = np.logaddexp(0.0, s) - labels * s
-    return float(losses.mean()), (rep, cache, e_c, s, ids)
+def _sequence_batch(instances, item_index: dict[str, int], max_history: int):
+    """Left-aligned (B, L) input ids and next-item ids of a batch of TrainingSequences."""
+    inputs, targets = [], []
+    for inst in instances:
+        if not 0 < len(inst.history) == len(inst.targets) <= max_history:
+            raise ValueError(
+                f"sequence of user {inst.user!r} needs 1..{max_history} inputs with one "
+                f"target each, got {len(inst.history)} and {len(inst.targets)}"
+            )
+        inputs.append([item_index[q] for q in inst.history])
+        targets.append([item_index[q] for q in inst.targets])
+    return _left_align(inputs), _left_align(targets)
 
 
 def training_loss_and_gradients(
     model_or_params, config: CfConfig, instances, item_index: dict[str, int], drop_masks=None
 ):
-    """Loss and analytic gradients on a batch of TrainingInstances.
+    """Loss and analytic gradients on a batch of TrainingSequences.
 
-    Exposed so that the finite-difference harness can call the exact
-    function the training loop optimizes.
+    The loss is the softmax cross-entropy of the next item over the whole
+    vocabulary (pad row excluded), averaged over every real position; output
+    and input item embeddings are shared. Exposed so that the
+    finite-difference harness can call the exact function the training loop
+    optimizes.
     """
     params = model_or_params.params if hasattr(model_or_params, "params") else model_or_params
-    histories = [[item_index[q] for q in inst.history] for inst in instances]
-    cand_idx = np.array([item_index[inst.candidate] for inst in instances], dtype=np.int64)
-    labels = np.array([inst.label for inst in instances], dtype=np.float64)
-    loss, (rep, cache, e_c, s, ids) = _batch_loss(
-        params, config, histories, cand_idx, labels, drop_masks
-    )
-    d_s = (expit(s) - labels) / len(instances)
-    d_rep = d_s[:, None] * e_c
-    grads = _backward(params, config, cache, d_rep, drop_masks)
-    np.add.at(grads["item_emb"], cand_idx, d_s[:, None] * rep)
+    ids, target_ids = _sequence_batch(instances, item_index, config.max_history)
+    outputs, cache = _forward(params, config, ids, drop_masks)
+    real = ids != 0
+    rows = outputs[real]
+    classes = target_ids[real] - 1
+    emb = params["item_emb"][1:]
+    logits = rows @ emb.T
+    logits -= logits.max(axis=1, keepdims=True)
+    probs = np.exp(logits)
+    z = probs.sum(axis=1)
+    picked = np.arange(len(classes))
+    loss = float(np.mean(np.log(z) - logits[picked, classes]))
+    d_logits = probs / z[:, None]
+    d_logits[picked, classes] -= 1.0
+    d_logits /= len(classes)
+    d_outputs = np.zeros_like(outputs)
+    d_outputs[real] = d_logits @ emb
+    grads = _backward(params, config, cache, d_outputs, drop_masks)
+    grads["item_emb"][1:] += d_logits.T @ rows
     grads["item_emb"][0] = 0.0
     return loss, grads
 
@@ -276,22 +285,23 @@ def train_cf(
     rng: np.random.Generator,
     item_index: dict[str, int] | None = None,
 ) -> CfModel:
-    """Train on (history, candidate, label) instances; returns a frozen model.
+    """Train on TrainingSequences, batch_size sequences per step; returns a frozen model.
 
-    The item vocabulary is exactly the set of items appearing in the given
-    instances (first-seen order) unless an explicit index is supplied.
+    The item vocabulary is exactly the set of items in the given sequences
+    (first-seen order) unless an explicit index is supplied. Each epoch's log
+    entry is the mean cross-entropy over all its positions.
     """
     if not instances:
         raise ValueError("no training instances")
     if item_index is None:
         item_index = {}
         for inst in instances:
-            for q in (*inst.history, inst.candidate):
+            for q in (*inst.history, *inst.targets):
                 if q not in item_index:
                     item_index[q] = len(item_index) + 1
     else:
         for inst in instances:
-            for q in (*inst.history, inst.candidate):
+            for q in (*inst.history, *inst.targets):
                 if q not in item_index:
                     raise ValueError(f"instance item {q!r} missing from item index")
     items = [None] * len(item_index)
@@ -300,21 +310,22 @@ def train_cf(
     params = _init_params(config, len(item_index), rng)
     opt = make_optimizer(config.optimizer, config.learning_rate)
     log: list[float] = []
-    order = np.arange(len(instances))
+    positions = [len(inst.history) for inst in instances]
     for epoch in range(config.epochs):
-        perm = rng.permutation(order)
+        perm = rng.permutation(len(instances))
         epoch_loss = 0.0
         for start in range(0, len(perm), config.batch_size):
-            batch = [instances[i] for i in perm[start : start + config.batch_size]]
-            max_len = min(config.max_history, max(len(b.history) for b in batch))
-            drop = _draw_drop_masks(config, (len(batch), max_len, config.embed_dim), rng)
+            chosen = perm[start : start + config.batch_size]
+            batch = [instances[i] for i in chosen]
+            length = max(positions[i] for i in chosen)
+            drop = _draw_drop_masks(config, (len(batch), length, config.embed_dim), rng)
             loss, grads = training_loss_and_gradients(params, config, batch, item_index, drop)
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}")
             opt.step(params, grads)
             params["item_emb"][0] = 0.0
-            epoch_loss += loss * len(batch)
-        log.append(epoch_loss / len(instances))
+            epoch_loss += loss * sum(positions[i] for i in chosen)
+        log.append(epoch_loss / sum(positions))
     model = CfModel(config=config, item_index=item_index, items=items, params=params,
                     frozen=True, training_log=log)
     for arr in model.params.values():
@@ -323,12 +334,12 @@ def train_cf(
 
 
 def user_representation(model: CfModel, history: list[str]) -> np.ndarray:
-    """Final-position output of the attention stack over the recent history."""
+    """Last-position output of the attention stack over the recent history."""
     if not history:
         raise ValueError("history must be non-empty; cold users take the semantic path upstream")
     idx = model.indices_for(list(history)[-model.config.max_history:])
-    rep, _ = _forward(model.params, model.config, np.array([idx], dtype=np.int64))
-    return rep[0]
+    outputs, _ = _forward(model.params, model.config, np.array([idx], dtype=np.int64))
+    return outputs[0, -1]
 
 
 def user_representation_from_vectors(model: CfModel, vectors: np.ndarray) -> np.ndarray:
@@ -342,12 +353,10 @@ def user_representation_from_vectors(model: CfModel, vectors: np.ndarray) -> np.
         raise ValueError("need a non-empty (steps, embed_dim) array")
     vecs = vectors[-model.config.max_history:]
     length = vecs.shape[0]
-    config = model.config
-    pos = model.params["pos_emb"][config.max_history - length:]
-    h0 = (vecs + pos)[None, :, :]
+    h0 = (vecs + model.params["pos_emb"][:length])[None, :, :]
     ids = np.ones((1, length), dtype=np.int64)  # all positions real
-    rep, _ = _forward(model.params, config, ids, h0=h0)
-    return rep[0]
+    outputs, _ = _forward(model.params, model.config, ids, h0=h0)
+    return outputs[0, -1]
 
 
 def item_embedding(model: CfModel, item: str) -> np.ndarray | None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DataError
 
-__all__ = ["atomic_open", "save_checkpoint", "load_checkpoint"]
+__all__ = ["atomic_open", "save_checkpoint", "load_checkpoint", "load_checkpoint_header"]
 
 _MAGIC = b"FRCKPT1\n"
 
@@ -57,23 +57,36 @@ def save_checkpoint(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) 
             fh.write(np.ascontiguousarray(arrays[n], dtype="<f8").tobytes())
 
 
+def _read_header(fh, path) -> tuple[str, dict, list[tuple[str, tuple[int, ...]]]]:
+    """Kind, meta and array entries; leaves `fh` at the start of the payload."""
+    magic = fh.read(len(_MAGIC))
+    if magic != _MAGIC:
+        raise DataError(f"{path}: not a checkpoint file")
+    length_line = fh.readline()
+    try:
+        header_len = int(length_line.strip())
+    except ValueError:
+        raise DataError(f"{path}: corrupt header length") from None
+    try:
+        header = json.loads(fh.read(header_len).decode("utf-8"))
+        kind, meta = header["kind"], header["meta"]
+        entries = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise DataError(f"{path}: corrupt header ({type(exc).__name__}: {exc})") from None
+    fh.read(1)  # trailing newline
+    return kind, meta, entries
+
+
+def load_checkpoint_header(path) -> tuple[str, dict]:
+    """Kind and meta of a checkpoint, without reading its array payload."""
+    with open(path, "rb") as fh:
+        kind, meta, _ = _read_header(fh, path)
+    return kind, meta
+
+
 def load_checkpoint(path) -> tuple[str, dict, dict[str, np.ndarray]]:
     with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise DataError(f"{path}: not a checkpoint file")
-        length_line = fh.readline()
-        try:
-            header_len = int(length_line.strip())
-        except ValueError:
-            raise DataError(f"{path}: corrupt header length") from None
-        try:
-            header = json.loads(fh.read(header_len).decode("utf-8"))
-            kind, meta = header["kind"], header["meta"]
-            entries = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise DataError(f"{path}: corrupt header ({type(exc).__name__}: {exc})") from None
-        fh.read(1)  # trailing newline
+        kind, meta, entries = _read_header(fh, path)
         arrays: dict[str, np.ndarray] = {}
         for name, shape in entries:
             count = int(np.prod(shape)) if shape else 1

@@ -28,7 +28,7 @@ from .align import (
     unified_item_embedding,
 )
 from .cf import CfConfig, CfModel, next_item_probabilities, rank_by_score, train_cf, verbalize_prior
-from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
+from .checkpoint import atomic_open, load_checkpoint, load_checkpoint_header, save_checkpoint
 from .config import RunConfig, default_config, parse_config
 from .cot import (
     CotRecord,
@@ -288,9 +288,9 @@ def cmd_train_cf(config: RunConfig, out_dir: str, seed: int, force: bool) -> Non
     ckpt_path = os.path.join(out_dir, "cf.ckpt")
     _refuse_overwrite(ckpt_path, force)
     rng = _stage_rng(seed, "train-cf")
-    instances = build_training_instances(
-        split, negatives_per_positive=config.get("cf.negatives_per_positive"), rng=rng
-    )
+    instances = build_training_instances(split, config.get("cf.max_history"))
+    if not instances:
+        raise DataError("no user has two train items; nothing to train the CF model on")
     model = train_cf(instances, config.cf_config(), rng)
     meta = {
         "config": vars(config.cf_config()),
@@ -301,7 +301,8 @@ def cmd_train_cf(config: RunConfig, out_dir: str, seed: int, force: bool) -> Non
     }
     save_checkpoint(ckpt_path, "cf", meta, model.params)
     print(
-        f"trained cf on {len(instances)} instances, {len(model.items)} items; "
+        f"trained cf on {len(instances)} sequences "
+        f"({sum(len(inst.history) for inst in instances)} positions), {len(model.items)} items; "
         f"final epoch loss {model.training_log[-1]:.6f}"
     )
 
@@ -444,11 +445,14 @@ def cmd_train_proj(config: RunConfig, out_dir: str, seed: int, force: bool) -> N
     cots_path = os.path.join(out_dir, "cots.json")
     if os.path.exists(cots_path):
         payload = _load_json(cots_path)
-        for row in payload["records"]:
-            if row["retained"]:
-                cot_signals[(row["user"], row["item"])] = CotSignal(
-                    embedding=fallback_embed(row["cot"]), score=row["score"]
-                )
+        with _artifact_fields(cots_path):
+            retained = [
+                ((row["user"], row["item"]), row["cot"], row["score"])
+                for row in payload["records"]
+                if row["retained"]
+            ]
+        for key, cot_text, score in retained:
+            cot_signals[key] = CotSignal(embedding=fallback_embed(cot_text), score=score)
 
     pipeline = RecommendationPipeline(cf_model=model, alignment=net, semantic_map=semantic_map)
     rng = _stage_rng(seed, "train-proj")
@@ -564,11 +568,12 @@ def cmd_eval(config: RunConfig, out_dir: str, seed: int, force: bool) -> None:
     partition_path = os.path.join(out_dir, "partition.json")
     if os.path.exists(partition_path):
         payload = _load_json(partition_path)
-        partition = ColdWarmPartition(
-            cold=set(payload["cold"]),
-            warm=set(payload["warm"]),
-            frequency=payload["frequency"],
-        )
+        with _artifact_fields(partition_path):
+            partition = ColdWarmPartition(
+                cold=set(payload["cold"]),
+                warm=set(payload["warm"]),
+                frequency=payload["frequency"],
+            )
         try:
             comparison = cold_warm_report(
                 pipeline, split, partition, ks, pool_size, seed=eval_seed, config_digest=digest
@@ -598,12 +603,13 @@ def cmd_sweep(config: RunConfig, out_dir: str, seed: int, force: bool) -> None:
     for path in (sweep_json, sweep_txt):
         _refuse_overwrite(path, force)
     payload = _load_json(cots_path)
-    records = [
-        CotRecord(
-            instance=None, cot=row["cot"], dims=tuple(row["dims"]), score=row["score"]
-        )
-        for row in payload["records"]
-    ]
+    with _artifact_fields(cots_path):
+        records = [
+            CotRecord(
+                instance=None, cot=row["cot"], dims=tuple(row["dims"]), score=row["score"]
+            )
+            for row in payload["records"]
+        ]
     rows = threshold_sweep(records, list(config.get("cot.sweep")))
     table = render_sweep_report(rows)
     _write_json(
@@ -627,38 +633,42 @@ def cmd_report(config: RunConfig, out_dir: str, seed: int, force: bool) -> None:
     split_path = os.path.join(out_dir, "split.json")
     if os.path.exists(split_path):
         split_payload = _load_json(split_path)
-        section(
-            "data",
-            f"users: {len(split_payload['train'])}",
-        )
+        with _artifact_fields(split_path):
+            section("data", f"users: {len(split_payload['train'])}")
     for name, ckpt in (("cf", "cf.ckpt"), ("alignment", "align.ckpt"), ("projection", "proj.ckpt")):
         path = os.path.join(out_dir, ckpt)
         if os.path.exists(path):
-            _, meta, _ = load_checkpoint(path)
-            log = meta.get("training_log", [])
-            tail = f"final loss {log[-1]:.6f}" if log else "no training log"
+            _, meta = load_checkpoint_header(path)
+            with _artifact_fields(path):
+                log = meta.get("training_log", [])
+                tail = f"final loss {log[-1]:.6f}" if log else "no training log"
             section(name, f"checkpoint {ckpt}; {tail}")
     cots_path = os.path.join(out_dir, "cots.json")
     if os.path.exists(cots_path):
         payload = _load_json(cots_path)
-        section(
-            "reasoning traces",
-            f"records: {len(payload['records'])}; coverage {payload['coverage']:.4f} "
-            f"at threshold {payload['threshold']}",
-        )
+        with _artifact_fields(cots_path):
+            section(
+                "reasoning traces",
+                f"records: {len(payload['records'])}; coverage {payload['coverage']:.4f} "
+                f"at threshold {payload['threshold']}",
+            )
     standard_path = os.path.join(out_dir, "report_standard.json")
     if os.path.exists(standard_path):
         report = _load_json(standard_path)
-        hr = ", ".join(f"hr@{k}={v:.4f}" for k, v in sorted(report["hr"].items(), key=lambda kv: int(kv[0])))
-        section("evaluation (standard)", f"n_users={report['n_users']}; {hr}")
+        with _artifact_fields(standard_path):
+            hr = ", ".join(
+                f"hr@{k}={v:.4f}" for k, v in sorted(report["hr"].items(), key=lambda kv: int(kv[0]))
+            )
+            section("evaluation (standard)", f"n_users={report['n_users']}; {hr}")
     coldwarm_path = os.path.join(out_dir, "report_coldwarm.json")
     if os.path.exists(coldwarm_path):
         payload = _load_json(coldwarm_path)
-        section(
-            "evaluation (cold/warm)",
-            f"warm n={payload['warm']['n_users']}, cold n={payload['cold']['n_users']}; "
-            f"hr@10 gap {payload['gap']['hr'].get('10')}",
-        )
+        with _artifact_fields(coldwarm_path):
+            section(
+                "evaluation (cold/warm)",
+                f"warm n={payload['warm']['n_users']}, cold n={payload['cold']['n_users']}; "
+                f"hr@10 gap {payload['gap']['hr'].get('10')}",
+            )
     sweep_txt = os.path.join(out_dir, "sweep.txt")
     if os.path.exists(sweep_txt):
         with open(sweep_txt, encoding="utf-8") as fh:

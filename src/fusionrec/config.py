@@ -34,10 +34,9 @@ DEFAULTS: dict[str, object] = {
     "cf.heads": 1,
     "cf.dropout": 0.0,
     "cf.epochs": 20,
-    "cf.batch_size": 64,
+    "cf.batch_size": 8,
     "cf.learning_rate": 1e-3,
     "cf.optimizer": "adam",
-    "cf.negatives_per_positive": 1,
     "align.latent_dim": 128,
     "align.alpha": 0.5,
     "align.beta": 0.2,
@@ -148,7 +147,6 @@ def validate(config: RunConfig) -> None:
         "cf.epochs",
         "cf.batch_size",
         "cf.learning_rate",
-        "cf.negatives_per_positive",
         "align.latent_dim",
         "align.learning_rate",
         "align.epochs",

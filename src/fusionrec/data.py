@@ -1,4 +1,4 @@
-"""Interaction ingestion, filtering, sequence building, splits, and sampling.
+"""Interaction ingestion, filtering, sequence building, splits, and CF training records.
 
 File formats (UTF-8, one record per line, tab separated):
 
@@ -15,8 +15,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DataError
 
 __all__ = [
@@ -24,14 +22,13 @@ __all__ = [
     "InteractionLog",
     "UserSequence",
     "SplitDataset",
-    "TrainingInstance",
+    "TrainingSequence",
     "ColdWarmPartition",
     "load_interactions",
     "load_catalog",
     "filter_dataset",
     "build_sequences",
     "leave_one_out_split",
-    "sample_negative",
     "build_training_instances",
     "partition_cold_warm",
 ]
@@ -87,11 +84,12 @@ class SplitDataset:
 
 
 @dataclass(frozen=True)
-class TrainingInstance:
+class TrainingSequence:
+    """One user's train region as next-item pairs: ``targets[t]`` follows ``history[: t + 1]``."""
+
     user: str
     history: tuple[str, ...]
-    candidate: str
-    label: int
+    targets: tuple[str, ...]
 
 
 @dataclass
@@ -206,52 +204,29 @@ def leave_one_out_split(sequences: dict[str, UserSequence]) -> SplitDataset:
     return SplitDataset(train=train, validation=validation, test=test)
 
 
-def sample_negative(
-    user: str, sequences: dict[str, UserSequence], rng: np.random.Generator
-) -> str:
-    """Draw one item uniformly from the universe minus the user's sequence."""
-    universe: set[str] = set()
-    for seq in sequences.values():
-        universe.update(seq.items)
-    seen = set(sequences[user].items)
-    eligible = sorted(universe - seen)
-    if not eligible:
-        raise DataError(f"user {user!r} interacted with every item; no negative exists")
-    return eligible[int(rng.integers(len(eligible)))]
+def build_training_instances(split: SplitDataset, max_history: int) -> list[TrainingSequence]:
+    """One TrainingSequence per user with at least two train items.
 
-
-def build_training_instances(
-    split: SplitDataset, negatives_per_positive: int = 1, rng: np.random.Generator | None = None
-) -> list[TrainingInstance]:
-    """Expand train prefixes into (history, candidate, label) instances.
-
-    For every prefix position k in a user's train region this emits one
-    positive (candidate = next train item) and ``negatives_per_positive``
-    negatives drawn from outside the user's full sequence.
+    ``history`` is ``train[:-1]`` and ``targets`` is ``train[1:]``, both cut to
+    the most recent ``max_history`` positions. Validation and test items
+    appear in no record, so they stay outside the CF vocabulary unless some
+    train sequence holds them.
     """
-    if negatives_per_positive < 1:
-        raise ValueError("negatives_per_positive must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    universe = sorted(split.item_universe())
-    instances: list[TrainingInstance] = []
+    if max_history < 1:
+        raise ValueError("max_history must be >= 1")
+    records: list[TrainingSequence] = []
     for user in split.users():
-        prefix = split.train[user]
-        full = set(split.full_sequence(user))
-        eligible = [q for q in universe if q not in full]
-        for k in range(1, len(prefix)):
-            history = tuple(prefix[:k])
-            instances.append(
-                TrainingInstance(user=user, history=history, candidate=prefix[k], label=1)
+        train = split.train[user]
+        if len(train) < 2:
+            continue
+        records.append(
+            TrainingSequence(
+                user=user,
+                history=tuple(train[:-1][-max_history:]),
+                targets=tuple(train[1:][-max_history:]),
             )
-            if not eligible:
-                raise DataError(f"user {user!r} interacted with every item; no negative exists")
-            for _ in range(negatives_per_positive):
-                neg = eligible[int(rng.integers(len(eligible)))]
-                instances.append(
-                    TrainingInstance(user=user, history=history, candidate=neg, label=0)
-                )
-    return instances
+        )
+    return records
 
 
 def partition_cold_warm(log: InteractionLog, fraction: float = 0.35) -> ColdWarmPartition:

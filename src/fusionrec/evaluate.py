@@ -99,25 +99,33 @@ class RecommendationPipeline:
     alignment: AlignmentNetwork | None = None
     semantic_map: dict[str, np.ndarray] | None = None
     routing: Counter = field(default_factory=Counter)
+    # item -> decoded semantic vector; the models and map are fixed once lookups start
+    _reconstructed: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     def reset_routing(self) -> None:
         self.routing = Counter()
 
     def item_vector(self, item: str) -> np.ndarray:
-        """Collaborative embedding, or its semantic reconstruction for cold items."""
+        """Collaborative embedding, or its semantic reconstruction for cold items.
+
+        Each lookup is counted by route and returns a fresh copy; the
+        reconstruction is computed once per item.
+        """
         direct = cf_mod.item_embedding(self.cf_model, item)
         if direct is not None:
             self.routing[COLLABORATIVE_PATH] += 1
             return direct
-        if self.alignment is not None and self.semantic_map is not None:
-            semantic = self.semantic_map.get(item)
-            if semantic is not None:
-                self.routing[SEMANTIC_PATH] += 1
-                latent = encode(self.alignment, "semantic", semantic)
-                return decode(self.alignment, "collaborative", latent)
-        raise DataError(
-            f"item {item!r} has neither a collaborative embedding nor a semantic one"
-        )
+        reconstructed = self._reconstructed.get(item)
+        if reconstructed is None:
+            semantic = self.semantic_map.get(item) if self.semantic_map is not None else None
+            if self.alignment is None or semantic is None:
+                raise DataError(
+                    f"item {item!r} has neither a collaborative embedding nor a semantic one"
+                )
+            latent = encode(self.alignment, "semantic", semantic)
+            reconstructed = self._reconstructed[item] = decode(self.alignment, "collaborative", latent)
+        self.routing[SEMANTIC_PATH] += 1
+        return reconstructed.copy()
 
     def user_vector(self, history: list[str]) -> np.ndarray:
         if not history:

@@ -38,8 +38,8 @@ def toy_world():
     filtered = filter_dataset(log_from_planted(dataset), min_user_events=3, min_item_popularity=1)
     split = leave_one_out_split(build_sequences(filtered))
     rng = np.random.default_rng(11)
-    instances = build_training_instances(split, negatives_per_positive=1, rng=rng)
-    config = CfConfig(embed_dim=16, max_history=12, blocks=1, heads=2, epochs=6, batch_size=32)
+    config = CfConfig(embed_dim=16, max_history=12, blocks=1, heads=2, epochs=6, batch_size=8)
+    instances = build_training_instances(split, config.max_history)
     model = train_cf(instances, config, rng)
     return {
         "dataset": dataset,

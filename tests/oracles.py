@@ -92,8 +92,10 @@ def oracle_rouge_l(candidate: list, reference: list) -> float:
 
 
 # The CF attention stack as first written, with every contraction spelled out
-# as an einsum. The package computes the same quantities with batched and 2-D
-# matmuls, which sum in another order, so comparisons use a tolerance.
+# as an einsum, over left-aligned rows with absolute positions. It keeps an
+# explicit key mask that the package proves unnecessary (pads only trail a
+# row). The package computes the same quantities with batched and 2-D matmuls,
+# which sum in another order, so comparisons use a tolerance.
 
 _NEG_INF = -1e30
 
@@ -106,7 +108,7 @@ def oracle_cf_forward(params: dict, config, ids: np.ndarray, drop_masks=None, h0
     real = (ids != 0).astype(np.float64)
     mask = real[:, :, None]
     if h0 is None:
-        pos = params["pos_emb"][config.max_history - length:]
+        pos = params["pos_emb"][:length]
         h0 = params["item_emb"][ids] + pos[None, :, :]
     h = h0 * mask
     if drop_masks is not None:
@@ -117,7 +119,7 @@ def oracle_cf_forward(params: dict, config, ids: np.ndarray, drop_masks=None, h0
     for b in range(config.blocks):
         p = lambda n: params[f"blk{b}.{n}"]
         q = h @ p("wq").T + p("bq")
-        k = h @ p("wk").T + p("bk")
+        k = h @ p("wk").T
         v = h @ p("wv").T + p("bv")
 
         def split(x):
@@ -147,12 +149,12 @@ def oracle_cf_forward(params: dict, config, ids: np.ndarray, drop_masks=None, h0
              "h_attn": h_attn, "pre": pre, "act": act}
         )
         h = h_new
-    cache["h_final"] = h
-    return h[:, -1, :], cache
+    return h, cache
 
 
-def oracle_cf_backward(params: dict, config, cache: dict, d_rep: np.ndarray, drop_masks=None):
-    n_b = d_rep.shape[0]
+def oracle_cf_backward(params: dict, config, cache: dict, d_outputs: np.ndarray, drop_masks=None):
+    """Gradients for d(loss)/d(outputs) given at every position of every row."""
+    n_b = d_outputs.shape[0]
     length = cache["length"]
     d = config.embed_dim
     heads = config.heads
@@ -160,8 +162,7 @@ def oracle_cf_backward(params: dict, config, cache: dict, d_rep: np.ndarray, dro
     mask = cache["mask"]
     allow = cache["allow"]
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
-    dh = np.zeros((n_b, length, d))
-    dh[:, -1, :] = d_rep
+    dh = d_outputs.copy()
     for b in reversed(range(config.blocks)):
         blk = cache["blocks"][b]
         p = lambda n: params[f"blk{b}.{n}"]
@@ -203,13 +204,14 @@ def oracle_cf_backward(params: dict, config, cache: dict, d_rep: np.ndarray, dro
         h_in = blk["h_in"]
         for nm, dx in (("wq", d_q), ("wk", d_k), ("wv", d_v)):
             g(nm)[...] += np.einsum("bld,blc->dc", dx, h_in)
-            grads[f"blk{b}.b{nm[1]}"] += dx.sum(axis=(0, 1))
+            if nm != "wk":
+                grads[f"blk{b}.b{nm[1]}"] += dx.sum(axis=(0, 1))
             dh += dx @ p(nm)
     if drop_masks is not None:
         dh = dh * drop_masks["emb"]
     d_h0 = dh * mask
     np.add.at(grads["item_emb"], cache["ids"], d_h0)
-    grads["pos_emb"][config.max_history - length:] += d_h0.sum(axis=0)
+    grads["pos_emb"][:length] += d_h0.sum(axis=0)
     return grads
 
 

@@ -38,10 +38,12 @@ from fusionrec.align import (
     unified_item_embedding,
 )
 from fusionrec.cf import CfConfig, train_cf, training_loss_and_gradients
+from fusionrec.checkpoint import load_checkpoint_header
 from fusionrec.cli import main
 from fusionrec.cot import CotRecord, composite_score, filter_cots, threshold_sweep
 from fusionrec.data import (
-    TrainingInstance,
+    SplitDataset,
+    TrainingSequence,
     build_sequences,
     build_training_instances,
     filter_dataset,
@@ -120,20 +122,25 @@ def planted_chain(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def cold_world():
-    """Planted world with 60 cold users; cold items are withheld from CF."""
+    """Planted world with 60 cold users; cold items are withheld from CF.
+
+    The CF model trains on the train sequences with the cold band removed.
+    """
     planted = make_planted_dataset(200, 100, seed=0, n_cold_users=60)
     filtered = filter_dataset(log_from_planted(planted), min_user_events=5, min_item_popularity=1)
     split = leave_one_out_split(build_sequences(filtered))
     partition = partition_cold_warm(filtered, fraction=0.35)
     rng = np.random.default_rng(1)
-    instances = build_training_instances(split, negatives_per_positive=1, rng=rng)
-    kept = [
-        inst
-        for inst in instances
-        if inst.candidate not in partition.cold
-        and not any(item in partition.cold for item in inst.history)
-    ]
-    cf_model = train_cf(kept, CfConfig(), rng)
+    warm_split = SplitDataset(
+        train={
+            user: [item for item in seq if item not in partition.cold]
+            for user, seq in split.train.items()
+        },
+        validation=split.validation,
+        test=split.test,
+    )
+    config = CfConfig()
+    cf_model = train_cf(build_training_instances(warm_split, config.max_history), config, rng)
     semantic_map = embed_catalog(planted.catalog)
     rng2 = np.random.default_rng(2)
     dataset = build_alignment_dataset(
@@ -219,11 +226,9 @@ def test_worked_example_scores_and_filtering():
 def test_gradients_match_finite_differences_in_all_three_models():
     t0 = time.time()
     instances = [
-        TrainingInstance("u1", ("a", "b"), "c", 1),
-        TrainingInstance("u1", ("a", "b"), "e", 0),
-        TrainingInstance("u2", ("c",), "d", 1),
-        TrainingInstance("u2", ("c", "d", "a"), "b", 1),
-        TrainingInstance("u3", ("e", "a", "b", "c", "d"), "e", 0),
+        TrainingSequence("u1", ("a", "b"), ("b", "c")),
+        TrainingSequence("u2", ("c",), ("d",)),
+        TrainingSequence("u3", ("e", "a", "e", "c"), ("a", "e", "c", "e")),
     ]
     config = CfConfig(embed_dim=6, max_history=4, blocks=2, heads=2, epochs=0, batch_size=4)
     model = train_cf(instances, config, np.random.default_rng(0))
@@ -415,6 +420,56 @@ def test_cold_items_route_semantically_and_still_rank(cold_world):
         semantic_count == len(sources) and cold_hr >= 0.20,
         f"{semantic_count}/{len(sources)} cold items on the semantic path, "
         f"cold HR@10 {cold_hr:.4f} vs 2x random baseline 0.20",
+    )
+
+
+def test_cold_start_through_the_cli_routes_held_out_items_semantically(tmp_path):
+    planted = make_planted_dataset(200, 100, seed=0, n_cold_users=60)
+    interactions, catalog = tmp_path / "interactions.tsv", tmp_path / "catalog.tsv"
+    write_dataset(planted, interactions, catalog)
+    config = tmp_path / "run.conf"
+    config.write_text(
+        "\n".join(
+            [
+                "seed = 0",
+                f"data.interactions = {interactions}",
+                f"data.catalog = {catalog}",
+                "data.min_item_popularity = 1",
+                "align.optimizer = adam",
+                "align.learning_rate = 0.001",
+                "align.epochs = 20",
+            ]
+        )
+        + "\n",
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        for stage in ("prepare", "train-cf", "train-align", "eval"):
+            assert main([stage, "--config", str(config), "--out", str(out_dir)]) == 0, stage
+    split = json.loads((out_dir / "split.json").read_text(encoding="utf-8"))
+    cold = set(json.loads((out_dir / "partition.json").read_text(encoding="utf-8"))["cold"])
+    cold_hr = json.loads((out_dir / "report_coldwarm.json").read_text(encoding="utf-8"))["cold"]["hr"]["10"]
+    _, meta = load_checkpoint_header(out_dir / "cf.ckpt")
+    vocabulary = set(meta["items"])
+
+    train_items = {item for sequence in split["train"].values() for item in sequence}
+    universe = train_items | set(split["validation"].values()) | set(split["test"].values())
+    cohort = [user for user, target in split["test"].items() if target in cold]
+    cold_targets = {split["test"][user] for user in cohort}
+    owned = {
+        user: set(split["train"][user]) | {split["validation"][user], split["test"][user]}
+        for user in cohort
+    }
+    random_rate = float(
+        np.mean([min(1.0, 10 / min(100, len(universe - owned[user]) + 1)) for user in cohort])
+    )
+    _verdict(
+        "cold start through the CLI",
+        vocabulary == train_items and not cold_targets & vocabulary and cold_hr > random_rate,
+        f"cf.ckpt holds {len(vocabulary)} items, the train sequences {len(train_items)}; "
+        f"{len(cold_targets & vocabulary)}/{len(cold_targets)} cold test targets in it; "
+        f"cold HR@10 {cold_hr:.4f} vs random-pool rate {random_rate:.4f} over {len(cohort)} users",
     )
 
 

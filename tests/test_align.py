@@ -24,7 +24,7 @@ from fusionrec.align import (
     unified_item_embedding,
 )
 from fusionrec.cf import CfConfig, item_embedding, train_cf
-from fusionrec.data import TrainingInstance
+from fusionrec.data import TrainingSequence
 from fusionrec.errors import DataError, TrainingError
 from fusionrec.gradcheck import max_relative_gradient_error
 from fusionrec.semantic import fallback_embed
@@ -387,7 +387,7 @@ def test_triples_alone_train_without_semantic_vectors(toy_world):
 def test_build_alignment_dataset_requires_some_signal(toy_world):
     split = toy_world["split"]
     stranger = train_cf(
-        [TrainingInstance("x", ("p1",), "p2", 1)],
+        [TrainingSequence("x", ("p1",), ("p2",))],
         CfConfig(embed_dim=4, heads=1, epochs=0),
         np.random.default_rng(0),
     )

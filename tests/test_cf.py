@@ -10,7 +10,7 @@ from fusionrec.cf import (
     _draw_drop_masks,
     _forward,
     _init_params,
-    _pad_batch,
+    _left_align,
     item_embedding,
     next_item_probabilities,
     next_item_scores,
@@ -22,7 +22,7 @@ from fusionrec.cf import (
     verbalize_prior,
 )
 from fusionrec.data import (
-    TrainingInstance,
+    TrainingSequence,
     build_sequences,
     build_training_instances,
     filter_dataset,
@@ -35,13 +35,19 @@ from oracles import oracle_cf_backward, oracle_cf_forward
 
 
 def _toy_instances():
+    # three lengths, and items repeated within and across sequences
     return [
-        TrainingInstance("u1", ("a", "b"), "c", 1),
-        TrainingInstance("u1", ("a", "b"), "e", 0),
-        TrainingInstance("u2", ("c",), "d", 1),
-        TrainingInstance("u2", ("c", "d", "a"), "b", 1),
-        TrainingInstance("u3", ("e", "a", "b", "c", "d"), "e", 0),
+        TrainingSequence("u1", ("a", "b"), ("b", "c")),
+        TrainingSequence("u2", ("c",), ("d",)),
+        TrainingSequence("u3", ("e", "a", "e", "c"), ("a", "e", "c", "e")),
     ]
+
+
+def _random_biases(params, rng):
+    for name, arr in params.items():
+        if ".b" in name:  # biases start at zero; give them values the check can see
+            params[name] = rng.normal(0.0, 0.1, size=arr.shape)
+    return params
 
 
 def _thawed(model):
@@ -56,7 +62,7 @@ def test_gradients_match_finite_differences(dropout):
     instances = _toy_instances()
     config = CfConfig(**_TOY_CONFIG, dropout=dropout)
     model = train_cf(instances, config, np.random.default_rng(0))
-    params = _thawed(model)
+    params = _random_biases(_thawed(model), np.random.default_rng(2))
     # fixed masks (None without dropout), drawn for the padded batch the loss builds
     length = min(config.max_history, max(len(inst.history) for inst in instances))
     drop = _draw_drop_masks(config, (len(instances), length, config.embed_dim),
@@ -77,30 +83,69 @@ def test_attention_stack_matches_einsum_reference(case, heads):
                       dropout=0.3 if case == "dropout" else 0.0)
     rng = np.random.default_rng(heads)
     n_items = 15
-    params = _init_params(config, n_items, rng)
-    for name, arr in params.items():
-        if ".b" in name:  # biases start at zero; give them values the check can see
-            params[name] = rng.normal(0.0, 0.1, size=arr.shape)
+    params = _random_biases(_init_params(config, n_items, rng), rng)
     histories = [list(rng.integers(1, n_items + 1, size=n)) for n in (1, 3, 7, 9, 5, 2)]
-    ids = _pad_batch(histories, config.max_history)
+    ids = _left_align([h[-config.max_history:] for h in histories])
     shape = (*ids.shape, config.embed_dim)
     drop = _draw_drop_masks(config, shape, rng)
     h0 = rng.normal(0.0, 0.1, size=shape) if case == "h0" else None
 
-    rep, cache = _forward(params, config, ids, drop, h0)
-    ref_rep, ref_cache = oracle_cf_forward(params, config, ids, drop, h0)
-    d_rep = rng.normal(size=rep.shape)
-    grads = _backward(params, config, cache, d_rep, drop)
-    ref_grads = oracle_cf_backward(params, config, ref_cache, d_rep, drop)
+    outputs, cache = _forward(params, config, ids, drop, h0)
+    ref_outputs, ref_cache = oracle_cf_forward(params, config, ids, drop, h0)
+    d_outputs = rng.normal(size=outputs.shape)
+    grads = _backward(params, config, cache, d_outputs, drop)
+    ref_grads = oracle_cf_backward(params, config, ref_cache, d_outputs, drop)
 
     def close(a, b):
         return np.allclose(a, b, rtol=1e-10, atol=1e-12)
 
-    assert close(rep, ref_rep)
-    assert close(cache["h_final"], ref_cache["h_final"])
+    assert close(outputs, ref_outputs)
     assert grads.keys() == ref_grads.keys()
     for name in grads:
         assert close(grads[name], ref_grads[name]), name
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+def test_each_position_matches_its_prefix_run_alone(heads):
+    config = CfConfig(embed_dim=8, max_history=9, blocks=2, heads=heads)
+    rng = np.random.default_rng(10 + heads)
+    params = _random_biases(_init_params(config, 12, rng), rng)
+    rows = [list(rng.integers(1, 13, size=n)) for n in (9, 4, 6)]
+    outputs, _ = _forward(params, config, _left_align(rows))
+    worst = 0.0
+    for i, row in enumerate(rows):
+        for t in range(len(row)):
+            alone, _ = _forward(params, config, np.array([row[: t + 1]], dtype=np.int64))
+            worst = max(worst, float(np.abs(outputs[i, t] - alone[0, -1]).max()))
+    assert worst <= 1e-12
+    assert not outputs[2, 6:].any()  # pad positions stay zero
+
+
+def test_loss_is_the_mean_next_item_cross_entropy_over_every_prefix():
+    instances = _toy_instances()
+    config = CfConfig(**{**_TOY_CONFIG, "blocks": 1})
+    model = train_cf(instances, config, np.random.default_rng(5))
+    loss, _ = training_loss_and_gradients(model, config, instances, model.item_index)
+    terms = []
+    for inst in instances:
+        for t, target in enumerate(inst.targets):
+            scores = next_item_scores(model, list(inst.history[: t + 1]))
+            shifted = scores - scores.max()
+            log_probs = shifted - np.log(np.exp(shifted).sum())
+            terms.append(-log_probs[model.item_index[target] - 1])
+    assert len(terms) == 7
+    assert loss == pytest.approx(float(np.mean(terms)), rel=1e-12, abs=1e-12)
+
+
+def test_training_rejects_sequences_longer_than_the_window():
+    config = CfConfig(**{**_TOY_CONFIG, "max_history": 3, "epochs": 1})
+    with pytest.raises(ValueError, match="1..3 inputs"):
+        train_cf(_toy_instances(), config, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="one target each"):
+        training_loss_and_gradients(
+            _init_params(config, 2, np.random.default_rng(0)), config,
+            [TrainingSequence("u", ("a", "b"), ("b",))], {"a": 1, "b": 2},
+        )
 
 
 def test_single_step_representation_matches_hand_computation():
@@ -108,7 +153,7 @@ def test_single_step_representation_matches_hand_computation():
     model = train_cf(_toy_instances(), config, np.random.default_rng(4))
     p = model.params
     idx = model.item_index["c"]
-    h0 = p["item_emb"][idx] + p["pos_emb"][config.max_history - 1]
+    h0 = p["item_emb"][idx] + p["pos_emb"][0]  # absolute position 0
     # one real position: attention weight over itself is exactly 1
     ctx = p["blk0.wv"] @ h0 + p["blk0.bv"]
     h_attn = h0 + (p["blk0.wo"] @ ctx + p["blk0.bo"])
@@ -232,7 +277,7 @@ def test_trained_model_separates_planted_targets(toy_world):
 def test_diverging_training_raises():
     planted = make_planted_dataset(n_users=12, n_items=10, seed=5, length_range=(6, 8))
     split = leave_one_out_split(build_sequences(filter_dataset(log_from_planted(planted), 3, 1)))
-    instances = build_training_instances(split, 1, rng=np.random.default_rng(2))
+    instances = build_training_instances(split, 6)
     config = CfConfig(
         embed_dim=8, max_history=6, blocks=1, heads=1,
         epochs=3, batch_size=4, learning_rate=1e15, optimizer="sgd",
@@ -268,7 +313,7 @@ def test_item_embedding_returns_detached_copy(toy_world):
 
 
 def test_rank_by_score_breaks_ties_by_id():
-    instance = TrainingInstance("u1", ("b", "a"), "c", 1)
+    instance = TrainingSequence("u1", ("b", "a"), ("a", "c"))
     model = train_cf([instance], CfConfig(embed_dim=4, heads=1, epochs=0), np.random.default_rng(0))
     assert model.items == ["b", "a", "c"]
     ranked = rank_by_score(model, np.array([1.0, 2.0, 2.0]))

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from fusionrec.checkpoint import load_checkpoint, save_checkpoint
+from fusionrec.checkpoint import load_checkpoint, load_checkpoint_header, save_checkpoint
 from fusionrec.errors import DataError
 from fusionrec.gradcheck import max_relative_gradient_error
 from fusionrec.optim import Adam, Sgd, make_optimizer
@@ -36,6 +36,17 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded["scalar"].shape == ()
     assert float(loaded["scalar"]) == 2.5
     assert loaded["weights"].flags.writeable  # copies, not buffer views
+
+
+def test_header_read_skips_the_payload(tmp_path):
+    path = tmp_path / "model.ckpt"
+    meta = {"training_log": [0.5, 0.25], "items": ["a"]}
+    save_checkpoint(path, "align", meta, _sample_arrays())
+    full = path.read_bytes()
+    path.write_bytes(full[: full.index(b"}\n") + 2])  # header only: the payload is cut away
+    assert load_checkpoint_header(path) == ("align", meta)
+    with pytest.raises(DataError, match="truncated array payload"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_bytes_are_deterministic(tmp_path):
@@ -86,6 +97,8 @@ def test_corrupt_checkpoint_header_is_a_data_error(tmp_path, blob):
     path.write_bytes(blob)
     with pytest.raises(DataError, match="corrupt header"):
         load_checkpoint(path)
+    with pytest.raises(DataError, match="corrupt header"):
+        load_checkpoint_header(path)
 
 
 def test_failed_save_keeps_the_previous_checkpoint_and_no_temp_file(tmp_path):

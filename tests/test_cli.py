@@ -233,8 +233,14 @@ def _ckpt_with_header(header: bytes) -> bytes:
         ("split.json", lambda blob: blob[:3], "train-cf"),
         ("split.json", lambda blob: b"\xff\xfe" + blob, "train-align"),
         ("split.json", lambda blob: b'{"train": {}}', "eval"),
+        ("cots.json", lambda blob: b"{}", "sweep"),
+        ("partition.json", lambda blob: b'{"cold": []}', "eval"),
+        ("report_standard.json", lambda blob: b'{"hr": {}}', "report"),
     ],
-    ids=["cf-cut", "cf-no-arrays", "cf-no-items", "split-cut", "split-bad-utf8", "split-no-keys"],
+    ids=[
+        "cf-cut", "cf-no-arrays", "cf-no-items", "split-cut", "split-bad-utf8", "split-no-keys",
+        "cots-no-records", "partition-no-warm", "report-no-users",
+    ],
 )
 def test_corrupt_artifact_is_one_error_line_and_exit_3(chain, tmp_path, artifact, damage, stage):
     out_dir = tmp_path / "damaged"
@@ -259,6 +265,15 @@ def test_unknown_config_key_fails_fast(chain, tmp_path):
     assert "bad.conf" in err
 
 
+def test_removed_negative_sampling_key_is_a_config_error(chain, tmp_path):
+    config = tmp_path / "old.conf"
+    _write_config(config, chain["interactions"], chain["catalog"], ["cf.negatives_per_positive = 1"])
+    rc, _, err = _run(["prepare", "--config", str(config), "--out", str(tmp_path / "o"), "--seed", "0"])
+    assert rc == 2
+    assert err.startswith("error: unknown config key 'cf.negatives_per_positive'")
+    assert err.count("\n") == 1
+
+
 def test_prepare_requires_an_interactions_path(tmp_path):
     config = tmp_path / "empty.conf"
     config.write_text("seed = 0\n", encoding="utf-8")
@@ -279,6 +294,28 @@ def test_uncataloged_item_is_a_data_error(tmp_path):
     rc, _, err = _run(["prepare", "--config", str(config), "--out", str(tmp_path / "o"), "--seed", "0"])
     assert rc == 3
     assert err.startswith("error: ")
+
+
+def test_train_cf_without_a_two_item_train_region_is_a_data_error(tmp_path):
+    catalog = tmp_path / "catalog.tsv"
+    catalog.write_text("".join(f"q{i}\tTitle {i}\tText {i}\n" for i in range(4)), encoding="utf-8")
+    interactions = tmp_path / "interactions.tsv"
+    # three events per user: one train item, then validation and test
+    interactions.write_text(
+        "".join(f"u{u}\tq{(u + t) % 4}\t{t}\t5.0\n" for u in range(4) for t in range(3)),
+        encoding="utf-8",
+    )
+    config = tmp_path / "run.conf"
+    config.write_text(
+        f"data.interactions = {interactions}\ndata.catalog = {catalog}\n"
+        "data.min_user_events = 3\ndata.min_item_popularity = 1\n",
+        encoding="utf-8",
+    )
+    out_dir = str(tmp_path / "o")
+    assert _run(["prepare", "--config", str(config), "--out", out_dir])[0] == 0
+    rc, _, err = _run(["train-cf", "--config", str(config), "--out", out_dir])
+    assert rc == 3
+    assert err == "error: no user has two train items; nothing to train the CF model on\n"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -3,7 +3,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,13 +10,13 @@ from hypothesis import strategies as st
 from fusionrec.data import (
     Event,
     InteractionLog,
+    TrainingSequence,
     build_sequences,
     build_training_instances,
     filter_dataset,
     leave_one_out_split,
     load_interactions,
     partition_cold_warm,
-    sample_negative,
 )
 from fusionrec.errors import DataError
 
@@ -211,92 +210,47 @@ def test_split_reconstructs_every_sequence(lengths):
         assert split.full_sequence(f"u{u}") == [f"q{u}_{t}" for t in range(n)]
 
 
-def test_sample_negative_excludes_own_items():
-    log = _log(
-        [("u1", "a", 1, 5.0), ("u1", "b", 2, 5.0), ("u2", "c", 1, 5.0)]
-    )
-    sequences = build_sequences(log)
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        assert sample_negative("u1", sequences, rng) == "c"
-    with pytest.raises(DataError):
-        seqs = {"u1": sequences["u1"]}
-        sample_negative("u1", seqs, rng)
-
-
-def test_sample_negative_is_close_to_uniform():
-    events = [("u0", f"q{i:02d}", i, 5.0) for i in range(5)]
-    events += [("u1", f"q{i:02d}", i, 5.0) for i in range(30)]
-    sequences = build_sequences(_log(events))
-    rng = np.random.default_rng(9)
-    n_draws = 25000
-    counts = Counter(sample_negative("u0", sequences, rng) for _ in range(n_draws))
-    eligible = 25
-    expected = n_draws / eligible
-    sigma = math.sqrt(n_draws * (1 / eligible) * (1 - 1 / eligible))
-    assert set(counts) == {f"q{i:02d}" for i in range(5, 30)}
-    for item in counts:
-        assert abs(counts[item] - expected) <= 3.5 * sigma
-
-
 def _two_user_split():
     events = [("u1", i, t, 5.0) for t, i in enumerate(["a", "b", "c", "d", "e"], start=1)]
     events += [("u2", i, t, 5.0) for t, i in enumerate(["x", "y", "z"], start=1)]
     return leave_one_out_split(build_sequences(_log(events)))
 
 
-def _three_item_split():
-    # Three users with disjoint 5-item sequences: each train region holds three
-    # items (two positives) and the other users' ten items are eligible negatives.
-    events = [(f"u{u}", f"q{u}{k}", k, 5.0) for u in range(3) for k in range(5)]
-    return leave_one_out_split(build_sequences(_log(events)))
-
-
 def test_training_instances_shift_positives_by_one():
-    split = _two_user_split()  # u1 train region is a, b, c
-    instances = build_training_instances(split, negatives_per_positive=1)
-    positives = [inst for inst in instances if inst.label == 1]
-    negatives = [inst for inst in instances if inst.label == 0]
-    assert [(list(p.history), p.candidate) for p in positives] == [
-        (["a"], "b"),
-        (["a", "b"], "c"),
+    split = _two_user_split()  # u1 train region is a, b, c; u2's is x alone
+    assert build_training_instances(split, max_history=50) == [
+        TrainingSequence(user="u1", history=("a", "b"), targets=("b", "c"))
     ]
-    assert len(negatives) == 2
-    for neg in negatives:
-        assert neg.candidate in {"x", "y", "z"}
 
 
-def test_training_instances_negative_count_and_validation():
-    split = _two_user_split()
-    with pytest.raises(ValueError):
-        build_training_instances(split, negatives_per_positive=0)
-    instances = build_training_instances(split, negatives_per_positive=3)
-    assert sum(1 for i in instances if i.label == 0) == 6
-
-
-def test_training_instances_error_when_no_negative_exists():
-    log = _log([("u1", i, t, 5.0) for t, i in enumerate(["a", "b", "c", "d"], start=1)])
-    split = leave_one_out_split(build_sequences(log))
-    with pytest.raises(DataError, match="no negative"):
-        build_training_instances(split)
+def test_training_instances_cut_to_max_history():
+    events = [("u1", f"q{k}", k, 5.0) for k in range(9)]  # train region q0..q6
+    split = leave_one_out_split(build_sequences(_log(events)))
+    (record,) = build_training_instances(split, max_history=3)
+    assert record.history == ("q3", "q4", "q5")
+    assert record.targets == ("q4", "q5", "q6")
+    with pytest.raises(ValueError, match="max_history"):
+        build_training_instances(split, max_history=0)
 
 
 def test_training_instances_history_never_exceeds_train_region():
     split = _two_user_split()
-    for inst in build_training_instances(split):
+    for inst in build_training_instances(split, max_history=50):
         train = split.train[inst.user]
         assert list(inst.history) == train[: len(inst.history)]
-        if inst.label == 1:
-            assert inst.candidate == train[len(inst.history)]
+        assert list(inst.targets) == train[1 : len(inst.history) + 1]
 
 
-def test_training_instances_are_deterministic_for_a_seed():
-    split = _three_item_split()
-    first = build_training_instances(split, rng=np.random.default_rng(5))
-    second = build_training_instances(split, rng=np.random.default_rng(5))
-    assert first == second
-    assert any(inst.label == 0 for inst in first)
-    assert first != build_training_instances(split, rng=np.random.default_rng(6))
+def test_training_instances_hold_only_train_items():
+    split = _two_user_split()
+    held = {q for inst in build_training_instances(split, 50) for q in (*inst.history, *inst.targets)}
+    assert held == {"a", "b", "c"}
+    assert not held & (set(split.validation.values()) | set(split.test.values()))
+
+
+def test_training_instances_draw_no_random_numbers():
+    split = _two_user_split()
+    assert build_training_instances(split, 50) == build_training_instances(split, 50)
 
 
 def test_partition_bands_by_frequency():

@@ -16,6 +16,7 @@ from fusionrec.data import (
     filter_dataset,
     leave_one_out_split,
 )
+from fusionrec import evaluate as evaluate_module
 from fusionrec.errors import DataError
 from fusionrec.evaluate import (
     CohortComparison,
@@ -243,6 +244,26 @@ def test_pipeline_routes_and_counts_lookups(toy_world, toy_alignment):
     assert sum(pipeline.routing.values()) == 0
     with pytest.raises(DataError, match="neither a collaborative embedding nor a semantic one"):
         pipeline.item_vector("nowhere")
+
+
+def test_semantic_reconstruction_is_computed_once_and_handed_out_as_copies(
+    toy_world, toy_alignment, monkeypatch
+):
+    semantic = dict(toy_world["semantic"])
+    semantic["cold9"] = fallback_embed("an unseen curiosity")
+    pipeline = RecommendationPipeline(toy_world["cf"], toy_alignment, semantic)
+    calls = []
+    real_decode = evaluate_module.decode
+    monkeypatch.setattr(
+        evaluate_module, "decode", lambda *args: calls.append(args) or real_decode(*args)
+    )
+    first = pipeline.item_vector("cold9")
+    expected = first.copy()
+    first[:] = 0.0  # a caller's edit must not reach later lookups
+    second = pipeline.item_vector("cold9")
+    assert len(calls) == 1
+    assert np.array_equal(second, expected)
+    assert pipeline.routing["semantic_path"] == 2
 
 
 def test_pipeline_user_vector_matches_backbone(toy_world, toy_alignment):
