@@ -28,6 +28,8 @@ from .cf import (
     train_cf,
     user_representation,
     user_representation_from_vectors,
+    user_representations,
+    user_representations_from_vectors,
     verbalize_prior,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -68,7 +70,9 @@ from .errors import (
 )
 from .evaluate import (
     CohortComparison,
+    ItemTable,
     MetricReport,
+    PoolRanker,
     RecommendationPipeline,
     cold_warm_report,
     evaluate_split,

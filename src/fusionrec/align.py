@@ -388,6 +388,14 @@ def build_alignment_dataset(
     table: dict[str, int] = {}
     e_rows, q_rows = [], []
     users, pairs, triples = [], [], []
+    warm_histories = {}
+    for user in split.users():
+        history = [item for item in split.train[user] if cf_model.has_item(item)]
+        if history and cf_model.has_item(split.validation[user]):
+            warm_histories[user] = history
+    reps = dict(
+        zip(warm_histories, cf_mod.user_representations(cf_model, list(warm_histories.values())))
+    )
     for user in split.users():
         sequence = split.train[user]
         group = []
@@ -402,10 +410,9 @@ def build_alignment_dataset(
                 q_rows.append(q)
             group.append(table[item])
         trip = []
-        positive = cf_mod.item_embedding(cf_model, split.validation[user])
-        history = [item for item in sequence if cf_model.has_item(item)]
-        if positive is not None and history:
-            x = cf_mod.user_representation(cf_model, history)
+        if user in reps:
+            x = reps[user]
+            positive = cf_mod.item_embedding(cf_model, split.validation[user])
             owned = set(split.full_sequence(user))
             eligible = [item for item in cf_model.items if item not in owned]
             for _ in range(negatives_per_user):

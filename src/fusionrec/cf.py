@@ -13,13 +13,20 @@ Vasilev, RecSys 2023). No negatives are drawn, so the vocabulary is exactly
 the set of items in the train sequences.
 
 Supplies the collaborative item embeddings, user representations, next-item
-score distributions, and verbalized priors consumed downstream.
+score distributions, and verbalized priors consumed downstream. User
+representations are computed in batches: `user_representations` (and
+`user_representations_from_vectors`) group the histories by length and run
+one forward pass per group of at most `FORWARD_ROWS` histories. Grouping by
+length keeps every row bit-identical to a forward pass over that history
+alone, which one padded batch would not.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,15 +39,22 @@ __all__ = [
     "train_cf",
     "training_loss_and_gradients",
     "user_representation",
+    "user_representations",
     "user_representation_from_vectors",
+    "user_representations_from_vectors",
     "item_embedding",
     "next_item_scores",
     "next_item_probabilities",
+    "item_probabilities",
     "rank_by_score",
     "verbalize_prior",
 ]
 
 _NEG_INF = -1e30
+
+# Histories per forward pass when representing users in batches. A fixed cap
+# keeps the activations held at once small whatever the number of users.
+FORWARD_ROWS = 64
 
 
 @dataclass
@@ -78,6 +92,11 @@ class CfModel:
 
     def indices_for(self, history: list[str]) -> list[int]:
         return [self.item_index[q] for q in history]
+
+    @cached_property
+    def id_order(self) -> np.ndarray:
+        """Positions in `items`, ordered by item id ascending."""
+        return np.array(sorted(range(len(self.items)), key=self.items.__getitem__), dtype=np.intp)
 
 
 def _init_params(config: CfConfig, n_items: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -333,30 +352,74 @@ def train_cf(
     return model
 
 
-def user_representation(model: CfModel, history: list[str]) -> np.ndarray:
-    """Last-position output of the attention stack over the recent history."""
-    if not history:
-        raise ValueError("history must be non-empty; cold users take the semantic path upstream")
-    idx = model.indices_for(list(history)[-model.config.max_history:])
-    outputs, _ = _forward(model.params, model.config, np.array([idx], dtype=np.int64))
-    return outputs[0, -1]
+def _last_outputs(model: CfModel, steps: list, forward) -> np.ndarray:
+    """(n, d) last-position outputs, one row per entry of `steps`.
+
+    Entries are grouped by length, and `forward(chunk, length)` runs one
+    `_forward` over at most FORWARD_ROWS entries of one length.
+    """
+    out = np.empty((len(steps), model.config.embed_dim))
+    groups: dict[int, list[int]] = defaultdict(list)
+    for i, entry in enumerate(steps):
+        groups[len(entry)].append(i)
+    for length, members in groups.items():
+        for start in range(0, len(members), FORWARD_ROWS):
+            chunk = members[start : start + FORWARD_ROWS]
+            outputs = forward([steps[i] for i in chunk], length)
+            out[chunk] = outputs[:, -1]
+    return out
 
 
-def user_representation_from_vectors(model: CfModel, vectors: np.ndarray) -> np.ndarray:
-    """Like user_representation, but takes per-step embedding vectors directly.
+def user_representations(model: CfModel, histories) -> np.ndarray:
+    """(n, d) last-position outputs of the attention stack, one row per history.
+
+    Each history is cut to its most recent max_history items.
+    """
+    window = model.config.max_history
+    rows = []
+    for history in histories:
+        if not history:
+            raise ValueError("history must be non-empty; cold users take the semantic path upstream")
+        rows.append(model.indices_for(list(history)[-window:]))
+
+    def forward(chunk, length):
+        ids = np.array(chunk, dtype=np.int64)
+        return _forward(model.params, model.config, ids)[0]
+
+    return _last_outputs(model, rows, forward)
+
+
+def user_representations_from_vectors(model: CfModel, sequences) -> np.ndarray:
+    """Like user_representations, but each user is a (steps, d) array of
+    per-step embedding vectors.
 
     Used when history items are outside the collaborative vocabulary and the
     caller substitutes reconstructed embeddings (zero-shot transfer).
     """
-    vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.ndim != 2 or vectors.shape[0] == 0:
-        raise ValueError("need a non-empty (steps, embed_dim) array")
-    vecs = vectors[-model.config.max_history:]
-    length = vecs.shape[0]
-    h0 = (vecs + model.params["pos_emb"][:length])[None, :, :]
-    ids = np.ones((1, length), dtype=np.int64)  # all positions real
-    outputs, _ = _forward(model.params, model.config, ids, h0=h0)
-    return outputs[0, -1]
+    window = model.config.max_history
+    steps = []
+    for vectors in sequences:
+        vectors = np.asarray(vectors, dtype=np.float64)
+        if vectors.ndim != 2 or vectors.shape[0] == 0:
+            raise ValueError("need a non-empty (steps, embed_dim) array")
+        steps.append(vectors[-window:])
+
+    def forward(chunk, length):
+        h0 = np.stack(chunk) + model.params["pos_emb"][:length]
+        ids = np.ones((len(chunk), length), dtype=np.int64)  # all positions real
+        return _forward(model.params, model.config, ids, h0=h0)[0]
+
+    return _last_outputs(model, steps, forward)
+
+
+def user_representation(model: CfModel, history: list[str]) -> np.ndarray:
+    """Last-position output of the attention stack over the recent history."""
+    return user_representations(model, [history])[0]
+
+
+def user_representation_from_vectors(model: CfModel, vectors: np.ndarray) -> np.ndarray:
+    """One user's user_representations_from_vectors row."""
+    return user_representations_from_vectors(model, [vectors])[0]
 
 
 def item_embedding(model: CfModel, item: str) -> np.ndarray | None:
@@ -377,21 +440,26 @@ def next_item_scores(model: CfModel, history: list[str]) -> np.ndarray:
     Entry i scores model.items[i]. Use rank_by_score for the id-ascending
     tie-break, and next_item_probabilities for the softmax-normalized copy.
     """
-    rep = user_representation(model, history)
-    return model.params["item_emb"][1:] @ rep
+    return model.params["item_emb"][1:] @ user_representation(model, history)
+
+
+def item_probabilities(model: CfModel, rep: np.ndarray) -> np.ndarray:
+    """Softmax of one user representation's scores; entry i is model.items[i]."""
+    scores = model.params["item_emb"][1:] @ rep
+    e = np.exp(scores - scores.max())
+    return e / e.sum()
 
 
 def next_item_probabilities(model: CfModel, history: list[str]) -> np.ndarray:
-    scores = next_item_scores(model, history)
-    shifted = scores - scores.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+    return item_probabilities(model, user_representation(model, history))
 
 
 def rank_by_score(model: CfModel, scores: np.ndarray) -> list[str]:
     """Item ids sorted by score descending, ties broken by id ascending."""
-    order = sorted(range(len(model.items)), key=lambda i: (-scores[i], model.items[i]))
-    return [model.items[i] for i in order]
+    by_id = model.id_order
+    order = by_id[np.argsort(-np.asarray(scores)[by_id], kind="stable")]
+    items = model.items
+    return [items[i] for i in order.tolist()]
 
 
 def verbalize_prior(score: float, calibration: np.ndarray | None = None) -> str:

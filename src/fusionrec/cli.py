@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -27,7 +28,15 @@ from .align import (
     train_alignment,
     unified_item_embedding,
 )
-from .cf import CfConfig, CfModel, next_item_probabilities, rank_by_score, train_cf, verbalize_prior
+from .cf import (
+    CfConfig,
+    CfModel,
+    item_probabilities,
+    rank_by_score,
+    train_cf,
+    user_representations,
+    verbalize_prior,
+)
 from .checkpoint import atomic_open, load_checkpoint, load_checkpoint_header, save_checkpoint
 from .config import RunConfig, default_config, parse_config
 from .cot import (
@@ -372,16 +381,20 @@ def cmd_cot(config: RunConfig, out_dir: str, seed: int, force: bool) -> None:
         users = sorted(users[i] for i in perm[:sample_size])
 
     weights = config.get("cot.weights")
-    records = []
-    skipped = 0
+    warm_histories = {}
     for user in users:
-        history = split.train[user]
+        warm_history = [i for i in split.train[user] if model.has_item(i)]
+        if model.has_item(split.validation[user]) and warm_history:
+            warm_histories[user] = warm_history
+    skipped = len(users) - len(warm_histories)
+    reps = user_representations(model, list(warm_histories.values()))
+    # The label sentences, and often a trace's closing sentence, recur across
+    # traces; a small cache embeds them once per stage.
+    embedder = functools.lru_cache(maxsize=64)(fallback_embed)
+    records = []
+    for (user, warm_history), rep in zip(warm_histories.items(), reps):
         target = split.validation[user]
-        if not model.has_item(target) or not any(model.has_item(i) for i in history):
-            skipped += 1
-            continue
-        warm_history = [i for i in history if model.has_item(i)]
-        probs = next_item_probabilities(model, warm_history)
+        probs = item_probabilities(model, rep)
         ranked = rank_by_score(model, probs)
         candidates = [
             (item, catalog[item][0], float(probs[model.item_index[item] - 1]))
@@ -400,7 +413,7 @@ def cmd_cot(config: RunConfig, out_dir: str, seed: int, force: bool) -> None:
             candidates=candidates,
         )
         cot_text = generate_cot(adapter, instance)
-        records.append(score_cot(instance, cot_text, weights=weights))
+        records.append(score_cot(instance, cot_text, embedder=embedder, weights=weights))
     if not records:
         raise DataError("no reasoning traces could be generated (all users skipped)")
     retained, coverage = filter_cots(records, threshold=config.get("cot.threshold"))

@@ -269,6 +269,25 @@ def score_coherence(cot: str) -> float:
     return min(1.0, max(0.0, 1.0 - 0.5 * variance - 0.5 * repetition))
 
 
+def _is_word_char(ch: str) -> bool:
+    # the definition of the regex class \w for str patterns
+    return ch.isalnum() or ch == "_"
+
+
+def _find_whole_word(needle: str, text: str) -> int | None:
+    r"""Leftmost start of `needle` in `text` not touching a word character on
+    either side, as `re.search(r"(?<!\w)" + re.escape(needle) + r"(?!\w)")`."""
+    start = text.find(needle)
+    while start >= 0:
+        end = start + len(needle)
+        if (start == 0 or not _is_word_char(text[start - 1])) and (
+            end == len(text) or not _is_word_char(text[end])
+        ):
+            return start
+        start = text.find(needle, start + 1)
+    return None
+
+
 def _named_candidate(cot: str, candidates) -> str | None:
     """Id of the candidate the CoT commits to, per cue-sentence scan."""
     if not candidates:
@@ -282,9 +301,9 @@ def _named_candidate(cot: str, candidates) -> str | None:
             for needle in (cand_id, title):
                 if not needle:
                     continue
-                m = re.search(rf"(?<!\w){re.escape(needle.lower())}(?!\w)", low)
-                if m and (best_pos is None or m.start() < best_pos):
-                    best_pos, best_id = m.start(), cand_id
+                pos = _find_whole_word(needle.lower(), low)
+                if pos is not None and (best_pos is None or pos < best_pos):
+                    best_pos, best_id = pos, cand_id
         if best_id is not None:
             return best_id
     return None
@@ -336,11 +355,19 @@ def score_cot(
     embedder=fallback_embed,
     weights=(0.25, 0.25, 0.25, 0.25),
 ) -> CotRecord:
+    """Score the four dimensions; each distinct text is embedded once."""
+    embedded: dict[str, np.ndarray] = {}
+
+    def embed_once(text: str) -> np.ndarray:
+        if text not in embedded:
+            embedded[text] = embedder(text)
+        return embedded[text]
+
     dims = (
         score_coherence(cot),
-        score_semantic_dimension("completeness", cot, instance, embedder),
-        score_semantic_dimension("relevance", cot, instance, embedder),
-        score_semantic_dimension("consistency", cot, instance, embedder),
+        score_semantic_dimension("completeness", cot, instance, embed_once),
+        score_semantic_dimension("relevance", cot, instance, embed_once),
+        score_semantic_dimension("consistency", cot, instance, embed_once),
     )
     return CotRecord(instance=instance, cot=cot, dims=dims, score=composite_score(dims, weights))
 

@@ -7,6 +7,15 @@ embedding is encoded into the shared latent space and decoded back into the
 collaborative space, yielding a pseudo-embedding every downstream dot
 product can consume. The pipeline counts which route each lookup took so
 protocol assertions (zero-shot must be 100% semantic) stay checkable.
+
+Scoring is batched. The pipeline builds one `ItemTable` for the items a
+stage needs, computing each item's row once; users are represented in
+length-grouped batches (`cf.user_representations_from_vectors`); and each
+pool is scored as a gather of table rows, multiplied by the user's
+representation and summed row by row. A target's rank is the number of
+pool items scored higher plus the tied items with a smaller id. Routing
+counts are sums over the table's semantic-route mask, one per lookup: each
+history step inside the window and each pool item.
 """
 
 from __future__ import annotations
@@ -15,19 +24,22 @@ import json
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from . import cf as cf_mod
-from .align import AlignmentNetwork, decode, encode
+from .align import AlignmentNetwork, decode, encode, unified_item_embedding
 from .cf import CfModel
 from .data import ColdWarmPartition, SplitDataset
 from .errors import DataError
-from .metrics import bleu, hit_rate_at_k, ndcg_at_k, rouge, tokenize
+from .metrics import bleu, hit_rate_from_ranks, ndcg_from_ranks, rouge, tokenize
 
 __all__ = [
     "PROTOCOLS",
     "MetricReport",
+    "ItemTable",
+    "PoolRanker",
     "RecommendationPipeline",
     "CohortComparison",
     "evaluate_split",
@@ -91,8 +103,52 @@ def report_to_json(report: MetricReport) -> str:
     return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
+@dataclass(frozen=True)
+class ItemTable:
+    """Item vectors computed once, one row per item in id order.
+
+    `collaborative[i]` is `items[i]`'s collaborative-space vector: its CF
+    embedding row, or the decoded semantic reconstruction for an item
+    outside the CF vocabulary, which `semantic[i]` marks. `latent[i]` is its
+    unified latent vector, present when the table was built with latent rows.
+    """
+
+    items: list[str]
+    index: dict[str, int]
+    collaborative: np.ndarray
+    semantic: np.ndarray
+    latent: np.ndarray | None = None
+
+    def rows(self, items) -> np.ndarray:
+        index = self.index
+        return np.fromiter((index[item] for item in items), dtype=np.intp, count=len(items))
+
+
+class PoolRanker:
+    """A ranker that orders one candidate pool at a time.
+
+    `evaluate_split` asks for `target_ranks(histories, pools)`: the 0-based
+    position of each pool's first item (the target) in its ordered pool.
+    Subclasses implement `rank_pool`; a batched ranker overrides both.
+    """
+
+    def rank_pool(self, history: list[str], pool: list[str]) -> list[str]:
+        raise NotImplementedError
+
+    def target_ranks(self, histories: list[list[str]], pools: list[list[str]]) -> list[int]:
+        return [list(self.rank_pool(h, pool)).index(pool[0]) for h, pool in zip(histories, pools)]
+
+
+def _target_rank(scores: np.ndarray, pool: list[str]) -> int:
+    """0-based position of pool[0] in the pool ordered by score descending,
+    ties by id ascending."""
+    top = scores[0]
+    tied = np.flatnonzero(scores == top)
+    return int(np.count_nonzero(scores > top)) + sum(pool[i] < pool[0] for i in tied)
+
+
 @dataclass
-class RecommendationPipeline:
+class RecommendationPipeline(PoolRanker):
     """Trained CF backbone plus the semantic fallback for unseen items."""
 
     cf_model: CfModel
@@ -101,20 +157,17 @@ class RecommendationPipeline:
     routing: Counter = field(default_factory=Counter)
     # item -> decoded semantic vector; the models and map are fixed once lookups start
     _reconstructed: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    _table: ItemTable | None = field(default=None, init=False, repr=False)
 
     def reset_routing(self) -> None:
         self.routing = Counter()
 
-    def item_vector(self, item: str) -> np.ndarray:
-        """Collaborative embedding, or its semantic reconstruction for cold items.
-
-        Each lookup is counted by route and returns a fresh copy; the
-        reconstruction is computed once per item.
-        """
+    def _item_row(self, item: str) -> tuple[np.ndarray, bool]:
+        """Collaborative-space vector of one item, and whether it took the
+        semantic path. The reconstruction is computed once per item."""
         direct = cf_mod.item_embedding(self.cf_model, item)
         if direct is not None:
-            self.routing[COLLABORATIVE_PATH] += 1
-            return direct
+            return direct, False
         reconstructed = self._reconstructed.get(item)
         if reconstructed is None:
             semantic = self.semantic_map.get(item) if self.semantic_map is not None else None
@@ -124,31 +177,112 @@ class RecommendationPipeline:
                 )
             latent = encode(self.alignment, "semantic", semantic)
             reconstructed = self._reconstructed[item] = decode(self.alignment, "collaborative", latent)
-        self.routing[SEMANTIC_PATH] += 1
-        return reconstructed.copy()
+        return reconstructed, True
+
+    def _count(self, table: ItemTable, rows: np.ndarray) -> None:
+        semantic = int(np.count_nonzero(table.semantic[rows]))
+        self.routing[SEMANTIC_PATH] += semantic
+        self.routing[COLLABORATIVE_PATH] += len(rows) - semantic
+
+    def item_vector(self, item: str) -> np.ndarray:
+        """Collaborative embedding, or its semantic reconstruction for cold items.
+
+        The lookup is counted by route and returns a fresh copy.
+        """
+        vector, semantic = self._item_row(item)
+        self.routing[SEMANTIC_PATH if semantic else COLLABORATIVE_PATH] += 1
+        return vector.copy()
+
+    def item_table(self, items, latent: bool = False) -> ItemTable:
+        """An ItemTable holding at least the given items; building it counts no lookups.
+
+        The last table built is reused while it holds every item asked for
+        (and latent rows, if asked for), so a stage builds its table once.
+        """
+        wanted = set(items)
+        table = self._table
+        if table is None or (latent and table.latent is None) or not wanted.issubset(table.index):
+            table = self._table = self._build_table(sorted(wanted), latent)
+        return table
+
+    def _build_table(self, items: list[str], latent: bool) -> ItemTable:
+        rows = [self._item_row(item) for item in items]
+        n, dim = len(items), self.cf_model.config.embed_dim
+        latent_rows = None
+        if latent:
+            if self.alignment is None:
+                raise ValueError("latent item rows need an alignment network")
+            latent_rows = np.array(
+                [
+                    unified_item_embedding(
+                        self.alignment, item, self.cf_model, self.semantic_map or {}
+                    ).vector
+                    for item in items
+                ],
+                dtype=np.float64,
+            ).reshape(n, self.alignment.latent_dim)
+        return ItemTable(
+            items=items,
+            index={item: i for i, item in enumerate(items)},
+            collaborative=np.array([v for v, _ in rows], dtype=np.float64).reshape(n, dim),
+            semantic=np.array([s for _, s in rows], dtype=bool),
+            latent=latent_rows,
+        )
+
+    def _recent(self, histories) -> list[list[str]]:
+        window = self.cf_model.config.max_history
+        recent = [list(history)[-window:] for history in histories]
+        if not all(recent):
+            raise ValueError("history must be non-empty")
+        return recent
+
+    def user_vectors(self, histories, table: ItemTable | None = None) -> np.ndarray:
+        """(n, d) representations of the users' histories from collaborative-space
+        rows; each step inside the window counts as one lookup."""
+        recent = self._recent(histories)
+        if table is None:
+            table = self.item_table(chain.from_iterable(recent))
+        rows = [table.rows(history) for history in recent]
+        self._count(table, np.concatenate(rows))
+        return cf_mod.user_representations_from_vectors(
+            self.cf_model, [table.collaborative[r] for r in rows]
+        )
 
     def user_vector(self, history: list[str]) -> np.ndarray:
-        if not history:
-            raise ValueError("history must be non-empty")
-        recent = list(history)[-self.cf_model.config.max_history :]
-        vectors = np.stack([self.item_vector(item) for item in recent])
-        return cf_mod.user_representation_from_vectors(self.cf_model, vectors)
+        return self.user_vectors([history])[0]
+
+    def pool_scores(self, histories, pools) -> list[np.ndarray]:
+        """Each pool's item scores against its user's representation; each
+        pool item counts as one lookup."""
+        recent = self._recent(histories)
+        table = self.item_table(chain(chain.from_iterable(recent), chain.from_iterable(pools)))
+        reps = self.user_vectors(recent, table)
+        rows = [table.rows(pool) for pool in pools]
+        self._count(table, np.concatenate(rows))
+        return [(table.collaborative[r] * rep).sum(axis=1) for r, rep in zip(rows, reps)]
+
+    def target_ranks(self, histories, pools) -> list[int]:
+        scores = self.pool_scores(histories, pools)
+        return [_target_rank(s, pool) for s, pool in zip(scores, pools)]
 
     def rank_pool(self, history: list[str], pool: list[str]) -> list[str]:
         """Pool ids by score descending, ties broken by id ascending."""
-        rep = self.user_vector(history)
-        scores = {item: float(rep @ self.item_vector(item)) for item in pool}
-        return sorted(pool, key=lambda item: (-scores[item], item))
+        scores = self.pool_scores([history], [pool])[0]
+        return [pool[i] for i in sorted(range(len(pool)), key=lambda i: (-scores[i], pool[i]))]
 
 
 def _sample_pool(
     target: str,
-    excluded: set[str],
+    excluded: list[int],
     universe: list[str],
     pool_size: int,
     rng: np.random.Generator,
 ) -> list[str]:
-    eligible = [item for item in universe if item not in excluded]
+    """The target plus pool_size - 1 items drawn from the universe positions
+    not excluded, or all of them when there are too few."""
+    mask = np.ones(len(universe), dtype=bool)
+    mask[excluded] = False
+    eligible = np.flatnonzero(mask)
     wanted = pool_size - 1
     if len(eligible) < wanted:
         logger.info(
@@ -159,13 +293,12 @@ def _sample_pool(
         )
         negatives = eligible
     else:
-        chosen = rng.choice(len(eligible), size=wanted, replace=False)
-        negatives = [eligible[i] for i in chosen]
-    return [target] + negatives
+        negatives = eligible[rng.choice(len(eligible), size=wanted, replace=False)]
+    return [target] + [universe[i] for i in negatives]
 
 
 def evaluate_split(
-    pipeline: RecommendationPipeline,
+    pipeline: PoolRanker,
     split: SplitDataset,
     ks: list[int],
     candidate_pool_size: int = 100,
@@ -178,9 +311,10 @@ def evaluate_split(
 ) -> MetricReport:
     """Pooled leave-one-out ranking over the split's test targets.
 
-    Negatives are drawn per user from the item universe minus the user's own
-    sequence; a short pool falls back to all eligible items (logged). Users
-    without a test target are skipped and counted. When an explanation
+    Negatives are drawn per user, in user order, from the item universe minus
+    the user's own sequence; a short pool falls back to all eligible items
+    (logged). All pools are then ranked in one `pipeline.target_ranks` call.
+    Users without a test target are skipped and counted. When an explanation
     generator and reference texts are both supplied, BLEU-4 / ROUGE are
     averaged over the covered (user, target) pairs.
     """
@@ -192,10 +326,12 @@ def evaluate_split(
         )
     rng = np.random.default_rng(seed)
     universe = sorted(split.item_universe())
+    position = {item: i for i, item in enumerate(universe)}
     eval_users = sorted(split.train) if users is None else sorted(users)
 
-    rankings: dict[str, list[str]] = {}
-    targets: dict[str, str] = {}
+    ranked_users: list[str] = []
+    histories: list[list[str]] = []
+    pools: list[list[str]] = []
     skipped = 0
     bleu_rows: list[float] = []
     rouge1_rows: list[float] = []
@@ -206,11 +342,10 @@ def evaluate_split(
             skipped += 1
             logger.info("user %s has no test item; skipped", user)
             continue
-        history = split.train[user] + [split.validation[user]]
-        excluded = set(split.full_sequence(user))
-        pool = _sample_pool(target, excluded, universe, candidate_pool_size, rng)
-        rankings[user] = pipeline.rank_pool(history, pool)
-        targets[user] = target
+        excluded = [position[item] for item in split.full_sequence(user)]
+        pools.append(_sample_pool(target, excluded, universe, candidate_pool_size, rng))
+        histories.append(split.train[user] + [split.validation[user]])
+        ranked_users.append(user)
         if references is not None and explainer is not None:
             reference = references.get((user, target))
             if reference is not None:
@@ -221,13 +356,18 @@ def evaluate_split(
                 rougel_rows.append(rouge(generated, ref_tokens, "rougeL"))
     if skipped:
         logger.info("%d users skipped (no test item)", skipped)
-    if not rankings:
+    if not ranked_users:
         raise DataError(f"{protocol} evaluation covered no users")
+    for k in ks:
+        for user, pool in zip(ranked_users, pools):
+            if len(pool) < k:
+                raise ValueError(f"ranking for user {user!r} shorter than k={k}")
+    ranks = pipeline.target_ranks(histories, pools)
 
     return MetricReport(
-        hr={k: hit_rate_at_k(rankings, targets, k) for k in ks},
-        ndcg={k: ndcg_at_k(rankings, targets, k) for k in ks},
-        n_users=len(targets),
+        hr={k: hit_rate_from_ranks(ranks, k) for k in ks},
+        ndcg={k: ndcg_from_ranks(ranks, k) for k in ks},
+        n_users=len(ranked_users),
         protocol=protocol,
         seed=seed,
         config_digest=config_digest,

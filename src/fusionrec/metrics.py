@@ -12,6 +12,8 @@ from collections import Counter
 __all__ = [
     "hit_rate_at_k",
     "ndcg_at_k",
+    "hit_rate_from_ranks",
+    "ndcg_from_ranks",
     "bleu",
     "rouge",
     "tokenize",
@@ -34,23 +36,51 @@ def _check_rankings(rankings: dict, targets: dict, k: int) -> None:
             raise ValueError(f"ranking for user {user!r} shorter than k={k}")
 
 
+def _ranks_in_top(rankings: dict, targets: dict, k: int) -> list[int]:
+    """Each target's 0-based position in its ranking's top k, or k when absent."""
+    ranks = []
+    for user, target in targets.items():
+        top = list(rankings[user][:k])
+        ranks.append(top.index(target) if target in top else k)
+    return ranks
+
+
 def hit_rate_at_k(rankings: dict, targets: dict, k: int) -> float:
     """Fraction of users whose target appears in the top k."""
     _check_rankings(rankings, targets, k)
-    hits = sum(1 for user, target in targets.items() if target in rankings[user][:k])
-    return hits / len(targets)
+    return hit_rate_from_ranks(_ranks_in_top(rankings, targets, k), k)
 
 
 def ndcg_at_k(rankings: dict, targets: dict, k: int) -> float:
     """Mean 1/log2(rank+1) of the target when it lands in the top k, else 0."""
     _check_rankings(rankings, targets, k)
+    return ndcg_from_ranks(_ranks_in_top(rankings, targets, k), k)
+
+
+def _check_ranks(ranks, k: int) -> None:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not len(ranks):
+        raise ValueError("no users to evaluate")
+
+
+def hit_rate_from_ranks(ranks, k: int) -> float:
+    """Fraction of targets whose 0-based rank is below k."""
+    _check_ranks(ranks, k)
+    return sum(1 for rank in ranks if rank < k) / len(ranks)
+
+
+def ndcg_from_ranks(ranks, k: int) -> float:
+    """Mean 1/log2(position+1) over targets at 1-based position <= k, else 0.
+
+    Ranks are 0-based; the sum runs in the order given.
+    """
+    _check_ranks(ranks, k)
     total = 0.0
-    for user, target in targets.items():
-        top = rankings[user][:k]
-        if target in top:
-            rank = top.index(target) + 1
-            total += 1.0 / math.log2(rank + 1)
-    return total / len(targets)
+    for rank in ranks:
+        if rank < k:
+            total += 1.0 / math.log2(rank + 2)
+    return total / len(ranks)
 
 
 def _ngram_counts(tokens: list, n: int) -> Counter:

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .align import unified_item_embedding
 from .cot import _unescape
 from .errors import DataError, TrainingError
 from .gradcheck import max_relative_gradient_error
@@ -337,16 +336,23 @@ def _example_loss_and_grads(stack, example: ProjectionExample, head, grads, text
     return loss
 
 
-def _example_text_cache(example: ProjectionExample, head: SurrogateHead, templates=None):
-    """Sum of text-segment vectors (instruction, titles, query): theta-free."""
+def _example_text_cache(example: ProjectionExample, head: SurrogateHead, templates=None,
+                        vectors: dict[str, np.ndarray] | None = None):
+    """Sum of text-segment vectors (instruction, titles, query): theta-free.
+
+    `vectors` memoises each distinct text's segment vector across examples.
+    """
     templates = templates or {}
+    vectors = {} if vectors is None else vectors
     d_token = head.w_out.shape[1]
     total = np.zeros(d_token)
     texts = [templates.get("instruction", PROMPT_INSTRUCTION)]
     texts += [title for _, title, _ in example.slate]
     texts.append(templates.get("query", PROMPT_QUERY))
     for text in texts:
-        total += _segment_vector(("text", text), head, d_token)
+        if text not in vectors:
+            vectors[text] = _segment_vector(("text", text), head, d_token)
+        total += vectors[text]
     return total, len(texts)
 
 
@@ -374,7 +380,8 @@ def train_projections(
     if rng is None:
         rng = np.random.default_rng(0)
     opt = make_optimizer(optimizer, learning_rate)
-    caches = [_example_text_cache(ex, head) for ex in dataset]
+    text_vectors: dict[str, np.ndarray] = {}
+    caches = [_example_text_cache(ex, head, vectors=text_vectors) for ex in dataset]
     order = np.arange(len(dataset))
     log: list[float] = []
     for epoch in range(epochs):
@@ -475,31 +482,30 @@ def build_projection_examples(
 
     The slate holds the target plus sampled items from outside the user's
     sequence (mirroring the evaluation pool structure), each with its unified
-    latent embedding. When a retained CoT exists for (user, target), its
-    embedding rides along as the reasoning segment.
+    latent embedding, gathered from one item table over the item universe.
+    User vectors are computed in one batch. When a retained CoT exists for
+    (user, target), its embedding rides along as the reasoning segment.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     universe = sorted(split.item_universe())
+    position = {item: i for i, item in enumerate(universe)}
+    users = split.users()
+    table = pipeline.item_table(universe, latent=True)
+    x_users = pipeline.user_vectors([split.train[user] for user in users], table)
     examples: list[ProjectionExample] = []
-    for user in split.users():
+    for user, x_user in zip(users, x_users):
         target = split.validation[user]
-        history = split.train[user]
-        x_user = pipeline.user_vector(history)
-        owned = set(split.full_sequence(user))
-        eligible = [item for item in universe if item not in owned and item != target]
+        mask = np.ones(len(universe), dtype=bool)
+        mask[[position[item] for item in split.full_sequence(user)]] = False
+        eligible = np.flatnonzero(mask)
         wanted = slate_size - 1
         if len(eligible) > wanted:
-            chosen = rng.choice(len(eligible), size=wanted, replace=False)
-            others = [eligible[i] for i in chosen]
-        else:
-            others = eligible
-        slate = []
-        for item in sorted(others + [target]):
-            unified = unified_item_embedding(
-                pipeline.alignment, item, pipeline.cf_model, pipeline.semantic_map or {}
-            )
-            slate.append((item, catalog[item][0], unified.vector))
+            eligible = eligible[rng.choice(len(eligible), size=wanted, replace=False)]
+        slate = [
+            (item, catalog[item][0], table.latent[table.index[item]])
+            for item in sorted([universe[i] for i in eligible] + [target])
+        ]
         signal = (cot_signals or {}).get((user, target))
         examples.append(
             ProjectionExample(

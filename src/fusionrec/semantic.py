@@ -8,6 +8,7 @@ Vectors are L2-normalized on load.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,8 +52,10 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
     return table
 
 
+@lru_cache(maxsize=1 << 14)
 def _token_bucket(token: str) -> tuple[int, float]:
     # md5 gives a stable cross-platform hash; Python's hash() is salted per run.
+    # Memoised: catalog and reasoning texts repeat a small vocabulary.
     digest = hashlib.md5(token.encode("utf-8")).digest()
     bucket = int.from_bytes(digest[:8], "little") % SEMANTIC_DIM
     sign = 1.0 if digest[8] & 1 else -1.0
@@ -66,10 +69,12 @@ def fallback_embed(text: str) -> np.ndarray:
     suite runs without model downloads. Empty (or fully cancelling) text maps
     to the first basis vector.
     """
+    tokens = text.lower().split()
     vec = np.zeros(SEMANTIC_DIM, dtype=np.float64)
-    for token in text.lower().split():
-        bucket, sign = _token_bucket(token)
-        vec[bucket] += sign
+    if tokens:
+        buckets, signs = zip(*map(_token_bucket, tokens))
+        # sums of +-1 are exact integers, so the order of accumulation does not matter
+        vec = np.bincount(buckets, weights=signs, minlength=SEMANTIC_DIM)
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         e1 = np.zeros(SEMANTIC_DIM, dtype=np.float64)

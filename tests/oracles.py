@@ -6,7 +6,9 @@ loops, recursion, and explicit counting, so agreement is meaningful.
 
 from __future__ import annotations
 
+import hashlib
 import math
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -316,3 +318,97 @@ def oracle_alignment_loss_and_gradients(net, groups: list, triples: list):
             grads["enc_c.b"] += du.sum(axis=0)
 
     return loss, grads
+
+
+# --- text embedding, ranking and pooled evaluation, one item at a time ------
+#
+# These are the per-token, per-item and per-user loops the package replaced
+# with memoised, masked and batched code. The CF forward pass is the einsum
+# oracle above, run on one user at a time.
+
+
+def oracle_fallback_embed(text: str, dim: int = 768) -> np.ndarray:
+    vec = np.zeros(dim, dtype=np.float64)
+    for token in text.lower().split():
+        digest = hashlib.md5(token.encode("utf-8")).digest()
+        bucket = int.from_bytes(digest[:8], "little") % dim
+        vec[bucket] += 1.0 if digest[8] & 1 else -1.0
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        vec[0] = 1.0
+        return vec
+    return vec / norm
+
+
+def oracle_rank_by_score(items: list, scores) -> list:
+    order = sorted(range(len(items)), key=lambda i: (-scores[i], items[i]))
+    return [items[i] for i in order]
+
+
+def oracle_sample_pool(target, excluded: set, universe: list, pool_size: int, rng) -> list:
+    eligible = [item for item in universe if item not in excluded]
+    wanted = pool_size - 1
+    if len(eligible) < wanted:
+        return [target] + eligible
+    chosen = rng.choice(len(eligible), size=wanted, replace=False)
+    return [target] + [eligible[i] for i in chosen]
+
+
+def oracle_slate_items(split, universe: list, slate_size: int, rng) -> dict:
+    """Per user (in split order): the sorted item ids of its projection slate."""
+    slates = {}
+    for user in split.users():
+        target = split.validation[user]
+        owned = set(split.full_sequence(user))
+        eligible = [item for item in universe if item not in owned and item != target]
+        wanted = slate_size - 1
+        if len(eligible) > wanted:
+            chosen = rng.choice(len(eligible), size=wanted, replace=False)
+            others = [eligible[i] for i in chosen]
+        else:
+            others = eligible
+        slates[user] = sorted(others + [target])
+    return slates
+
+
+def oracle_item_vector(cf_model, net, semantic_map, item):
+    """(vector, route): the CF row, or the decoded semantic reconstruction."""
+    if item in cf_model.item_index:
+        return cf_model.params["item_emb"][cf_model.item_index[item]], "collaborative_path"
+    p = net.params
+    latent = p["enc_s.w"] @ semantic_map[item] + p["enc_s.b"]
+    return p["dec_c.w"] @ latent + p["dec_c.b"], "semantic_path"
+
+
+def oracle_pooled_evaluation(cf_model, net, semantic_map, split, pool_size: int, seed: int,
+                             users=None):
+    """The per-user rank_pool loop: per user, its pool, item scores, ranking
+    and target; plus the routing count of every lookup made."""
+    rng = np.random.default_rng(seed)
+    universe = sorted(split.item_universe())
+    routing = Counter()
+    results = {}
+    for user in sorted(split.train) if users is None else sorted(users):
+        target = split.test.get(user)
+        if target is None:
+            continue
+        history = split.train[user] + [split.validation[user]]
+        pool = oracle_sample_pool(target, set(split.full_sequence(user)), universe, pool_size, rng)
+        recent = history[-cf_model.config.max_history:]
+        steps = []
+        for item in recent:
+            vector, route = oracle_item_vector(cf_model, net, semantic_map, item)
+            routing[route] += 1
+            steps.append(vector)
+        h0 = (np.stack(steps) + cf_model.params["pos_emb"][: len(recent)])[None]
+        ids = np.ones((1, len(recent)), dtype=np.int64)
+        rep = oracle_cf_forward(cf_model.params, cf_model.config, ids, h0=h0)[0][0, -1]
+        scores = {}
+        for item in pool:
+            vector, route = oracle_item_vector(cf_model, net, semantic_map, item)
+            routing[route] += 1
+            scores[item] = float(rep @ vector)
+        ranking = sorted(pool, key=lambda item: (-scores[item], item))
+        results[user] = {"pool": pool, "history": history, "scores": scores,
+                         "ranking": ranking, "target": target}
+    return results, routing

@@ -5,7 +5,9 @@ import pytest
 
 from conftest import log_from_planted
 from fusionrec.cf import (
+    FORWARD_ROWS,
     CfConfig,
+    CfModel,
     _backward,
     _draw_drop_masks,
     _forward,
@@ -19,6 +21,8 @@ from fusionrec.cf import (
     training_loss_and_gradients,
     user_representation,
     user_representation_from_vectors,
+    user_representations,
+    user_representations_from_vectors,
     verbalize_prior,
 )
 from fusionrec.data import (
@@ -31,7 +35,7 @@ from fusionrec.data import (
 from fusionrec.errors import TrainingError
 from fusionrec.gradcheck import max_relative_gradient_error
 from fusionrec.synthetic import make_planted_dataset
-from oracles import oracle_cf_backward, oracle_cf_forward
+from oracles import oracle_cf_backward, oracle_cf_forward, oracle_rank_by_score
 
 
 def _toy_instances():
@@ -341,3 +345,43 @@ def test_verbalize_prior_with_calibration_context():
     assert verbalize_prior(1.0, np.ones(10)) == "likelihood 50%"
     with pytest.raises(ValueError, match="non-empty"):
         verbalize_prior(0.5, np.array([]))
+
+
+def test_rank_by_score_matches_the_sorted_oracle_with_exact_ties():
+    rng = np.random.default_rng(5)
+    items = [f"i{n:03d}" for n in rng.permutation(300)]  # row order is not id order
+    model = CfModel(config=CfConfig(), item_index={q: i + 1 for i, q in enumerate(items)},
+                    items=items, params={})
+    for _ in range(20):
+        scores = np.round(rng.normal(size=len(items)), 1)  # many exact ties
+        scores[rng.integers(len(items), size=5)] = -0.0
+        assert rank_by_score(model, scores) == oracle_rank_by_score(items, scores)
+
+
+def _one_user_forward(model, ids=None, h0=None):
+    """The per-user run: one (1, L) forward pass, last position."""
+    if h0 is not None:
+        ids = np.ones((1, h0.shape[1]), dtype=np.int64)
+    return _forward(model.params, model.config, ids, h0=h0)[0][0, -1]
+
+
+def test_batched_representations_equal_per_user_runs_for_mixed_lengths(toy_world):
+    model = toy_world["cf"]
+    window = model.config.max_history
+    rng = np.random.default_rng(3)
+    # one length holds more histories than a single forward pass takes
+    lengths = [3] * (FORWARD_ROWS + 9) + list(rng.integers(1, window + 6, size=60))
+    histories = [list(rng.choice(model.items, size=n)) for n in lengths]
+    batched = user_representations(model, histories)
+    for history, row in zip(histories, batched):
+        ids = np.array([model.indices_for(history[-window:])], dtype=np.int64)
+        assert np.array_equal(row, _one_user_forward(model, ids=ids))
+
+    sequences = [rng.normal(size=(n, model.config.embed_dim)) for n in lengths]
+    batched = user_representations_from_vectors(model, sequences)
+    for vectors, row in zip(sequences, batched):
+        recent = vectors[-window:]
+        h0 = (recent + model.params["pos_emb"][: len(recent)])[None]
+        assert np.array_equal(row, _one_user_forward(model, h0=h0))
+    with pytest.raises(ValueError, match="non-empty"):
+        user_representations(model, [histories[0], []])

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionrec.cot import (
     MAX_COT_TOKENS,
@@ -21,6 +25,7 @@ from fusionrec.cot import (
     threshold_sweep,
     truncate_tokens,
 )
+from fusionrec.cot import _find_whole_word
 from fusionrec.errors import ConfigError, DataError, DependencyError
 from fusionrec.semantic import fallback_embed, similarity_mapped
 
@@ -357,3 +362,45 @@ def test_cot_fixture_load_rejects_malformed_lines(tmp_path):
         load_cot_fixture(path)
     path.write_text("\nu1\tq1\t1\tok\n\n", encoding="utf-8")
     assert load_cot_fixture(path) == {("u1", "q1"): "ok"}
+
+
+def _counting(embedder):
+    calls = []
+
+    def embed(text):
+        calls.append(text)
+        return embedder(text)
+
+    return embed, calls
+
+
+@pytest.mark.parametrize(
+    "cot",
+    [
+        "The history covers superhero films. Edge of Tomorrow matches the profile. "
+        "Therefore the user will interact with the target item.",
+        "Edge of Tomorrow matches the preference profile, likelihood 88%.",
+        "the user will interact with the target item",
+    ],
+)
+def test_score_cot_embeds_each_distinct_text_once(cot):
+    instance = _peter_instance(candidates=_CANDIDATES)
+    embed, calls = _counting(fallback_embed)
+    record = score_cot(instance, cot, embedder=embed)
+    assert len(calls) == len(set(calls)) <= 5
+    # every dimension equals its own computation with unshared embeddings
+    assert record.dims[1:] == tuple(
+        score_semantic_dimension(dim, cot, instance, fallback_embed)
+        for dim in ("completeness", "relevance", "consistency")
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    needle=st.text(alphabet="ab_ 9.é-", min_size=1, max_size=4),
+    text=st.text(alphabet="ab_ 9.é-", max_size=24),
+)
+def test_whole_word_search_matches_the_regex(needle, text):
+    pattern = re.compile(rf"(?<!\w){re.escape(needle)}(?!\w)")
+    found = pattern.search(text)
+    assert _find_whole_word(needle, text) == (found.start() if found else None)

@@ -21,6 +21,7 @@ from fusionrec.errors import DataError
 from fusionrec.evaluate import (
     CohortComparison,
     MetricReport,
+    PoolRanker,
     RecommendationPipeline,
     cold_warm_report,
     evaluate_split,
@@ -28,23 +29,25 @@ from fusionrec.evaluate import (
     report_to_json,
     zero_shot_eval,
 )
+from fusionrec.metrics import hit_rate_at_k, ndcg_at_k
 from fusionrec.semantic import embed_catalog, fallback_embed
 from fusionrec.synthetic import make_zero_shot_variant
+from oracles import oracle_pooled_evaluation, oracle_sample_pool
 
 
-class _IdentityRanker:
+class _IdentityRanker(PoolRanker):
     """The sampled pool always leads with the target, so this is a perfect ranker."""
 
     def rank_pool(self, history, pool):
         return list(pool)
 
 
-class _ReversedRanker:
+class _ReversedRanker(PoolRanker):
     def rank_pool(self, history, pool):
         return list(reversed(pool))
 
 
-class _RandomRanker:
+class _RandomRanker(PoolRanker):
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
 
@@ -53,7 +56,7 @@ class _RandomRanker:
         return [pool[i] for i in order]
 
 
-class _CohortRanker:
+class _CohortRanker(PoolRanker):
     """Ranks the target first when it belongs to the favored set, last otherwise."""
 
     def __init__(self, favored):
@@ -334,3 +337,151 @@ def test_render_metric_table_layout():
     assert "-" in lines[1]  # no text metrics on the first report
     assert "0.5000" in lines[2]
     assert table.endswith("\n")
+
+
+class _RecordingRanker(PoolRanker):
+    def __init__(self):
+        self.pools = []
+
+    def rank_pool(self, history, pool):
+        self.pools.append(list(pool))
+        return list(pool)
+
+
+def _mixed_world(toy_world):
+    """The toy split with items outside the CF vocabulary in some histories
+    and as some test targets, and histories longer than the CF window."""
+    split = toy_world["split"]
+    semantic = dict(toy_world["semantic"])
+    unseen = [f"zz{n}" for n in range(6)]
+    for n, item in enumerate(unseen):
+        semantic[item] = fallback_embed(f"unseen curio number {n} {item}")
+    train, validation, test = {}, {}, {}
+    for n, user in enumerate(split.users()):
+        history = list(split.train[user])
+        if n % 3 == 0:
+            history = history + history
+        if n % 4 == 1:
+            history.insert(len(history) // 2, unseen[n % 6])
+        train[user] = history
+        validation[user] = split.validation[user]
+        test[user] = unseen[(n + 1) % 6] if n % 5 == 0 else split.test[user]
+    return SplitDataset(train=train, validation=validation, test=test), semantic
+
+
+_MIXED_POOL = 17
+
+
+def test_pools_match_the_list_oracle_including_shortfalls(toy_world):
+    split, _ = _mixed_world(toy_world)
+    ranker = _RecordingRanker()
+    evaluate_split(ranker, split, [1, 5], candidate_pool_size=_MIXED_POOL, seed=3)
+    rng = np.random.default_rng(3)
+    universe = sorted(split.item_universe())
+    expected = [
+        oracle_sample_pool(split.test[u], set(split.full_sequence(u)), universe, _MIXED_POOL, rng)
+        for u in sorted(split.train)
+    ]
+    assert ranker.pools == expected
+    sizes = {len(pool) for pool in expected}
+    assert _MIXED_POOL in sizes and min(sizes) < _MIXED_POOL  # full and shortfall pools
+
+
+def _isolated(scores: dict, target: str, tol: float = 1e-12) -> bool:
+    return all(abs(s - scores[target]) > tol for item, s in scores.items() if item != target)
+
+
+def _check_against_oracle(pipeline, results, routing=None):
+    users = list(results)
+    histories = [results[u]["history"] for u in users]
+    pools = [results[u]["pool"] for u in users]
+    scored = RecommendationPipeline(
+        pipeline.cf_model, pipeline.alignment, pipeline.semantic_map
+    ).pool_scores(histories, pools)
+    for user, scores in zip(users, scored):
+        expected = np.array([results[user]["scores"][item] for item in results[user]["pool"]])
+        assert np.max(np.abs(scores - expected)) <= 1e-12
+    ranks = pipeline.target_ranks(histories, pools)
+    isolated = [_isolated(results[u]["scores"], results[u]["target"]) for u in users]
+    for user, rank, alone in zip(users, ranks, isolated):
+        if alone:
+            assert rank == results[user]["ranking"].index(results[user]["target"])
+    if routing is not None:
+        assert pipeline.routing == routing
+    return all(isolated)
+
+
+def test_batched_evaluation_matches_the_per_user_oracle(toy_world, toy_alignment):
+    split, semantic = _mixed_world(toy_world)
+    model = toy_world["cf"]
+    results, routing = oracle_pooled_evaluation(
+        model, toy_alignment, semantic, split, _MIXED_POOL, seed=3
+    )
+    assert routing["semantic_path"] > 0 and routing["collaborative_path"] > 0
+    assert any(len(r["history"]) > model.config.max_history for r in results.values())
+    assert any(len(r["pool"]) < _MIXED_POOL for r in results.values())
+
+    pipeline = RecommendationPipeline(model, toy_alignment, semantic)
+    report = evaluate_split(pipeline, split, [1, 5, 10], candidate_pool_size=_MIXED_POOL, seed=3)
+    assert pipeline.routing == routing
+    pipeline.reset_routing()
+    assert _check_against_oracle(pipeline, results, routing)
+    rankings = {u: r["ranking"] for u, r in results.items()}
+    targets = {u: r["target"] for u, r in results.items()}
+    assert report.hr == {k: hit_rate_at_k(rankings, targets, k) for k in (1, 5, 10)}
+    assert report.ndcg == {k: ndcg_at_k(rankings, targets, k) for k in (1, 5, 10)}
+
+
+def test_batched_zero_shot_matches_the_per_user_oracle(toy_world, toy_pipeline):
+    variant = make_zero_shot_variant(toy_world["dataset"])
+    filtered = filter_dataset(log_from_planted(variant), min_user_events=3, min_item_popularity=1)
+    zs_split = leave_one_out_split(build_sequences(filtered))
+    zs_semantic = embed_catalog(variant.catalog)
+    results, routing = oracle_pooled_evaluation(
+        toy_pipeline.cf_model, toy_pipeline.alignment, zs_semantic, zs_split, 10, seed=5
+    )
+    assert set(routing) == {"semantic_path"}
+    report = zero_shot_eval(toy_pipeline, zs_split, zs_semantic, [1, 3], candidate_pool_size=10, seed=5)
+    transfer = RecommendationPipeline(toy_pipeline.cf_model, toy_pipeline.alignment, zs_semantic)
+    assert _check_against_oracle(transfer, results, routing)
+    rankings = {u: r["ranking"] for u, r in results.items()}
+    targets = {u: r["target"] for u, r in results.items()}
+    assert report.hr == {k: hit_rate_at_k(rankings, targets, k) for k in (1, 3)}
+    assert report.ndcg == {k: ndcg_at_k(rankings, targets, k) for k in (1, 3)}
+
+
+def test_identical_rows_tie_and_break_by_id(toy_world, toy_alignment):
+    model = toy_world["cf"]
+    semantic = dict(toy_world["semantic"])
+    text = fallback_embed("one text shared by two unseen items")
+    semantic["zz_b"] = semantic["zz_a"] = text
+    pipeline = RecommendationPipeline(model, toy_alignment, semantic)
+    history = list(model.items[:4])
+    for pool in (["zz_b", "zz_a", model.items[5]], ["zz_a", "zz_b", model.items[5]]):
+        scores = pipeline.pool_scores([history], [pool])[0]
+        assert scores[0] == scores[1]
+        ranking = pipeline.rank_pool(history, pool)
+        assert ranking.index("zz_a") + 1 == ranking.index("zz_b")
+        assert pipeline.target_ranks([history], [pool]) == [ranking.index(pool[0])]
+
+
+def test_item_table_rows_are_computed_once_per_item(toy_world, toy_alignment, monkeypatch):
+    split, semantic = _mixed_world(toy_world)
+    pipeline = RecommendationPipeline(toy_world["cf"], toy_alignment, semantic)
+    calls = []
+    real = evaluate_module.unified_item_embedding
+    monkeypatch.setattr(
+        evaluate_module, "unified_item_embedding", lambda *args: calls.append(args[1]) or real(*args)
+    )
+    universe = sorted(split.item_universe())
+    table = pipeline.item_table(universe, latent=True)
+    assert table.items == universe and sorted(calls) == universe
+    assert pipeline.item_table(universe[:5]) is table  # reused, nothing recomputed
+    assert len(calls) == len(universe)
+    for item in universe:
+        row = table.index[item]
+        assert np.array_equal(table.collaborative[row], pipeline.item_vector(item))
+        assert table.semantic[row] == (item not in toy_world["cf"].item_index)
+        assert np.array_equal(
+            table.latent[row], real(toy_alignment, item, toy_world["cf"], semantic).vector
+        )

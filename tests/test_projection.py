@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusionrec.align import unified_item_embedding
 from fusionrec.cot import CotRecord, FixtureAdapter, InstructionInstance, RemoteAdapter
 from fusionrec.errors import DataError
+from fusionrec.evaluate import RecommendationPipeline
 from fusionrec.projection import (
     EXPLANATION_DELIMITER,
     PROMPT_INSTRUCTION,
@@ -36,6 +38,7 @@ from fusionrec.projection import (
     train_projections,
 )
 from fusionrec.semantic import fallback_embed
+from oracles import oracle_slate_items
 
 
 def _tiny_stack(seed=2):
@@ -383,3 +386,24 @@ def test_load_explanation_fixture_roundtrip(tmp_path):
     path.write_text("u1\tq1\n", encoding="utf-8")
     with pytest.raises(DataError, match="explanation fixture line 1: expected 3"):
         load_explanation_fixture(path)
+
+
+@pytest.mark.parametrize("slate_size, short", [(8, False), (19, True)])
+def test_projection_slates_match_the_per_user_oracle(toy_world, toy_alignment, slate_size, short):
+    split = toy_world["split"]
+    model = toy_world["cf"]
+    pipeline = RecommendationPipeline(model, toy_alignment, toy_world["semantic"])
+    examples = build_projection_examples(
+        pipeline, split, toy_world["catalog"], rng=np.random.default_rng(9), slate_size=slate_size
+    )
+    expected = oracle_slate_items(
+        split, sorted(split.item_universe()), slate_size, np.random.default_rng(9)
+    )
+    assert {ex.user: [item for item, _, _ in ex.slate] for ex in examples} == expected
+    assert (min(map(len, expected.values())) < slate_size) == short
+    for ex in examples:
+        assert np.array_equal(ex.x_user, pipeline.user_vector(split.train[ex.user]))
+        for item, title, z in ex.slate:
+            assert title == toy_world["catalog"][item][0]
+            unified = unified_item_embedding(toy_alignment, item, model, toy_world["semantic"])
+            assert np.array_equal(z, unified.vector)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fusionrec.errors import DataError
@@ -14,6 +14,7 @@ from fusionrec.semantic import (
     similarity,
     similarity_mapped,
 )
+from oracles import oracle_fallback_embed
 
 
 def _vector_line(item, values):
@@ -123,3 +124,44 @@ def test_similarity_rejects_bad_inputs():
         similarity(np.ones(3), np.ones(4))
     with pytest.raises(ValueError, match="zero vector"):
         similarity(np.zeros(3), np.ones(3))
+
+
+def _cancelling_pair() -> str:
+    """Two distinct tokens that land in one bucket with opposite signs."""
+    seen = {}
+    for i in range(100_000):
+        token = f"t{i}"
+        vec = oracle_fallback_embed(token)
+        bucket = int(np.flatnonzero(vec)[0])
+        sign = vec[bucket] > 0
+        if (bucket, not sign) in seen:
+            return f"{seen[(bucket, not sign)]} {token}"
+        seen[(bucket, sign)] = token
+    raise AssertionError("no cancelling pair found")
+
+
+_CANCELLING = _cancelling_pair()
+
+
+def test_fully_cancelling_text_maps_to_first_basis_vector():
+    first = np.eye(SEMANTIC_DIM)[0]
+    assert np.array_equal(oracle_fallback_embed(_CANCELLING), first)
+    assert np.array_equal(fallback_embed(_CANCELLING), first)
+    assert np.array_equal(fallback_embed(_CANCELLING + " " + _CANCELLING.upper()), first)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from(["alpine", "Trail", "anchor", "", "  ", "\t", _CANCELLING]),
+            st.text(min_size=0, max_size=12),
+        ),
+        max_size=40,
+    )
+)
+@example([])
+@example([_CANCELLING])
+def test_fallback_embed_matches_the_md5_loop(parts):
+    text = " ".join(parts)
+    assert np.array_equal(fallback_embed(text), oracle_fallback_embed(text))
