@@ -15,12 +15,21 @@ training objective is the unweighted sum of three terms:
 Warm items are served from the collaborative encoder, cold items (absent from
 the CF vocabulary) from the semantic encoder; both land in the same latent
 space and are directly comparable.
+
+Training updates the semantic encoder weight `enc_s.w` only on its live
+columns: the columns of the training item table `q` that are non-zero in at
+least one row. The other columns multiply only zeros, so their gradient is
+exactly zero in every step; plain gradient descent and Adam (whose moments
+stay zero there) leave them at their initial values, as full-width training
+would. Restricting the encoder product, its gradient and the optimizer state
+to the live columns changes only the summation order of the encoder product.
+The decoder, the reconstruction target and `encode` stay full width.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import expit
@@ -78,12 +87,15 @@ class AlignmentBatch:
 
     `e`, `q` and `w` hold one row per distinct item in the chosen users'
     sequences: its collaborative vector, its semantic vector, and the sum of
-    the nested-mean weights of its occurrences. `x`, `pos` and `neg` hold the
+    the nested-mean weights of its occurrences. `q_live` is the semantic
+    encoder's input: the columns of `q` that the step trains (all of them
+    unless the batch was built with `live`). `x`, `pos` and `neg` hold the
     chosen users' (user_rep, pos_collab, neg_collab) triples, one per row.
     """
 
     e: np.ndarray
     q: np.ndarray
+    q_live: np.ndarray
     w: np.ndarray
     x: np.ndarray
     pos: np.ndarray
@@ -115,13 +127,18 @@ class AlignmentDataset:
     def __len__(self) -> int:
         return len(self.users)
 
-    def batch(self, chosen) -> AlignmentBatch:
+    def live_columns(self) -> np.ndarray:
+        """Indices of the columns of `q` that are non-zero in at least one row."""
+        return np.flatnonzero(np.any(self.q != 0.0, axis=0))
+
+    def batch(self, chosen, live=slice(None)) -> AlignmentBatch:
         """The batch of the chosen user indices.
 
         Each occurrence weighs 1 / (G * |group|), where G counts the chosen
         users that have at least one pair; an item's weights are summed, so
         the alignment and reconstruction terms are evaluated once per
-        distinct item.
+        distinct item. `live` selects the columns of `q` that go into
+        `q_live`.
         """
         chosen = np.asarray(chosen, dtype=np.int64)
         pair_rows, sizes = _segments(self.pair_ptr, chosen)
@@ -132,9 +149,11 @@ class AlignmentDataset:
         )
         present = np.flatnonzero(summed)
         triple_rows, _ = _segments(self.triple_ptr, chosen)
+        q = self.q[present]
         return AlignmentBatch(
             e=self.e[present],
-            q=self.q[present],
+            q=q,
+            q_live=q[:, live],
             w=summed[present],
             x=self.x[triple_rows],
             pos=self.pos[triple_rows],
@@ -282,13 +301,16 @@ def total_loss(net: AlignmentNetwork, batch: AlignmentBatch) -> float:
 def total_loss_and_gradients(net: AlignmentNetwork, batch: AlignmentBatch):
     """Analytic gradients of total_loss over all eight parameter arrays.
 
-    An empty item or triple set contributes zero loss and zero gradient.
+    The semantic encoder reads `batch.q_live`, so `enc_s.w` needs one column
+    per column of it: the full weight for a batch built without `live`, the
+    live block during training. An empty item or triple set contributes
+    zero loss and zero gradient.
     """
     p = net.params
     e, q, w = batch.e, batch.q, batch.w
     wcol = w[:, None]
     u = e @ p["enc_c.w"].T + p["enc_c.b"]
-    v = q @ p["enc_s.w"].T + p["enc_s.b"]
+    v = batch.q_live @ p["enc_s.w"].T + p["enc_s.b"]
     diff = u - v
     r_c = u @ p["dec_c.w"].T + p["dec_c.b"] - e
     r_s = v @ p["dec_s.w"].T + p["dec_s.b"] - q
@@ -304,7 +326,7 @@ def total_loss_and_gradients(net: AlignmentNetwork, batch: AlignmentBatch):
     grads = {
         "enc_c.w": d_u.T @ e,
         "enc_c.b": d_u.sum(axis=0),
-        "enc_s.w": d_v.T @ q,
+        "enc_s.w": d_v.T @ batch.q_live,
         "enc_s.b": d_v.sum(axis=0),
         "dec_c.w": wr.T @ u,
         "dec_c.b": wr.sum(axis=0),
@@ -344,25 +366,39 @@ def train_alignment(
     Each epoch draws a permutation of the dataset's users; a batch holds
     `batch_size` consecutive users of it (see AlignmentDataset.batch).
     Per-epoch mean batch losses are stored on net.training_log.
+
+    Only the live columns of `enc_s.w` (AlignmentDataset.live_columns) are
+    trained: the steps and the optimizer state work on that latent x L block,
+    which is written back into `enc_s.w` after the last epoch. The dead
+    columns would get an exactly zero gradient in every step, so they keep
+    their initial values either way; only the summation order of the encoder
+    product changes. With no dead column the block is `enc_s.w` itself.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     opt = make_optimizer(optimizer, learning_rate)
+    live = dataset.live_columns()
+    if len(live) == dataset.q.shape[1]:
+        live = slice(None)
+    params = dict(net.params)
+    params["enc_s.w"] = net.params["enc_s.w"][:, live]
+    trained = replace(net, params=params)
     log: list[float] = []
     order = np.arange(len(dataset))
     for epoch in range(epochs):
         perm = rng.permutation(order)
         batch_losses = []
         for start in range(0, len(perm), batch_size):
-            batch = dataset.batch(perm[start : start + batch_size])
-            loss, grads = total_loss_and_gradients(net, batch)
+            batch = dataset.batch(perm[start : start + batch_size], live)
+            loss, grads = total_loss_and_gradients(trained, batch)
             if not math.isfinite(loss):
                 raise TrainingError(
                     f"non-finite alignment loss at epoch {epoch}, batch {start // batch_size}"
                 )
-            opt.step(net.params, grads)
+            opt.step(params, grads)
             batch_losses.append(loss)
         log.append(float(np.mean(batch_losses)) if batch_losses else 0.0)
+    net.params["enc_s.w"][:, live] = params["enc_s.w"]
     net.training_log = log
     return net
 
@@ -413,12 +449,15 @@ def build_alignment_dataset(
         if user in reps:
             x = reps[user]
             positive = cf_mod.item_embedding(cf_model, split.validation[user])
-            owned = set(split.full_sequence(user))
-            eligible = [item for item in cf_model.items if item not in owned]
+            # positions in cf_model.items of the items the user does not own
+            unowned = np.ones(len(cf_model.items), dtype=bool)
+            unowned[[cf_model.item_index[item] - 1 for item in set(split.full_sequence(user))
+                     if cf_model.has_item(item)]] = False
+            eligible = np.flatnonzero(unowned)
             for _ in range(negatives_per_user):
-                if not eligible:
+                if not len(eligible):
                     break
-                negative = eligible[int(rng.integers(len(eligible)))]
+                negative = cf_model.items[eligible[int(rng.integers(len(eligible)))]]
                 trip.append((x, positive, cf_mod.item_embedding(cf_model, negative)))
         if group or trip:
             users.append(user)

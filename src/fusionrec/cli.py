@@ -358,8 +358,13 @@ def cmd_train_align(config: RunConfig, out_dir: str, seed: int, force: bool) -> 
         "seed": seed,
     }
     save_checkpoint(ckpt_path, "align", meta, net.params)
+    n_users = len(split.users())
+    dropped = n_users - len(dataset)
+    no_triple = dropped + int(np.count_nonzero(np.diff(dataset.triple_ptr) == 0))
     print(
         f"trained alignment on {len(dataset)} user examples; "
+        f"{no_triple} of {n_users} users got no triple, {dropped} dropped; "
+        f"trained {len(dataset.live_columns())} of {net.sem_dim} semantic columns; "
         f"final epoch loss {net.training_log[-1]:.6f}"
     )
 

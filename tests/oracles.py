@@ -412,3 +412,123 @@ def oracle_pooled_evaluation(cf_model, net, semantic_map, split, pool_size: int,
         results[user] = {"pool": pool, "history": history, "scores": scores,
                          "ranking": ranking, "target": target}
     return results, routing
+
+
+# --- alignment training at full width ---------------------------------------
+#
+# The alignment data builder with its per-user list of eligible negatives,
+# and the loss, gradients and training loop that ran over every column of the
+# semantic encoder. The package draws negatives from a mask over vocabulary
+# positions and trains only the encoder columns that its item table uses.
+
+
+def oracle_alignment_records(cf_model, split, semantic_map: dict, rng, negatives_per_user: int):
+    """(users, items, e_rows, q_rows, pairs, triples) in the form that
+    `stack_alignment_dataset` takes; negatives are drawn from a list of the
+    vocabulary items the user does not own."""
+    from fusionrec.cf import user_representations
+
+    def row(item):
+        return cf_model.params["item_emb"][cf_model.item_index[item]]
+
+    table, e_rows, q_rows = {}, [], []
+    users, pairs, triples = [], [], []
+    warm = {}
+    for user in split.users():
+        history = [item for item in split.train[user] if item in cf_model.item_index]
+        if history and split.validation[user] in cf_model.item_index:
+            warm[user] = history
+    reps = dict(zip(warm, user_representations(cf_model, list(warm.values()))))
+    for user in split.users():
+        group = []
+        for item in split.train[user]:
+            if item not in table:
+                if item not in cf_model.item_index or item not in semantic_map:
+                    continue
+                table[item] = len(e_rows)
+                e_rows.append(row(item))
+                q_rows.append(semantic_map[item])
+            group.append(table[item])
+        trip = []
+        if user in reps:
+            owned = set(split.full_sequence(user))
+            eligible = [item for item in cf_model.items if item not in owned]
+            for _ in range(negatives_per_user):
+                if not eligible:
+                    break
+                negative = eligible[int(rng.integers(len(eligible)))]
+                trip.append((reps[user], row(split.validation[user]), row(negative)))
+        if group or trip:
+            users.append(user)
+            pairs.append(group)
+            triples.append(trip)
+    return users, list(table), e_rows, q_rows, pairs, triples
+
+
+def oracle_full_width_loss_and_gradients(net, batch):
+    """Loss and gradients with the semantic encoder over all columns of q."""
+    p = net.params
+    e, q, w = batch.e, batch.q, batch.w
+    wcol = w[:, None]
+    u = e @ p["enc_c.w"].T + p["enc_c.b"]
+    v = q @ p["enc_s.w"].T + p["enc_s.b"]
+    diff = u - v
+    r_c = u @ p["dec_c.w"].T + p["dec_c.b"] - e
+    r_s = v @ p["dec_s.w"].T + p["dec_s.b"] - q
+    loss = float(np.sum(w * np.sum(diff * diff, axis=1)))
+    loss += net.alpha * float(np.sum(w * np.sum(r_c * r_c, axis=1)))
+    loss += net.beta * float(np.sum(w * np.sum(r_s * r_s, axis=1)))
+
+    wd = 2.0 * wcol * diff
+    wr = 2.0 * net.alpha * wcol * r_c
+    wt = 2.0 * net.beta * wcol * r_s
+    d_u = wd + wr @ p["dec_c.w"]
+    d_v = wt @ p["dec_s.w"] - wd
+    grads = {
+        "enc_c.w": d_u.T @ e,
+        "enc_c.b": d_u.sum(axis=0),
+        "enc_s.w": d_v.T @ q,
+        "enc_s.b": d_v.sum(axis=0),
+        "dec_c.w": wr.T @ u,
+        "dec_c.b": wr.sum(axis=0),
+        "dec_s.w": wt.T @ v,
+        "dec_s.b": wt.sum(axis=0),
+    }
+
+    x = batch.x
+    for e_in, positive in ((batch.pos, True), (batch.neg, False)):
+        u_in = e_in @ p["enc_c.w"].T + p["enc_c.b"]
+        sig = expit(np.sum(x * (u_in @ p["dec_c.w"].T + p["dec_c.b"]), axis=1))
+        prob = sig if positive else 1.0 - sig
+        loss -= float(np.sum(np.log(np.clip(prob, _ALIGN_CLAMP, 1.0 - _ALIGN_CLAMP))))
+        active = (prob > _ALIGN_CLAMP) & (prob < 1.0 - _ALIGN_CLAMP)
+        ds = (sig - 1.0 if positive else sig) * active
+        d_recon = ds[:, None] * x
+        grads["dec_c.w"] += d_recon.T @ u_in
+        grads["dec_c.b"] += d_recon.sum(axis=0)
+        d_in = d_recon @ p["dec_c.w"]
+        grads["enc_c.w"] += d_in.T @ e_in
+        grads["enc_c.b"] += d_in.sum(axis=0)
+
+    return loss, grads
+
+
+def oracle_full_width_training(net, dataset, epochs, batch_size, learning_rate, rng, optimizer):
+    """The alignment training loop, stepping every parameter at full width."""
+    from fusionrec.optim import make_optimizer
+
+    opt = make_optimizer(optimizer, learning_rate)
+    log = []
+    order = np.arange(len(dataset))
+    for _ in range(epochs):
+        perm = rng.permutation(order)
+        batch_losses = []
+        for start in range(0, len(perm), batch_size):
+            loss, grads = oracle_full_width_loss_and_gradients(
+                net, dataset.batch(perm[start : start + batch_size])
+            )
+            opt.step(net.params, grads)
+            batch_losses.append(loss)
+        log.append(float(np.mean(batch_losses)) if batch_losses else 0.0)
+    net.training_log = log
+    return net

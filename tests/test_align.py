@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fusionrec.align import (
     COLLABORATIVE,
@@ -24,11 +26,15 @@ from fusionrec.align import (
     unified_item_embedding,
 )
 from fusionrec.cf import CfConfig, item_embedding, train_cf
-from fusionrec.data import TrainingSequence
+from fusionrec.data import SplitDataset, TrainingSequence
 from fusionrec.errors import DataError, TrainingError
 from fusionrec.gradcheck import max_relative_gradient_error
 from fusionrec.semantic import fallback_embed
-from oracles import oracle_alignment_loss_and_gradients
+from oracles import (
+    oracle_alignment_loss_and_gradients,
+    oracle_alignment_records,
+    oracle_full_width_training,
+)
 
 
 def _net_from_matrices(alpha=0.5, beta=0.2, dim=3, decoder_scale=1.0):
@@ -81,7 +87,9 @@ def _triples_only(triples, dim=3):
     return _whole(_dataset(np.zeros((0, dim)), np.zeros((0, dim)), [[]], [triples]))
 
 
-def _random_batch(net, rng, n_groups=2, triples=2):
+def _random_batch(net, rng, n_groups=2, triples=2, dead_columns=()):
+    """A whole-dataset batch of random records; the semantic columns named in
+    `dead_columns` are zero in every row."""
     groups = []
     for g in range(n_groups):
         size = g + 1
@@ -100,7 +108,9 @@ def _random_batch(net, rng, n_groups=2, triples=2):
         for _ in range(triples)
     ]
     records = [(group, trip if g == 0 else []) for g, group in enumerate(groups)]
-    return _whole(_from_records(records, net.collab_dim, net.sem_dim))
+    dataset = _from_records(records, net.collab_dim, net.sem_dim)
+    dataset.q[:, list(dead_columns)] = 0.0
+    return _whole(dataset)
 
 
 def _repeated_items_dataset(net, rng, with_triples=True):
@@ -219,6 +229,14 @@ def test_gradients_match_finite_differences():
     assert gradient_check(net, batch) <= 1e-4
     empty = _random_batch(net, np.random.default_rng(2), n_groups=0, triples=0)
     assert gradient_check(net, empty) == 0.0
+    # all-zero semantic columns: their encoder gradient is exactly zero, and
+    # every element of enc_s.w still passes the finite-difference check
+    dead = [0, 3, 6]
+    sparse = _random_batch(net, np.random.default_rng(3), dead_columns=dead)
+    assert not sparse.q[:, dead].any() and sparse.q[:, [1, 2, 4, 5]].all()
+    _, grads = total_loss_and_gradients(net, sparse)
+    assert not grads["enc_s.w"][:, dead].any() and grads["enc_s.w"][:, 1].any()
+    assert gradient_check(net, sparse) <= 1e-4
 
 
 def test_gradients_match_finite_differences_with_repeated_items():
@@ -368,6 +386,86 @@ def test_build_alignment_dataset_pairs_and_triples(toy_world):
     bare = build_alignment_dataset(model, split, semantic, rng=np.random.default_rng(3),
                                    negatives_per_user=0)
     assert len(bare.x) == 0 and not bare.triple_ptr.any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dead=st.lists(st.booleans(), min_size=6, max_size=6),
+    sparse_rows=st.booleans(),
+    with_triples=st.booleans(),
+    optimizer=st.sampled_from(["sgd", "adam"]),
+    learning_rate=st.sampled_from([1e-3, 1e-2]),
+    epochs=st.integers(1, 3),
+    batch_size=st.integers(1, 4),
+)
+@example(seed=0, dead=[False] * 6, sparse_rows=False, with_triples=True, optimizer="adam",
+         learning_rate=1e-2, epochs=3, batch_size=2)
+@example(seed=1, dead=[True] * 6, sparse_rows=False, with_triples=True, optimizer="sgd",
+         learning_rate=1e-2, epochs=2, batch_size=3)
+def test_live_column_training_matches_the_full_width_oracle(
+    seed, dead, sparse_rows, with_triples, optimizer, learning_rate, epochs, batch_size
+):
+    rng = np.random.default_rng(seed)
+    dims = init_alignment(4, len(dead), 3, 0.5, 0.2, rng=rng)
+    _, _, dataset = _repeated_items_dataset(dims, rng, with_triples)
+    if sparse_rows:
+        dataset.q *= rng.random(dataset.q.shape) < 0.5
+    dataset.q[:, dead] = 0.0
+    nets = [init_alignment(4, len(dead), 3, 0.5, 0.2, rng=np.random.default_rng(seed + 1))
+            for _ in range(2)]
+    initial = {name: arr.copy() for name, arr in nets[0].params.items()}
+    ours, oracle = nets
+    kwargs = dict(epochs=epochs, batch_size=batch_size, learning_rate=learning_rate,
+                  optimizer=optimizer)
+    train_alignment(ours, dataset, rng=np.random.default_rng(seed + 2), **kwargs)
+    oracle_full_width_training(oracle, dataset, rng=np.random.default_rng(seed + 2), **kwargs)
+
+    for name, ref in oracle.params.items():
+        assert ours.params[name].shape == ref.shape
+        assert np.allclose(ours.params[name], ref, rtol=0.0, atol=1e-12), name
+    assert np.allclose(ours.training_log, oracle.training_log, rtol=1e-12, atol=0.0)
+    dead_columns = np.setdiff1d(np.arange(len(dead)), dataset.live_columns())
+    assert np.array_equal(ours.params["enc_s.w"][:, dead_columns],
+                          initial["enc_s.w"][:, dead_columns])
+    if not len(dead_columns):
+        for name, ref in oracle.params.items():
+            assert np.array_equal(ours.params[name], ref), name
+        assert ours.training_log == oracle.training_log
+
+
+@pytest.mark.parametrize("negatives", [1, 3])
+def test_negatives_match_the_list_comprehension_oracle(toy_world, negatives):
+    model = toy_world["cf"]
+    split = toy_world["split"]
+    train, validation, test = dict(split.train), dict(split.validation), dict(split.test)
+    # owns the whole CF vocabulary, so no negative is eligible
+    train["omni"], validation["omni"], test["omni"] = model.items[:-1], model.items[-1], "zz"
+    # validation target outside the vocabulary: pairs but no triple
+    train["stray"], validation["stray"], test["stray"] = model.items[:3], "zz", "zz"
+    # nothing in the vocabulary: dropped
+    train["ghost"], validation["ghost"], test["ghost"] = ["zy", "zx"], "zz", "zz"
+    world = SplitDataset(train=train, validation=validation, test=test)
+    semantic = {item: vec for k, (item, vec) in enumerate(sorted(toy_world["semantic"].items()))
+                if k % 3}
+
+    rng, oracle_rng = np.random.default_rng(3), np.random.default_rng(3)
+    dataset = build_alignment_dataset(model, world, semantic, rng=rng,
+                                      negatives_per_user=negatives)
+    users, items, e_rows, q_rows, pairs, triples = oracle_alignment_records(
+        model, world, semantic, oracle_rng, negatives
+    )
+    expected = stack_alignment_dataset(
+        users, items, np.reshape(e_rows, (-1, model.config.embed_dim)),
+        np.reshape(q_rows, (-1, 768)), pairs, triples,
+    )
+    assert dataset.users == expected.users and dataset.items == expected.items
+    for name in ("e", "q", "pair_ptr", "pair_item", "triple_ptr", "x", "pos", "neg"):
+        assert np.array_equal(getattr(dataset, name), getattr(expected, name)), name
+    assert rng.integers(2**62) == oracle_rng.integers(2**62)
+    per_user = dict(zip(dataset.users, np.diff(dataset.triple_ptr)))
+    assert per_user["omni"] == 0 and per_user["stray"] == 0 and "ghost" not in per_user
+    assert sum(per_user.values()) > negatives
 
 
 def test_triples_alone_train_without_semantic_vectors(toy_world):

@@ -10,10 +10,13 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from fusionrec.checkpoint import load_checkpoint_header
 from fusionrec.cli import main
 from fusionrec.config import parse_config
+from fusionrec.semantic import embed_catalog
 from fusionrec.synthetic import make_planted_dataset, write_dataset
 
 _STAGES = [
@@ -128,6 +131,42 @@ def test_chain_writes_expected_artifacts(chain):
     eval_out = chain["results"]["eval"][1]
     assert coldwarm.exists() or "cold/warm breakdown skipped:" in eval_out
     assert not (chain["out"] / ".lock").exists()
+
+
+def test_train_align_summary_counts_users_and_trained_columns(tmp_path):
+    dataset = make_planted_dataset(30, 16, seed=5, n_cold_users=6)
+    # "stray" ends on items no train sequence holds, so it gets no triple;
+    # "ghost" has one train item that no CF record holds, so it is dropped
+    extra = {"stray": ["a00", "a01", "a02", "n01", "n02"], "ghost": ["g01", "g02", "g03"]}
+    for user, items in extra.items():
+        dataset.events.extend((user, item, ts, 1.0) for ts, item in enumerate(items))
+    for item in ("n01", "n02", "g01", "g02", "g03"):
+        dataset.catalog[item] = (f"novel {item}", f"novel series {item}")
+    interactions, catalog = tmp_path / "interactions.tsv", tmp_path / "catalog.tsv"
+    write_dataset(dataset, interactions, catalog)
+    config = tmp_path / "run.conf"
+    _write_config(config, interactions, catalog)
+    out_dir = tmp_path / "cold"
+    for stage in ("prepare", "train-cf", "train-align"):
+        rc, out, err = _run([stage, "--config", str(config), "--out", str(out_dir)])
+        assert rc == 0, err
+
+    split = json.loads((out_dir / "split.json").read_text(encoding="utf-8"))
+    vocab = set(load_checkpoint_header(out_dir / "cf.ckpt")[1]["items"])
+    users = sorted(split["train"])
+    paired = {u for u in users if vocab.intersection(split["train"][u])}
+    tripled = {u for u in paired if split["validation"][u] in vocab}
+    semantic = embed_catalog(dataset.catalog)
+    live = np.any([semantic[item] != 0.0 for item in vocab], axis=0)
+    expected = (
+        f"trained alignment on {len(paired)} user examples; "
+        f"{len(users) - len(tripled)} of {len(users)} users got no triple, "
+        f"{len(users) - len(paired)} dropped; "
+        f"trained {np.count_nonzero(live)} of 768 semantic columns; final epoch loss "
+    )
+    assert {"stray", "ghost"} <= set(users) - tripled and "ghost" not in paired
+    assert 0 < np.count_nonzero(live) < 768
+    assert out.startswith(expected)
 
 
 def test_stage_banners_summarize_progress(chain):
