@@ -51,7 +51,7 @@ first = examples[0]
 o_x, o_z, o_r = project_components(stack, first.x_user, z_vecs["q0"], None)
 bundle = assemble_prompt(o_x, [(titles["q0"], o_z)], user=first.user)
 print("prompt segments:", [seg[0] for seg in bundle.segments])
-print("rendered for a remote model (truncated):")
+print("rendered as text for an adapter (truncated):")
 print(render_prompt_text(bundle)[:160], "...")
 
 
@@ -83,10 +83,4 @@ winner = ranked[0]
 o_x, o_z, _ = project_components(stack, user.x_user, z_vecs[winner], None)
 bundle = assemble_prompt(o_x, [(titles[winner], o_z)], user=user.user)
 fixture = FixtureAdapter({(user.user, winner): "It continues the run of even-index picks."})
-
-
-class _Pick:
-    item = winner
-
-
-print("explanation:", request_explanation(_Pick(), None, fixture, bundle))
+print("explanation:", request_explanation(winner, fixture, bundle))

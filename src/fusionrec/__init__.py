@@ -38,7 +38,6 @@ from .cot import (
     CotRecord,
     FixtureAdapter,
     InstructionInstance,
-    RemoteAdapter,
     build_instruction_instance,
     composite_score,
     filter_cots,

@@ -84,7 +84,6 @@ class CfModel:
     item_index: dict[str, int]  # item id -> row in item_emb (1-based; 0 is pad)
     items: list[str]  # row order, items[i] has index i+1
     params: dict[str, np.ndarray]
-    frozen: bool = False
     training_log: list[float] = field(default_factory=list)
 
     def has_item(self, item: str) -> bool:
@@ -346,47 +345,25 @@ def train_cf(
             epoch_loss += loss * sum(positions[i] for i in chosen)
         log.append(epoch_loss / sum(positions))
     model = CfModel(config=config, item_index=item_index, items=items, params=params,
-                    frozen=True, training_log=log)
+                    training_log=log)
     for arr in model.params.values():
         arr.flags.writeable = False
     return model
 
 
-def _last_outputs(model: CfModel, steps: list, forward) -> np.ndarray:
-    """(n, d) last-position outputs, one row per entry of `steps`.
-
-    Entries are grouped by length, and `forward(chunk, length)` runs one
-    `_forward` over at most FORWARD_ROWS entries of one length.
-    """
-    out = np.empty((len(steps), model.config.embed_dim))
-    groups: dict[int, list[int]] = defaultdict(list)
-    for i, entry in enumerate(steps):
-        groups[len(entry)].append(i)
-    for length, members in groups.items():
-        for start in range(0, len(members), FORWARD_ROWS):
-            chunk = members[start : start + FORWARD_ROWS]
-            outputs = forward([steps[i] for i in chunk], length)
-            out[chunk] = outputs[:, -1]
-    return out
-
-
 def user_representations(model: CfModel, histories) -> np.ndarray:
     """(n, d) last-position outputs of the attention stack, one row per history.
 
-    Each history is cut to its most recent max_history items.
+    Each history is cut to its most recent max_history items, and runs as
+    its rows of the item embedding matrix.
     """
-    window = model.config.max_history
-    rows = []
+    item_emb = model.params["item_emb"]
+    sequences = []
     for history in histories:
         if not history:
             raise ValueError("history must be non-empty; cold users take the semantic path upstream")
-        rows.append(model.indices_for(list(history)[-window:]))
-
-    def forward(chunk, length):
-        ids = np.array(chunk, dtype=np.int64)
-        return _forward(model.params, model.config, ids)[0]
-
-    return _last_outputs(model, rows, forward)
+        sequences.append(item_emb[model.indices_for(list(history)[-model.config.max_history:])])
+    return user_representations_from_vectors(model, sequences)
 
 
 def user_representations_from_vectors(model: CfModel, sequences) -> np.ndarray:
@@ -395,6 +372,8 @@ def user_representations_from_vectors(model: CfModel, sequences) -> np.ndarray:
 
     Used when history items are outside the collaborative vocabulary and the
     caller substitutes reconstructed embeddings (zero-shot transfer).
+    Sequences are grouped by length, and one `_forward` runs over at most
+    FORWARD_ROWS sequences of one length.
     """
     window = model.config.max_history
     steps = []
@@ -403,13 +382,17 @@ def user_representations_from_vectors(model: CfModel, sequences) -> np.ndarray:
         if vectors.ndim != 2 or vectors.shape[0] == 0:
             raise ValueError("need a non-empty (steps, embed_dim) array")
         steps.append(vectors[-window:])
-
-    def forward(chunk, length):
-        h0 = np.stack(chunk) + model.params["pos_emb"][:length]
-        ids = np.ones((len(chunk), length), dtype=np.int64)  # all positions real
-        return _forward(model.params, model.config, ids, h0=h0)[0]
-
-    return _last_outputs(model, steps, forward)
+    out = np.empty((len(steps), model.config.embed_dim))
+    groups: dict[int, list[int]] = defaultdict(list)
+    for i, entry in enumerate(steps):
+        groups[len(entry)].append(i)
+    for length, members in groups.items():
+        for start in range(0, len(members), FORWARD_ROWS):
+            chunk = members[start : start + FORWARD_ROWS]
+            h0 = np.stack([steps[i] for i in chunk]) + model.params["pos_emb"][:length]
+            ids = np.ones((len(chunk), length), dtype=np.int64)  # all positions real
+            out[chunk] = _forward(model.params, model.config, ids, h0=h0)[0][:, -1]
+    return out
 
 
 def user_representation(model: CfModel, history: list[str]) -> np.ndarray:

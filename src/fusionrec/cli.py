@@ -2,11 +2,14 @@
 
 Subcommands chain the full system over file artifacts in one output
 directory: prepare -> train-cf -> train-align -> cot -> train-proj -> eval,
-plus sweep and report. Every stage writes atomically (temp file + rename),
-refuses to overwrite existing outputs unless --force is given, takes a lock
-on the output directory (breaking one whose recorded pid no longer exists),
-and embeds the config digest and master seed in its artifacts. Per-stage randomness is derived from the master seed with a fixed
-per-stage offset, so reruns are byte-identical.
+plus sweep and report. `STAGES` describes each stage once, and one runner
+does the rest: it locks the output directory (breaking a lock whose pid no
+longer exists), checks the needed artifacts exist, refuses to overwrite an
+output unless --force is given, writes each output atomically (temp file +
+rename) and removes a declared output the stage did not produce. Artifacts
+embed the config digest and master seed. Per-stage randomness is derived
+from the master seed with a fixed per-stage offset, so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -17,17 +20,12 @@ import functools
 import json
 import os
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .align import (
-    AlignmentNetwork,
-    UnifiedEmbedding,
-    build_alignment_dataset,
-    init_alignment,
-    train_alignment,
-    unified_item_embedding,
-)
+from .align import AlignmentNetwork, build_alignment_dataset, init_alignment, train_alignment
 from .cf import (
     CfConfig,
     CfModel,
@@ -62,13 +60,7 @@ from .data import (
     partition_cold_warm,
 )
 from .errors import ConfigError, DataError, DependencyError, FusionrecError
-from .evaluate import (
-    RecommendationPipeline,
-    cold_warm_report,
-    evaluate_split,
-    render_metric_table,
-    report_to_json,
-)
+from .evaluate import RecommendationPipeline, cold_warm_report, evaluate_split, render_metric_table
 from .projection import (
     CotSignal,
     PromptBundle,
@@ -82,22 +74,8 @@ from .projection import (
 )
 from .semantic import SEMANTIC_DIM, embed_catalog, fallback_embed, load_embeddings
 
-_STAGE_OFFSETS = {
-    "train-cf": 1,
-    "train-align": 2,
-    "cot": 3,
-    "train-proj": 4,
-    "head": 5,
-    "eval": 6,
-}
-
-
-def _stage_rng(seed: int, stage: str) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, _STAGE_OFFSETS[stage]])))
-
-
-def _stage_seed_int(seed: int, stage: str) -> int:
-    return int(np.random.SeedSequence([seed, _STAGE_OFFSETS[stage]]).generate_state(1)[0])
+# Seed offset of the surrogate head that train-proj builds, beside its own stream.
+_HEAD_OFFSET = 5
 
 
 def _lock_is_stale(lock: str) -> bool:
@@ -150,11 +128,6 @@ def _output_lock(out_dir: str):
         os.unlink(lock)
 
 
-def _write_atomic(path: str, data: str) -> None:
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        fh.write(data)
-
-
 @contextlib.contextmanager
 def _artifact_fields(path: str):
     """Turn a missing or malformed field of a parsed artifact into a DataError."""
@@ -164,72 +137,139 @@ def _artifact_fields(path: str):
         raise DataError(f"{path}: missing or malformed field ({type(exc).__name__}: {exc})") from None
 
 
-def _load_json(path: str):
-    """Parse a JSON artifact; an undecodable file is a DataError."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: corrupt JSON artifact ({type(exc).__name__}: {exc})") from None
+def _split_from_json(payload) -> SplitDataset:
+    return SplitDataset(
+        train=payload["train"], validation=payload["validation"], test=payload["test"]
+    )
 
 
-def _write_json(path: str, obj) -> None:
-    _write_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+def _partition_from_json(payload) -> ColdWarmPartition:
+    return ColdWarmPartition(
+        cold=set(payload["cold"]), warm=set(payload["warm"]), frequency=payload["frequency"]
+    )
 
 
-def _refuse_overwrite(path: str, force: bool) -> None:
-    if os.path.exists(path) and not force:
-        raise ConfigError(f"refusing to overwrite {path}; pass --force to allow it")
+def _cf_from_checkpoint(content) -> CfModel:
+    meta, arrays = content
+    items = list(meta["items"])
+    return CfModel(
+        config=CfConfig(**meta["config"]),
+        item_index={item: i + 1 for i, item in enumerate(items)},
+        items=items,
+        params=arrays,
+        training_log=list(meta.get("training_log", [])),
+    )
 
 
-def _require_artifact(out_dir: str, filename: str, producing_stage: str, stage: str) -> str:
-    path = os.path.join(out_dir, filename)
-    if not os.path.exists(path):
-        raise DependencyError(f"{stage} requires {filename}; run {producing_stage} first")
-    return path
+# The AlignmentNetwork fields an align.ckpt header holds, beside its training log.
+_ALIGN_FIELDS = ("collab_dim", "sem_dim", "latent_dim", "alpha", "beta")
 
 
-def _load_split(out_dir: str, stage: str) -> SplitDataset:
-    path = _require_artifact(out_dir, "split.json", "prepare", stage)
-    payload = _load_json(path)
+def _align_from_checkpoint(content) -> AlignmentNetwork:
+    meta, arrays = content
+    fields = {name: meta[name] for name in _ALIGN_FIELDS}
+    log = list(meta.get("training_log", []))
+    return AlignmentNetwork(**fields, params=arrays, training_log=log)
+
+
+# What `_read` builds from each typed artifact; any other artifact is its content.
+_PARSERS = {
+    "split.json": _split_from_json,
+    "partition.json": _partition_from_json,
+    "cf.ckpt": _cf_from_checkpoint,
+    "align.ckpt": _align_from_checkpoint,
+}
+
+
+def _read(path: str, parse=None):
+    """Read an artifact by file type, then build it with `parse` or its `_PARSERS` entry.
+
+    A `.ckpt` file's content is (meta, arrays) of a checkpoint whose kind is
+    the file's stem, a `.txt` file's is its text, and any other file's is its
+    JSON. Undecodable content, or a field that `parse` finds missing or
+    malformed, is a DataError naming the file.
+    """
+    filename = os.path.basename(path)
+    stem, ext = os.path.splitext(filename)
+    if ext == ".ckpt":
+        kind, meta, arrays = load_checkpoint(path)
+        if kind != stem:
+            raise DataError(f"{path} holds a {kind!r} checkpoint, expected {stem}")
+        content = (meta, arrays)
+    else:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                content = fh.read() if ext == ".txt" else json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataError(f"{path}: corrupt artifact ({type(exc).__name__}: {exc})") from None
+    parse = parse or _PARSERS.get(filename)
+    if parse is None:
+        return content
     with _artifact_fields(path):
-        return SplitDataset(
-            train=payload["train"], validation=payload["validation"], test=payload["test"]
-        )
+        return parse(content)
 
 
-def _load_cf(out_dir: str, stage: str) -> CfModel:
-    path = _require_artifact(out_dir, "cf.ckpt", "train-cf", stage)
-    kind, meta, arrays = load_checkpoint(path)
-    if kind != "cf":
-        raise DataError(f"{path} holds a {kind!r} checkpoint, expected cf")
-    with _artifact_fields(path):
-        items = list(meta["items"])
-        return CfModel(
-            config=CfConfig(**meta["config"]),
-            item_index={item: i + 1 for i, item in enumerate(items)},
-            items=items,
-            params=arrays,
-            frozen=True,
-            training_log=list(meta.get("training_log", [])),
-        )
+def _write(path: str, value) -> None:
+    """Write one output atomically: a `.ckpt` value (meta, arrays) as a checkpoint
+    of the file's stem, a `.txt` value as text, anything else as JSON."""
+    stem, ext = os.path.splitext(os.path.basename(path))
+    if ext == ".ckpt":
+        meta, arrays = value
+        save_checkpoint(path, stem, meta, arrays)
+        return
+    text = value if ext == ".txt" else json.dumps(value, sort_keys=True, indent=2) + "\n"
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
-def _load_align(out_dir: str, stage: str) -> AlignmentNetwork:
-    path = _require_artifact(out_dir, "align.ckpt", "train-align", stage)
-    kind, meta, arrays = load_checkpoint(path)
-    if kind != "align":
-        raise DataError(f"{path} holds a {kind!r} checkpoint, expected align")
-    with _artifact_fields(path):
-        return AlignmentNetwork(
-            collab_dim=meta["collab_dim"],
-            sem_dim=meta["sem_dim"],
-            latent_dim=meta["latent_dim"],
-            alpha=meta["alpha"],
-            beta=meta["beta"],
-            params=arrays,
-            training_log=list(meta.get("training_log", [])),
-        )
+@dataclass(frozen=True)
+class Stage:
+    """One CLI stage.
+
+    `needs` must exist before the stage runs and `uses` are read when
+    present. `body(run)` returns {filename: value} for the outputs it
+    produced, each one of `writes`; `offset` seeds the stage's random stream.
+    """
+
+    needs: tuple[str, ...]
+    uses: tuple[str, ...]
+    writes: tuple[str, ...]
+    offset: int | None
+    body: Callable[[_Run], dict]
+
+
+@dataclass(frozen=True)
+class _Run:
+    """A stage body's view of one run: the config, the seeds and the artifacts."""
+
+    stage: Stage
+    config: RunConfig
+    seed: int
+    out_dir: str
+
+    def rng(self) -> np.random.Generator:
+        return np.random.default_rng([self.seed, self.stage.offset])
+
+    def seed_int(self, offset: int | None = None) -> int:
+        offset = self.stage.offset if offset is None else offset
+        return int(np.random.SeedSequence([self.seed, offset]).generate_state(1)[0])
+
+    @property
+    def meta(self) -> dict:
+        """The config digest and master seed that every artifact embeds."""
+        return {"config_digest": self.config.digest(), "seed": self.seed}
+
+    def path(self, filename: str) -> str | None:
+        """Path of a declared input, or None when it does not exist."""
+        if filename not in self.stage.needs + self.stage.uses:
+            raise ValueError(f"{filename} is not a declared input of this stage")
+        path = os.path.join(self.out_dir, filename)
+        return path if os.path.exists(path) else None
+
+    def read(self, filename: str, parse=None):
+        """A declared input read by `_read`, or None when it does not exist."""
+        path = self.path(filename)
+        return None if path is None else _read(path, parse)
 
 
 def _semantic_map(config: RunConfig) -> dict[str, np.ndarray]:
@@ -249,7 +289,8 @@ def _catalog(config: RunConfig) -> dict[str, tuple[str, str]]:
     return load_catalog(catalog_path)
 
 
-def cmd_prepare(config: RunConfig, out_dir: str, seed: int, force: bool) -> None:
+def _prepare(run: _Run) -> dict:
+    config = run.config
     interactions = config.get("data.interactions")
     if not interactions:
         raise ConfigError("data.interactions: path is required for prepare")
@@ -259,70 +300,52 @@ def cmd_prepare(config: RunConfig, out_dir: str, seed: int, force: bool) -> None
         min_user_events=config.get("data.min_user_events"),
         min_item_popularity=config.get("data.min_item_popularity"),
     )
-    sequences = build_sequences(filtered)
-    split = leave_one_out_split(sequences)
+    split = leave_one_out_split(build_sequences(filtered))
     partition = partition_cold_warm(filtered, fraction=config.get("eval.fraction"))
-
-    split_path = os.path.join(out_dir, "split.json")
-    partition_path = os.path.join(out_dir, "partition.json")
-    for path in (split_path, partition_path):
-        _refuse_overwrite(path, force)
-    meta = {"config_digest": config.digest(), "seed": seed}
-    _write_json(
-        split_path,
-        {
-            "train": {u: split.train[u] for u in sorted(split.train)},
-            "validation": dict(sorted(split.validation.items())),
-            "test": dict(sorted(split.test.items())),
-            "meta": meta,
-        },
-    )
-    _write_json(
-        partition_path,
-        {
-            "cold": sorted(partition.cold),
-            "warm": sorted(partition.warm),
-            "frequency": dict(sorted(partition.frequency.items())),
-            "meta": meta,
-        },
-    )
     print(
         f"prepared {len(split.train)} users, {len(split.item_universe())} items, "
         f"{len(filtered.events)} events; cold={len(partition.cold)} warm={len(partition.warm)}"
     )
+    meta = run.meta
+    return {
+        "split.json": {
+            "train": split.train, "validation": split.validation, "test": split.test, "meta": meta
+        },
+        "partition.json": {
+            "cold": sorted(partition.cold),
+            "warm": sorted(partition.warm),
+            "frequency": partition.frequency,
+            "meta": meta,
+        },
+    }
 
 
-def cmd_train_cf(config: RunConfig, out_dir: str, seed: int, force: bool) -> None:
-    split = _load_split(out_dir, "train-cf")
-    ckpt_path = os.path.join(out_dir, "cf.ckpt")
-    _refuse_overwrite(ckpt_path, force)
-    rng = _stage_rng(seed, "train-cf")
-    instances = build_training_instances(split, config.get("cf.max_history"))
+def _train_cf(run: _Run) -> dict:
+    split = run.read("split.json")
+    instances = build_training_instances(split, run.config.get("cf.max_history"))
     if not instances:
         raise DataError("no user has two train items; nothing to train the CF model on")
-    model = train_cf(instances, config.cf_config(), rng)
-    meta = {
-        "config": vars(config.cf_config()),
-        "items": model.items,
-        "training_log": model.training_log,
-        "config_digest": config.digest(),
-        "seed": seed,
-    }
-    save_checkpoint(ckpt_path, "cf", meta, model.params)
+    model = train_cf(instances, run.config.cf_config(), run.rng())
     print(
         f"trained cf on {len(instances)} sequences "
         f"({sum(len(inst.history) for inst in instances)} positions), {len(model.items)} items; "
         f"final epoch loss {model.training_log[-1]:.6f}"
     )
+    meta = {
+        "config": vars(run.config.cf_config()),
+        "items": model.items,
+        "training_log": model.training_log,
+        **run.meta,
+    }
+    return {"cf.ckpt": (meta, model.params)}
 
 
-def cmd_train_align(config: RunConfig, out_dir: str, seed: int, force: bool) -> None:
-    split = _load_split(out_dir, "train-align")
-    model = _load_cf(out_dir, "train-align")
-    ckpt_path = os.path.join(out_dir, "align.ckpt")
-    _refuse_overwrite(ckpt_path, force)
+def _train_align(run: _Run) -> dict:
+    config = run.config
+    split = run.read("split.json")
+    model = run.read("cf.ckpt")
     semantic_map = _semantic_map(config)
-    rng = _stage_rng(seed, "train-align")
+    rng = run.rng()
     dataset = build_alignment_dataset(
         model,
         split,
@@ -347,17 +370,6 @@ def cmd_train_align(config: RunConfig, out_dir: str, seed: int, force: bool) -> 
         rng=rng,
         optimizer=config.get("align.optimizer"),
     )
-    meta = {
-        "collab_dim": net.collab_dim,
-        "sem_dim": net.sem_dim,
-        "latent_dim": net.latent_dim,
-        "alpha": net.alpha,
-        "beta": net.beta,
-        "training_log": net.training_log,
-        "config_digest": config.digest(),
-        "seed": seed,
-    }
-    save_checkpoint(ckpt_path, "align", meta, net.params)
     n_users = len(split.users())
     dropped = n_users - len(dataset)
     no_triple = dropped + int(np.count_nonzero(np.diff(dataset.triple_ptr) == 0))
@@ -367,17 +379,19 @@ def cmd_train_align(config: RunConfig, out_dir: str, seed: int, force: bool) -> 
         f"trained {len(dataset.live_columns())} of {net.sem_dim} semantic columns; "
         f"final epoch loss {net.training_log[-1]:.6f}"
     )
+    meta = {name: getattr(net, name) for name in _ALIGN_FIELDS}
+    meta.update(training_log=net.training_log, **run.meta)
+    return {"align.ckpt": (meta, net.params)}
 
 
-def cmd_cot(config: RunConfig, out_dir: str, seed: int, force: bool) -> None:
-    split = _load_split(out_dir, "cot")
-    model = _load_cf(out_dir, "cot")
-    out_path = os.path.join(out_dir, "cots.json")
-    _refuse_overwrite(out_path, force)
+def _cot(run: _Run) -> dict:
+    config = run.config
+    split = run.read("split.json")
+    model = run.read("cf.ckpt")
     catalog = _catalog(config)
     fixture_path = config.get("data.cot_fixture")
     adapter = FixtureAdapter(load_cot_fixture(fixture_path) if fixture_path else None)
-    rng = _stage_rng(seed, "cot")
+    rng = run.rng()
 
     users = split.users()
     sample_size = config.get("cot.sample_size")
@@ -422,6 +436,10 @@ def cmd_cot(config: RunConfig, out_dir: str, seed: int, force: bool) -> None:
     if not records:
         raise DataError("no reasoning traces could be generated (all users skipped)")
     retained, coverage = filter_cots(records, threshold=config.get("cot.threshold"))
+    print(
+        f"scored {len(records)} reasoning traces ({skipped} users skipped); "
+        f"retained {len(retained)} (coverage {coverage:.4f})"
+    )
     rows = [
         {
             "user": r.instance.user,
@@ -434,46 +452,35 @@ def cmd_cot(config: RunConfig, out_dir: str, seed: int, force: bool) -> None:
         }
         for r in sorted(records, key=lambda r: (r.instance.user, r.instance.target_item))
     ]
-    _write_json(
-        out_path,
-        {
+    return {
+        "cots.json": {
             "records": rows,
             "coverage": coverage,
             "threshold": config.get("cot.threshold"),
             "skipped_users": skipped,
-            "meta": {"config_digest": config.digest(), "seed": seed},
-        },
-    )
-    print(
-        f"scored {len(records)} reasoning traces ({skipped} users skipped); "
-        f"retained {len(retained)} (coverage {coverage:.4f})"
-    )
+            "meta": run.meta,
+        }
+    }
 
 
-def cmd_train_proj(config: RunConfig, out_dir: str, seed: int, force: bool) -> None:
-    split = _load_split(out_dir, "train-proj")
-    model = _load_cf(out_dir, "train-proj")
-    net = _load_align(out_dir, "train-proj")
-    ckpt_path = os.path.join(out_dir, "proj.ckpt")
-    _refuse_overwrite(ckpt_path, force)
+def _train_proj(run: _Run) -> dict:
+    config = run.config
+    split = run.read("split.json")
+    model = run.read("cf.ckpt")
+    net = run.read("align.ckpt")
     catalog = _catalog(config)
     semantic_map = _semantic_map(config)
-
-    cot_signals: dict[tuple[str, str], CotSignal] = {}
-    cots_path = os.path.join(out_dir, "cots.json")
-    if os.path.exists(cots_path):
-        payload = _load_json(cots_path)
-        with _artifact_fields(cots_path):
-            retained = [
-                ((row["user"], row["item"]), row["cot"], row["score"])
-                for row in payload["records"]
-                if row["retained"]
-            ]
-        for key, cot_text, score in retained:
-            cot_signals[key] = CotSignal(embedding=fallback_embed(cot_text), score=score)
+    retained = run.read("cots.json", lambda payload: [
+        ((row["user"], row["item"]), row["cot"], row["score"])
+        for row in payload["records"] if row["retained"]
+    ])
+    cot_signals = {
+        key: CotSignal(embedding=fallback_embed(cot_text), score=score)
+        for key, cot_text, score in retained or []
+    }
 
     pipeline = RecommendationPipeline(cf_model=model, alignment=net, semantic_map=semantic_map)
-    rng = _stage_rng(seed, "train-proj")
+    rng = run.rng()
     examples = build_projection_examples(
         pipeline,
         split,
@@ -484,7 +491,7 @@ def cmd_train_proj(config: RunConfig, out_dir: str, seed: int, force: bool) -> N
     )
     vocabulary = build_vocabulary(catalog)
     head = make_surrogate_head(
-        vocabulary, d_token=config.get("proj.d_token"), seed=_stage_seed_int(seed, "head")
+        vocabulary, d_token=config.get("proj.d_token"), seed=run.seed_int(_HEAD_OFFSET)
     )
     stack = init_projection_stack(
         d_user=model.config.embed_dim,
@@ -504,10 +511,16 @@ def cmd_train_proj(config: RunConfig, out_dir: str, seed: int, force: bool) -> N
         rng=rng,
         optimizer=config.get("proj.optimizer"),
     )
-    arrays = dict(stack.params)
-    arrays["head.w_out"] = head.w_out
-    arrays["head.b_out"] = head.b_out
-    arrays["head.token_emb"] = head.token_emb
+    print(
+        f"trained projections on {len(examples)} examples "
+        f"({len(cot_signals)} with reasoning); final epoch loss {stack.training_log[-1]:.6f}"
+    )
+    arrays = {
+        **stack.params,
+        "head.w_out": head.w_out,
+        "head.b_out": head.b_out,
+        "head.token_emb": head.token_emb,
+    }
     meta = {
         "d_user": stack.d_user,
         "d_item": stack.d_item,
@@ -517,57 +530,38 @@ def cmd_train_proj(config: RunConfig, out_dir: str, seed: int, force: bool) -> N
         "vocabulary": vocabulary,
         "head_seed": head.seed,
         "training_log": stack.training_log,
-        "config_digest": config.digest(),
-        "seed": seed,
+        **run.meta,
     }
-    save_checkpoint(ckpt_path, "proj", meta, arrays)
-    print(
-        f"trained projections on {len(examples)} examples "
-        f"({len(cot_signals)} with reasoning); final epoch loss {stack.training_log[-1]:.6f}"
-    )
+    return {"proj.ckpt": (meta, arrays)}
 
 
-def _explanation_hooks(config: RunConfig, model, net, semantic_map):
+def _explanation_hooks(config: RunConfig):
     references_path = config.get("data.references")
     if not references_path:
         return None, None
     references = load_explanation_fixture(references_path)
     adapter = FixtureAdapter(None)
-    latent_dim = net.latent_dim if net is not None else 1
 
     def explainer(user: str, item: str) -> str:
         prompt = PromptBundle(segments=[("text", "explain the pick")], user=user)
-        if net is not None and semantic_map:
-            z_item = unified_item_embedding(net, item, model, semantic_map)
-        else:
-            z_item = UnifiedEmbedding(
-                item=item, vector=np.zeros(latent_dim), source="collaborative_path"
-            )
-        return request_explanation(z_item, None, adapter, prompt, user=user)
+        return request_explanation(item, adapter, prompt, user=user)
 
     return references, explainer
 
 
-def cmd_eval(config: RunConfig, out_dir: str, seed: int, force: bool) -> None:
-    split = _load_split(out_dir, "eval")
-    model = _load_cf(out_dir, "eval")
-    standard_path = os.path.join(out_dir, "report_standard.json")
-    coldwarm_path = os.path.join(out_dir, "report_coldwarm.json")
-    for path in (standard_path, coldwarm_path):
-        _refuse_overwrite(path, force)
-
-    net = None
-    semantic_map = None
-    if os.path.exists(os.path.join(out_dir, "align.ckpt")):
-        net = _load_align(out_dir, "eval")
-        semantic_map = _semantic_map(config)
+def _eval(run: _Run) -> dict:
+    config = run.config
+    split = run.read("split.json")
+    model = run.read("cf.ckpt")
+    net = run.read("align.ckpt")
+    semantic_map = _semantic_map(config) if net is not None else None
     pipeline = RecommendationPipeline(cf_model=model, alignment=net, semantic_map=semantic_map)
 
     ks = list(config.get("eval.ks"))
     pool_size = config.get("eval.pool_size")
     digest = config.digest()
-    eval_seed = _stage_seed_int(seed, "eval")
-    references, explainer = _explanation_hooks(config, model, net, semantic_map)
+    eval_seed = run.seed_int()
+    references, explainer = _explanation_hooks(config)
 
     standard = evaluate_split(
         pipeline,
@@ -580,18 +574,11 @@ def cmd_eval(config: RunConfig, out_dir: str, seed: int, force: bool) -> None:
         references=references,
         explainer=explainer,
     )
-    _write_atomic(standard_path, report_to_json(standard))
+    outputs = {"report_standard.json": standard.to_dict()}
     reports = [standard]
 
-    partition_path = os.path.join(out_dir, "partition.json")
-    if os.path.exists(partition_path):
-        payload = _load_json(partition_path)
-        with _artifact_fields(partition_path):
-            partition = ColdWarmPartition(
-                cold=set(payload["cold"]),
-                warm=set(payload["warm"]),
-                frequency=payload["frequency"],
-            )
+    partition = run.read("partition.json")
+    if partition is not None:
         try:
             comparison = cold_warm_report(
                 pipeline, split, partition, ks, pool_size, seed=eval_seed, config_digest=digest
@@ -599,113 +586,119 @@ def cmd_eval(config: RunConfig, out_dir: str, seed: int, force: bool) -> None:
         except DataError as exc:
             print(f"cold/warm breakdown skipped: {exc}")
         else:
-            _write_json(
-                coldwarm_path,
-                {
-                    "warm": comparison.warm.to_dict(),
-                    "cold": comparison.cold.to_dict(),
-                    "gap": {
-                        metric: {str(k): v for k, v in per_k.items()}
-                        for metric, per_k in comparison.gap.items()
-                    },
+            outputs["report_coldwarm.json"] = {
+                "warm": comparison.warm.to_dict(),
+                "cold": comparison.cold.to_dict(),
+                "gap": {
+                    metric: {str(k): v for k, v in per_k.items()}
+                    for metric, per_k in comparison.gap.items()
                 },
-            )
+            }
             reports.extend([comparison.warm, comparison.cold])
     print(render_metric_table(reports), end="")
+    return outputs
 
 
-def cmd_sweep(config: RunConfig, out_dir: str, seed: int, force: bool) -> None:
-    cots_path = _require_artifact(out_dir, "cots.json", "cot", "sweep")
-    sweep_json = os.path.join(out_dir, "sweep.json")
-    sweep_txt = os.path.join(out_dir, "sweep.txt")
-    for path in (sweep_json, sweep_txt):
-        _refuse_overwrite(path, force)
-    payload = _load_json(cots_path)
-    with _artifact_fields(cots_path):
-        records = [
-            CotRecord(
-                instance=None, cot=row["cot"], dims=tuple(row["dims"]), score=row["score"]
-            )
+def _sweep(run: _Run) -> dict:
+    records = run.read(
+        "cots.json",
+        lambda payload: [
+            CotRecord(instance=None, cot=row["cot"], dims=tuple(row["dims"]), score=row["score"])
             for row in payload["records"]
-        ]
-    rows = threshold_sweep(records, list(config.get("cot.sweep")))
-    table = render_sweep_report(rows)
-    _write_json(
-        sweep_json,
-        {"rows": rows, "meta": {"config_digest": config.digest(), "seed": seed}},
+        ],
     )
-    _write_atomic(sweep_txt, table)
+    rows = threshold_sweep(records, list(run.config.get("cot.sweep")))
+    table = render_sweep_report(rows)
     print(table, end="")
+    return {"sweep.json": {"rows": rows, "meta": run.meta}, "sweep.txt": table}
 
 
-def cmd_report(config: RunConfig, out_dir: str, seed: int, force: bool) -> None:
-    report_path = os.path.join(out_dir, "report.txt")
-    _refuse_overwrite(report_path, force)
-    lines = [f"config digest: {config.digest()}", f"seed: {seed}", ""]
+def _coldwarm_line(payload) -> str:
+    """Cohort sizes and the hr gap at the largest cutoff evaluated."""
+    hr_gap = payload["gap"]["hr"]
+    k = max(hr_gap, key=int)
+    return (
+        f"warm n={payload['warm']['n_users']}, cold n={payload['cold']['n_users']}; "
+        f"hr@{k} gap {hr_gap[k]}"
+    )
 
-    def section(title: str, body: str) -> None:
-        lines.append(f"== {title} ==")
-        lines.append(body.rstrip("\n"))
-        lines.append("")
 
-    split_path = os.path.join(out_dir, "split.json")
-    if os.path.exists(split_path):
-        split_payload = _load_json(split_path)
-        with _artifact_fields(split_path):
-            section("data", f"users: {len(split_payload['train'])}")
+def _standard_line(report) -> str:
+    hr = ", ".join(
+        f"hr@{k}={v:.4f}" for k, v in sorted(report["hr"].items(), key=lambda kv: int(kv[0]))
+    )
+    return f"n_users={report['n_users']}; {hr}"
+
+
+def _report(run: _Run) -> dict:
+    lines = [f"config digest: {run.config.digest()}", f"seed: {run.seed}", ""]
+
+    def section(title: str, body: str | None) -> None:
+        if body is not None:
+            lines.extend([f"== {title} ==", body.rstrip("\n"), ""])
+
+    section("data", run.read("split.json", lambda payload: f"users: {len(payload['train'])}"))
     for name, ckpt in (("cf", "cf.ckpt"), ("alignment", "align.ckpt"), ("projection", "proj.ckpt")):
-        path = os.path.join(out_dir, ckpt)
-        if os.path.exists(path):
+        path = run.path(ckpt)
+        if path is not None:
             _, meta = load_checkpoint_header(path)
             with _artifact_fields(path):
                 log = meta.get("training_log", [])
                 tail = f"final loss {log[-1]:.6f}" if log else "no training log"
             section(name, f"checkpoint {ckpt}; {tail}")
-    cots_path = os.path.join(out_dir, "cots.json")
-    if os.path.exists(cots_path):
-        payload = _load_json(cots_path)
-        with _artifact_fields(cots_path):
-            section(
-                "reasoning traces",
-                f"records: {len(payload['records'])}; coverage {payload['coverage']:.4f} "
-                f"at threshold {payload['threshold']}",
-            )
-    standard_path = os.path.join(out_dir, "report_standard.json")
-    if os.path.exists(standard_path):
-        report = _load_json(standard_path)
-        with _artifact_fields(standard_path):
-            hr = ", ".join(
-                f"hr@{k}={v:.4f}" for k, v in sorted(report["hr"].items(), key=lambda kv: int(kv[0]))
-            )
-            section("evaluation (standard)", f"n_users={report['n_users']}; {hr}")
-    coldwarm_path = os.path.join(out_dir, "report_coldwarm.json")
-    if os.path.exists(coldwarm_path):
-        payload = _load_json(coldwarm_path)
-        with _artifact_fields(coldwarm_path):
-            section(
-                "evaluation (cold/warm)",
-                f"warm n={payload['warm']['n_users']}, cold n={payload['cold']['n_users']}; "
-                f"hr@10 gap {payload['gap']['hr'].get('10')}",
-            )
-    sweep_txt = os.path.join(out_dir, "sweep.txt")
-    if os.path.exists(sweep_txt):
-        with open(sweep_txt, encoding="utf-8") as fh:
-            section("threshold sweep", fh.read())
+    section(
+        "reasoning traces",
+        run.read(
+            "cots.json",
+            lambda payload: f"records: {len(payload['records'])}; coverage "
+            f"{payload['coverage']:.4f} at threshold {payload['threshold']}",
+        ),
+    )
+    section("evaluation (standard)", run.read("report_standard.json", _standard_line))
+    section("evaluation (cold/warm)", run.read("report_coldwarm.json", _coldwarm_line))
+    section("threshold sweep", run.read("sweep.txt"))
     body = "\n".join(lines).rstrip("\n") + "\n"
-    _write_atomic(report_path, body)
     print(body, end="")
+    return {"report.txt": body}
 
 
-_COMMANDS = {
-    "prepare": cmd_prepare,
-    "train-cf": cmd_train_cf,
-    "train-align": cmd_train_align,
-    "cot": cmd_cot,
-    "train-proj": cmd_train_proj,
-    "eval": cmd_eval,
-    "sweep": cmd_sweep,
-    "report": cmd_report,
+_REPORTED = (
+    "split.json", "cf.ckpt", "align.ckpt", "proj.ckpt", "cots.json",
+    "report_standard.json", "report_coldwarm.json", "sweep.txt",
+)
+
+STAGES: dict[str, Stage] = {
+    "prepare": Stage((), (), ("split.json", "partition.json"), None, _prepare),
+    "train-cf": Stage(("split.json",), (), ("cf.ckpt",), 1, _train_cf),
+    "train-align": Stage(("split.json", "cf.ckpt"), (), ("align.ckpt",), 2, _train_align),
+    "cot": Stage(("split.json", "cf.ckpt"), (), ("cots.json",), 3, _cot),
+    "train-proj": Stage(
+        ("split.json", "cf.ckpt", "align.ckpt"), ("cots.json",), ("proj.ckpt",), 4, _train_proj
+    ),
+    "eval": Stage(("split.json", "cf.ckpt"), ("align.ckpt", "partition.json"),
+                  ("report_standard.json", "report_coldwarm.json"), 6, _eval),
+    "sweep": Stage(("cots.json",), (), ("sweep.json", "sweep.txt"), None, _sweep),
+    "report": Stage((), _REPORTED, ("report.txt",), None, _report),
 }
+
+
+def run_stage(name: str, config: RunConfig, out_dir: str, seed: int, force: bool) -> None:
+    """Check a stage's inputs and outputs, run its body and write what it returns."""
+    stage = STAGES[name]
+    for filename in stage.needs:
+        if not os.path.exists(os.path.join(out_dir, filename)):
+            producer = next(p for p, s in STAGES.items() if filename in s.writes)
+            raise DependencyError(f"{name} requires {filename}; run {producer} first")
+    paths = {filename: os.path.join(out_dir, filename) for filename in stage.writes}
+    for path in paths.values():
+        if os.path.exists(path) and not force:
+            raise ConfigError(f"refusing to overwrite {path}; pass --force to allow it")
+    outputs = stage.body(_Run(stage, config, seed, out_dir))
+    for filename, path in paths.items():
+        if filename in outputs:
+            _write(path, outputs[filename])
+        elif os.path.exists(path):
+            os.unlink(path)  # left by an earlier run; this one did not produce it
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -714,14 +707,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sequential recommender with unified item representations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in STAGES:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", help="path to a key = value config file")
         cmd.add_argument("--out", required=True, help="output directory for stage artifacts")
         cmd.add_argument("--seed", type=int, help="master seed (overrides the config)")
-        cmd.add_argument(
-            "--force", action="store_true", help="overwrite existing stage outputs"
-        )
+        cmd.add_argument("--force", action="store_true", help="overwrite existing stage outputs")
     return parser
 
 
@@ -732,7 +723,7 @@ def main(argv: list[str] | None = None) -> int:
         seed = args.seed if args.seed is not None else config.get("seed")
         os.makedirs(args.out, exist_ok=True)
         with _output_lock(args.out):
-            _COMMANDS[args.command](config, args.out, seed, args.force)
+            run_stage(args.command, config, args.out, seed, args.force)
     except FusionrecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

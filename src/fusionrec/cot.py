@@ -2,10 +2,11 @@
 
 An instruction instance is structured text with four parts: a fixed task
 instruction, the chronological interaction history (re-interactions
-annotated), the target item text, and a verbalized prior. A pluggable
-adapter turns instances into reasoning texts (CoTs): the fixture adapter is
-fully deterministic (stored corpus, or a template expansion when no corpus
-is configured), the remote adapter posts prompts to an endpoint.
+annotated), the target item text, and a verbalized prior. An adapter turns
+instances into reasoning texts (CoTs) through
+`generate(user, item, prompt, instance)`; the fixture adapter is fully
+deterministic (stored corpus, or a template expansion when no corpus is
+configured).
 
 Each CoT is scored on four dimensions in [0, 1] (coherence, completeness,
 relevance, consistency), combined as a weighted sum, and filtered against a
@@ -14,15 +15,13 @@ threshold.
 
 from __future__ import annotations
 
-import json
 import re
 import string
-import urllib.request
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DependencyError
+from .errors import ConfigError, DataError
 from .lexicon import POLARITY
 from .semantic import fallback_embed, similarity_mapped
 
@@ -32,7 +31,6 @@ __all__ = [
     "InstructionInstance",
     "CotRecord",
     "FixtureAdapter",
-    "RemoteAdapter",
     "build_instruction_instance",
     "generate_cot",
     "truncate_tokens",
@@ -172,8 +170,6 @@ class FixtureAdapter:
     """Deterministic generation: stored corpus keyed by (user, item), or a
     template expansion of the instance when no corpus is configured."""
 
-    mode = "fixture"
-
     def __init__(self, corpus: dict[tuple[str, str], str] | None = None):
         self.corpus = corpus
         self.call_count = 0
@@ -190,41 +186,6 @@ class FixtureAdapter:
         if instance is not None:
             return _template_expansion(instance)
         return f"The target item fits the user's recent history. likelihood unknown for {item}."
-
-
-def _default_transport(endpoint: str, prompt: str) -> str:
-    payload = json.dumps({"prompt": prompt}).encode("utf-8")
-    req = urllib.request.Request(
-        endpoint, data=payload, headers={"Content-Type": "application/json"}
-    )
-    with urllib.request.urlopen(req, timeout=30) as resp:
-        return json.loads(resp.read().decode("utf-8"))["text"]
-
-
-class RemoteAdapter:
-    """Sends the rendered prompt to an endpoint; bounded sequential retries."""
-
-    mode = "remote"
-
-    def __init__(self, endpoint: str, transport=None, max_retries: int = 3):
-        self.endpoint = endpoint
-        self.transport = transport or (lambda prompt: _default_transport(endpoint, prompt))
-        self.max_retries = max_retries
-        self.call_count = 0
-        self.calls: list[tuple[str, str]] = []
-
-    def generate(self, user: str, item: str, prompt: str, instance=None) -> str:
-        self.call_count += 1
-        self.calls.append((user, item))
-        last_error = None
-        for _ in range(self.max_retries):
-            try:
-                return self.transport(prompt)
-            except Exception as exc:  # noqa: BLE001 - transport failures are opaque
-                last_error = exc
-        raise DependencyError(
-            f"remote generation failed after {self.max_retries} attempts: {last_error}"
-        )
 
 
 def generate_cot(adapter, instance: InstructionInstance, prompt_template: str | None = None) -> str:

@@ -52,9 +52,6 @@ class InteractionLog:
     def item_frequency(self) -> Counter:
         return Counter(ev.item for ev in self.events)
 
-    def user_frequency(self) -> Counter:
-        return Counter(ev.user for ev in self.events)
-
 
 @dataclass
 class UserSequence:

@@ -31,6 +31,6 @@ class TrainingError(FusionrecError):
 
 
 class DependencyError(FusionrecError):
-    """Missing prerequisite artifact, lock conflict, or remote failure."""
+    """Missing prerequisite artifact or locked output directory."""
 
     exit_code = 5

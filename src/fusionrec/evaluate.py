@@ -20,7 +20,6 @@ history step inside the window and each pool item.
 
 from __future__ import annotations
 
-import json
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
@@ -45,7 +44,6 @@ __all__ = [
     "evaluate_split",
     "cold_warm_report",
     "zero_shot_eval",
-    "report_to_json",
     "render_metric_table",
 ]
 
@@ -97,10 +95,6 @@ class MetricReport:
             "rouge1": self.rouge1,
             "rougeL": self.rougeL,
         }
-
-
-def report_to_json(report: MetricReport) -> str:
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ from .cot import _unescape
 from .errors import DataError, TrainingError
 from .gradcheck import max_relative_gradient_error
 from .optim import make_optimizer, xavier
-from .semantic import fallback_embed
 
 __all__ = [
     "ProjectionStack",
@@ -46,19 +45,13 @@ __all__ = [
     "train_projections",
     "rank_candidates",
     "request_explanation",
-    "cot_signal_from_record",
     "build_projection_examples",
     "load_explanation_fixture",
     "gradient_check_projection",
-    "EXPLANATION_DELIMITER",
 ]
 
 PROMPT_INSTRUCTION = "Choose the item this user is most likely to interact with next."
 PROMPT_QUERY = "Which candidate item comes next for this user?"
-EXPLANATION_REQUEST = (
-    "Then explain the choice. Respond as: <title> ||| <explanation>."
-)
-EXPLANATION_DELIMITER = "|||"
 
 
 @dataclass
@@ -201,7 +194,8 @@ def assemble_prompt(o_x, candidates, o_r=None, templates=None, user=None) -> Pro
 
 
 def render_prompt_text(bundle: PromptBundle) -> str:
-    """Text rendering for remote adapters; soft vectors become placeholders."""
+    """The bundle as text for an adapter's prompt; each soft vector becomes a
+    `<SOFT:name:base64>` placeholder holding its little-endian float64 bytes."""
     lines = []
     for seg in bundle.segments:
         if seg[0] == "text":
@@ -446,28 +440,13 @@ def rank_candidates(stack: ProjectionStack, head: SurrogateHead, user_context: U
     return [item_id for item_id, _ in scored]
 
 
-def request_explanation(z_item, r_cot, adapter, prompt: PromptBundle, user: str | None = None) -> str:
-    """Explanation text for (user, item): fixture lookup, or a single remote
-    call that returns both the pick and the explanation split on '|||'."""
-    item = getattr(z_item, "item", None)
+def request_explanation(item: str, adapter, prompt: PromptBundle, user: str | None = None) -> str:
+    """Explanation text for (user, item) from the adapter, given the rendered prompt.
+
+    `user` defaults to the bundle's user.
+    """
     key_user = user if user is not None else prompt.user
-    if adapter.mode == "fixture":
-        return adapter.generate(key_user, item, render_prompt_text(prompt), None)
-    rendered = render_prompt_text(prompt) + "\n" + EXPLANATION_REQUEST
-    response = adapter.generate(key_user, item, rendered, None)
-    if EXPLANATION_DELIMITER not in response:
-        raise DataError(
-            f"remote explanation response lacks the {EXPLANATION_DELIMITER!r} delimiter"
-        )
-    _title, explanation = response.split(EXPLANATION_DELIMITER, 1)
-    return explanation.strip()
-
-
-def cot_signal_from_record(record, embedder=fallback_embed) -> CotSignal:
-    """Embed a retained reasoning record; rejected records are not eligible."""
-    if not record.retained:
-        raise ValueError("only retained reasoning records may feed the prompt")
-    return CotSignal(embedding=embedder(record.cot), score=record.score)
+    return adapter.generate(key_user, item, render_prompt_text(prompt), None)
 
 
 def build_projection_examples(

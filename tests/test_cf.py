@@ -246,7 +246,6 @@ def test_zero_epochs_leaves_initialization_untouched():
 
 def test_model_is_frozen_after_training(toy_world):
     model = toy_world["cf"]
-    assert model.frozen
     for arr in model.params.values():
         assert not arr.flags.writeable
     with pytest.raises(ValueError):

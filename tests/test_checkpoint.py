@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from fusionrec.checkpoint import load_checkpoint, load_checkpoint_header, save_checkpoint
 from fusionrec.errors import DataError
@@ -36,6 +40,38 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded["scalar"].shape == ()
     assert float(loaded["scalar"]) == 2.5
     assert loaded["weights"].flags.writeable  # copies, not buffer views
+
+
+_ARRAYS = st.dictionaries(
+    st.text(max_size=6),
+    arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)),
+    max_size=4,
+)
+_META = st.dictionaries(
+    st.text(max_size=6),
+    st.one_of(st.integers(), st.floats(allow_nan=False), st.text(max_size=6),
+              st.lists(st.integers(), max_size=3)),
+    max_size=3,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays_in=_ARRAYS, meta=_META)
+@example(arrays_in={"scalar": np.array(-0.0), "empty": np.zeros((2, 0, 3))}, meta={})
+@example(arrays_in={}, meta={"items": []})
+def test_checkpoint_roundtrip_over_random_shapes(arrays_in, meta):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "any.ckpt")
+        save_checkpoint(path, "kind", meta, arrays_in)
+        kind, loaded_meta, loaded = load_checkpoint(path)
+        assert load_checkpoint_header(path) == (kind, loaded_meta)
+    assert kind == "kind"
+    assert loaded_meta == meta
+    assert set(loaded) == set(arrays_in)
+    for name, array in arrays_in.items():
+        assert loaded[name].dtype == np.float64
+        assert loaded[name].shape == array.shape
+        assert loaded[name].tobytes() == array.tobytes()  # bit-equal, NaN and -0.0 included
 
 
 def test_header_read_skips_the_payload(tmp_path):

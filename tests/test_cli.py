@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from fusionrec.checkpoint import load_checkpoint_header
-from fusionrec.cli import main
+from fusionrec.cli import STAGES, main
 from fusionrec.config import parse_config
 from fusionrec.semantic import embed_catalog
 from fusionrec.synthetic import make_planted_dataset, write_dataset
@@ -293,6 +294,98 @@ def test_corrupt_artifact_is_one_error_line_and_exit_3(chain, tmp_path, artifact
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert artifact in err
     assert not (out_dir / ".lock").exists()
+
+
+_OUTPUTS = [(stage, filename) for stage, spec in STAGES.items() for filename in spec.writes]
+
+
+@pytest.mark.parametrize("cut", ["empty", "half"])
+@pytest.mark.parametrize("producer, artifact", _OUTPUTS, ids=[name for _, name in _OUTPUTS])
+def test_truncated_artifact_fails_cleanly_in_every_later_stage(
+    chain, tmp_path, producer, artifact, cut
+):
+    out_dir = tmp_path / "cut"
+    shutil.copytree(chain["out"], out_dir)
+    path = out_dir / artifact
+    blob = path.read_bytes()
+    path.write_bytes(b"" if cut == "empty" else blob[: len(blob) // 2])
+    stages = list(STAGES)
+    args = ["--config", str(chain["config"]), "--out", str(out_dir), "--seed", "0", "--force"]
+    for stage in stages[stages.index(producer) + 1 :]:
+        rc, _, err = _run([stage] + args)
+        assert rc in (0, 3, 5), (stage, err)
+        if rc != 0:
+            assert err.startswith("error: ") and err.count("\n") == 1, (stage, err)
+            assert artifact in err, (stage, err)
+        assert not (out_dir / ".lock").exists()
+
+
+def test_forced_eval_without_a_cold_cohort_removes_the_old_coldwarm_report(chain, tmp_path):
+    out_dir = tmp_path / "all-warm"
+    shutil.copytree(chain["out"], out_dir)
+    assert (out_dir / "report_coldwarm.json").exists()
+    partition_path = out_dir / "partition.json"
+    partition = json.loads(partition_path.read_text(encoding="utf-8"))
+    partition["warm"] = sorted(partition["warm"] + partition["cold"])
+    partition["cold"] = []
+    partition_path.write_text(json.dumps(partition), encoding="utf-8")
+    args = ["--config", str(chain["config"]), "--out", str(out_dir), "--seed", "0", "--force"]
+    rc, out, err = _run(["eval"] + args)
+    assert rc == 0, err
+    assert "cold/warm breakdown skipped: cold cohort is empty" in out
+    rc, _, err = _run(["report"] + args)
+    assert rc == 0, err
+    assert not (out_dir / "report_coldwarm.json").exists()
+    assert "evaluation (cold/warm)" not in (out_dir / "report.txt").read_text(encoding="utf-8")
+
+
+def test_report_gives_the_hr_gap_at_the_largest_cutoff(chain):
+    # the chain evaluates eval.ks = 1, 5
+    payload = json.loads((chain["out"] / "report_coldwarm.json").read_text(encoding="utf-8"))
+    expected = (
+        f"warm n={payload['warm']['n_users']}, cold n={payload['cold']['n_users']}; "
+        f"hr@5 gap {payload['gap']['hr']['5']}\n"
+    )
+    assert expected in (chain["out"] / "report.txt").read_text(encoding="utf-8")
+
+
+def test_eval_scores_the_explainer_against_references(chain, tmp_path):
+    out_dir = tmp_path / "explained"
+    shutil.copytree(chain["out"], out_dir)
+    split = json.loads((out_dir / "split.json").read_text(encoding="utf-8"))
+    # the text the fixture adapter gives without a corpus, for the explained item
+    references = tmp_path / "references.tsv"
+    references.write_text(
+        "".join(
+            f"{user}\t{item}\tThe target item fits the user's recent history. "
+            f"likelihood unknown for {item}.\n"
+            for user, item in sorted(split["test"].items())
+        ),
+        encoding="utf-8",
+    )
+    config = tmp_path / "explained.conf"
+    _write_config(config, chain["interactions"], chain["catalog"], [f"data.references = {references}"])
+    rc, _, err = _run(["eval", "--config", str(config), "--out", str(out_dir), "--seed", "0", "--force"])
+    assert rc == 0, err
+    report = json.loads((out_dir / "report_standard.json").read_text(encoding="utf-8"))
+    assert report["bleu4"] == report["rouge1"] == report["rougeL"] == 1.0
+
+
+def test_readme_stage_table_mirrors_the_stage_table():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        rows = [line.split("|")[1:4] for line in fh if line.startswith("| ")][2:]  # no header
+
+    def names(text: str) -> tuple[str, ...]:
+        return tuple(re.findall(r"`([^`]+)`", text))
+
+    table = {}
+    for stage, reads, writes in rows:
+        needs, _, uses = reads.partition("(+")  # "(+ ...)" lists what is read when present
+        table[stage.strip()] = (names(needs), names(uses), names(writes))
+    assert table == {
+        name: (stage.needs, stage.uses, stage.writes) for name, stage in STAGES.items()
+    }
 
 
 def test_unknown_config_key_fails_fast(chain, tmp_path):

@@ -11,7 +11,6 @@ from fusionrec.cot import (
     TASK_INSTRUCTION,
     CotRecord,
     FixtureAdapter,
-    RemoteAdapter,
     build_instruction_instance,
     composite_score,
     dump_cot_fixture,
@@ -26,7 +25,7 @@ from fusionrec.cot import (
     truncate_tokens,
 )
 from fusionrec.cot import _find_whole_word
-from fusionrec.errors import ConfigError, DataError, DependencyError
+from fusionrec.errors import ConfigError, DataError
 from fusionrec.semantic import fallback_embed, similarity_mapped
 
 _CATALOG = {
@@ -151,34 +150,6 @@ def test_generate_cot_applies_prompt_template():
     instance = _peter_instance()
     generate_cot(spy, instance, prompt_template="PREFIX {x} SUFFIX")
     assert spy.prompt == f"PREFIX {instance.text()} SUFFIX"
-
-
-def test_remote_adapter_retries_then_succeeds():
-    attempts = []
-
-    def flaky(prompt):
-        attempts.append(prompt)
-        if len(attempts) < 3:
-            raise RuntimeError("connection reset")
-        return "remote trace"
-
-    adapter = RemoteAdapter("http://localhost:9/generate", transport=flaky)
-    assert adapter.mode == "remote"
-    assert generate_cot(adapter, _peter_instance()) == "remote trace"
-    assert len(attempts) == 3
-
-
-def test_remote_adapter_gives_up_after_max_retries():
-    attempts = []
-
-    def broken(prompt):
-        attempts.append(prompt)
-        raise RuntimeError("boom")
-
-    adapter = RemoteAdapter("http://localhost:9/generate", transport=broken, max_retries=2)
-    with pytest.raises(DependencyError, match="remote generation failed after 2 attempts"):
-        adapter.generate("u", "q", "prompt")
-    assert len(attempts) == 2
 
 
 def test_coherence_calibration_points():

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import logging
 
 import numpy as np
@@ -26,7 +25,6 @@ from fusionrec.evaluate import (
     cold_warm_report,
     evaluate_split,
     render_metric_table,
-    report_to_json,
     zero_shot_eval,
 )
 from fusionrec.metrics import hit_rate_at_k, ndcg_at_k
@@ -210,19 +208,6 @@ def test_metric_report_validation():
     with pytest.raises(ValueError, match="bleu4"):
         MetricReport(hr={1: 1.0}, ndcg={1: 1.0}, n_users=1, protocol="standard",
                      seed=0, config_digest="", bleu4=-0.1)
-
-
-def test_report_to_json_is_stable():
-    report = MetricReport(hr={10: 0.5, 1: 0.25}, ndcg={10: 0.4, 1: 0.25}, n_users=8,
-                          protocol="standard", seed=3, config_digest="abc")
-    text = report_to_json(report)
-    assert text == report_to_json(report)
-    assert text.endswith("\n")
-    payload = json.loads(text)
-    assert payload["hr"] == {"1": 0.25, "10": 0.5}
-    assert payload["seed"] == 3
-    assert payload["config_digest"] == "abc"
-    assert payload["bleu4"] is None
 
 
 def test_pipeline_routes_and_counts_lookups(toy_world, toy_alignment):

@@ -10,11 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionrec.align import unified_item_embedding
-from fusionrec.cot import CotRecord, FixtureAdapter, InstructionInstance, RemoteAdapter
+from fusionrec.cot import FixtureAdapter
 from fusionrec.errors import DataError
 from fusionrec.evaluate import RecommendationPipeline
 from fusionrec.projection import (
-    EXPLANATION_DELIMITER,
     PROMPT_INSTRUCTION,
     PROMPT_QUERY,
     CotSignal,
@@ -24,7 +23,6 @@ from fusionrec.projection import (
     assemble_prompt,
     build_projection_examples,
     build_vocabulary,
-    cot_signal_from_record,
     gradient_check_projection,
     init_projection_stack,
     load_explanation_fixture,
@@ -287,59 +285,23 @@ def test_rank_candidates_is_order_invariant_with_id_tiebreak():
         rank_candidates(stack, head, ctx, [])
 
 
-def test_request_explanation_via_fixture_and_remote():
+def test_request_explanation_via_fixture():
     bundle = assemble_prompt(np.zeros(8), [("red fox", np.zeros(8))], user="u9")
-
-    class _Z:
-        item = "q3"
-
     fixture = FixtureAdapter({("u9", "q3"): "Because it matches the streak."})
-    assert request_explanation(_Z(), None, fixture, bundle) == "Because it matches the streak."
-    assert fixture.call_count == 1
+    assert request_explanation("q3", fixture, bundle) == "Because it matches the streak."
     assert fixture.calls == [("u9", "q3")]
+    assert request_explanation("q3", fixture, bundle, user="u9") == "Because it matches the streak."
+    with pytest.raises(DataError, match="no fixture entry for user 'u1'"):
+        request_explanation("q3", fixture, bundle, user="u1")
 
-    remote = RemoteAdapter(
-        "http://localhost:9/x",
-        transport=lambda prompt: "red fox ||| Because the colors recur.",
-    )
-    assert request_explanation(_Z(), None, remote, bundle) == "Because the colors recur."
+    class _Spy:
+        def generate(self, user, item, prompt, instance=None):
+            self.seen = (user, item, prompt, instance)
+            return "ok"
 
-    bare = RemoteAdapter("http://localhost:9/x", transport=lambda prompt: "no delimiter here")
-    with pytest.raises(DataError, match="lacks the '\\|\\|\\|' delimiter"):
-        request_explanation(_Z(), None, bare, bundle)
-
-
-def test_remote_explanation_prompt_carries_the_request_suffix():
-    bundle = assemble_prompt(np.zeros(8), [("red fox", np.zeros(8))], user="u9")
-    seen = {}
-
-    def transport(prompt):
-        seen["prompt"] = prompt
-        return f"red fox {EXPLANATION_DELIMITER} ok"
-
-    class _Z:
-        item = "q3"
-
-    request_explanation(_Z(), None, RemoteAdapter("http://x", transport=transport), bundle)
-    assert seen["prompt"].endswith("Respond as: <title> ||| <explanation>.")
-    assert seen["prompt"].startswith(render_prompt_text(bundle))
-
-
-def test_cot_signal_from_record_requires_retention():
-    instance_args = dict(
-        user="u", task="t", history_lines=["1. x"], target_line="y", prior_line="p",
-        label=1, history_items=("x",), target_item="q",
-    )
-    record = CotRecord(
-        instance=InstructionInstance(**instance_args),
-        cot="A clear trace.", dims=(1.0, 1.0, 1.0, 1.0), score=1.0,
-    )
-    with pytest.raises(ValueError, match="only retained"):
-        cot_signal_from_record(record)
-    record.retained = True
-    signal = cot_signal_from_record(record)
-    assert np.array_equal(signal.embedding, fallback_embed("A clear trace."))
-    assert signal.score == 1.0
+    spy = _Spy()
+    assert request_explanation("q3", spy, bundle) == "ok"
+    assert spy.seen == ("u9", "q3", render_prompt_text(bundle), None)
 
 
 def test_build_projection_examples_structure(toy_world, toy_pipeline):
