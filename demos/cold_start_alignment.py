@@ -29,6 +29,7 @@ from fusionrec.data import (
 from fusionrec.evaluate import (
     RecommendationPipeline,
     cold_warm_report,
+    evaluate_split,
     render_metric_table,
     zero_shot_eval,
 )
@@ -86,8 +87,8 @@ print(f"\n{cold_item} ({planted.catalog[cold_item][0]!r}) -> {embedding.source},
 
 # --- cohort comparison and the renamed domain ---
 pipeline = RecommendationPipeline(cf_model=model, alignment=net, semantic_map=semantic_map)
-comparison = cold_warm_report(pipeline, split, partition, ks=[5, 10],
-                              candidate_pool_size=59, seed=3)
+standard = evaluate_split(pipeline, split, ks=[5, 10], candidate_pool_size=59, seed=3)
+comparison = cold_warm_report(standard, split, partition)  # cuts of the standard ranks
 
 variant = make_zero_shot_variant(planted)
 zs_filtered = filter_dataset(as_log(variant), min_user_events=5, min_item_popularity=1)
@@ -95,6 +96,6 @@ zs_split = leave_one_out_split(build_sequences(zs_filtered))
 zs_report = zero_shot_eval(pipeline, zs_split, embed_catalog(variant.catalog),
                            ks=[5, 10], candidate_pool_size=59, seed=3)
 print()
-print(render_metric_table([comparison.warm, comparison.cold, zs_report]), end="")
+print(render_metric_table([standard, comparison.warm, comparison.cold, zs_report]), end="")
 print("\nevery zero-shot lookup went through the semantic path; the run "
       "would have failed otherwise")

@@ -424,14 +424,8 @@ def build_alignment_dataset(
     table: dict[str, int] = {}
     e_rows, q_rows = [], []
     users, pairs, triples = [], [], []
-    warm_histories = {}
-    for user in split.users():
-        history = [item for item in split.train[user] if cf_model.has_item(item)]
-        if history and cf_model.has_item(split.validation[user]):
-            warm_histories[user] = history
-    reps = dict(
-        zip(warm_histories, cf_mod.user_representations(cf_model, list(warm_histories.values())))
-    )
+    warm_histories, warm_reps = cf_mod.warm_user_representations(cf_model, split, split.users())
+    reps = dict(zip(warm_histories, warm_reps))
     for user in split.users():
         sequence = split.train[user]
         group = []

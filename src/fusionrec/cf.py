@@ -40,6 +40,7 @@ __all__ = [
     "training_loss_and_gradients",
     "user_representation",
     "user_representations",
+    "warm_user_representations",
     "user_representation_from_vectors",
     "user_representations_from_vectors",
     "item_embedding",
@@ -364,6 +365,17 @@ def user_representations(model: CfModel, histories) -> np.ndarray:
             raise ValueError("history must be non-empty; cold users take the semantic path upstream")
         sequences.append(item_emb[model.indices_for(list(history)[-model.config.max_history:])])
     return user_representations_from_vectors(model, sequences)
+
+
+def warm_user_representations(model: CfModel, split, users) -> tuple[dict, np.ndarray]:
+    """{user: its train items in the vocabulary} for each of the users whose
+    validation item and some train item are in it, and their representations."""
+    histories = {}
+    for user in users:
+        history = [item for item in split.train[user] if model.has_item(item)]
+        if history and model.has_item(split.validation[user]):
+            histories[user] = history
+    return histories, user_representations(model, list(histories.values()))
 
 
 def user_representations_from_vectors(model: CfModel, sequences) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 
 import numpy as np
@@ -58,7 +59,8 @@ def save_checkpoint(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) 
 
 
 def _read_header(fh, path) -> tuple[str, dict, list[tuple[str, tuple[int, ...]]]]:
-    """Kind, meta and array entries; leaves `fh` at the start of the payload."""
+    """Kind, meta and array entries of a file whose size matches them; leaves
+    `fh` at the start of the payload."""
     magic = fh.read(len(_MAGIC))
     if magic != _MAGIC:
         raise DataError(f"{path}: not a checkpoint file")
@@ -74,11 +76,19 @@ def _read_header(fh, path) -> tuple[str, dict, list[tuple[str, tuple[int, ...]]]
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise DataError(f"{path}: corrupt header ({type(exc).__name__}: {exc})") from None
     fh.read(1)  # trailing newline
+    # the file must end where the header's arrays do; its size is checked, not read
+    end, size = fh.tell(), os.fstat(fh.fileno()).st_size
+    for name, shape in entries:
+        end += 8 * math.prod(shape)
+        if end > size:
+            raise DataError(f"{path}: truncated array payload for {name!r}")
+    if end != size:
+        raise DataError(f"{path}: {size - end} bytes after the array payload")
     return kind, meta, entries
 
 
 def load_checkpoint_header(path) -> tuple[str, dict]:
-    """Kind and meta of a checkpoint, without reading its array payload."""
+    """Kind and meta of a size-checked checkpoint, without reading its array payload."""
     with open(path, "rb") as fh:
         kind, meta, _ = _read_header(fh, path)
     return kind, meta
@@ -89,9 +99,6 @@ def load_checkpoint(path) -> tuple[str, dict, dict[str, np.ndarray]]:
         kind, meta, entries = _read_header(fh, path)
         arrays: dict[str, np.ndarray] = {}
         for name, shape in entries:
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise DataError(f"{path}: truncated array payload for {name!r}")
+            buf = fh.read(8 * math.prod(shape))
             arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
     return kind, meta, arrays

@@ -32,8 +32,8 @@ from .cf import (
     item_probabilities,
     rank_by_score,
     train_cf,
-    user_representations,
     verbalize_prior,
+    warm_user_representations,
 )
 from .checkpoint import atomic_open, load_checkpoint, load_checkpoint_header, save_checkpoint
 from .config import RunConfig, default_config, parse_config
@@ -138,9 +138,12 @@ def _artifact_fields(path: str):
 
 
 def _split_from_json(payload) -> SplitDataset:
-    return SplitDataset(
+    split = SplitDataset(
         train=payload["train"], validation=payload["validation"], test=payload["test"]
     )
+    if not set(split.train) == set(split.validation) == set(split.test):
+        raise ValueError("train, validation and test hold different users")
+    return split
 
 
 def _partition_from_json(payload) -> ColdWarmPartition:
@@ -400,13 +403,8 @@ def _cot(run: _Run) -> dict:
         users = sorted(users[i] for i in perm[:sample_size])
 
     weights = config.get("cot.weights")
-    warm_histories = {}
-    for user in users:
-        warm_history = [i for i in split.train[user] if model.has_item(i)]
-        if model.has_item(split.validation[user]) and warm_history:
-            warm_histories[user] = warm_history
+    warm_histories, reps = warm_user_representations(model, split, users)
     skipped = len(users) - len(warm_histories)
-    reps = user_representations(model, list(warm_histories.values()))
     # The label sentences, and often a trace's closing sentence, recur across
     # traces; a small cache embeds them once per stage.
     embedder = functools.lru_cache(maxsize=64)(fallback_embed)
@@ -557,20 +555,15 @@ def _eval(run: _Run) -> dict:
     semantic_map = _semantic_map(config) if net is not None else None
     pipeline = RecommendationPipeline(cf_model=model, alignment=net, semantic_map=semantic_map)
 
-    ks = list(config.get("eval.ks"))
-    pool_size = config.get("eval.pool_size")
-    digest = config.digest()
-    eval_seed = run.seed_int()
     references, explainer = _explanation_hooks(config)
-
     standard = evaluate_split(
         pipeline,
         split,
-        ks,
-        candidate_pool_size=pool_size,
-        seed=eval_seed,
+        list(config.get("eval.ks")),
+        candidate_pool_size=config.get("eval.pool_size"),
+        seed=run.seed_int(),
         protocol="standard",
-        config_digest=digest,
+        config_digest=config.digest(),
         references=references,
         explainer=explainer,
     )
@@ -580,9 +573,7 @@ def _eval(run: _Run) -> dict:
     partition = run.read("partition.json")
     if partition is not None:
         try:
-            comparison = cold_warm_report(
-                pipeline, split, partition, ks, pool_size, seed=eval_seed, config_digest=digest
-            )
+            comparison = cold_warm_report(standard, split, partition)
         except DataError as exc:
             print(f"cold/warm breakdown skipped: {exc}")
         else:

@@ -6,7 +6,9 @@ collaborative embedding are routed through the semantic path: their text
 embedding is encoded into the shared latent space and decoded back into the
 collaborative space, yielding a pseudo-embedding every downstream dot
 product can consume. The pipeline counts which route each lookup took so
-protocol assertions (zero-shot must be 100% semantic) stay checkable.
+protocol assertions (zero-shot must be 100% semantic) stay checkable. Each
+test user is ranked once: the warm and cold reports are cuts of the standard
+report's per-user target ranks, so every cohort user keeps its standard pool.
 
 Scoring is batched. The pipeline builds one `ItemTable` for the items a
 stage needs, computing each item's row once; users are represented in
@@ -67,6 +69,8 @@ class MetricReport:
     rouge1: float | None = None
     rougeL: float | None = None
     skipped: int = 0
+    # user -> 0-based target rank, in user order; not part of the JSON form
+    ranks: dict[str, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
@@ -291,6 +295,14 @@ def _sample_pool(
     return [target] + [universe[i] for i in negatives]
 
 
+def _report_from_ranks(ranks: dict[str, int], ks, protocol, seed, config_digest, **text):
+    """A MetricReport over the given users' 0-based target ranks, summed in user order."""
+    values = list(ranks.values())
+    hr = {k: hit_rate_from_ranks(values, k) for k in ks}
+    ndcg = {k: ndcg_from_ranks(values, k) for k in ks}
+    return MetricReport(hr, ndcg, len(ranks), protocol, seed, config_digest, ranks=ranks, **text)
+
+
 def evaluate_split(
     pipeline: PoolRanker,
     split: SplitDataset,
@@ -299,7 +311,6 @@ def evaluate_split(
     seed: int = 0,
     protocol: str = "standard",
     config_digest: str = "",
-    users: list[str] | None = None,
     references: dict[tuple[str, str], str] | None = None,
     explainer=None,
 ) -> MetricReport:
@@ -307,10 +318,11 @@ def evaluate_split(
 
     Negatives are drawn per user, in user order, from the item universe minus
     the user's own sequence; a short pool falls back to all eligible items
-    (logged). All pools are then ranked in one `pipeline.target_ranks` call.
-    Users without a test target are skipped and counted. When an explanation
-    generator and reference texts are both supplied, BLEU-4 / ROUGE are
-    averaged over the covered (user, target) pairs.
+    (logged), and a pool shorter than the largest cutoff is a DataError. All
+    pools are then ranked in one `pipeline.target_ranks` call, and the report
+    keeps each user's target rank. When an explanation generator and
+    reference texts are both supplied, BLEU-4 / ROUGE are averaged over the
+    covered (user, target) pairs.
     """
     if not ks:
         raise ValueError("ks must be non-empty")
@@ -321,55 +333,35 @@ def evaluate_split(
     rng = np.random.default_rng(seed)
     universe = sorted(split.item_universe())
     position = {item: i for i, item in enumerate(universe)}
-    eval_users = sorted(split.train) if users is None else sorted(users)
+    users = sorted(split.train)
+    if not users:
+        raise DataError(f"{protocol} evaluation covered no users")
 
-    ranked_users: list[str] = []
     histories: list[list[str]] = []
     pools: list[list[str]] = []
-    skipped = 0
-    bleu_rows: list[float] = []
-    rouge1_rows: list[float] = []
-    rougel_rows: list[float] = []
-    for user in eval_users:
-        target = split.test.get(user)
-        if target is None:
-            skipped += 1
-            logger.info("user %s has no test item; skipped", user)
-            continue
+    text_rows: dict[str, list[float]] = {"bleu4": [], "rouge1": [], "rougeL": []}
+    for user in users:
+        target = split.test[user]
         excluded = [position[item] for item in split.full_sequence(user)]
-        pools.append(_sample_pool(target, excluded, universe, candidate_pool_size, rng))
+        pool = _sample_pool(target, excluded, universe, candidate_pool_size, rng)
+        if len(pool) < max(ks):
+            raise DataError(
+                f"user {user!r} has a pool of {len(pool)} items (candidate pool size "
+                f"{candidate_pool_size}), fewer than k={max(ks)}"
+            )
+        pools.append(pool)
         histories.append(split.train[user] + [split.validation[user]])
-        ranked_users.append(user)
         if references is not None and explainer is not None:
             reference = references.get((user, target))
             if reference is not None:
                 generated = tokenize(explainer(user, target))
                 ref_tokens = tokenize(reference)
-                bleu_rows.append(bleu(generated, ref_tokens))
-                rouge1_rows.append(rouge(generated, ref_tokens, "rouge1"))
-                rougel_rows.append(rouge(generated, ref_tokens, "rougeL"))
-    if skipped:
-        logger.info("%d users skipped (no test item)", skipped)
-    if not ranked_users:
-        raise DataError(f"{protocol} evaluation covered no users")
-    for k in ks:
-        for user, pool in zip(ranked_users, pools):
-            if len(pool) < k:
-                raise ValueError(f"ranking for user {user!r} shorter than k={k}")
+                text_rows["bleu4"].append(bleu(generated, ref_tokens))
+                text_rows["rouge1"].append(rouge(generated, ref_tokens, "rouge1"))
+                text_rows["rougeL"].append(rouge(generated, ref_tokens, "rougeL"))
     ranks = pipeline.target_ranks(histories, pools)
-
-    return MetricReport(
-        hr={k: hit_rate_from_ranks(ranks, k) for k in ks},
-        ndcg={k: ndcg_from_ranks(ranks, k) for k in ks},
-        n_users=len(ranked_users),
-        protocol=protocol,
-        seed=seed,
-        config_digest=config_digest,
-        bleu4=float(np.mean(bleu_rows)) if bleu_rows else None,
-        rouge1=float(np.mean(rouge1_rows)) if rouge1_rows else None,
-        rougeL=float(np.mean(rougel_rows)) if rougel_rows else None,
-        skipped=skipped,
-    )
+    text = {name: float(np.mean(rows)) if rows else None for name, rows in text_rows.items()}
+    return _report_from_ranks(dict(zip(users, ranks)), ks, protocol, seed, config_digest, **text)
 
 
 @dataclass
@@ -380,49 +372,30 @@ class CohortComparison:
 
 
 def cold_warm_report(
-    pipeline: RecommendationPipeline,
-    split: SplitDataset,
-    partition: ColdWarmPartition,
-    ks: list[int],
-    candidate_pool_size: int = 100,
-    seed: int = 0,
-    config_digest: str = "",
+    standard: MetricReport, split: SplitDataset, partition: ColdWarmPartition
 ) -> CohortComparison:
-    """Separate reports for test users with warm vs. cold targets, plus the
-    signed relative gap (warm - cold) / warm per metric and cutoff."""
-    cohorts = {"warm": [], "cold": []}
-    for user in sorted(split.test):
+    """The standard report's users cut by their target's cohort: separate
+    reports for warm and cold targets over the same ranks, plus the signed
+    relative gap (warm - cold) / warm per metric and cutoff."""
+    ks = list(standard.hr)
+    cohorts: dict[str, dict[str, int]] = {"warm": {}, "cold": {}}
+    for user, rank in standard.ranks.items():
         target = split.test[user]
         if target in partition.cold:
-            cohorts["cold"].append(user)
+            cohorts["cold"][user] = rank
         elif target in partition.warm:
-            cohorts["warm"].append(user)
+            cohorts["warm"][user] = rank
     reports = {}
-    for name, cohort_users in cohorts.items():
-        if not cohort_users:
+    for name, ranks in cohorts.items():
+        if not ranks:
             raise DataError(f"{name} cohort is empty")
-        reports[name] = evaluate_split(
-            pipeline,
-            split,
-            ks,
-            candidate_pool_size,
-            seed=seed,
-            protocol=name,
-            config_digest=config_digest,
-            users=cohort_users,
-        )
+        reports[name] = _report_from_ranks(ranks, ks, name, standard.seed, standard.config_digest)
 
-    def relative_gap(warm_value: float, cold_value: float) -> float | None:
-        if warm_value == 0.0:
-            return None
-        return (warm_value - cold_value) / warm_value
+    def relative_gap(metric: str, k: int) -> float | None:
+        warm, cold = getattr(reports["warm"], metric)[k], getattr(reports["cold"], metric)[k]
+        return None if warm == 0.0 else (warm - cold) / warm
 
-    gap = {
-        "hr": {k: relative_gap(reports["warm"].hr[k], reports["cold"].hr[k]) for k in ks},
-        "ndcg": {
-            k: relative_gap(reports["warm"].ndcg[k], reports["cold"].ndcg[k]) for k in ks
-        },
-    }
+    gap = {metric: {k: relative_gap(metric, k) for k in ks} for metric in ("hr", "ndcg")}
     return CohortComparison(warm=reports["warm"], cold=reports["cold"], gap=gap)
 
 

@@ -380,18 +380,15 @@ def oracle_item_vector(cf_model, net, semantic_map, item):
     return p["dec_c.w"] @ latent + p["dec_c.b"], "semantic_path"
 
 
-def oracle_pooled_evaluation(cf_model, net, semantic_map, split, pool_size: int, seed: int,
-                             users=None):
+def oracle_pooled_evaluation(cf_model, net, semantic_map, split, pool_size: int, seed: int):
     """The per-user rank_pool loop: per user, its pool, item scores, ranking
     and target; plus the routing count of every lookup made."""
     rng = np.random.default_rng(seed)
     universe = sorted(split.item_universe())
     routing = Counter()
     results = {}
-    for user in sorted(split.train) if users is None else sorted(users):
-        target = split.test.get(user)
-        if target is None:
-            continue
+    for user in sorted(split.train):
+        target = split.test[user]
         history = split.train[user] + [split.validation[user]]
         pool = oracle_sample_pool(target, set(split.full_sequence(user)), universe, pool_size, rng)
         recent = history[-cf_model.config.max_history:]

@@ -50,7 +50,12 @@ from fusionrec.data import (
     leave_one_out_split,
     partition_cold_warm,
 )
-from fusionrec.evaluate import RecommendationPipeline, cold_warm_report, zero_shot_eval
+from fusionrec.evaluate import (
+    RecommendationPipeline,
+    cold_warm_report,
+    evaluate_split,
+    zero_shot_eval,
+)
 from fusionrec.gradcheck import max_relative_gradient_error
 from fusionrec.metrics import bleu, hit_rate_at_k, ndcg_at_k, rouge
 from fusionrec.projection import (
@@ -151,7 +156,8 @@ def cold_world():
         net, dataset, epochs=400, batch_size=16, learning_rate=1e-3, rng=rng2, optimizer="adam"
     )
     pipeline = RecommendationPipeline(cf_model=cf_model, alignment=net, semantic_map=semantic_map)
-    comparison = cold_warm_report(pipeline, split, partition, [10], 100, seed=3)
+    standard = evaluate_split(pipeline, split, [10], 100, seed=3)
+    comparison = cold_warm_report(standard, split, partition)
     return {
         "planted": planted,
         "split": split,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import os
 import tempfile
 
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from fusionrec import checkpoint as checkpoint_module
 from fusionrec.checkpoint import load_checkpoint, load_checkpoint_header, save_checkpoint
 from fusionrec.errors import DataError
 from fusionrec.gradcheck import max_relative_gradient_error
@@ -74,15 +76,38 @@ def test_checkpoint_roundtrip_over_random_shapes(arrays_in, meta):
         assert loaded[name].tobytes() == array.tobytes()  # bit-equal, NaN and -0.0 included
 
 
-def test_header_read_skips_the_payload(tmp_path):
+class _CountingReader(io.BufferedReader):
+    def read(self, size=-1):
+        data = super().read(size)
+        _CountingReader.bytes_read += len(data)
+        return data
+
+
+def test_header_read_skips_the_payload(tmp_path, monkeypatch):
     path = tmp_path / "model.ckpt"
     meta = {"training_log": [0.5, 0.25], "items": ["a"]}
     save_checkpoint(path, "align", meta, _sample_arrays())
     full = path.read_bytes()
-    path.write_bytes(full[: full.index(b"}\n") + 2])  # header only: the payload is cut away
+    header_end = full.index(b"}\n") + 2
+    _CountingReader.bytes_read = 0
+    monkeypatch.setattr(
+        checkpoint_module, "open", lambda p, mode: _CountingReader(io.FileIO(p, mode)), raising=False
+    )
     assert load_checkpoint_header(path) == ("align", meta)
+    assert 0 < _CountingReader.bytes_read <= header_end  # the payload was never read
+
+
+@pytest.mark.parametrize("reader", [load_checkpoint, load_checkpoint_header])
+def test_a_payload_of_the_wrong_size_is_refused_by_both_readers(tmp_path, reader):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, "align", {"items": ["a"]}, _sample_arrays())
+    full = path.read_bytes()
+    path.write_bytes(full[: full.index(b"}\n") + 2])  # header only: the payload is cut away
     with pytest.raises(DataError, match="truncated array payload"):
-        load_checkpoint(path)
+        reader(path)
+    path.write_bytes(full + b"\0" * 3)
+    with pytest.raises(DataError, match="3 bytes after the array payload"):
+        reader(path)
 
 
 def test_checkpoint_bytes_are_deterministic(tmp_path):

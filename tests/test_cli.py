@@ -264,6 +264,12 @@ def _ckpt_with_header(header: bytes) -> bytes:
     return b"FRCKPT1\n" + f"{len(header)}\n".encode("ascii") + header + b"\n"
 
 
+def _drop_first_test_user(blob: bytes) -> bytes:
+    payload = json.loads(blob)
+    del payload["test"][min(payload["test"])]
+    return json.dumps(payload).encode("utf-8")
+
+
 @pytest.mark.parametrize(
     "artifact, damage, stage",
     [
@@ -273,13 +279,14 @@ def _ckpt_with_header(header: bytes) -> bytes:
         ("split.json", lambda blob: blob[:3], "train-cf"),
         ("split.json", lambda blob: b"\xff\xfe" + blob, "train-align"),
         ("split.json", lambda blob: b'{"train": {}}', "eval"),
+        ("split.json", _drop_first_test_user, "train-align"),
         ("cots.json", lambda blob: b"{}", "sweep"),
         ("partition.json", lambda blob: b'{"cold": []}', "eval"),
         ("report_standard.json", lambda blob: b'{"hr": {}}', "report"),
     ],
     ids=[
         "cf-cut", "cf-no-arrays", "cf-no-items", "split-cut", "split-bad-utf8", "split-no-keys",
-        "cots-no-records", "partition-no-warm", "report-no-users",
+        "split-users-differ", "cots-no-records", "partition-no-warm", "report-no-users",
     ],
 )
 def test_corrupt_artifact_is_one_error_line_and_exit_3(chain, tmp_path, artifact, damage, stage):
@@ -337,6 +344,41 @@ def test_forced_eval_without_a_cold_cohort_removes_the_old_coldwarm_report(chain
     assert rc == 0, err
     assert not (out_dir / "report_coldwarm.json").exists()
     assert "evaluation (cold/warm)" not in (out_dir / "report.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("checkpoint", ["cf.ckpt", "align.ckpt", "proj.ckpt"])
+@pytest.mark.parametrize(
+    "damage",
+    [lambda blob: blob[: len(blob) // 2], lambda blob: blob + bytes(8)],
+    ids=["cut", "extended"],
+)
+def test_report_refuses_a_checkpoint_whose_size_disagrees_with_its_header(
+    chain, tmp_path, checkpoint, damage
+):
+    out_dir = tmp_path / "resized"
+    shutil.copytree(chain["out"], out_dir)
+    path = out_dir / checkpoint
+    path.write_bytes(damage(path.read_bytes()))
+    rc, _, err = _run(
+        ["report", "--config", str(chain["config"]), "--out", str(out_dir), "--seed", "0", "--force"]
+    )
+    assert rc == 3
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert checkpoint in err
+
+
+def test_pool_shorter_than_the_largest_cutoff_is_a_data_error(chain, tmp_path):
+    out_dir = tmp_path / "short-pools"
+    shutil.copytree(chain["out"], out_dir)
+    config = tmp_path / "short-pools.conf"
+    _write_config(
+        config, chain["interactions"], chain["catalog"], ["eval.ks = 1, 5, 10", "eval.pool_size = 12"]
+    )
+    rc, _, err = _run(["eval", "--config", str(config), "--out", str(out_dir), "--seed", "0", "--force"])
+    assert rc == 3
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert re.search(r"user 'u\d+' has a pool of \d+ items \(candidate pool size 12\), fewer than k=10", err)
+    assert not (out_dir / ".lock").exists()
 
 
 def test_report_gives_the_hr_gap_at_the_largest_cutoff(chain):

@@ -30,7 +30,7 @@ from fusionrec.evaluate import (
 from fusionrec.metrics import hit_rate_at_k, ndcg_at_k
 from fusionrec.semantic import embed_catalog, fallback_embed
 from fusionrec.synthetic import make_zero_shot_variant
-from oracles import oracle_pooled_evaluation, oracle_sample_pool
+from oracles import oracle_hit_rate, oracle_ndcg, oracle_pooled_evaluation, oracle_sample_pool
 
 
 class _IdentityRanker(PoolRanker):
@@ -119,15 +119,6 @@ def test_pool_shortfall_is_logged_not_fatal(toy_pipeline, toy_world, caplog):
     assert report.hr[5] >= report.hr[1]
 
 
-def test_users_outside_the_split_are_skipped():
-    split = _grid_split(20)
-    report = evaluate_split(
-        _IdentityRanker(), split, [1], users=list(split.users()) + ["ghost"]
-    )
-    assert report.skipped == 1
-    assert report.n_users == 20
-
-
 def test_evaluate_split_input_validation():
     split = _grid_split(5)
     with pytest.raises(ValueError, match="ks must be non-empty"):
@@ -135,7 +126,7 @@ def test_evaluate_split_input_validation():
     with pytest.raises(ValueError, match="smaller than max k"):
         evaluate_split(_IdentityRanker(), split, [10], candidate_pool_size=5)
     with pytest.raises(DataError, match="standard evaluation covered no users"):
-        evaluate_split(_IdentityRanker(), split, [1], users=["ghost"])
+        evaluate_split(_IdentityRanker(), SplitDataset(train={}, validation={}, test={}), [1])
 
 
 def test_text_metrics_average_over_covered_references():
@@ -166,11 +157,14 @@ def _cohort_world():
     return split, partition
 
 
+def _cohort_comparison(favored, ks, partition=None, **kwargs):
+    split, cohorts = _cohort_world()
+    standard = evaluate_split(_CohortRanker(favored), split, ks, candidate_pool_size=4, **kwargs)
+    return cold_warm_report(standard, split, partition or cohorts)
+
+
 def test_cohort_gap_is_signed_relative_to_warm():
-    split, partition = _cohort_world()
-    favored_warm = cold_warm_report(
-        _CohortRanker({"w1", "w2"}), split, partition, [1, 2], candidate_pool_size=4
-    )
+    favored_warm = _cohort_comparison({"w1", "w2"}, [1, 2], seed=5, config_digest="abc")
     assert isinstance(favored_warm, CohortComparison)
     assert favored_warm.warm.hr == {1: 1.0, 2: 1.0}
     assert favored_warm.cold.hr == {1: 0.0, 2: 0.0}
@@ -178,22 +172,21 @@ def test_cohort_gap_is_signed_relative_to_warm():
     assert favored_warm.gap["ndcg"] == {1: 1.0, 2: 1.0}
     assert favored_warm.warm.protocol == "warm"
     assert favored_warm.cold.protocol == "cold"
+    for report in (favored_warm.warm, favored_warm.cold):
+        assert (report.seed, report.config_digest, report.n_users) == (5, "abc", 2)
 
-    even = cold_warm_report(
-        _CohortRanker({"w1", "w2", "c1", "c2"}), split, partition, [1], candidate_pool_size=4
-    )
+    even = _cohort_comparison({"w1", "w2", "c1", "c2"}, [1])
     assert even.gap["hr"] == {1: 0.0}
 
-    hopeless = cold_warm_report(_CohortRanker(()), split, partition, [1], candidate_pool_size=4)
+    hopeless = _cohort_comparison((), [1])
     assert hopeless.gap["hr"] == {1: None}
     assert hopeless.gap["ndcg"] == {1: None}
 
 
 def test_cohort_report_requires_both_cohorts():
-    split, _ = _cohort_world()
     warm_only = ColdWarmPartition(cold={"c9"}, warm={"w1", "w2", "c1", "c2"})
     with pytest.raises(DataError, match="cold cohort is empty"):
-        cold_warm_report(_IdentityRanker(), split, warm_only, [1], candidate_pool_size=4)
+        _cohort_comparison({"w1"}, [1], warm_only)
 
 
 def test_metric_report_validation():
@@ -470,3 +463,47 @@ def test_item_table_rows_are_computed_once_per_item(toy_world, toy_alignment, mo
         assert np.array_equal(
             table.latent[row], real(toy_alignment, item, toy_world["cf"], semantic).vector
         )
+
+
+def _mixed_partition(split):
+    cold = {item for item in split.test.values() if item.startswith("zz")}
+    return ColdWarmPartition(cold=cold, warm=set(split.test.values()) - cold)
+
+
+def test_cohort_reports_rank_nothing_and_keep_the_routing(toy_world, toy_alignment, monkeypatch):
+    split, semantic = _mixed_world(toy_world)
+    pipeline = RecommendationPipeline(toy_world["cf"], toy_alignment, semantic)
+    calls = []
+    real = RecommendationPipeline.target_ranks
+    monkeypatch.setattr(
+        RecommendationPipeline,
+        "target_ranks",
+        lambda self, histories, pools: calls.append(len(pools)) or real(self, histories, pools),
+    )
+    standard = evaluate_split(pipeline, split, [1, 5, 10], candidate_pool_size=_MIXED_POOL, seed=3)
+    routing = dict(pipeline.routing)
+    comparison = cold_warm_report(standard, split, _mixed_partition(split))
+    assert calls == [len(split.train)]
+    assert dict(pipeline.routing) == routing
+    assert comparison.warm.n_users + comparison.cold.n_users == standard.n_users
+
+
+def test_cohort_reports_are_the_oracle_metrics_over_the_standard_rankings(toy_world, toy_alignment):
+    split, semantic = _mixed_world(toy_world)
+    model = toy_world["cf"]
+    ks = [1, 5, 10]
+    results, _ = oracle_pooled_evaluation(model, toy_alignment, semantic, split, _MIXED_POOL, seed=3)
+    pipeline = RecommendationPipeline(model, toy_alignment, semantic)
+    standard = evaluate_split(pipeline, split, ks, candidate_pool_size=_MIXED_POOL, seed=3)
+    partition = _mixed_partition(split)
+    comparison = cold_warm_report(standard, split, partition)
+    assert list(standard.ranks) == sorted(results)
+    for report, cohort in ((comparison.warm, partition.warm), (comparison.cold, partition.cold)):
+        users = [user for user in results if results[user]["target"] in cohort]
+        assert users and list(report.ranks) == users
+        assert set(report.ranks) <= set(standard.ranks)
+        assert report.ranks == {user: standard.ranks[user] for user in users}
+        rankings = {user: results[user]["ranking"] for user in users}
+        targets = {user: results[user]["target"] for user in users}
+        assert report.hr == {k: oracle_hit_rate(rankings, targets, k) for k in ks}
+        assert report.ndcg == {k: oracle_ndcg(rankings, targets, k) for k in ks}
