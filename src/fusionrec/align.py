@@ -16,14 +16,16 @@ Warm items are served from the collaborative encoder, cold items (absent from
 the CF vocabulary) from the semantic encoder; both land in the same latent
 space and are directly comparable.
 
-Training updates the semantic encoder weight `enc_s.w` only on its live
-columns: the columns of the training item table `q` that are non-zero in at
-least one row. The other columns multiply only zeros, so their gradient is
-exactly zero in every step; plain gradient descent and Adam (whose moments
-stay zero there) leave them at their initial values, as full-width training
-would. Restricting the encoder product, its gradient and the optimizer state
-to the live columns changes only the summation order of the encoder product.
-The decoder, the reconstruction target and `encode` stay full width.
+Training works on the live semantic subspace: the columns of the training
+item table `q` that are non-zero in at least one row. Before the first step
+the dead rows of the semantic decoder (`dec_s.w`, `dec_s.b`) are set to 0,
+the optimum of a target that is 0 in every row. Their residual is then
+exactly 0, so their gradient and their share of the encoder's gradient are
+0 in every step; the dead columns of `enc_s.w` multiply only zeros. Plain
+gradient descent and Adam (whose moments stay 0) leave all of them as they
+are, so training steps only the live columns of `enc_s.w` and the live rows
+of `dec_s`: full-width training from the zeroed start, up to summation
+order. `encode`, `decode` and the checkpoint stay full width.
 """
 
 from __future__ import annotations
@@ -86,16 +88,14 @@ class AlignmentBatch:
     """Inputs of one training step.
 
     `e`, `q` and `w` hold one row per distinct item in the chosen users'
-    sequences: its collaborative vector, its semantic vector, and the sum of
-    the nested-mean weights of its occurrences. `q_live` is the semantic
-    encoder's input: the columns of `q` that the step trains (all of them
-    unless the batch was built with `live`). `x`, `pos` and `neg` hold the
-    chosen users' (user_rep, pos_collab, neg_collab) triples, one per row.
+    sequences: its collaborative vector, its semantic vector (the live
+    columns only during training), and the sum of the nested-mean weights of
+    its occurrences. `x`, `pos` and `neg` hold the chosen users' (user_rep,
+    pos_collab, neg_collab) triples, one per row.
     """
 
     e: np.ndarray
     q: np.ndarray
-    q_live: np.ndarray
     w: np.ndarray
     x: np.ndarray
     pos: np.ndarray
@@ -131,14 +131,13 @@ class AlignmentDataset:
         """Indices of the columns of `q` that are non-zero in at least one row."""
         return np.flatnonzero(np.any(self.q != 0.0, axis=0))
 
-    def batch(self, chosen, live=slice(None)) -> AlignmentBatch:
+    def batch(self, chosen) -> AlignmentBatch:
         """The batch of the chosen user indices.
 
         Each occurrence weighs 1 / (G * |group|), where G counts the chosen
         users that have at least one pair; an item's weights are summed, so
         the alignment and reconstruction terms are evaluated once per
-        distinct item. `live` selects the columns of `q` that go into
-        `q_live`.
+        distinct item.
         """
         chosen = np.asarray(chosen, dtype=np.int64)
         pair_rows, sizes = _segments(self.pair_ptr, chosen)
@@ -149,11 +148,9 @@ class AlignmentDataset:
         )
         present = np.flatnonzero(summed)
         triple_rows, _ = _segments(self.triple_ptr, chosen)
-        q = self.q[present]
         return AlignmentBatch(
             e=self.e[present],
-            q=q,
-            q_live=q[:, live],
+            q=self.q[present],
             w=summed[present],
             x=self.x[triple_rows],
             pos=self.pos[triple_rows],
@@ -301,16 +298,13 @@ def total_loss(net: AlignmentNetwork, batch: AlignmentBatch) -> float:
 def total_loss_and_gradients(net: AlignmentNetwork, batch: AlignmentBatch):
     """Analytic gradients of total_loss over all eight parameter arrays.
 
-    The semantic encoder reads `batch.q_live`, so `enc_s.w` needs one column
-    per column of it: the full weight for a batch built without `live`, the
-    live block during training. An empty item or triple set contributes
-    zero loss and zero gradient.
+    An empty item or triple set contributes zero loss and zero gradient.
     """
     p = net.params
     e, q, w = batch.e, batch.q, batch.w
     wcol = w[:, None]
     u = e @ p["enc_c.w"].T + p["enc_c.b"]
-    v = batch.q_live @ p["enc_s.w"].T + p["enc_s.b"]
+    v = q @ p["enc_s.w"].T + p["enc_s.b"]
     diff = u - v
     r_c = u @ p["dec_c.w"].T + p["dec_c.b"] - e
     r_s = v @ p["dec_s.w"].T + p["dec_s.b"] - q
@@ -326,7 +320,7 @@ def total_loss_and_gradients(net: AlignmentNetwork, batch: AlignmentBatch):
     grads = {
         "enc_c.w": d_u.T @ e,
         "enc_c.b": d_u.sum(axis=0),
-        "enc_s.w": d_v.T @ batch.q_live,
+        "enc_s.w": d_v.T @ q,
         "enc_s.b": d_v.sum(axis=0),
         "dec_c.w": wr.T @ u,
         "dec_c.b": wr.sum(axis=0),
@@ -367,29 +361,37 @@ def train_alignment(
     `batch_size` consecutive users of it (see AlignmentDataset.batch).
     Per-epoch mean batch losses are stored on net.training_log.
 
-    Only the live columns of `enc_s.w` (AlignmentDataset.live_columns) are
-    trained: the steps and the optimizer state work on that latent x L block,
-    which is written back into `enc_s.w` after the last epoch. The dead
-    columns would get an exactly zero gradient in every step, so they keep
-    their initial values either way; only the summation order of the encoder
-    product changes. With no dead column the block is `enc_s.w` itself.
+    The rows of `dec_s.w` and entries of `dec_s.b` of the dead semantic
+    columns (those outside AlignmentDataset.live_columns) are set to 0
+    first, after `init_alignment`'s draw. The steps and the optimizer state
+    then work on an L-wide view of the network, holding the live columns of
+    `enc_s.w` and the live rows of `dec_s`, over `q`'s live columns; the
+    blocks are written back after the last epoch. The skipped entries would
+    get an exactly zero gradient in every step (see the module docstring).
+    With no dead column the view is the network itself.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     opt = make_optimizer(optimizer, learning_rate)
     live = dataset.live_columns()
-    if len(live) == dataset.q.shape[1]:
+    dead = np.setdiff1d(np.arange(dataset.q.shape[1]), live)
+    net.params["dec_s.w"][dead] = 0.0
+    net.params["dec_s.b"][dead] = 0.0
+    if not len(dead):
         live = slice(None)
     params = dict(net.params)
     params["enc_s.w"] = net.params["enc_s.w"][:, live]
-    trained = replace(net, params=params)
+    params["dec_s.w"] = net.params["dec_s.w"][live]
+    params["dec_s.b"] = net.params["dec_s.b"][live]
+    trained = replace(net, sem_dim=params["dec_s.b"].size, params=params)
+    dataset = replace(dataset, q=dataset.q[:, live])
     log: list[float] = []
     order = np.arange(len(dataset))
     for epoch in range(epochs):
         perm = rng.permutation(order)
         batch_losses = []
         for start in range(0, len(perm), batch_size):
-            batch = dataset.batch(perm[start : start + batch_size], live)
+            batch = dataset.batch(perm[start : start + batch_size])
             loss, grads = total_loss_and_gradients(trained, batch)
             if not math.isfinite(loss):
                 raise TrainingError(
@@ -399,6 +401,8 @@ def train_alignment(
             batch_losses.append(loss)
         log.append(float(np.mean(batch_losses)) if batch_losses else 0.0)
     net.params["enc_s.w"][:, live] = params["enc_s.w"]
+    net.params["dec_s.w"][live] = params["dec_s.w"]
+    net.params["dec_s.b"][live] = params["dec_s.b"]
     net.training_log = log
     return net
 

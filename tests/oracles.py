@@ -511,9 +511,13 @@ def oracle_full_width_loss_and_gradients(net, batch):
 
 
 def oracle_full_width_training(net, dataset, epochs, batch_size, learning_rate, rng, optimizer):
-    """The alignment training loop, stepping every parameter at full width."""
+    """The alignment training loop, stepping every parameter at full width
+    after setting the semantic decoder's rows of all-zero columns of q to 0."""
     from fusionrec.optim import make_optimizer
 
+    dead = ~np.any(dataset.q != 0.0, axis=0)
+    net.params["dec_s.w"][dead] = 0.0
+    net.params["dec_s.b"][dead] = 0.0
     opt = make_optimizer(optimizer, learning_rate)
     log = []
     order = np.arange(len(dataset))

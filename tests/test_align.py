@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from fusionrec.cf import CfConfig, item_embedding, train_cf
 from fusionrec.data import SplitDataset, TrainingSequence
 from fusionrec.errors import DataError, TrainingError
 from fusionrec.gradcheck import max_relative_gradient_error
+from fusionrec.optim import make_optimizer
 from fusionrec.semantic import fallback_embed
 from oracles import (
     oracle_alignment_loss_and_gradients,
@@ -111,6 +113,17 @@ def _random_batch(net, rng, n_groups=2, triples=2, dead_columns=()):
     dataset = _from_records(records, net.collab_dim, net.sem_dim)
     dataset.q[:, list(dead_columns)] = 0.0
     return _whole(dataset)
+
+
+def _live_view(net, batch, live):
+    """The network and batch restricted to the semantic columns `live`, as
+    train_alignment steps them; C-ordered, as gradient_check perturbs flat
+    views."""
+    params = dict(net.params)
+    params["enc_s.w"] = net.params["enc_s.w"][:, live].copy()
+    params["dec_s.w"] = net.params["dec_s.w"][live]
+    params["dec_s.b"] = net.params["dec_s.b"][live]
+    return replace(net, sem_dim=len(live), params=params), replace(batch, q=batch.q[:, live])
 
 
 def _repeated_items_dataset(net, rng, with_triples=True):
@@ -229,14 +242,39 @@ def test_gradients_match_finite_differences():
     assert gradient_check(net, batch) <= 1e-4
     empty = _random_batch(net, np.random.default_rng(2), n_groups=0, triples=0)
     assert gradient_check(net, empty) == 0.0
-    # all-zero semantic columns: their encoder gradient is exactly zero, and
-    # every element of enc_s.w still passes the finite-difference check
-    dead = [0, 3, 6]
+    # all-zero semantic columns: at full width their encoder gradient is
+    # exactly zero; the L-wide view that training steps passes the check
+    dead, live = [0, 3, 6], [1, 2, 4, 5]
     sparse = _random_batch(net, np.random.default_rng(3), dead_columns=dead)
-    assert not sparse.q[:, dead].any() and sparse.q[:, [1, 2, 4, 5]].all()
+    assert not sparse.q[:, dead].any() and sparse.q[:, live].all()
     _, grads = total_loss_and_gradients(net, sparse)
     assert not grads["enc_s.w"][:, dead].any() and grads["enc_s.w"][:, 1].any()
-    assert gradient_check(net, sparse) <= 1e-4
+    view, live_batch = _live_view(net, sparse, live)
+    assert view.params["dec_s.w"].shape == (4, 4) and live_batch.q.shape[1] == 4
+    assert gradient_check(view, live_batch) <= 1e-4
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_zero_dead_decoder_rows_are_a_fixed_point_at_full_width(optimizer):
+    dead = [0, 3, 6]
+    rng = np.random.default_rng(1)
+    net = init_alignment(5, 7, 4, 0.5, 0.2, rng=rng)
+    for name in ("enc_c.b", "enc_s.b", "dec_c.b", "dec_s.b"):
+        net.params[name] = rng.normal(size=net.params[name].shape)
+    net.params["dec_s.w"][dead] = 0.0
+    net.params["dec_s.b"][dead] = 0.0
+    batch = _random_batch(net, np.random.default_rng(3), dead_columns=dead)
+    _, grads = total_loss_and_gradients(net, batch)
+    assert np.array_equal(grads["dec_s.w"][dead], np.zeros((3, 4)))
+    assert np.array_equal(grads["dec_s.b"][dead], np.zeros(3))
+    assert grads["dec_s.w"][[1, 2, 4, 5]].all() and grads["dec_s.b"][[1, 2, 4, 5]].all()
+    opt = make_optimizer(optimizer, 1e-2)
+    for _ in range(5):
+        _, grads = total_loss_and_gradients(net, batch)
+        opt.step(net.params, grads)
+    assert np.array_equal(net.params["dec_s.w"][dead], np.zeros((3, 4)))
+    assert np.array_equal(net.params["dec_s.b"][dead], np.zeros(3))
+    assert net.params["dec_s.w"][[1, 2, 4, 5]].all()
 
 
 def test_gradients_match_finite_differences_with_repeated_items():
@@ -327,6 +365,21 @@ def test_training_is_deterministic_and_zero_rate_is_a_noop():
                     rng=np.random.default_rng(2))
     for name in before:
         assert np.array_equal(frozen.params[name], before[name])
+
+    # with dead semantic columns, a zero rate changes only their decoder rows, to 0
+    dead = [1, 4]
+    dataset.q[:, dead] = 0.0
+    frozen = init_alignment(4, 6, 3, 0.5, 0.2, rng=np.random.default_rng(1))
+    frozen.params["dec_s.b"] += 1.0
+    before = {name: arr.copy() for name, arr in frozen.params.items()}
+    train_alignment(frozen, dataset, epochs=2, batch_size=2, learning_rate=0.0,
+                    rng=np.random.default_rng(2))
+    expected = {name: arr.copy() for name, arr in before.items()}
+    expected["dec_s.w"][dead] = 0.0
+    expected["dec_s.b"][dead] = 0.0
+    for name in before:
+        assert np.array_equal(frozen.params[name], expected[name]), name
+    assert before["dec_s.w"][dead].all() and before["dec_s.b"][dead].all()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -428,6 +481,8 @@ def test_live_column_training_matches_the_full_width_oracle(
     dead_columns = np.setdiff1d(np.arange(len(dead)), dataset.live_columns())
     assert np.array_equal(ours.params["enc_s.w"][:, dead_columns],
                           initial["enc_s.w"][:, dead_columns])
+    assert not ours.params["dec_s.w"][dead_columns].any()
+    assert not ours.params["dec_s.b"][dead_columns].any()
     if not len(dead_columns):
         for name, ref in oracle.params.items():
             assert np.array_equal(ours.params[name], ref), name

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from fusionrec.checkpoint import load_checkpoint_header
+from fusionrec.checkpoint import load_checkpoint, load_checkpoint_header
 from fusionrec.cli import STAGES, main
 from fusionrec.config import parse_config
 from fusionrec.semantic import embed_catalog
@@ -168,6 +168,26 @@ def test_train_align_summary_counts_users_and_trained_columns(tmp_path):
     assert {"stray", "ghost"} <= set(users) - tripled and "ghost" not in paired
     assert 0 < np.count_nonzero(live) < 768
     assert out.startswith(expected)
+
+
+def test_align_checkpoint_stays_full_width_with_zero_dead_decoder_rows(tmp_path):
+    interactions, catalog = _write_world(tmp_path)
+    config = tmp_path / "run.conf"
+    _write_config(config, interactions, catalog)
+    out_dir = tmp_path / "out"
+    for stage in ("prepare", "train-cf", "train-align"):
+        rc, out, err = _run([stage, "--config", str(config), "--out", str(out_dir)])
+        assert rc == 0, err
+    trained = int(re.search(r"trained (\d+) of 768 semantic columns", out).group(1))
+    assert 0 < trained < 768
+
+    kind, meta, arrays = load_checkpoint(out_dir / "align.ckpt")
+    assert kind == "align" and meta["sem_dim"] == 768
+    assert arrays["enc_s.w"].shape == (10, 768)
+    assert arrays["dec_s.w"].shape == (768, 10) and arrays["dec_s.b"].shape == (768,)
+    zero_rows = ~arrays["dec_s.w"].any(axis=1)
+    assert np.count_nonzero(zero_rows) == 768 - trained
+    assert not arrays["dec_s.b"][zero_rows].any() and arrays["dec_s.b"][~zero_rows].all()
 
 
 def test_stage_banners_summarize_progress(chain):
