@@ -24,23 +24,23 @@ def max_relative_gradient_error(
     Relative error uses max(|analytic|, |numeric|, 1e-5) as the denominator:
     the floor keeps cancellation noise in the central difference (about
     1e-11 times the loss magnitude) from registering as error on entries
-    whose true gradient is zero.
+    whose true gradient is zero. Each entry is perturbed through its own
+    index, so a parameter in any memory layout (a Fortran-ordered or strided
+    view) is perturbed in place.
     """
     worst = 0.0
     for name in sorted(grads):
         param = params[name]
         grad = grads[name]
-        flat_p = param.reshape(-1)
-        flat_g = grad.reshape(-1)
-        for idx in range(flat_p.size):
-            original = flat_p[idx]
-            flat_p[idx] = original + h
+        for idx in np.ndindex(param.shape):
+            original = param[idx]
+            param[idx] = original + h
             plus = loss_fn()
-            flat_p[idx] = original - h
+            param[idx] = original - h
             minus = loss_fn()
-            flat_p[idx] = original
+            param[idx] = original
             numeric = (plus - minus) / (2.0 * h)
-            analytic = flat_g[idx]
+            analytic = grad[idx]
             denom = max(abs(analytic), abs(numeric), 1e-5)
             err = abs(analytic - numeric) / denom
             if err > worst:

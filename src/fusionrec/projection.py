@@ -12,6 +12,13 @@ token-embedding lookup. The context for each target step is the mean of all
 bundle segment vectors plus the mean of the embedded target prefix; the
 training loss is the negative mean log-likelihood of the target tokens,
 differentiable with respect to the projection parameters only.
+
+Training works on stacked arrays, one batch per optimizer step: one forward
+and one backward pass per MLP over every row of the batch (each slate row
+of every example through the item MLP at once), and one logits GEMM over
+every target step of the batch. The parts of an example that do not depend
+on the parameters (its target indices, prefix means and text-segment sum)
+are computed once per run, before the first step.
 """
 
 from __future__ import annotations
@@ -154,15 +161,16 @@ def _mlp_forward(params: dict, prefix: str, x: np.ndarray):
     return out, (x, pre, act)
 
 
-def _mlp_backward(params: dict, prefix: str, cache, d_out: np.ndarray, grads: dict) -> None:
+def _mlp_backward(params: dict, prefix: str, cache, d_out: np.ndarray) -> dict:
+    """Gradients of the MLP's four parameters, summed over the rows of `d_out`."""
     x, pre, act = cache
-    d_out = np.atleast_2d(d_out)
-    grads[f"{prefix}.w2"] += d_out.T @ act
-    grads[f"{prefix}.b2"] += d_out.sum(axis=0)
-    d_act = d_out @ params[f"{prefix}.w2"]
-    d_pre = d_act * (pre > 0)
-    grads[f"{prefix}.w1"] += d_pre.T @ x
-    grads[f"{prefix}.b1"] += d_pre.sum(axis=0)
+    d_pre = (d_out @ params[f"{prefix}.w2"]) * (pre > 0)
+    return {
+        f"{prefix}.w1": d_pre.T @ x,
+        f"{prefix}.b1": d_pre.sum(axis=0),
+        f"{prefix}.w2": d_out.T @ act,
+        f"{prefix}.b2": d_out.sum(axis=0),
+    }
 
 
 def project_components(stack: ProjectionStack, x_user, z_item, r_cot=None):
@@ -278,56 +286,38 @@ def _target_indices(target_tokens: list[str], head: SurrogateHead) -> list[int]:
     return idx
 
 
-def _nll_and_context_grad(mean_seg: np.ndarray, target_idx: list[int], head: SurrogateHead):
-    """Negative mean log-likelihood plus gradient w.r.t. the segment mean."""
-    contexts = mean_seg[None, :] + _prefix_means(target_idx, head)
+def _nll_and_context_grads(means: np.ndarray, targets: list, prefixes: list,
+                           head: SurrogateHead):
+    """Per-example negative mean log-likelihood and its gradient w.r.t. each
+    example's segment mean.
+
+    Example b's steps are the rows `means[b] + prefixes[b]`; the steps of all
+    examples go through one logits GEMM. Each step's gradient is weighted by
+    1/len(targets[b]) and summed back onto its example.
+    """
+    steps = np.array([len(idx) for idx in targets])
+    starts = np.concatenate(([0], np.cumsum(steps)[:-1]))
+    target = np.concatenate(targets)
+    contexts = np.repeat(means, steps, axis=0) + np.concatenate(prefixes)
     logits = contexts @ head.w_out.T + head.b_out
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1))
-    rows = np.arange(len(target_idx))
-    log_probs = shifted[rows, target_idx] - log_z
-    loss = float(-log_probs.mean())
-    probs = np.exp(shifted - log_z[:, None])
-    d_logits = probs
-    d_logits[rows, target_idx] -= 1.0
-    d_logits /= len(target_idx)
-    d_context = d_logits @ head.w_out
-    return loss, d_context.sum(axis=0)
+    rows = np.arange(len(target))
+    losses = -np.add.reduceat(shifted[rows, target] - log_z, starts) / steps
+    d_logits = np.exp(shifted - log_z[:, None])
+    d_logits[rows, target] -= 1.0
+    d_logits /= np.repeat(steps, steps)[:, None]
+    return losses, np.add.reduceat(d_logits @ head.w_out, starts, axis=0)
 
 
 def surrogate_lm_loss(bundle: PromptBundle, target_tokens: list[str], head: SurrogateHead) -> float:
     """Negative mean log-likelihood of the target tokens under the frozen head."""
     target_idx = _target_indices(target_tokens, head)
     mean_seg, _ = _context_base(bundle, head)
-    loss, _ = _nll_and_context_grad(mean_seg, target_idx, head)
-    return loss
-
-
-def _example_loss_and_grads(stack, example: ProjectionExample, head, grads, text_cache):
-    """Forward + backward for one example; accumulates parameter gradients."""
-    params = stack.params
-    o_x, cache_x = _mlp_forward(params, "fx", example.x_user)
-    z_mat = np.array([np.asarray(z, dtype=np.float64) for _, _, z in example.slate])
-    o_z, cache_z = _mlp_forward(params, "fz", z_mat)
-    o_r = cache_r = None
-    if example.r_vec is not None:
-        o_r, cache_r = _mlp_forward(params, "fr", example.r_vec)
-
-    text_sum, n_text = text_cache
-    n_seg = n_text + 1 + len(example.slate) + (1 if o_r is not None else 0)
-    total = text_sum + o_x[0] + o_z.sum(axis=0)
-    if o_r is not None:
-        total = total + o_r[0]
-    mean_seg = total / n_seg
-
-    target_idx = _target_indices(example.target_tokens, head)
-    loss, d_mean = _nll_and_context_grad(mean_seg, target_idx, head)
-    d_each = d_mean / n_seg
-    _mlp_backward(params, "fx", cache_x, d_each[None, :], grads)
-    _mlp_backward(params, "fz", cache_z, np.tile(d_each, (len(example.slate), 1)), grads)
-    if o_r is not None:
-        _mlp_backward(params, "fr", cache_r, d_each[None, :], grads)
-    return loss
+    losses, _ = _nll_and_context_grads(
+        mean_seg[None, :], [target_idx], [_prefix_means(target_idx, head)], head
+    )
+    return float(losses[0])
 
 
 def _example_text_cache(example: ProjectionExample, head: SurrogateHead, templates=None,
@@ -350,12 +340,81 @@ def _example_text_cache(example: ProjectionExample, head: SurrogateHead, templat
     return total, len(texts)
 
 
+@dataclass
+class _ThetaFree:
+    """The parts of one example's loss that no projection parameter moves."""
+
+    text_sum: np.ndarray
+    n_text: int
+    target_idx: list[int]
+    prefix: np.ndarray
+
+
+def _theta_free_parts(dataset: list[ProjectionExample], head: SurrogateHead) -> list[_ThetaFree]:
+    """Each example's theta-free parts; every target is checked here, before
+    any step, so a bad token in a late example leaves the parameters as they were."""
+    text_vectors: dict[str, np.ndarray] = {}
+    prefixes: dict[tuple[int, ...], np.ndarray] = {}
+    parts = []
+    for example in dataset:
+        if not example.slate:
+            raise ValueError("a projection example needs a non-empty slate")
+        target_idx = _target_indices(example.target_tokens, head)
+        key = tuple(target_idx)
+        if key not in prefixes:
+            prefixes[key] = _prefix_means(target_idx, head)
+        text_sum, n_text = _example_text_cache(example, head, vectors=text_vectors)
+        parts.append(_ThetaFree(text_sum, n_text, target_idx, prefixes[key]))
+    return parts
+
+
+def _batch_loss_and_grads(params: dict, batch: list[ProjectionExample],
+                          parts: list[_ThetaFree], head: SurrogateHead):
+    """Mean surrogate loss over `batch` and its parameter gradients.
+
+    One forward and one backward pass per MLP: `fx` over the stacked user
+    vectors, `fz` over every slate row of the batch, `fr` over the examples
+    that carry a reasoning vector. Example b's segment mean is its text sum
+    plus its projected segments over its segment count; each slate row takes
+    its owner's gradient row.
+    """
+    scale = 1.0 / len(batch)
+    slate_len = np.array([len(example.slate) for example in batch])
+    owner = np.repeat(np.arange(len(batch)), slate_len)
+    with_r = [b for b, example in enumerate(batch) if example.r_vec is not None]
+
+    o_x, cache_x = _mlp_forward(params, "fx", np.vstack([example.x_user for example in batch]))
+    z_rows = np.array([z for example in batch for _, _, z in example.slate], dtype=np.float64)
+    o_z, cache_z = _mlp_forward(params, "fz", z_rows)
+    starts = np.concatenate(([0], np.cumsum(slate_len)[:-1]))
+    total = np.array([part.text_sum for part in parts]) + o_x + np.add.reduceat(o_z, starts, axis=0)
+    if with_r:
+        o_r, cache_r = _mlp_forward(params, "fr", np.vstack([batch[b].r_vec for b in with_r]))
+        total[with_r] += o_r
+    n_seg = np.array([part.n_text for part in parts]) + 1 + slate_len
+    n_seg[with_r] += 1
+    means = total / n_seg[:, None]
+
+    losses, d_means = _nll_and_context_grads(
+        means, [part.target_idx for part in parts], [part.prefix for part in parts], head
+    )
+    d_rows = d_means / n_seg[:, None] * scale
+    grads = {
+        **_mlp_backward(params, "fx", cache_x, d_rows),
+        **_mlp_backward(params, "fz", cache_z, d_rows[owner]),
+    }
+    if with_r:
+        grads.update(_mlp_backward(params, "fr", cache_r, d_rows[with_r]))
+    grads = {name: grads[name] if name in grads else np.zeros_like(arr)
+             for name, arr in params.items()}
+    return float(sum(losses.tolist())) * scale, grads
+
+
 def surrogate_loss_and_gradients(stack: ProjectionStack, example: ProjectionExample,
                                  head: SurrogateHead):
-    """Loss and analytic parameter gradients for one example (used by tests)."""
-    grads = {name: np.zeros_like(arr) for name, arr in stack.params.items()}
-    loss = _example_loss_and_grads(stack, example, head, grads, _example_text_cache(example, head))
-    return loss, grads
+    """Loss and analytic parameter gradients for one example: the training
+    step's batched loss over a batch of one."""
+    return _batch_loss_and_grads(stack.params, [example], _theta_free_parts([example], head), head)
 
 
 def train_projections(
@@ -368,14 +427,20 @@ def train_projections(
     rng: np.random.Generator | None = None,
     optimizer: str = "sgd",
 ) -> ProjectionStack:
-    """Gradient descent on the surrogate loss over projection parameters only."""
+    """Gradient descent on the surrogate loss over projection parameters only.
+
+    Each epoch draws one permutation from `rng` and steps once per batch of
+    `batch_size` examples, on the batch's mean loss computed in stacked
+    arrays. The theta-free parts of every example are computed once, before
+    the first step, so an out-of-vocabulary target raises `DataError` with
+    the parameters untouched.
+    """
     if head is None:
         raise ValueError("a surrogate head is required")
     if rng is None:
         rng = np.random.default_rng(0)
     opt = make_optimizer(optimizer, learning_rate)
-    text_vectors: dict[str, np.ndarray] = {}
-    caches = [_example_text_cache(ex, head, vectors=text_vectors) for ex in dataset]
+    parts = _theta_free_parts(dataset, head)
     order = np.arange(len(dataset))
     log: list[float] = []
     for epoch in range(epochs):
@@ -383,16 +448,9 @@ def train_projections(
         epoch_loss = 0.0
         for start in range(0, len(perm), batch_size):
             chosen = perm[start : start + batch_size]
-            grads = {name: np.zeros_like(arr) for name, arr in stack.params.items()}
-            batch_loss = 0.0
-            for i in chosen:
-                batch_loss += _example_loss_and_grads(
-                    stack, dataset[i], head, grads, caches[i]
-                )
-            scale = 1.0 / len(chosen)
-            for name in grads:
-                grads[name] *= scale
-            batch_loss *= scale
+            batch_loss, grads = _batch_loss_and_grads(
+                stack.params, [dataset[i] for i in chosen], [parts[i] for i in chosen], head
+            )
             if not math.isfinite(batch_loss):
                 raise TrainingError(f"non-finite projection loss at epoch {epoch}")
             opt.step(stack.params, grads)

@@ -533,3 +533,114 @@ def oracle_full_width_training(net, dataset, epochs, batch_size, learning_rate, 
         log.append(float(np.mean(batch_losses)) if batch_losses else 0.0)
     net.training_log = log
     return net
+
+
+def _oracle_mlp_forward(params: dict, prefix: str, x: np.ndarray):
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    pre = x @ params[f"{prefix}.w1"].T + params[f"{prefix}.b1"]
+    act = np.maximum(pre, 0.0)
+    out = act @ params[f"{prefix}.w2"].T + params[f"{prefix}.b2"]
+    return out, (x, pre, act)
+
+
+def _oracle_mlp_backward(params: dict, prefix: str, cache, d_out: np.ndarray, grads: dict) -> None:
+    x, pre, act = cache
+    d_out = np.atleast_2d(d_out)
+    grads[f"{prefix}.w2"] += d_out.T @ act
+    grads[f"{prefix}.b2"] += d_out.sum(axis=0)
+    d_act = d_out @ params[f"{prefix}.w2"]
+    d_pre = d_act * (pre > 0)
+    grads[f"{prefix}.w1"] += d_pre.T @ x
+    grads[f"{prefix}.b1"] += d_pre.sum(axis=0)
+
+
+def _oracle_nll_and_context_grad(mean_seg: np.ndarray, target_idx: list[int], head):
+    """Negative mean log-likelihood plus gradient w.r.t. the segment mean."""
+    prefix = np.zeros((len(target_idx), head.token_emb.shape[1]))
+    for t in range(1, len(target_idx)):
+        prefix[t] = head.token_emb[target_idx[:t]].mean(axis=0)
+    contexts = mean_seg[None, :] + prefix
+    logits = contexts @ head.w_out.T + head.b_out
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=1))
+    rows = np.arange(len(target_idx))
+    log_probs = shifted[rows, target_idx] - log_z
+    loss = float(-log_probs.mean())
+    probs = np.exp(shifted - log_z[:, None])
+    d_logits = probs
+    d_logits[rows, target_idx] -= 1.0
+    d_logits /= len(target_idx)
+    d_context = d_logits @ head.w_out
+    return loss, d_context.sum(axis=0)
+
+
+def _oracle_text_cache(example, head):
+    """Sum and count of the text-segment vectors (instruction, titles, query)."""
+    from fusionrec.projection import PROMPT_INSTRUCTION, PROMPT_QUERY
+
+    total = np.zeros(head.w_out.shape[1])
+    texts = [PROMPT_INSTRUCTION] + [title for _, title, _ in example.slate] + [PROMPT_QUERY]
+    for text in texts:
+        known = [head.token_index[t] for t in text.lower().split() if t in head.token_index]
+        if known:
+            total += head.token_emb[known].mean(axis=0)
+    return total, len(texts)
+
+
+def _oracle_example_loss_and_grads(stack, example, head, grads, text_cache):
+    """Forward + backward for one example; accumulates parameter gradients."""
+    params = stack.params
+    o_x, cache_x = _oracle_mlp_forward(params, "fx", example.x_user)
+    z_mat = np.array([np.asarray(z, dtype=np.float64) for _, _, z in example.slate])
+    o_z, cache_z = _oracle_mlp_forward(params, "fz", z_mat)
+    o_r = cache_r = None
+    if example.r_vec is not None:
+        o_r, cache_r = _oracle_mlp_forward(params, "fr", example.r_vec)
+
+    text_sum, n_text = text_cache
+    n_seg = n_text + 1 + len(example.slate) + (1 if o_r is not None else 0)
+    total = text_sum + o_x[0] + o_z.sum(axis=0)
+    if o_r is not None:
+        total = total + o_r[0]
+    mean_seg = total / n_seg
+
+    target_idx = [head.token_index[tok] for tok in example.target_tokens]
+    loss, d_mean = _oracle_nll_and_context_grad(mean_seg, target_idx, head)
+    d_each = d_mean / n_seg
+    _oracle_mlp_backward(params, "fx", cache_x, d_each[None, :], grads)
+    _oracle_mlp_backward(params, "fz", cache_z, np.tile(d_each, (len(example.slate), 1)), grads)
+    if o_r is not None:
+        _oracle_mlp_backward(params, "fr", cache_r, d_each[None, :], grads)
+    return loss
+
+
+def oracle_projection_training(stack, dataset, epochs, batch_size, learning_rate, head, rng,
+                               optimizer):
+    """The projection training loop one example at a time: a forward and a
+    backward pass per example, gradients summed over the batch and scaled."""
+    from fusionrec.optim import make_optimizer
+
+    opt = make_optimizer(optimizer, learning_rate)
+    caches = [_oracle_text_cache(ex, head) for ex in dataset]
+    order = np.arange(len(dataset))
+    log: list[float] = []
+    for epoch in range(epochs):
+        perm = rng.permutation(order)
+        epoch_loss = 0.0
+        for start in range(0, len(perm), batch_size):
+            chosen = perm[start : start + batch_size]
+            grads = {name: np.zeros_like(arr) for name, arr in stack.params.items()}
+            batch_loss = 0.0
+            for i in chosen:
+                batch_loss += _oracle_example_loss_and_grads(
+                    stack, dataset[i], head, grads, caches[i]
+                )
+            scale = 1.0 / len(chosen)
+            for name in grads:
+                grads[name] *= scale
+            batch_loss *= scale
+            opt.step(stack.params, grads)
+            epoch_loss += batch_loss * len(chosen)
+        log.append(epoch_loss / len(dataset))
+    stack.training_log.extend(log)
+    return stack

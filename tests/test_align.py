@@ -117,10 +117,9 @@ def _random_batch(net, rng, n_groups=2, triples=2, dead_columns=()):
 
 def _live_view(net, batch, live):
     """The network and batch restricted to the semantic columns `live`, as
-    train_alignment steps them; C-ordered, as gradient_check perturbs flat
-    views."""
+    train_alignment steps them; `enc_s.w[:, live]` is Fortran-ordered."""
     params = dict(net.params)
-    params["enc_s.w"] = net.params["enc_s.w"][:, live].copy()
+    params["enc_s.w"] = net.params["enc_s.w"][:, live]
     params["dec_s.w"] = net.params["dec_s.w"][live]
     params["dec_s.b"] = net.params["dec_s.b"][live]
     return replace(net, sem_dim=len(live), params=params), replace(batch, q=batch.q[:, live])

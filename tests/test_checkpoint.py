@@ -260,3 +260,24 @@ def test_gradient_checker_flags_corruption_and_floors_zeros():
         return 1.0
 
     assert max_relative_gradient_error(flat_loss, constant_params, flat) == 0.0
+
+
+def _fortran_quadratic():
+    params = {"w": np.asfortranarray(np.array([[1.0, -2.0, 0.5], [3.0, 0.25, -1.5]]))}
+    assert not params["w"].flags.c_contiguous
+
+    def loss_fn():
+        return float(np.sum(params["w"] ** 2))
+
+    return params, loss_fn
+
+
+def test_gradient_checker_perturbs_a_fortran_ordered_parameter_in_place():
+    params, loss_fn = _fortran_quadratic()
+    assert max_relative_gradient_error(loss_fn, params, {"w": 2.0 * params["w"]}) <= 1e-6
+
+
+def test_gradient_checker_flags_a_zero_gradient_on_a_fortran_ordered_parameter():
+    params, loss_fn = _fortran_quadratic()
+    zeros = {"w": np.zeros_like(params["w"])}
+    assert max_relative_gradient_error(loss_fn, params, zeros) > 1e-2

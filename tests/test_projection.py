@@ -13,6 +13,7 @@ from fusionrec.align import unified_item_embedding
 from fusionrec.cot import FixtureAdapter
 from fusionrec.errors import DataError
 from fusionrec.evaluate import RecommendationPipeline
+from fusionrec.gradcheck import max_relative_gradient_error
 from fusionrec.projection import (
     PROMPT_INSTRUCTION,
     PROMPT_QUERY,
@@ -34,9 +35,11 @@ from fusionrec.projection import (
     surrogate_lm_loss,
     surrogate_loss_and_gradients,
     train_projections,
+    _batch_loss_and_grads,
+    _theta_free_parts,
 )
 from fusionrec.semantic import fallback_embed
-from oracles import oracle_slate_items
+from oracles import oracle_projection_training, oracle_slate_items
 
 
 def _tiny_stack(seed=2):
@@ -194,6 +197,25 @@ def test_projection_gradients_match_finite_differences():
     assert gradient_check_projection(stack, _tiny_example(rng, with_cot=False), head) <= 1e-4
 
 
+def test_mixed_batch_gradients_match_finite_differences():
+    """Ragged slates and a missing reasoning vector, all in one batched step."""
+    rng = np.random.default_rng(11)
+    head = _tiny_head()
+    stack = _tiny_stack()
+    batch = [_tiny_example(rng, with_cot=True), _tiny_example(rng, with_cot=False),
+             _tiny_example(rng, with_cot=True)]
+    batch[0].slate = batch[0].slate[:1]
+    batch[2].slate = batch[2].slate[:2]
+    batch[2].target_tokens = ["green", "elk", "red"]
+    parts = _theta_free_parts(batch, head)
+    _, grads = _batch_loss_and_grads(stack.params, batch, parts, head)
+
+    def loss_fn():
+        return _batch_loss_and_grads(stack.params, batch, parts, head)[0]
+
+    assert max_relative_gradient_error(loss_fn, stack.params, grads) <= 1e-4
+
+
 def _toy_training_setup():
     rng = np.random.default_rng(5)
     n_items = 10
@@ -262,6 +284,66 @@ def test_training_with_zero_rate_is_a_noop_and_needs_a_head():
         assert np.array_equal(stack.params[name], before[name])
     with pytest.raises(ValueError, match="surrogate head is required"):
         train_projections(stack, examples[:4], epochs=1)
+
+
+def test_unknown_target_in_the_last_example_raises_before_any_step():
+    stack, head, examples, _ = _toy_training_setup()
+    examples[-1].target_tokens = ["w00", "unheard"]
+    before = {name: arr.copy() for name, arr in stack.params.items()}
+    # seed 1 puts the bad example last in the first epoch's order
+    assert np.random.default_rng(1).permutation(len(examples))[-1] == len(examples) - 1
+    with pytest.raises(DataError, match="'unheard' is outside the surrogate vocabulary"):
+        train_projections(stack, examples, epochs=2, batch_size=2, learning_rate=0.1,
+                          head=head, rng=np.random.default_rng(1), optimizer="adam")
+    for name in before:
+        assert np.array_equal(stack.params[name], before[name]), name
+    assert stack.training_log == []
+
+
+_PROJ_VOCAB = ["a1", "a2", "b1", "b2", "c1", "c2", "d1"]
+
+
+@st.composite
+def _projection_datasets(draw):
+    """Examples with ragged slates, optional reasoning and 1-4 target tokens."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    rng = np.random.default_rng(seed)
+    examples = []
+    for u in range(n):
+        titles = draw(st.lists(st.lists(st.sampled_from(_PROJ_VOCAB), min_size=1, max_size=3),
+                               min_size=1, max_size=4))
+        examples.append(ProjectionExample(
+            x_user=rng.normal(size=5),
+            slate=[(f"i{j}", " ".join(t), rng.normal(size=4)) for j, t in enumerate(titles)],
+            r_vec=rng.normal(size=6) if draw(st.booleans()) else None,
+            target_tokens=draw(st.lists(st.sampled_from(_PROJ_VOCAB), min_size=1, max_size=4)),
+            user=f"u{u}",
+        ))
+    return examples
+
+
+@given(
+    dataset=_projection_datasets(),
+    batch_choice=st.sampled_from([1, 2, 3, "n+1"]),
+    optimizer=st.sampled_from(["sgd", "adam"]),
+    epochs=st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_training_matches_the_per_example_oracle(dataset, batch_choice, optimizer, epochs):
+    head = make_surrogate_head(_PROJ_VOCAB, d_token=8, seed=4)
+    batch_size = len(dataset) + 1 if batch_choice == "n+1" else batch_choice
+    learning_rate = 0.05 if optimizer == "sgd" else 0.01
+    ours, reference = _tiny_stack(seed=6), _tiny_stack(seed=6)
+    ours_rng, reference_rng = np.random.default_rng(8), np.random.default_rng(8)
+    train_projections(ours, dataset, epochs=epochs, batch_size=batch_size,
+                      learning_rate=learning_rate, head=head, rng=ours_rng, optimizer=optimizer)
+    oracle_projection_training(reference, dataset, epochs, batch_size, learning_rate, head,
+                               reference_rng, optimizer)
+    for name, ref in reference.params.items():
+        assert np.allclose(ours.params[name], ref, rtol=0.0, atol=1e-12), name
+    assert np.allclose(ours.training_log, reference.training_log, rtol=1e-12, atol=0.0)
+    assert ours_rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def test_rank_candidates_is_order_invariant_with_id_tiebreak():
