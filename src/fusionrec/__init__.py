@@ -6,15 +6,11 @@ from .align import (
     AlignmentDataset,
     AlignmentNetwork,
     UnifiedEmbedding,
-    alignment_loss,
     build_alignment_dataset,
     decode,
     encode,
     init_alignment,
-    reconstruction_loss,
-    recommendation_loss,
     stack_alignment_dataset,
-    total_loss,
     train_alignment,
     unified_item_embedding,
 )
@@ -23,7 +19,6 @@ from .cf import (
     CfModel,
     item_embedding,
     next_item_probabilities,
-    next_item_scores,
     rank_by_score,
     train_cf,
     user_representation,
@@ -77,7 +72,7 @@ from .evaluate import (
     evaluate_split,
     zero_shot_eval,
 )
-from .metrics import bleu, hit_rate_at_k, ndcg_at_k, rouge
+from .metrics import bleu, rouge
 from .projection import (
     CotSignal,
     ProjectionStack,
@@ -92,7 +87,6 @@ from .projection import (
     project_components,
     rank_candidates,
     request_explanation,
-    surrogate_lm_loss,
     train_projections,
 )
 from .semantic import embed_catalog, fallback_embed, load_embeddings, similarity

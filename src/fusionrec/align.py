@@ -50,10 +50,6 @@ __all__ = [
     "init_alignment",
     "encode",
     "decode",
-    "alignment_loss",
-    "reconstruction_loss",
-    "recommendation_loss",
-    "total_loss",
     "total_loss_and_gradients",
     "train_alignment",
     "build_alignment_dataset",
@@ -260,43 +256,9 @@ def decode(net: AlignmentNetwork, modality: str, latent) -> np.ndarray:
     raise ValueError(f"unknown modality {modality!r}")
 
 
-def alignment_loss(net: AlignmentNetwork, batch: AlignmentBatch) -> float:
-    """Nested mean of squared encoder gaps: inner mean per sequence first."""
-    diff = encode(net, COLLABORATIVE, batch.e) - encode(net, SEMANTIC, batch.q)
-    return float(np.sum(batch.w * np.sum(diff * diff, axis=1)))
-
-
-def reconstruction_loss(net: AlignmentNetwork, batch: AlignmentBatch) -> float:
-    """alpha * collaborative + beta * semantic autoencoder error (nested means)."""
-    r_c = decode(net, COLLABORATIVE, encode(net, COLLABORATIVE, batch.e)) - batch.e
-    r_s = decode(net, SEMANTIC, encode(net, SEMANTIC, batch.q)) - batch.q
-    item_term = float(np.sum(batch.w * np.sum(r_c * r_c, axis=1)))
-    text_term = float(np.sum(batch.w * np.sum(r_s * r_s, axis=1)))
-    return net.alpha * item_term + net.beta * text_term
-
-
-def _rec_scores(net: AlignmentNetwork, x, e):
-    return np.sum(x * decode(net, COLLABORATIVE, encode(net, COLLABORATIVE, e)), axis=1)
-
-
-def recommendation_loss(net: AlignmentNetwork, batch: AlignmentBatch) -> float:
-    """Summed BCE of sigmoid(x . dec(enc(e))) over (x, pos, neg) triples."""
-    p_pos = np.clip(expit(_rec_scores(net, batch.x, batch.pos)), _CLAMP, 1.0 - _CLAMP)
-    p_neg = np.clip(1.0 - expit(_rec_scores(net, batch.x, batch.neg)), _CLAMP, 1.0 - _CLAMP)
-    return float(-np.sum(np.log(p_pos) + np.log(p_neg)))
-
-
-def total_loss(net: AlignmentNetwork, batch: AlignmentBatch) -> float:
-    """Unweighted sum of alignment, reconstruction, and recommendation terms."""
-    return (
-        alignment_loss(net, batch)
-        + reconstruction_loss(net, batch)
-        + recommendation_loss(net, batch)
-    )
-
-
 def total_loss_and_gradients(net: AlignmentNetwork, batch: AlignmentBatch):
-    """Analytic gradients of total_loss over all eight parameter arrays.
+    """The summed objective (see the module docstring) on one batch, and its
+    analytic gradients over all eight parameter arrays.
 
     An empty item or triple set contributes zero loss and zero gradient.
     """
@@ -491,10 +453,11 @@ def unified_item_embedding(
 
 
 def gradient_check(net: AlignmentNetwork, batch: AlignmentBatch, h: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients."""
+    """Max relative error between the analytic gradients of
+    total_loss_and_gradients and central differences of its loss."""
     if not len(batch.w) and not len(batch.x):
         return 0.0
     _, grads = total_loss_and_gradients(net, batch)
     return max_relative_gradient_error(
-        lambda: total_loss(net, batch), net.params, grads, h=h
+        lambda: total_loss_and_gradients(net, batch)[0], net.params, grads, h=h
     )

@@ -44,7 +44,6 @@ __all__ = [
     "user_representation_from_vectors",
     "user_representations_from_vectors",
     "item_embedding",
-    "next_item_scores",
     "next_item_probabilities",
     "item_probabilities",
     "rank_by_score",
@@ -298,31 +297,20 @@ def _draw_drop_masks(config: CfConfig, shape, rng):
     return masks
 
 
-def train_cf(
-    instances,
-    config: CfConfig,
-    rng: np.random.Generator,
-    item_index: dict[str, int] | None = None,
-) -> CfModel:
+def train_cf(instances, config: CfConfig, rng: np.random.Generator) -> CfModel:
     """Train on TrainingSequences, batch_size sequences per step; returns a frozen model.
 
     The item vocabulary is exactly the set of items in the given sequences
-    (first-seen order) unless an explicit index is supplied. Each epoch's log
-    entry is the mean cross-entropy over all its positions.
+    (first-seen order). Each epoch's log entry is the mean cross-entropy over
+    all its positions.
     """
     if not instances:
         raise ValueError("no training instances")
-    if item_index is None:
-        item_index = {}
-        for inst in instances:
-            for q in (*inst.history, *inst.targets):
-                if q not in item_index:
-                    item_index[q] = len(item_index) + 1
-    else:
-        for inst in instances:
-            for q in (*inst.history, *inst.targets):
-                if q not in item_index:
-                    raise ValueError(f"instance item {q!r} missing from item index")
+    item_index: dict[str, int] = {}
+    for inst in instances:
+        for q in (*inst.history, *inst.targets):
+            if q not in item_index:
+                item_index[q] = len(item_index) + 1
     items = [None] * len(item_index)
     for q, idx in item_index.items():
         items[idx - 1] = q
@@ -429,15 +417,6 @@ def item_embedding(model: CfModel, item: str) -> np.ndarray | None:
     return model.params["item_emb"][idx].copy()
 
 
-def next_item_scores(model: CfModel, history: list[str]) -> np.ndarray:
-    """Dot product of the user representation against every item embedding.
-
-    Entry i scores model.items[i]. Use rank_by_score for the id-ascending
-    tie-break, and next_item_probabilities for the softmax-normalized copy.
-    """
-    return model.params["item_emb"][1:] @ user_representation(model, history)
-
-
 def item_probabilities(model: CfModel, rep: np.ndarray) -> np.ndarray:
     """Softmax of one user representation's scores; entry i is model.items[i]."""
     scores = model.params["item_emb"][1:] @ rep
@@ -457,26 +436,8 @@ def rank_by_score(model: CfModel, scores: np.ndarray) -> list[str]:
     return [items[i] for i in order.tolist()]
 
 
-def verbalize_prior(score: float, calibration: np.ndarray | None = None) -> str:
-    """Render a prior as "likelihood P%".
-
-    With a calibration context (all item scores), P is the midrank percentile
-    of the score among them; a full tie sits at the 50% midpoint by
-    convention. Without a context the score must already be a normalized
-    probability and is rendered directly (0.88 -> "likelihood 88%").
-    """
-    if calibration is None:
-        if not 0.0 <= score <= 1.0:
-            raise ValueError("without a calibration context the score must be a probability")
-        pct = int(math.floor(100.0 * score + 0.5))
-        return f"likelihood {pct}%"
-    calibration = np.asarray(calibration, dtype=np.float64)
-    if calibration.size == 0:
-        raise ValueError("calibration context must be non-empty")
-    worse = int(np.sum(calibration < score))
-    ties = int(np.sum(calibration == score))
-    if ties == calibration.size:
-        pct = 50
-    else:
-        pct = int(math.floor(100.0 * (worse + 0.5 * (ties - 1)) / calibration.size + 0.5))
-    return f"likelihood {pct}%"
+def verbalize_prior(score: float) -> str:
+    """Render a normalized probability as "likelihood P%" (0.88 -> "likelihood 88%")."""
+    if not 0.0 <= score <= 1.0:
+        raise ValueError("the score must be a probability")
+    return f"likelihood {int(math.floor(100.0 * score + 0.5))}%"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .cf import CfConfig
 from .errors import ConfigError
@@ -82,17 +82,8 @@ class RunConfig:
             raise ConfigError(f"unknown config key {key!r}") from None
 
     def cf_config(self) -> CfConfig:
-        return CfConfig(
-            embed_dim=self.get("cf.embed_dim"),
-            max_history=self.get("cf.max_history"),
-            blocks=self.get("cf.blocks"),
-            heads=self.get("cf.heads"),
-            dropout=self.get("cf.dropout"),
-            epochs=self.get("cf.epochs"),
-            batch_size=self.get("cf.batch_size"),
-            learning_rate=self.get("cf.learning_rate"),
-            optimizer=self.get("cf.optimizer"),
-        )
+        """The `cf.<field>` keys as a CfConfig, one key per field."""
+        return CfConfig(**{f.name: self.get(f"cf.{f.name}") for f in fields(CfConfig)})
 
     def digest(self) -> str:
         lines = [f"{key}={_render(self.values[key])}" for key in sorted(self.values)]
@@ -162,6 +153,11 @@ def validate(config: RunConfig) -> None:
         "eval.pool_size",
     ):
         _positive(config, key)
+    if config.get("cf.embed_dim") % config.get("cf.heads"):
+        raise ConfigError(
+            f"cf.heads: {config.get('cf.heads')} does not divide "
+            f"cf.embed_dim {config.get('cf.embed_dim')}"
+        )
     if not 0.0 <= config.get("cf.dropout") < 1.0:
         raise ConfigError("cf.dropout: must lie in [0, 1)")
     for key in ("align.alpha", "align.beta"):

@@ -42,7 +42,6 @@ __all__ = [
     "threshold_sweep",
     "render_sweep_report",
     "load_cot_fixture",
-    "dump_cot_fixture",
 ]
 
 MAX_COT_TOKENS = 180
@@ -172,11 +171,9 @@ class FixtureAdapter:
 
     def __init__(self, corpus: dict[tuple[str, str], str] | None = None):
         self.corpus = corpus
-        self.call_count = 0
         self.calls: list[tuple[str, str]] = []
 
     def generate(self, user: str, item: str, prompt: str, instance=None) -> str:
-        self.call_count += 1
         self.calls.append((user, item))
         if self.corpus is not None:
             try:
@@ -188,10 +185,9 @@ class FixtureAdapter:
         return f"The target item fits the user's recent history. likelihood unknown for {item}."
 
 
-def generate_cot(adapter, instance: InstructionInstance, prompt_template: str | None = None) -> str:
+def generate_cot(adapter, instance: InstructionInstance) -> str:
     """Obtain a reasoning text for the instance, capped at 180 whitespace tokens."""
-    prompt = prompt_template.format(x=instance.text()) if prompt_template else instance.text()
-    raw = adapter.generate(instance.user, instance.target_item, prompt, instance)
+    raw = adapter.generate(instance.user, instance.target_item, instance.text(), instance)
     return truncate_tokens(raw)
 
 
@@ -374,10 +370,6 @@ def render_sweep_report(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
-
-
 def _unescape(text: str) -> str:
     out = []
     i = 0
@@ -409,10 +401,3 @@ def load_cot_fixture(path) -> dict[tuple[str, str], str]:
                 raise DataError(f"cot fixture line {lineno}: label must be 0 or 1")
             corpus[(user, item)] = _unescape(text)
     return corpus
-
-
-def dump_cot_fixture(path, entries) -> None:
-    """Write (user, item, label, text) tuples in the fixture format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for user, item, label, text in entries:
-            fh.write(f"{user}\t{item}\t{int(label)}\t{_escape(text)}\n")

@@ -10,8 +10,6 @@ import math
 from collections import Counter
 
 __all__ = [
-    "hit_rate_at_k",
-    "ndcg_at_k",
     "hit_rate_from_ranks",
     "ndcg_from_ranks",
     "bleu",
@@ -22,39 +20,6 @@ __all__ = [
 
 def tokenize(text: str) -> list[str]:
     return text.lower().split()
-
-
-def _check_rankings(rankings: dict, targets: dict, k: int) -> None:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not targets:
-        raise ValueError("no users to evaluate")
-    for user in targets:
-        if user not in rankings:
-            raise ValueError(f"no ranking for user {user!r}")
-        if len(rankings[user]) < k:
-            raise ValueError(f"ranking for user {user!r} shorter than k={k}")
-
-
-def _ranks_in_top(rankings: dict, targets: dict, k: int) -> list[int]:
-    """Each target's 0-based position in its ranking's top k, or k when absent."""
-    ranks = []
-    for user, target in targets.items():
-        top = list(rankings[user][:k])
-        ranks.append(top.index(target) if target in top else k)
-    return ranks
-
-
-def hit_rate_at_k(rankings: dict, targets: dict, k: int) -> float:
-    """Fraction of users whose target appears in the top k."""
-    _check_rankings(rankings, targets, k)
-    return hit_rate_from_ranks(_ranks_in_top(rankings, targets, k), k)
-
-
-def ndcg_at_k(rankings: dict, targets: dict, k: int) -> float:
-    """Mean 1/log2(rank+1) of the target when it lands in the top k, else 0."""
-    _check_rankings(rankings, targets, k)
-    return ndcg_from_ranks(_ranks_in_top(rankings, targets, k), k)
 
 
 def _check_ranks(ranks, k: int) -> None:

@@ -47,7 +47,6 @@ __all__ = [
     "project_components",
     "assemble_prompt",
     "render_prompt_text",
-    "surrogate_lm_loss",
     "surrogate_loss_and_gradients",
     "train_projections",
     "rank_candidates",
@@ -115,7 +114,6 @@ class UserContext:
 
     x_user: np.ndarray
     r_vec: np.ndarray | None = None
-    templates: dict | None = None
 
 
 @dataclass
@@ -185,19 +183,18 @@ def project_components(stack: ProjectionStack, x_user, z_item, r_cot=None):
     return o_x[0], o_z[0], o_r
 
 
-def assemble_prompt(o_x, candidates, o_r=None, templates=None, user=None) -> PromptBundle:
+def assemble_prompt(o_x, candidates, o_r=None, user=None) -> PromptBundle:
     """Layout: [O_X] -> instruction -> (title, O_Z) per candidate -> [O_r] -> query."""
     if not candidates:
         raise ValueError("need at least one candidate")
-    templates = templates or {}
     segments: list = [("soft", "user", np.asarray(o_x, dtype=np.float64))]
-    segments.append(("text", templates.get("instruction", PROMPT_INSTRUCTION)))
+    segments.append(("text", PROMPT_INSTRUCTION))
     for i, (title, o_z) in enumerate(candidates):
         segments.append(("text", title))
         segments.append(("soft", f"item{i}", np.asarray(o_z, dtype=np.float64)))
     if o_r is not None:
         segments.append(("soft", "reasoning", np.asarray(o_r, dtype=np.float64)))
-    segments.append(("text", templates.get("query", PROMPT_QUERY)))
+    segments.append(("text", PROMPT_QUERY))
     return PromptBundle(segments=segments, user=user)
 
 
@@ -310,29 +307,15 @@ def _nll_and_context_grads(means: np.ndarray, targets: list, prefixes: list,
     return losses, np.add.reduceat(d_logits @ head.w_out, starts, axis=0)
 
 
-def surrogate_lm_loss(bundle: PromptBundle, target_tokens: list[str], head: SurrogateHead) -> float:
-    """Negative mean log-likelihood of the target tokens under the frozen head."""
-    target_idx = _target_indices(target_tokens, head)
-    mean_seg, _ = _context_base(bundle, head)
-    losses, _ = _nll_and_context_grads(
-        mean_seg[None, :], [target_idx], [_prefix_means(target_idx, head)], head
-    )
-    return float(losses[0])
-
-
-def _example_text_cache(example: ProjectionExample, head: SurrogateHead, templates=None,
-                        vectors: dict[str, np.ndarray] | None = None):
+def _example_text_cache(example: ProjectionExample, head: SurrogateHead,
+                        vectors: dict[str, np.ndarray]):
     """Sum of text-segment vectors (instruction, titles, query): theta-free.
 
     `vectors` memoises each distinct text's segment vector across examples.
     """
-    templates = templates or {}
-    vectors = {} if vectors is None else vectors
     d_token = head.w_out.shape[1]
     total = np.zeros(d_token)
-    texts = [templates.get("instruction", PROMPT_INSTRUCTION)]
-    texts += [title for _, title, _ in example.slate]
-    texts.append(templates.get("query", PROMPT_QUERY))
+    texts = [PROMPT_INSTRUCTION, *(title for _, title, _ in example.slate), PROMPT_QUERY]
     for text in texts:
         if text not in vectors:
             vectors[text] = _segment_vector(("text", text), head, d_token)
@@ -363,7 +346,7 @@ def _theta_free_parts(dataset: list[ProjectionExample], head: SurrogateHead) -> 
         key = tuple(target_idx)
         if key not in prefixes:
             prefixes[key] = _prefix_means(target_idx, head)
-        text_sum, n_text = _example_text_cache(example, head, vectors=text_vectors)
+        text_sum, n_text = _example_text_cache(example, head, text_vectors)
         parts.append(_ThetaFree(text_sum, n_text, target_idx, prefixes[key]))
     return parts
 
@@ -481,7 +464,6 @@ def rank_candidates(stack: ProjectionStack, head: SurrogateHead, user_context: U
         o_x[0],
         [(title, o_z[i]) for i, (_, title, _) in enumerate(candidates)],
         o_r=o_r,
-        templates=user_context.templates,
     )
     mean_seg, _ = _context_base(bundle, head)
     scored = []

@@ -21,16 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .align import AlignmentDataset, stack_alignment_dataset
-
 __all__ = [
     "PlantedDataset",
-    "LinearAlignmentSuite",
     "make_planted_dataset",
     "make_zero_shot_variant",
     "write_dataset",
     "planted_successor",
-    "make_linear_alignment_suite",
 ]
 
 _BLOCK_WORDS = ("alpine", "coastal")
@@ -166,44 +162,3 @@ def write_dataset(dataset: PlantedDataset, interactions_path, catalog_path) -> N
     with open(interactions_path, "w", encoding="utf-8") as fh:
         for user, item, ts, rating in dataset.events:
             fh.write(f"{user}\t{item}\t{ts}\t{rating}\n")
-
-
-@dataclass
-class LinearAlignmentSuite:
-    """Alignment training set whose modalities are exactly linearly related."""
-
-    dataset: AlignmentDataset
-    collab: dict[str, np.ndarray]
-    semantic: dict[str, np.ndarray]
-    matrix: np.ndarray
-
-
-def make_linear_alignment_suite(
-    n_users: int = 32,
-    n_items: int = 40,
-    collab_dim: int = 50,
-    sem_dim: int = 768,
-    latent_dim: int = 128,
-    pairs_per_user: int = 4,
-    scale: float = 4.0,
-    seed: int = 0,
-) -> LinearAlignmentSuite:
-    """Item pairs with semantic = A @ collaborative, so a zero-alignment
-    configuration exists and gradient descent has a clean target."""
-    rng = np.random.default_rng(seed)
-    matrix = rng.normal(0.0, 1.0 / np.sqrt(collab_dim), size=(sem_dim, collab_dim))
-    item_ids = [f"i{j:03d}" for j in range(n_items)]
-    collab = {item: rng.normal(0.0, scale, size=collab_dim) for item in item_ids}
-    semantic = {item: matrix @ collab[item] for item in item_ids}
-    pairs = [
-        rng.choice(n_items, size=pairs_per_user, replace=False).tolist() for _ in range(n_users)
-    ]
-    dataset = stack_alignment_dataset(
-        users=[f"u{u:03d}" for u in range(n_users)],
-        items=item_ids,
-        e=np.array([collab[item] for item in item_ids]),
-        q=np.array([semantic[item] for item in item_ids]),
-        pairs=pairs,
-        triples=[[] for _ in range(n_users)],
-    )
-    return LinearAlignmentSuite(dataset=dataset, collab=collab, semantic=semantic, matrix=matrix)

@@ -1,6 +1,7 @@
-"""Brute-force reference implementations used to cross-check the fast paths.
+"""Brute-force reference implementations used to cross-check the fast paths,
+and the test fixtures that no pipeline stage needs.
 
-Everything here is written independently of the package internals: plain
+The references are written independently of the package internals: plain
 loops, recursion, and explicit counting, so agreement is meaningful.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import Counter
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -21,6 +23,16 @@ def oracle_hit_rate(rankings: dict, targets: dict, k: int) -> float:
         if target in list(rankings[user])[:k]:
             hits += 1
     return hits / len(targets)
+
+
+def oracle_target_ranks(rankings: dict, targets: dict) -> list[int]:
+    """Each target's 0-based position in its user's ranking, in target order;
+    a target missing from the ranking sits just past its end."""
+    ranks = []
+    for user, target in targets.items():
+        ranking = list(rankings[user])
+        ranks.append(ranking.index(target) if target in ranking else len(ranking))
+    return ranks
 
 
 def oracle_ndcg(rankings: dict, targets: dict, k: int) -> float:
@@ -318,6 +330,35 @@ def oracle_alignment_loss_and_gradients(net, groups: list, triples: list):
             grads["enc_c.b"] += du.sum(axis=0)
 
     return loss, grads
+
+
+def oracle_alignment_terms(net, batch) -> tuple[float, float, float]:
+    """The objective's three terms on an AlignmentBatch, each evaluated alone:
+    alignment (nested mean of squared encoder gaps), reconstruction (alpha *
+    collaborative + beta * semantic autoencoder error, same nested mean) and
+    recommendation (summed BCE of sigmoid(x . dec_c(enc_c(e))) over the
+    triples, probabilities clamped). The package only computes their sum."""
+    p = net.params
+
+    def affine(x, name):
+        return np.asarray(x, dtype=np.float64) @ p[f"{name}.w"].T + p[f"{name}.b"]
+
+    def weighted(rows):
+        return float(np.sum(batch.w * np.sum(rows * rows, axis=1)))
+
+    u = affine(batch.e, "enc_c")
+    v = affine(batch.q, "enc_s")
+    alignment = weighted(u - v)
+    reconstruction = (net.alpha * weighted(affine(u, "dec_c") - batch.e)
+                      + net.beta * weighted(affine(v, "dec_s") - batch.q))
+
+    def scores(e):
+        return np.sum(batch.x * affine(affine(e, "enc_c"), "dec_c"), axis=1)
+
+    p_pos = np.clip(expit(scores(batch.pos)), _ALIGN_CLAMP, 1.0 - _ALIGN_CLAMP)
+    p_neg = np.clip(1.0 - expit(scores(batch.neg)), _ALIGN_CLAMP, 1.0 - _ALIGN_CLAMP)
+    recommendation = float(-np.sum(np.log(p_pos) + np.log(p_neg)))
+    return alignment, reconstruction, recommendation
 
 
 # --- text embedding, ranking and pooled evaluation, one item at a time ------
@@ -644,3 +685,57 @@ def oracle_projection_training(stack, dataset, epochs, batch_size, learning_rate
         log.append(epoch_loss / len(dataset))
     stack.training_log.extend(log)
     return stack
+
+
+# --- fixtures ----------------------------------------------------------------
+
+
+def dump_cot_fixture(path, entries) -> None:
+    """Write (user, item, label, text) tuples in the format load_cot_fixture
+    reads, escaping backslashes, tabs and newlines."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for user, item, label, text in entries:
+            escaped = text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
+            fh.write(f"{user}\t{item}\t{int(label)}\t{escaped}\n")
+
+
+@dataclass
+class LinearAlignmentSuite:
+    """Alignment training set whose modalities are exactly linearly related."""
+
+    dataset: object
+    collab: dict
+    semantic: dict
+    matrix: np.ndarray
+
+
+def make_linear_alignment_suite(
+    n_users: int = 32,
+    n_items: int = 40,
+    collab_dim: int = 50,
+    sem_dim: int = 768,
+    pairs_per_user: int = 4,
+    scale: float = 4.0,
+    seed: int = 0,
+) -> LinearAlignmentSuite:
+    """Item pairs with semantic = A @ collaborative, so a zero-alignment
+    configuration exists and gradient descent has a clean target."""
+    from fusionrec.align import stack_alignment_dataset
+
+    rng = np.random.default_rng(seed)
+    matrix = rng.normal(0.0, 1.0 / np.sqrt(collab_dim), size=(sem_dim, collab_dim))
+    item_ids = [f"i{j:03d}" for j in range(n_items)]
+    collab = {item: rng.normal(0.0, scale, size=collab_dim) for item in item_ids}
+    semantic = {item: matrix @ collab[item] for item in item_ids}
+    pairs = [
+        rng.choice(n_items, size=pairs_per_user, replace=False).tolist() for _ in range(n_users)
+    ]
+    dataset = stack_alignment_dataset(
+        users=[f"u{u:03d}" for u in range(n_users)],
+        items=item_ids,
+        e=np.array([collab[item] for item in item_ids]),
+        q=np.array([semantic[item] for item in item_ids]),
+        pairs=pairs,
+        triples=[[] for _ in range(n_users)],
+    )
+    return LinearAlignmentSuite(dataset=dataset, collab=collab, semantic=semantic, matrix=matrix)

@@ -12,16 +12,12 @@ from fusionrec.align import (
     COLLABORATIVE,
     SEMANTIC,
     AlignmentNetwork,
-    alignment_loss,
     build_alignment_dataset,
     decode,
     encode,
     gradient_check,
     init_alignment,
-    reconstruction_loss,
-    recommendation_loss,
     stack_alignment_dataset,
-    total_loss,
     total_loss_and_gradients,
     train_alignment,
     unified_item_embedding,
@@ -35,6 +31,7 @@ from fusionrec.semantic import fallback_embed
 from oracles import (
     oracle_alignment_loss_and_gradients,
     oracle_alignment_records,
+    oracle_alignment_terms,
     oracle_full_width_training,
 )
 
@@ -67,6 +64,14 @@ def _dataset(e, q, pairs, triples=None):
 def _whole(dataset):
     """One batch holding every user of the dataset, in order."""
     return dataset.batch(np.arange(len(dataset)))
+
+
+def _terms(net, batch):
+    """The oracle's three loss terms; checks first that the fused training
+    loss is their sum."""
+    terms = oracle_alignment_terms(net, batch)
+    assert total_loss_and_gradients(net, batch)[0] == pytest.approx(sum(terms), rel=1e-12)
+    return terms
 
 
 def _from_records(records, collab_dim, sem_dim):
@@ -149,10 +154,10 @@ def test_alignment_loss_uses_nested_means():
     e = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 1.0, 0.0]])
     q = np.zeros((3, 3))
     # inner means (1+3)/2 and 5, averaged across the two sequences
-    assert alignment_loss(net, _whole(_dataset(e, q, [[0, 1], [2]]))) == 3.5
+    assert _terms(net, _whole(_dataset(e, q, [[0, 1], [2]])))[0] == 3.5
     # a flat mean over the three pairs would give 3.0 instead
-    assert alignment_loss(net, _whole(_dataset(e, q, [[0, 1, 2]]))) == 3.0
-    assert alignment_loss(net, _triples_only([(np.ones(3),) * 3])) == 0.0
+    assert _terms(net, _whole(_dataset(e, q, [[0, 1, 2]])))[0] == 3.0
+    assert _terms(net, _triples_only([(np.ones(3),) * 3]))[0] == 0.0
 
 
 def test_repeated_items_carry_their_summed_weights():
@@ -164,7 +169,7 @@ def test_repeated_items_carry_their_summed_weights():
     assert np.array_equal(batch.e, e)
     assert batch.w.tolist() == pytest.approx([5 / 9, 4 / 9], rel=1e-15)
     # per sequence: (1+3+1)/3, 1 and 3, averaged
-    assert alignment_loss(net, batch) == pytest.approx((5 / 3 + 1 + 3) / 3, rel=1e-15)
+    assert _terms(net, batch)[0] == pytest.approx((5 / 3 + 1 + 3) / 3, rel=1e-15)
     # a user with triples but no pairs does not count towards G
     with_triple = _dataset(e, np.zeros((2, 3)), [[0], []], [[], [(np.ones(3),) * 3]])
     assert _whole(with_triple).w.tolist() == [1.0]
@@ -178,12 +183,12 @@ def test_reconstruction_loss_weights_the_two_autoencoders():
     net = _net_from_matrices(alpha=0.5, beta=0.2, decoder_scale=0.0)
     batch = _whole(_dataset([[1.0, 1.0, 0.0]], [[2.0, 1.0, 0.0]], [[0]]))
     # zero decoders reproduce nothing, so the residuals are the inputs
-    assert reconstruction_loss(net, batch) == 2.0
+    assert _terms(net, batch)[1] == 2.0
     net.beta = 0.0  # silence the semantic term to see the item term alone
-    assert reconstruction_loss(net, batch) == 1.0
+    assert _terms(net, batch)[1] == 1.0
     net.alpha, net.beta = 1.0, 1.0
-    assert reconstruction_loss(net, batch) == 7.0
-    assert reconstruction_loss(net, _triples_only([(np.ones(3),) * 3])) == 0.0
+    assert _terms(net, batch)[1] == 7.0
+    assert _terms(net, _triples_only([(np.ones(3),) * 3]))[1] == 0.0
 
 
 def test_alpha_beta_must_be_positive():
@@ -200,16 +205,16 @@ def test_recommendation_loss_matches_closed_form():
     x = np.array([math.log(9.0), 0.0, 0.0])
     batch = _triples_only([(x, np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]))])
     # sigmoid(ln 9) = 0.9 on the positive and 0.9 again on the flipped negative
-    assert recommendation_loss(net, batch) == pytest.approx(-2.0 * math.log(0.9), rel=1e-12)
+    assert _terms(net, batch)[2] == pytest.approx(-2.0 * math.log(0.9), rel=1e-12)
     pairs_only = _whole(_dataset(np.ones((1, 3)), np.ones((1, 3)), [[0]]))
-    assert recommendation_loss(net, pairs_only) == 0.0
+    assert _terms(net, pairs_only)[2] == 0.0
 
 
 def test_recommendation_loss_is_clamped_at_saturation():
     net = _net_from_matrices()
     x = np.array([100.0, 0.0, 0.0])
     e = np.array([1.0, 0.0, 0.0])
-    loss = recommendation_loss(net, _triples_only([(x, e, e)]))
+    loss = _terms(net, _triples_only([(x, e, e)]))[2]
     assert math.isfinite(loss)
     assert loss == pytest.approx(-math.log(1e-7) - math.log(1.0 - 1e-7), rel=1e-9)
 
@@ -217,22 +222,16 @@ def test_recommendation_loss_is_clamped_at_saturation():
 def test_total_loss_is_the_unweighted_sum():
     net = init_alignment(5, 7, 4, 0.5, 0.2, rng=np.random.default_rng(1))
     batch = _random_batch(net, np.random.default_rng(2))
-    expected = (
-        alignment_loss(net, batch)
-        + reconstruction_loss(net, batch)
-        + recommendation_loss(net, batch)
-    )
-    assert total_loss(net, batch) == expected
     loss, _ = total_loss_and_gradients(net, batch)
-    assert loss == pytest.approx(expected, rel=1e-12)
+    assert loss == pytest.approx(sum(oracle_alignment_terms(net, batch)), rel=1e-12)
     zero_net = _net_from_matrices(decoder_scale=0.0)
     zero_net.params["enc_c.w"][...] = 0.0
     trip = [(np.ones(3), np.ones(3), np.ones(3))] * 3
-    assert total_loss(zero_net, _triples_only(trip)) == pytest.approx(
+    assert total_loss_and_gradients(zero_net, _triples_only(trip))[0] == pytest.approx(
         6.0 * math.log(2.0), rel=1e-15
     )
     empty = _random_batch(net, np.random.default_rng(2), n_groups=0, triples=0)
-    assert total_loss(net, empty) == 0.0
+    assert total_loss_and_gradients(net, empty)[0] == 0.0
 
 
 def test_gradients_match_finite_differences():
@@ -308,7 +307,9 @@ def test_gradient_check_catches_a_corrupted_gradient():
     _, grads = total_loss_and_gradients(net, batch)
     flat = grads["enc_c.w"].reshape(-1)
     flat[np.argmax(np.abs(flat))] *= 1.5
-    worst = max_relative_gradient_error(lambda: total_loss(net, batch), net.params, grads)
+    worst = max_relative_gradient_error(
+        lambda: total_loss_and_gradients(net, batch)[0], net.params, grads
+    )
     assert worst > 1e-2
 
 

@@ -468,6 +468,16 @@ def test_removed_negative_sampling_key_is_a_config_error(chain, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_heads_that_do_not_divide_the_embedding_are_one_config_error_line(chain, tmp_path):
+    config = tmp_path / "heads.conf"
+    _write_config(config, chain["interactions"], chain["catalog"],
+                  ["cf.embed_dim = 50", "cf.heads = 3"])
+    for stage in _STAGES:
+        rc, _, err = _run([stage, "--config", str(config), "--out", str(tmp_path / "o")])
+        assert rc == 2, stage
+        assert err == "error: cf.heads: 3 does not divide cf.embed_dim 50\n", stage
+
+
 def test_prepare_requires_an_interactions_path(tmp_path):
     config = tmp_path / "empty.conf"
     config.write_text("seed = 0\n", encoding="utf-8")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from fusionrec.cf import CfConfig
@@ -35,6 +37,9 @@ def test_cf_config_mirrors_the_cf_section():
     assert cf.heads == 2
     assert cf.epochs == 3
     assert cf.optimizer == "adam"
+    # cf_config reads one key per CfConfig field, so the two sets must agree
+    cf_keys = {key for key in DEFAULTS if key.startswith("cf.")}
+    assert {f"cf.{field.name}" for field in fields(CfConfig)} == cf_keys
 
 
 def test_digest_is_stable_and_sensitive():
@@ -109,6 +114,7 @@ def test_make_config_converts_lists_and_validates():
         ({"eval.pool_size": 5}, r"at least max\(eval.ks\)"),
         ({"eval.fraction": 0.6}, r"eval.fraction: must lie in \(0, 0.5\]"),
         ({"cf.optimizer": "rmsprop"}, "must be sgd or adam"),
+        ({"cf.heads": 3}, "cf.heads: 3 does not divide cf.embed_dim 50"),
     ],
 )
 def test_validation_rules(overrides, message):

@@ -27,10 +27,15 @@ from fusionrec.evaluate import (
     render_metric_table,
     zero_shot_eval,
 )
-from fusionrec.metrics import hit_rate_at_k, ndcg_at_k
 from fusionrec.semantic import embed_catalog, fallback_embed
 from fusionrec.synthetic import make_zero_shot_variant
-from oracles import oracle_hit_rate, oracle_ndcg, oracle_pooled_evaluation, oracle_sample_pool
+from oracles import (
+    oracle_hit_rate,
+    oracle_ndcg,
+    oracle_pooled_evaluation,
+    oracle_sample_pool,
+    oracle_target_ranks,
+)
 
 
 class _IdentityRanker(PoolRanker):
@@ -389,6 +394,16 @@ def _check_against_oracle(pipeline, results, routing=None):
     return all(isolated)
 
 
+def _check_report_against_oracle(report, results, ks):
+    """The report keeps the oracle's target positions, and its metrics equal
+    the oracle's exactly: both sum 1/log2(rank+2) user by user, in one order."""
+    rankings = {u: r["ranking"] for u, r in results.items()}
+    targets = {u: r["target"] for u, r in results.items()}
+    assert report.ranks == dict(zip(targets, oracle_target_ranks(rankings, targets)))
+    assert report.hr == {k: oracle_hit_rate(rankings, targets, k) for k in ks}
+    assert report.ndcg == {k: oracle_ndcg(rankings, targets, k) for k in ks}
+
+
 def test_batched_evaluation_matches_the_per_user_oracle(toy_world, toy_alignment):
     split, semantic = _mixed_world(toy_world)
     model = toy_world["cf"]
@@ -404,10 +419,7 @@ def test_batched_evaluation_matches_the_per_user_oracle(toy_world, toy_alignment
     assert pipeline.routing == routing
     pipeline.reset_routing()
     assert _check_against_oracle(pipeline, results, routing)
-    rankings = {u: r["ranking"] for u, r in results.items()}
-    targets = {u: r["target"] for u, r in results.items()}
-    assert report.hr == {k: hit_rate_at_k(rankings, targets, k) for k in (1, 5, 10)}
-    assert report.ndcg == {k: ndcg_at_k(rankings, targets, k) for k in (1, 5, 10)}
+    _check_report_against_oracle(report, results, (1, 5, 10))
 
 
 def test_batched_zero_shot_matches_the_per_user_oracle(toy_world, toy_pipeline):
@@ -422,10 +434,7 @@ def test_batched_zero_shot_matches_the_per_user_oracle(toy_world, toy_pipeline):
     report = zero_shot_eval(toy_pipeline, zs_split, zs_semantic, [1, 3], candidate_pool_size=10, seed=5)
     transfer = RecommendationPipeline(toy_pipeline.cf_model, toy_pipeline.alignment, zs_semantic)
     assert _check_against_oracle(transfer, results, routing)
-    rankings = {u: r["ranking"] for u, r in results.items()}
-    targets = {u: r["target"] for u, r in results.items()}
-    assert report.hr == {k: hit_rate_at_k(rankings, targets, k) for k in (1, 3)}
-    assert report.ndcg == {k: ndcg_at_k(rankings, targets, k) for k in (1, 3)}
+    _check_report_against_oracle(report, results, (1, 3))
 
 
 def test_identical_rows_tie_and_break_by_id(toy_world, toy_alignment):

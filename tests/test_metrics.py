@@ -7,52 +7,49 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionrec.metrics import bleu, hit_rate_at_k, ndcg_at_k, rouge, tokenize
-from oracles import oracle_bleu, oracle_hit_rate, oracle_ndcg, oracle_rouge1, oracle_rouge_l
-
-
-def _single(ranking, target):
-    return {"u": ranking}, {"u": target}
+from fusionrec.metrics import bleu, hit_rate_from_ranks, ndcg_from_ranks, rouge, tokenize
+from oracles import (
+    oracle_bleu,
+    oracle_hit_rate,
+    oracle_ndcg,
+    oracle_rouge1,
+    oracle_rouge_l,
+    oracle_target_ranks,
+)
 
 
 def test_hit_rate_basics():
-    rankings, targets = _single(["a", "b", "c", "d"], "c")
-    assert hit_rate_at_k(rankings, targets, 3) == 1.0
-    assert hit_rate_at_k(rankings, targets, 2) == 0.0
-    assert hit_rate_at_k(rankings, targets, 4) == 1.0
+    # target at 0-based rank 2 of four items
+    assert hit_rate_from_ranks([2], 3) == 1.0
+    assert hit_rate_from_ranks([2], 2) == 0.0
+    assert hit_rate_from_ranks([2], 4) == 1.0
 
 
 def test_hit_rate_averages_over_users():
-    rankings = {"u1": ["a", "b"], "u2": ["b", "a"], "u3": ["c", "a"]}
-    targets = {"u1": "a", "u2": "a", "u3": "a"}
-    assert hit_rate_at_k(rankings, targets, 1) == pytest.approx(1 / 3)
-    assert hit_rate_at_k(rankings, targets, 2) == 1.0
+    assert hit_rate_from_ranks([0, 1, 1], 1) == pytest.approx(1 / 3)
+    assert hit_rate_from_ranks([0, 1, 1], 2) == 1.0
 
 
 def test_ndcg_discount_at_rank_two():
-    rankings, targets = _single(["a", "b", "c"], "b")
-    value = ndcg_at_k(rankings, targets, 3)
+    value = ndcg_from_ranks([1], 3)
     assert value == pytest.approx(1.0 / math.log2(3.0), abs=1e-12)
     assert round(value, 5) == 0.63093
 
 
 def test_ndcg_top_hit_is_one_and_miss_is_zero():
-    rankings, targets = _single(["a", "b", "c"], "a")
-    assert ndcg_at_k(rankings, targets, 3) == 1.0
-    rankings, targets = _single(["a", "b", "c"], "z")
-    assert ndcg_at_k(rankings, targets, 3) == 0.0
+    assert ndcg_from_ranks([0], 3) == 1.0
+    assert ndcg_from_ranks([3], 3) == 0.0  # a target past the top k
 
 
 def test_ranking_metric_argument_errors():
-    rankings, targets = _single(["a", "b"], "a")
-    with pytest.raises(ValueError):
-        hit_rate_at_k(rankings, targets, 0)
-    with pytest.raises(ValueError):
-        hit_rate_at_k(rankings, {}, 1)
-    with pytest.raises(ValueError):
-        hit_rate_at_k(rankings, {"other": "a"}, 1)
-    with pytest.raises(ValueError):
-        ndcg_at_k(rankings, targets, 3)  # ranking shorter than k
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        hit_rate_from_ranks([0], 0)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        ndcg_from_ranks([0], 0)
+    with pytest.raises(ValueError, match="no users"):
+        hit_rate_from_ranks([], 1)
+    with pytest.raises(ValueError, match="no users"):
+        ndcg_from_ranks([], 1)
 
 
 def test_bleu_worked_example():
@@ -133,10 +130,11 @@ def test_ranking_metrics_match_bruteforce_on_random_cases():
             targets[f"u{u}"] = target
             min_len = len(ranking) if min_len is None else min(min_len, len(ranking))
         k = int(rng.integers(1, min_len + 1))
-        assert hit_rate_at_k(rankings, targets, k) == pytest.approx(
+        ranks = oracle_target_ranks(rankings, targets)
+        assert hit_rate_from_ranks(ranks, k) == pytest.approx(
             oracle_hit_rate(rankings, targets, k), abs=1e-12
         )
-        assert ndcg_at_k(rankings, targets, k) == pytest.approx(
+        assert ndcg_from_ranks(ranks, k) == pytest.approx(
             oracle_ndcg(rankings, targets, k), abs=1e-12
         )
 
@@ -175,10 +173,13 @@ def _ranked_users(draw):
 @settings(max_examples=60, deadline=None)
 def test_hit_rate_and_ndcg_are_nondecreasing_in_k(case):
     rankings, targets, n_items = case
+    ranks = oracle_target_ranks(rankings, targets)
     hr_prev, ndcg_prev = 0.0, 0.0
     for k in range(1, n_items + 1):
-        hr = hit_rate_at_k(rankings, targets, k)
-        nd = ndcg_at_k(rankings, targets, k)
+        hr = hit_rate_from_ranks(ranks, k)
+        nd = ndcg_from_ranks(ranks, k)
+        assert hr == oracle_hit_rate(rankings, targets, k)
+        assert nd == pytest.approx(oracle_ndcg(rankings, targets, k), abs=1e-12)
         assert hr >= hr_prev
         assert nd >= ndcg_prev
         assert nd <= hr + 1e-12

@@ -3,6 +3,7 @@ from __future__ import annotations
 import base64
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,7 +33,6 @@ from fusionrec.projection import (
     rank_candidates,
     render_prompt_text,
     request_explanation,
-    surrogate_lm_loss,
     surrogate_loss_and_gradients,
     train_projections,
     _batch_loss_and_grads,
@@ -107,12 +107,6 @@ def test_prompt_layout_interleaves_titles_and_soft_segments():
     assert names == ["user", "item0", "reasoning"]
     assert np.array_equal(bundle.soft_segments()[0][2], o_x)
     assert bundle.user == "u1"
-
-    custom = assemble_prompt(
-        o_x, [("red fox", o_z)], templates={"instruction": "INS", "query": "Q?"}
-    )
-    assert custom.segments[1] == ("text", "INS")
-    assert custom.segments[-1] == ("text", "Q?")
     with pytest.raises(ValueError, match="at least one candidate"):
         assemble_prompt(o_x, [])
 
@@ -175,18 +169,24 @@ def test_zero_head_loss_is_log_vocab_size():
         token_emb=np.zeros((50, 16)),
         seed=0,
     )
-    bundle = assemble_prompt(np.zeros(16), [("t00", np.zeros(16))])
-    assert surrogate_lm_loss(bundle, ["t03"], zero_head) == math.log(50.0)
-    assert surrogate_lm_loss(bundle, ["t03", "t07", "t00"], zero_head) == math.log(50.0)
+    stack = init_projection_stack(d_user=5, d_item=4, d_cot=6, d_token=16, hidden=6,
+                                  rng=np.random.default_rng(0))
+    example = _tiny_example(np.random.default_rng(1))
+    for targets in (["t03"], ["t03", "t07", "t00"]):
+        loss, _ = surrogate_loss_and_gradients(
+            stack, replace(example, target_tokens=targets), zero_head
+        )
+        assert loss == math.log(50.0)
 
 
 def test_surrogate_lm_loss_input_validation():
     head = _tiny_head()
-    bundle = assemble_prompt(np.zeros(8), [("red fox", np.zeros(8))])
+    stack = _tiny_stack()
+    example = _tiny_example(np.random.default_rng(0))
     with pytest.raises(ValueError, match="non-empty"):
-        surrogate_lm_loss(bundle, [], head)
+        surrogate_loss_and_gradients(stack, replace(example, target_tokens=[]), head)
     with pytest.raises(DataError, match="outside the surrogate vocabulary"):
-        surrogate_lm_loss(bundle, ["wolf"], head)
+        surrogate_loss_and_gradients(stack, replace(example, target_tokens=["wolf"]), head)
 
 
 def test_projection_gradients_match_finite_differences():

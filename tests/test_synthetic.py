@@ -7,12 +7,12 @@ import pytest
 
 from fusionrec.data import load_catalog, load_interactions
 from fusionrec.synthetic import (
-    make_linear_alignment_suite,
     make_planted_dataset,
     make_zero_shot_variant,
     planted_successor,
     write_dataset,
 )
+from oracles import make_linear_alignment_suite
 
 
 def _sequences(dataset):
@@ -144,7 +144,7 @@ def test_write_dataset_roundtrips_through_the_loaders(tmp_path):
 
 def test_linear_alignment_suite_is_exactly_linear():
     suite = make_linear_alignment_suite(
-        n_users=6, n_items=8, collab_dim=5, sem_dim=7, latent_dim=4,
+        n_users=6, n_items=8, collab_dim=5, sem_dim=7,
         pairs_per_user=3, scale=2.0, seed=9,
     )
     assert suite.matrix.shape == (7, 5)
@@ -162,7 +162,7 @@ def test_linear_alignment_suite_is_exactly_linear():
             assert np.array_equal(dataset.e[j], suite.collab[dataset.items[j]])
             assert np.array_equal(dataset.q[j], suite.matrix @ dataset.e[j])
     again = make_linear_alignment_suite(
-        n_users=6, n_items=8, collab_dim=5, sem_dim=7, latent_dim=4,
+        n_users=6, n_items=8, collab_dim=5, sem_dim=7,
         pairs_per_user=3, scale=2.0, seed=9,
     )
     assert np.array_equal(suite.matrix, again.matrix)
