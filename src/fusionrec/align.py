@@ -30,16 +30,15 @@ order. `encode`, `decode` and the checkpoint stay full width.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import expit
 
 from . import cf as cf_mod
-from .errors import DataError, TrainingError
+from .errors import DataError
 from .gradcheck import max_relative_gradient_error
-from .optim import make_optimizer, xavier
+from .optim import fit, xavier
 from .semantic import SEMANTIC_DIM
 
 __all__ = [
@@ -317,11 +316,10 @@ def train_alignment(
     rng: np.random.Generator | None = None,
     optimizer: str = "sgd",
 ) -> AlignmentNetwork:
-    """Plain gradient descent (by default) on the summed objective.
+    """Plain gradient descent (by default) on the summed objective, with `optim.fit`.
 
-    Each epoch draws a permutation of the dataset's users; a batch holds
-    `batch_size` consecutive users of it (see AlignmentDataset.batch).
-    Per-epoch mean batch losses are stored on net.training_log.
+    A batch holds `batch_size` users (see AlignmentDataset.batch) and weighs
+    1, so net.training_log holds each epoch's mean batch loss.
 
     The rows of `dec_s.w` and entries of `dec_s.b` of the dead semantic
     columns (those outside AlignmentDataset.live_columns) are set to 0
@@ -334,7 +332,6 @@ def train_alignment(
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    opt = make_optimizer(optimizer, learning_rate)
     live = dataset.live_columns()
     dead = np.setdiff1d(np.arange(dataset.q.shape[1]), live)
     net.params["dec_s.w"][dead] = 0.0
@@ -347,25 +344,16 @@ def train_alignment(
     params["dec_s.b"] = net.params["dec_s.b"][live]
     trained = replace(net, sem_dim=params["dec_s.b"].size, params=params)
     dataset = replace(dataset, q=dataset.q[:, live])
-    log: list[float] = []
-    order = np.arange(len(dataset))
-    for epoch in range(epochs):
-        perm = rng.permutation(order)
-        batch_losses = []
-        for start in range(0, len(perm), batch_size):
-            batch = dataset.batch(perm[start : start + batch_size])
-            loss, grads = total_loss_and_gradients(trained, batch)
-            if not math.isfinite(loss):
-                raise TrainingError(
-                    f"non-finite alignment loss at epoch {epoch}, batch {start // batch_size}"
-                )
-            opt.step(params, grads)
-            batch_losses.append(loss)
-        log.append(float(np.mean(batch_losses)) if batch_losses else 0.0)
+
+    def batch_loss(chosen):
+        return (*total_loss_and_gradients(trained, dataset.batch(chosen)), 1)
+
+    net.training_log = fit(params, len(dataset), batch_loss, epochs=epochs,
+                           batch_size=batch_size, optimizer=optimizer,
+                           learning_rate=learning_rate, rng=rng, what="alignment loss")
     net.params["enc_s.w"][:, live] = params["enc_s.w"]
     net.params["dec_s.w"][live] = params["dec_s.w"]
     net.params["dec_s.b"][live] = params["dec_s.b"]
-    net.training_log = log
     return net
 
 

@@ -30,8 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import TrainingError
-from .optim import make_optimizer, xavier
+from .optim import fit, xavier
 
 __all__ = [
     "CfConfig",
@@ -298,10 +297,11 @@ def _draw_drop_masks(config: CfConfig, shape, rng):
 
 
 def train_cf(instances, config: CfConfig, rng: np.random.Generator) -> CfModel:
-    """Train on TrainingSequences, batch_size sequences per step; returns a frozen model.
+    """Train on TrainingSequences with `optim.fit`; returns a frozen model.
 
     The item vocabulary is exactly the set of items in the given sequences
-    (first-seen order). Each epoch's log entry is the mean cross-entropy over
+    (first-seen order). A batch holds `batch_size` sequences and weighs its
+    real positions, so each epoch's log entry is the mean cross-entropy over
     all its positions.
     """
     if not instances:
@@ -315,24 +315,18 @@ def train_cf(instances, config: CfConfig, rng: np.random.Generator) -> CfModel:
     for q, idx in item_index.items():
         items[idx - 1] = q
     params = _init_params(config, len(item_index), rng)
-    opt = make_optimizer(config.optimizer, config.learning_rate)
-    log: list[float] = []
     positions = [len(inst.history) for inst in instances]
-    for epoch in range(config.epochs):
-        perm = rng.permutation(len(instances))
-        epoch_loss = 0.0
-        for start in range(0, len(perm), config.batch_size):
-            chosen = perm[start : start + config.batch_size]
-            batch = [instances[i] for i in chosen]
-            length = max(positions[i] for i in chosen)
-            drop = _draw_drop_masks(config, (len(batch), length, config.embed_dim), rng)
-            loss, grads = training_loss_and_gradients(params, config, batch, item_index, drop)
-            if not math.isfinite(loss):
-                raise TrainingError(f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}")
-            opt.step(params, grads)
-            params["item_emb"][0] = 0.0
-            epoch_loss += loss * sum(positions[i] for i in chosen)
-        log.append(epoch_loss / sum(positions))
+
+    def batch_loss(chosen):
+        batch = [instances[i] for i in chosen]
+        length = max(positions[i] for i in chosen)
+        drop = _draw_drop_masks(config, (len(batch), length, config.embed_dim), rng)
+        loss, grads = training_loss_and_gradients(params, config, batch, item_index, drop)
+        return loss, grads, sum(positions[i] for i in chosen)
+
+    log = fit(params, len(instances), batch_loss, epochs=config.epochs,
+              batch_size=config.batch_size, optimizer=config.optimizer,
+              learning_rate=config.learning_rate, rng=rng, what="loss")
     model = CfModel(config=config, item_index=item_index, items=items, params=params,
                     training_log=log)
     for arr in model.params.values():

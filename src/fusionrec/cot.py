@@ -171,10 +171,8 @@ class FixtureAdapter:
 
     def __init__(self, corpus: dict[tuple[str, str], str] | None = None):
         self.corpus = corpus
-        self.calls: list[tuple[str, str]] = []
 
     def generate(self, user: str, item: str, prompt: str, instance=None) -> str:
-        self.calls.append((user, item))
         if self.corpus is not None:
             try:
                 return self.corpus[(user, item)]

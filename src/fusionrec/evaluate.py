@@ -153,29 +153,20 @@ class RecommendationPipeline(PoolRanker):
     alignment: AlignmentNetwork | None = None
     semantic_map: dict[str, np.ndarray] | None = None
     routing: Counter = field(default_factory=Counter)
-    # item -> decoded semantic vector; the models and map are fixed once lookups start
-    _reconstructed: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
-    _table: ItemTable | None = field(default=None, init=False, repr=False)
-
-    def reset_routing(self) -> None:
-        self.routing = Counter()
 
     def _item_row(self, item: str) -> tuple[np.ndarray, bool]:
         """Collaborative-space vector of one item, and whether it took the
-        semantic path. The reconstruction is computed once per item."""
+        semantic path."""
         direct = cf_mod.item_embedding(self.cf_model, item)
         if direct is not None:
             return direct, False
-        reconstructed = self._reconstructed.get(item)
-        if reconstructed is None:
-            semantic = self.semantic_map.get(item) if self.semantic_map is not None else None
-            if self.alignment is None or semantic is None:
-                raise DataError(
-                    f"item {item!r} has neither a collaborative embedding nor a semantic one"
-                )
-            latent = encode(self.alignment, "semantic", semantic)
-            reconstructed = self._reconstructed[item] = decode(self.alignment, "collaborative", latent)
-        return reconstructed, True
+        semantic = self.semantic_map.get(item) if self.semantic_map is not None else None
+        if self.alignment is None or semantic is None:
+            raise DataError(
+                f"item {item!r} has neither a collaborative embedding nor a semantic one"
+            )
+        latent = encode(self.alignment, "semantic", semantic)
+        return decode(self.alignment, "collaborative", latent), True
 
     def _count(self, table: ItemTable, rows: np.ndarray) -> None:
         semantic = int(np.count_nonzero(table.semantic[rows]))
@@ -189,21 +180,12 @@ class RecommendationPipeline(PoolRanker):
         """
         vector, semantic = self._item_row(item)
         self.routing[SEMANTIC_PATH if semantic else COLLABORATIVE_PATH] += 1
-        return vector.copy()
+        return vector
 
     def item_table(self, items, latent: bool = False) -> ItemTable:
-        """An ItemTable holding at least the given items; building it counts no lookups.
-
-        The last table built is reused while it holds every item asked for
-        (and latent rows, if asked for), so a stage builds its table once.
-        """
-        wanted = set(items)
-        table = self._table
-        if table is None or (latent and table.latent is None) or not wanted.issubset(table.index):
-            table = self._table = self._build_table(sorted(wanted), latent)
-        return table
-
-    def _build_table(self, items: list[str], latent: bool) -> ItemTable:
+        """A fresh ItemTable over the given items, in id order; building it
+        counts no lookups."""
+        items = sorted(set(items))
         rows = [self._item_row(item) for item in items]
         n, dim = len(items), self.cf_model.config.embed_dim
         latent_rows = None

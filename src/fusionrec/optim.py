@@ -1,8 +1,10 @@
-"""Optimizer abstraction: plain gradient descent by default, Adam when configured.
+"""Optimizers, the one minibatch loop, and the shared weight initializer.
 
 Parameters are dicts of named numpy arrays; gradients use the same keys.
-Updates are in-place so model objects keep their array identities. The
-weight initializer that every model shares lives here too.
+Updates are in-place so model objects keep their array identities. `fit` is
+the training loop of the CF backbone, the alignment network and the
+projection stack alike: one permutation per epoch, one optimizer step per
+batch, one log entry per epoch. Each trainer supplies only its batch loss.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ import math
 
 import numpy as np
 
-__all__ = ["Sgd", "Adam", "make_optimizer", "xavier"]
+from .errors import TrainingError
+
+__all__ = ["Sgd", "Adam", "make_optimizer", "fit", "xavier"]
 
 
 def xavier(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
@@ -86,3 +90,32 @@ def make_optimizer(name: str, learning_rate: float):
     if name == "adam":
         return Adam(learning_rate)
     raise ValueError(f"unknown optimizer {name!r}")
+
+
+def fit(params: dict[str, np.ndarray], n: int, batch_loss, *, epochs: int, batch_size: int,
+        optimizer: str, learning_rate: float, rng: np.random.Generator, what: str) -> list[float]:
+    """Train `params` in place on `n` examples; returns the per-epoch log.
+
+    Each epoch draws one `rng.permutation(n)` and calls `batch_loss(chosen)`
+    for each consecutive `batch_size` slice of it. That returns the batch's
+    loss, its gradients keyed like `params`, and the batch's weight in the
+    log. A non-finite loss raises TrainingError naming `what`, the epoch and
+    the batch, before that batch steps. An epoch's log entry is the weighted
+    mean of its batch losses.
+    """
+    if n == 0:
+        raise ValueError("no examples to train on")
+    opt = make_optimizer(optimizer, learning_rate)
+    log: list[float] = []
+    for epoch in range(epochs):
+        perm = rng.permutation(n)
+        losses, weights = [], []
+        for batch, start in enumerate(range(0, n, batch_size)):
+            loss, grads, weight = batch_loss(perm[start : start + batch_size])
+            if not math.isfinite(loss):
+                raise TrainingError(f"non-finite {what} at epoch {epoch}, batch {batch}")
+            opt.step(params, grads)
+            losses.append(loss)
+            weights.append(weight)
+        log.append(float(np.average(losses, weights=weights)))
+    return log

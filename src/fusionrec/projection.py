@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cot import _unescape
-from .errors import DataError, TrainingError
+from .errors import DataError
 from .gradcheck import max_relative_gradient_error
-from .optim import make_optimizer, xavier
+from .optim import fit, xavier
 
 __all__ = [
     "ProjectionStack",
@@ -86,9 +86,6 @@ class PromptBundle:
     segments: list
     user: str | None = None
 
-    def soft_segments(self):
-        return [(i, seg[1], seg[2]) for i, seg in enumerate(self.segments) if seg[0] == "soft"]
-
 
 @dataclass
 class SurrogateHead:
@@ -98,14 +95,6 @@ class SurrogateHead:
     b_out: np.ndarray  # (|V|,), frozen
     token_emb: np.ndarray  # (|V|, d_token), frozen
     seed: int
-
-    def embed_tokens(self, tokens: list[str]) -> np.ndarray:
-        idx = []
-        for tok in tokens:
-            if tok not in self.token_index:
-                raise DataError(f"token {tok!r} is outside the surrogate vocabulary")
-            idx.append(self.token_index[tok])
-        return self.token_emb[idx]
 
 
 @dataclass
@@ -410,36 +399,31 @@ def train_projections(
     rng: np.random.Generator | None = None,
     optimizer: str = "sgd",
 ) -> ProjectionStack:
-    """Gradient descent on the surrogate loss over projection parameters only.
+    """Gradient descent on the surrogate loss over projection parameters only,
+    with `optim.fit`.
 
-    Each epoch draws one permutation from `rng` and steps once per batch of
-    `batch_size` examples, on the batch's mean loss computed in stacked
-    arrays. The theta-free parts of every example are computed once, before
-    the first step, so an out-of-vocabulary target raises `DataError` with
-    the parameters untouched.
+    A batch holds `batch_size` examples, steps on their mean loss computed in
+    stacked arrays, and weighs its example count, so each epoch's log entry
+    is the mean loss over its examples. The theta-free parts of every
+    example are computed once, before the first step, so an
+    out-of-vocabulary target raises `DataError` with the parameters untouched.
     """
     if head is None:
         raise ValueError("a surrogate head is required")
     if rng is None:
         rng = np.random.default_rng(0)
-    opt = make_optimizer(optimizer, learning_rate)
     parts = _theta_free_parts(dataset, head)
-    order = np.arange(len(dataset))
-    log: list[float] = []
-    for epoch in range(epochs):
-        perm = rng.permutation(order)
-        epoch_loss = 0.0
-        for start in range(0, len(perm), batch_size):
-            chosen = perm[start : start + batch_size]
-            batch_loss, grads = _batch_loss_and_grads(
-                stack.params, [dataset[i] for i in chosen], [parts[i] for i in chosen], head
-            )
-            if not math.isfinite(batch_loss):
-                raise TrainingError(f"non-finite projection loss at epoch {epoch}")
-            opt.step(stack.params, grads)
-            epoch_loss += batch_loss * len(chosen)
-        log.append(epoch_loss / len(dataset))
-    stack.training_log.extend(log)
+
+    def batch_loss(chosen):
+        loss, grads = _batch_loss_and_grads(
+            stack.params, [dataset[i] for i in chosen], [parts[i] for i in chosen], head
+        )
+        return loss, grads, len(chosen)
+
+    stack.training_log.extend(
+        fit(stack.params, len(dataset), batch_loss, epochs=epochs, batch_size=batch_size,
+            optimizer=optimizer, learning_rate=learning_rate, rng=rng, what="projection loss")
+    )
     return stack
 
 

@@ -294,6 +294,18 @@ def test_diverging_training_raises():
         train_cf(instances, config, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_the_pad_row_stays_exactly_zero_through_training(optimizer):
+    config = CfConfig(**{**_TOY_CONFIG, "epochs": 3, "batch_size": 2, "dropout": 0.3,
+                         "learning_rate": 0.05, "optimizer": optimizer})
+    start = train_cf(_toy_instances(), CfConfig(**_TOY_CONFIG), np.random.default_rng(4))
+    model = train_cf(_toy_instances(), config, np.random.default_rng(4))
+    assert len(model.training_log) == 3
+    # its gradient is exactly 0, so neither optimizer moves it off +0.0
+    assert model.params["item_emb"][0].tobytes() == bytes(8 * config.embed_dim)
+    assert not np.array_equal(model.params["item_emb"][1:], start.params["item_emb"][1:])
+
+
 def test_train_rejects_bad_inputs():
     with pytest.raises(ValueError, match="no training instances"):
         train_cf([], CfConfig(), np.random.default_rng(0))

@@ -119,10 +119,17 @@ def test_generate_cot_truncates_adapter_output():
 
 def test_fixture_adapter_returns_corpus_text_verbatim():
     corpus = {("peter", "q12"): "A short stored trace."}
-    adapter = FixtureAdapter(corpus)
+    seen = []
+
+    class _Spy(FixtureAdapter):
+        def generate(self, user, item, prompt, instance=None):
+            seen.append((user, item))
+            return super().generate(user, item, prompt, instance)
+
+    adapter = _Spy(corpus)
     instance = _peter_instance()
     assert generate_cot(adapter, instance) == "A short stored trace."
-    assert adapter.calls == [("peter", "q12")]
+    assert seen == [("peter", "q12")]
     with pytest.raises(DataError, match="no fixture entry for user 'peter', item 'q5'"):
         adapter.generate("peter", "q5", "prompt")
 
