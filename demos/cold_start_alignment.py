@@ -13,7 +13,6 @@ from fusionrec.align import (
     build_alignment_dataset,
     init_alignment,
     train_alignment,
-    unified_item_embedding,
 )
 from fusionrec.cf import CfConfig, train_cf
 from fusionrec.data import (
@@ -80,13 +79,14 @@ train_alignment(net, examples, epochs=300, batch_size=16, learning_rate=1e-3,
 print(f"alignment loss {net.training_log[0]:.2f} -> {net.training_log[-1]:.2f}")
 
 # --- a cold item still gets an embedding, just via the other door ---
+pipeline = RecommendationPipeline(cf_model=model, alignment=net, semantic_map=semantic_map)
 cold_item = sorted(partition.cold)[0]
-embedding = unified_item_embedding(net, cold_item, model, semantic_map)
-print(f"\n{cold_item} ({planted.catalog[cold_item][0]!r}) -> {embedding.source}, "
-      f"norm {np.linalg.norm(embedding.vector):.3f}")
+table = pipeline.item_table([cold_item], latent=True)
+route = "semantic_path" if table.semantic[0] else "collaborative_path"
+print(f"\n{cold_item} ({planted.catalog[cold_item][0]!r}) -> {route}, "
+      f"norm {np.linalg.norm(table.latent[0]):.3f}")
 
 # --- cohort comparison and the renamed domain ---
-pipeline = RecommendationPipeline(cf_model=model, alignment=net, semantic_map=semantic_map)
 standard = evaluate_split(pipeline, split, ks=[5, 10], candidate_pool_size=59, seed=3)
 comparison = cold_warm_report(standard, split, partition)  # cuts of the standard ranks
 

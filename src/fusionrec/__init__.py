@@ -5,7 +5,6 @@ from .align import (
     AlignmentBatch,
     AlignmentDataset,
     AlignmentNetwork,
-    UnifiedEmbedding,
     build_alignment_dataset,
     decode,
     encode,
@@ -17,7 +16,6 @@ from .align import (
 from .cf import (
     CfConfig,
     CfModel,
-    item_embedding,
     next_item_probabilities,
     rank_by_score,
     train_cf,

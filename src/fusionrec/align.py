@@ -45,7 +45,6 @@ __all__ = [
     "AlignmentNetwork",
     "AlignmentBatch",
     "AlignmentDataset",
-    "UnifiedEmbedding",
     "init_alignment",
     "encode",
     "decode",
@@ -198,13 +197,6 @@ def stack_alignment_dataset(users, items, e, q, pairs, triples) -> AlignmentData
         pos=stacked(1),
         neg=stacked(2),
     )
-
-
-@dataclass
-class UnifiedEmbedding:
-    item: str
-    vector: np.ndarray
-    source: str  # "collaborative_path" or "semantic_path"
 
 
 def init_alignment(
@@ -375,6 +367,7 @@ def build_alignment_dataset(
     """
     if rng is None:
         rng = np.random.default_rng(0)
+    item_emb, item_index = cf_model.params["item_emb"], cf_model.item_index
     table: dict[str, int] = {}
     e_rows, q_rows = [], []
     users, pairs, triples = [], [], []
@@ -385,28 +378,26 @@ def build_alignment_dataset(
         group = []
         for item in sequence:
             if item not in table:
-                e = cf_mod.item_embedding(cf_model, item)
-                q = semantic_map.get(item)
-                if e is None or q is None:
+                if item not in item_index or item not in semantic_map:
                     continue
                 table[item] = len(e_rows)
-                e_rows.append(e)
-                q_rows.append(q)
+                e_rows.append(item_emb[item_index[item]])
+                q_rows.append(semantic_map[item])
             group.append(table[item])
         trip = []
         if user in reps:
             x = reps[user]
-            positive = cf_mod.item_embedding(cf_model, split.validation[user])
+            positive = item_emb[item_index[split.validation[user]]]
             # positions in cf_model.items of the items the user does not own
             unowned = np.ones(len(cf_model.items), dtype=bool)
-            unowned[[cf_model.item_index[item] - 1 for item in set(split.full_sequence(user))
-                     if cf_model.has_item(item)]] = False
+            unowned[[item_index[item] - 1 for item in set(split.full_sequence(user))
+                     if item in item_index]] = False
             eligible = np.flatnonzero(unowned)
             for _ in range(negatives_per_user):
                 if not len(eligible):
                     break
                 negative = cf_model.items[eligible[int(rng.integers(len(eligible)))]]
-                trip.append((x, positive, cf_mod.item_embedding(cf_model, negative)))
+                trip.append((x, positive, item_emb[item_index[negative]]))
         if group or trip:
             users.append(user)
             pairs.append(group)
@@ -426,18 +417,15 @@ def build_alignment_dataset(
 
 def unified_item_embedding(
     net: AlignmentNetwork, item: str, cf_model, semantic_map: dict[str, np.ndarray]
-) -> UnifiedEmbedding:
-    """Warm items go through the collaborative encoder, cold items through
-    the semantic encoder; the trigger is CF-vocabulary membership."""
-    e = cf_mod.item_embedding(cf_model, item) if cf_model is not None else None
-    if e is not None:
-        return UnifiedEmbedding(item=item, vector=encode(net, COLLABORATIVE, e),
-                                source="collaborative_path")
+) -> np.ndarray:
+    """The item's latent vector: warm items go through the collaborative
+    encoder, cold items through the semantic encoder; the trigger is
+    CF-vocabulary membership (no model: every item is cold)."""
+    if cf_model is not None and cf_model.has_item(item):
+        return encode(net, COLLABORATIVE, cf_model.params["item_emb"][cf_model.item_index[item]])
     if item in semantic_map:
-        vec = np.asarray(semantic_map[item], dtype=np.float64)
-        return UnifiedEmbedding(item=item, vector=encode(net, SEMANTIC, vec),
-                                source="semantic_path")
-    raise DataError(f"item {item!r} has neither a collaborative nor a semantic embedding")
+        return encode(net, SEMANTIC, semantic_map[item])
+    raise DataError(f"item {item!r} has neither a collaborative embedding nor a semantic one")
 
 
 def gradient_check(net: AlignmentNetwork, batch: AlignmentBatch, h: float = 1e-5) -> float:

@@ -42,7 +42,6 @@ __all__ = [
     "warm_user_representations",
     "user_representation_from_vectors",
     "user_representations_from_vectors",
-    "item_embedding",
     "next_item_probabilities",
     "item_probabilities",
     "rank_by_score",
@@ -397,18 +396,6 @@ def user_representation(model: CfModel, history: list[str]) -> np.ndarray:
 def user_representation_from_vectors(model: CfModel, vectors: np.ndarray) -> np.ndarray:
     """One user's user_representations_from_vectors row."""
     return user_representations_from_vectors(model, [vectors])[0]
-
-
-def item_embedding(model: CfModel, item: str) -> np.ndarray | None:
-    """Row of the (frozen) embedding matrix, or None for unknown items.
-
-    None is the cold-item signal: the caller routes such items through the
-    semantic path instead of treating this as an error.
-    """
-    idx = model.item_index.get(item)
-    if idx is None:
-        return None
-    return model.params["item_emb"][idx].copy()
 
 
 def item_probabilities(model: CfModel, rep: np.ndarray) -> np.ndarray:

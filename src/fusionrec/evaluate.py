@@ -30,10 +30,10 @@ from itertools import chain
 import numpy as np
 
 from . import cf as cf_mod
-from .align import AlignmentNetwork, decode, encode, unified_item_embedding
+from .align import COLLABORATIVE, AlignmentNetwork, decode, unified_item_embedding
 from .cf import CfModel
 from .data import ColdWarmPartition, SplitDataset
-from .errors import DataError
+from .errors import DataError, DependencyError
 from .metrics import bleu, hit_rate_from_ranks, ndcg_from_ranks, rouge, tokenize
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "PoolRanker",
     "RecommendationPipeline",
     "CohortComparison",
+    "sample_pool",
     "evaluate_split",
     "cold_warm_report",
     "zero_shot_eval",
@@ -154,58 +155,55 @@ class RecommendationPipeline(PoolRanker):
     semantic_map: dict[str, np.ndarray] | None = None
     routing: Counter = field(default_factory=Counter)
 
-    def _item_row(self, item: str) -> tuple[np.ndarray, bool]:
-        """Collaborative-space vector of one item, and whether it took the
-        semantic path."""
-        direct = cf_mod.item_embedding(self.cf_model, item)
-        if direct is not None:
-            return direct, False
-        semantic = self.semantic_map.get(item) if self.semantic_map is not None else None
-        if self.alignment is None or semantic is None:
-            raise DataError(
-                f"item {item!r} has neither a collaborative embedding nor a semantic one"
-            )
-        latent = encode(self.alignment, "semantic", semantic)
-        return decode(self.alignment, "collaborative", latent), True
-
     def _count(self, table: ItemTable, rows: np.ndarray) -> None:
         semantic = int(np.count_nonzero(table.semantic[rows]))
         self.routing[SEMANTIC_PATH] += semantic
         self.routing[COLLABORATIVE_PATH] += len(rows) - semantic
 
     def item_vector(self, item: str) -> np.ndarray:
-        """Collaborative embedding, or its semantic reconstruction for cold items.
-
-        The lookup is counted by route and returns a fresh copy.
-        """
-        vector, semantic = self._item_row(item)
-        self.routing[SEMANTIC_PATH if semantic else COLLABORATIVE_PATH] += 1
-        return vector
+        """The item's row of a one-item ItemTable, counted as one lookup; a fresh copy."""
+        table = self.item_table([item])
+        self._count(table, np.zeros(1, dtype=np.intp))
+        return table.collaborative[0]
 
     def item_table(self, items, latent: bool = False) -> ItemTable:
         """A fresh ItemTable over the given items, in id order; building it
-        counts no lookups."""
+        counts no lookups.
+
+        Warm rows are one gather from the CF embedding matrix. Each item
+        outside the CF vocabulary, and with `latent` every item, gets one
+        `unified_item_embedding` call; a cold item's collaborative row is
+        the decoded latent vector of that call.
+        """
         items = sorted(set(items))
-        rows = [self._item_row(item) for item in items]
-        n, dim = len(items), self.cf_model.config.embed_dim
+        n, index = len(items), self.cf_model.item_index
+        semantic = np.fromiter((item not in index for item in items), dtype=bool, count=n)
+        cold = np.flatnonzero(semantic)
+        if self.alignment is None:
+            if latent:
+                raise ValueError("latent item rows need an alignment network")
+            if len(cold):
+                raise DependencyError(
+                    f"item {items[cold[0]]!r} is outside the CF vocabulary and needs the "
+                    "alignment network; run train-align first"
+                )
+        semantic_map = self.semantic_map or {}
+        vectors = {
+            i: unified_item_embedding(self.alignment, items[i], self.cf_model, semantic_map)
+            for i in (range(n) if latent else cold)
+        }
+        # a cold item gathers the padding row, then takes its decoded vector
+        collaborative = self.cf_model.params["item_emb"][[index.get(item, 0) for item in items]]
+        for i in cold:
+            collaborative[i] = decode(self.alignment, COLLABORATIVE, vectors[i])
         latent_rows = None
         if latent:
-            if self.alignment is None:
-                raise ValueError("latent item rows need an alignment network")
-            latent_rows = np.array(
-                [
-                    unified_item_embedding(
-                        self.alignment, item, self.cf_model, self.semantic_map or {}
-                    ).vector
-                    for item in items
-                ],
-                dtype=np.float64,
-            ).reshape(n, self.alignment.latent_dim)
+            latent_rows = np.array(list(vectors.values())).reshape(n, self.alignment.latent_dim)
         return ItemTable(
             items=items,
             index={item: i for i, item in enumerate(items)},
-            collaborative=np.array([v for v, _ in rows], dtype=np.float64).reshape(n, dim),
-            semantic=np.array([s for _, s in rows], dtype=bool),
+            collaborative=collaborative,
+            semantic=semantic,
             latent=latent_rows,
         )
 
@@ -251,26 +249,18 @@ class RecommendationPipeline(PoolRanker):
         return [pool[i] for i in sorted(range(len(pool)), key=lambda i: (-scores[i], pool[i]))]
 
 
-def _sample_pool(
-    target: str,
-    excluded: list[int],
-    universe: list[str],
-    pool_size: int,
-    rng: np.random.Generator,
-) -> list[str]:
-    """The target plus pool_size - 1 items drawn from the universe positions
-    not excluded, or all of them when there are too few."""
+def sample_pool(split: SplitDataset, user: str, target: str, universe: list[str],
+                position: dict[str, int], size: int, rng: np.random.Generator) -> list[str]:
+    """The target plus `size - 1` items drawn without replacement from the
+    universe items outside the user's sequence, or all of them when there
+    are too few (logged). `position` maps each universe item to its index."""
     mask = np.ones(len(universe), dtype=bool)
-    mask[excluded] = False
+    mask[[position[item] for item in split.full_sequence(user)]] = False
     eligible = np.flatnonzero(mask)
-    wanted = pool_size - 1
+    wanted = size - 1
     if len(eligible) < wanted:
-        logger.info(
-            "pool shortfall for target %s: %d eligible < %d wanted; using all",
-            target,
-            len(eligible),
-            wanted,
-        )
+        logger.info("pool shortfall for target %s: %d eligible < %d wanted; using all",
+                    target, len(eligible), wanted)
         negatives = eligible
     else:
         negatives = eligible[rng.choice(len(eligible), size=wanted, replace=False)]
@@ -324,8 +314,7 @@ def evaluate_split(
     text_rows: dict[str, list[float]] = {"bleu4": [], "rouge1": [], "rougeL": []}
     for user in users:
         target = split.test[user]
-        excluded = [position[item] for item in split.full_sequence(user)]
-        pool = _sample_pool(target, excluded, universe, candidate_pool_size, rng)
+        pool = sample_pool(split, user, target, universe, position, candidate_pool_size, rng)
         if len(pool) < max(ks):
             raise DataError(
                 f"user {user!r} has a pool of {len(pool)} items (candidate pool size "

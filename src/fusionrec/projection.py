@@ -31,6 +31,7 @@ import numpy as np
 
 from .cot import _unescape
 from .errors import DataError
+from .evaluate import sample_pool
 from .gradcheck import max_relative_gradient_error
 from .optim import fit, xavier
 
@@ -488,26 +489,28 @@ def build_projection_examples(
     latent embedding, gathered from one item table over the item universe.
     User vectors are computed in one batch. When a retained CoT exists for
     (user, target), its embedding rides along as the reasoning segment.
+    A split item without catalog text, or a target whose title has no
+    token, is a DataError.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     universe = sorted(split.item_universe())
     position = {item: i for i, item in enumerate(universe)}
+    for item in universe:
+        if item not in catalog:
+            raise DataError(f"item {item!r} of the split has no catalog text")
+    for target in split.validation.values():
+        if not catalog[target][0].split():
+            raise DataError(f"target item {target!r} has an empty catalog title")
     users = split.users()
     table = pipeline.item_table(universe, latent=True)
     x_users = pipeline.user_vectors([split.train[user] for user in users], table)
     examples: list[ProjectionExample] = []
     for user, x_user in zip(users, x_users):
         target = split.validation[user]
-        mask = np.ones(len(universe), dtype=bool)
-        mask[[position[item] for item in split.full_sequence(user)]] = False
-        eligible = np.flatnonzero(mask)
-        wanted = slate_size - 1
-        if len(eligible) > wanted:
-            eligible = eligible[rng.choice(len(eligible), size=wanted, replace=False)]
         slate = [
             (item, catalog[item][0], table.latent[table.index[item]])
-            for item in sorted([universe[i] for i in eligible] + [target])
+            for item in sorted(sample_pool(split, user, target, universe, position, slate_size, rng))
         ]
         signal = (cot_signals or {}).get((user, target))
         examples.append(

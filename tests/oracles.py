@@ -396,20 +396,14 @@ def oracle_sample_pool(target, excluded: set, universe: list, pool_size: int, rn
 
 
 def oracle_slate_items(split, universe: list, slate_size: int, rng) -> dict:
-    """Per user (in split order): the sorted item ids of its projection slate."""
-    slates = {}
-    for user in split.users():
-        target = split.validation[user]
-        owned = set(split.full_sequence(user))
-        eligible = [item for item in universe if item not in owned and item != target]
-        wanted = slate_size - 1
-        if len(eligible) > wanted:
-            chosen = rng.choice(len(eligible), size=wanted, replace=False)
-            others = [eligible[i] for i in chosen]
-        else:
-            others = eligible
-        slates[user] = sorted(others + [target])
-    return slates
+    """Per user (in split order): the sorted item ids of its projection slate,
+    drawn like an eval pool around the user's validation item."""
+    return {
+        user: sorted(oracle_sample_pool(
+            split.validation[user], set(split.full_sequence(user)), universe, slate_size, rng
+        ))
+        for user in split.users()
+    }
 
 
 def oracle_item_vector(cf_model, net, semantic_map, item):

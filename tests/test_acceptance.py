@@ -38,7 +38,6 @@ from fusionrec.align import (
     stack_alignment_dataset,
     total_loss_and_gradients,
     train_alignment,
-    unified_item_embedding,
 )
 from fusionrec.cf import CfConfig, train_cf, training_loss_and_gradients
 from fusionrec.checkpoint import load_checkpoint_header
@@ -419,16 +418,13 @@ def test_planted_signal_chain_beats_random_threefold(planted_chain):
 
 
 def test_cold_items_route_semantically_and_still_rank(cold_world):
-    sources = [
-        unified_item_embedding(cold_world["net"], item, cold_world["cf"], cold_world["semantic"]).source
-        for item in sorted(cold_world["partition"].cold)
-    ]
-    semantic_count = sources.count("semantic_path")
+    routes = cold_world["pipeline"].item_table(cold_world["partition"].cold).semantic
+    semantic_count = int(routes.sum())
     cold_hr = cold_world["comparison"].cold.hr[10]
     _verdict(
         "cold-path functionality",
-        semantic_count == len(sources) and cold_hr >= 0.20,
-        f"{semantic_count}/{len(sources)} cold items on the semantic path, "
+        semantic_count == len(routes) and cold_hr >= 0.20,
+        f"{semantic_count}/{len(routes)} cold items on the semantic path, "
         f"cold HR@10 {cold_hr:.4f} vs 2x random baseline 0.20",
     )
 
@@ -489,11 +485,10 @@ def test_zero_shot_domain_routes_semantically_at_comparable_quality(cold_world):
     zs_split = leave_one_out_split(build_sequences(filtered))
     zs_semantic = embed_catalog(variant.catalog)
     targets = sorted(set(zs_split.test.values()))
-    sources = [
-        unified_item_embedding(cold_world["net"], item, cold_world["cf"], zs_semantic).source
-        for item in targets
-    ]
-    semantic_count = sources.count("semantic_path")
+    routes = RecommendationPipeline(cold_world["cf"], cold_world["net"], zs_semantic).item_table(
+        targets
+    ).semantic
+    semantic_count = int(routes.sum())
     report = zero_shot_eval(
         cold_world["pipeline"], zs_split, zs_semantic, [10], candidate_pool_size=100, seed=3
     )

@@ -22,7 +22,7 @@ from fusionrec.align import (
     train_alignment,
     unified_item_embedding,
 )
-from fusionrec.cf import CfConfig, item_embedding, train_cf
+from fusionrec.cf import CfConfig, train_cf
 from fusionrec.data import SplitDataset, TrainingSequence
 from fusionrec.errors import DataError, TrainingError
 from fusionrec.gradcheck import max_relative_gradient_error
@@ -555,17 +555,18 @@ def test_unified_embedding_routes_by_vocabulary(toy_world, toy_alignment):
     semantic["novel"] = fallback_embed("entirely new thing")
 
     warm_item = model.items[0]
+    semantic[warm_item] = fallback_embed("text of a warm item")
     warm = unified_item_embedding(net, warm_item, model, semantic)
-    assert warm.source == "collaborative_path"
-    assert np.allclose(warm.vector, encode(net, COLLABORATIVE, item_embedding(model, warm_item)))
+    row = model.params["item_emb"][model.item_index[warm_item]]
+    assert np.array_equal(warm, encode(net, COLLABORATIVE, row))
+    assert not np.array_equal(warm, encode(net, SEMANTIC, semantic[warm_item]))
 
     cold = unified_item_embedding(net, "novel", model, semantic)
-    assert cold.source == "semantic_path"
-    assert np.allclose(cold.vector, encode(net, SEMANTIC, semantic["novel"]))
-    assert warm.vector.shape == cold.vector.shape == (net.latent_dim,)
+    assert np.array_equal(cold, encode(net, SEMANTIC, semantic["novel"]))
+    assert warm.shape == cold.shape == (net.latent_dim,)
 
     detached = unified_item_embedding(net, warm_item, None, semantic)
-    assert detached.source == "semantic_path"
+    assert np.array_equal(detached, encode(net, SEMANTIC, semantic[warm_item]))
 
     with pytest.raises(DataError, match="neither"):
         unified_item_embedding(net, "missing", model, {})

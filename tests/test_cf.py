@@ -13,7 +13,6 @@ from fusionrec.cf import (
     _forward,
     _init_params,
     _left_align,
-    item_embedding,
     next_item_probabilities,
     rank_by_score,
     train_cf,
@@ -318,16 +317,6 @@ def test_config_validation():
         CfConfig(max_history=0)
     with pytest.raises(ValueError, match="dropout"):
         CfConfig(dropout=1.0)
-
-
-def test_item_embedding_returns_detached_copy(toy_world):
-    model = toy_world["cf"]
-    item = model.items[0]
-    vec = item_embedding(model, item)
-    assert np.array_equal(vec, model.params["item_emb"][model.item_index[item]])
-    vec[0] += 1.0  # mutating the copy must not reach the frozen table
-    assert not np.array_equal(vec, model.params["item_emb"][model.item_index[item]])
-    assert item_embedding(model, "never-seen") is None
 
 
 def test_rank_by_score_breaks_ties_by_id():

@@ -401,6 +401,80 @@ def test_pool_shorter_than_the_largest_cutoff_is_a_data_error(chain, tmp_path):
     assert not (out_dir / ".lock").exists()
 
 
+def _edited_catalog(chain, tmp_path, edit) -> tuple[str, list[str]]:
+    """A copy of the chain's artifacts and a config over a catalog changed by
+    `edit(catalog, split)`, which returns the item it changed."""
+    out_dir = tmp_path / "edited"
+    shutil.copytree(chain["out"], out_dir)
+    split = json.loads((out_dir / "split.json").read_text(encoding="utf-8"))
+    lines = chain["catalog"].read_text(encoding="utf-8").splitlines()
+    catalog = {line.split("\t", 1)[0]: line for line in lines}
+    item = edit(catalog, split)
+    edited = tmp_path / "edited.tsv"
+    edited.write_text("".join(line + "\n" for line in catalog.values()), encoding="utf-8")
+    config = tmp_path / "edited.conf"
+    _write_config(config, chain["interactions"], edited)
+    return item, ["--config", str(config), "--out", str(out_dir), "--seed", "0", "--force"]
+
+
+def _drop_a_validation_item(catalog, split) -> str:
+    item = split["validation"][min(split["validation"])]
+    del catalog[item]
+    return item
+
+
+def _drop_a_train_item(catalog, split) -> str:
+    item = split["train"][min(split["train"])][0]
+    del catalog[item]
+    return item
+
+
+def _blank_a_validation_title(catalog, split) -> str:
+    item = split["validation"][min(split["validation"])]
+    _, _, description = catalog[item].split("\t", 2)
+    catalog[item] = f"{item}\t\t{description}"
+    return item
+
+
+@pytest.mark.parametrize(
+    "edit", [_drop_a_validation_item, _blank_a_validation_title], ids=["dropped", "empty-title"]
+)
+def test_train_proj_catalog_faults_are_one_error_line_and_exit_3(chain, tmp_path, edit):
+    item, args = _edited_catalog(chain, tmp_path, edit)
+    rc, _, err = _run(["train-proj"] + args)
+    assert rc == 3
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert repr(item) in err
+
+
+@pytest.mark.parametrize(
+    "edit", [_drop_a_validation_item, _drop_a_train_item], ids=["validation-item", "train-item"]
+)
+@pytest.mark.parametrize("stage", ["cot", "train-proj", "eval"])
+def test_a_catalog_without_a_split_item_fails_cleanly_in_every_stage_that_reads_it(
+    chain, tmp_path, stage, edit
+):
+    _, args = _edited_catalog(chain, tmp_path, edit)
+    rc, _, err = _run([stage] + args)
+    assert rc in (0, 3), (stage, err)
+    if rc != 0:
+        assert err.startswith("error: ") and err.count("\n") == 1, (stage, err)
+
+
+def test_eval_of_a_cold_item_without_align_ckpt_asks_for_train_align(tmp_path):
+    interactions, catalog = tmp_path / "interactions.tsv", tmp_path / "catalog.tsv"
+    write_dataset(make_planted_dataset(30, 16, seed=5, n_cold_users=10), interactions, catalog)
+    config = tmp_path / "run.conf"
+    _write_config(config, interactions, catalog)
+    args = ["--config", str(config), "--out", str(tmp_path / "out"), "--seed", "0"]
+    for stage in ("prepare", "train-cf"):
+        assert _run([stage] + args)[0] == 0, stage
+    rc, _, err = _run(["eval"] + args)
+    assert rc == 5
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert re.search(r"item '\w+' is outside the CF vocabulary .*run train-align first", err), err
+
+
 def test_report_gives_the_hr_gap_at_the_largest_cutoff(chain):
     # the chain evaluates eval.ks = 1, 5
     payload = json.loads((chain["out"] / "report_coldwarm.json").read_text(encoding="utf-8"))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import log_from_planted
-from fusionrec.align import decode, encode
+from fusionrec.align import decode, encode, unified_item_embedding
 from fusionrec.cf import user_representation
 from fusionrec.data import (
     ColdWarmPartition,
@@ -17,7 +17,7 @@ from fusionrec.data import (
     leave_one_out_split,
 )
 from fusionrec import evaluate as evaluate_module
-from fusionrec.errors import DataError
+from fusionrec.errors import DataError, DependencyError
 from fusionrec.evaluate import (
     CohortComparison,
     MetricReport,
@@ -241,6 +241,10 @@ def test_semantic_reconstruction_is_handed_out_as_copies(toy_world, toy_alignmen
     second = pipeline.item_vector("cold9")
     assert np.array_equal(second, expected)
     assert pipeline.routing["semantic_path"] == 2
+    item_emb = toy_world["cf"].params["item_emb"]
+    before = item_emb.copy()
+    pipeline.item_vector(toy_world["cf"].items[0])[:] = 0.0  # nor the CF embedding matrix
+    assert np.array_equal(item_emb, before)
 
 
 def test_pipeline_user_vector_matches_backbone(toy_world, toy_alignment):
@@ -459,8 +463,53 @@ def test_item_table_rows_are_computed_once_per_item(toy_world, toy_alignment, mo
         assert np.array_equal(table.collaborative[row], pipeline.item_vector(item))
         assert table.semantic[row] == (item not in toy_world["cf"].item_index)
         assert np.array_equal(
-            table.latent[row], real(toy_alignment, item, toy_world["cf"], semantic).vector
+            table.latent[row], real(toy_alignment, item, toy_world["cf"], semantic)
         )
+
+
+def test_item_table_routes_each_cold_item_through_one_unified_call(
+    toy_world, toy_alignment, monkeypatch
+):
+    split, semantic = _mixed_world(toy_world)
+    model = toy_world["cf"]
+    pipeline = RecommendationPipeline(model, toy_alignment, semantic)
+    calls = []
+    real = evaluate_module.unified_item_embedding
+    monkeypatch.setattr(
+        evaluate_module, "unified_item_embedding", lambda *args: calls.append(args[1]) or real(*args)
+    )
+    universe = sorted(split.item_universe())
+    table = pipeline.item_table(universe)
+    cold = [item for item in universe if item not in model.item_index]
+    assert cold and len(cold) < len(universe)
+    assert sorted(calls) == cold  # once per cold item, never for a warm one
+    assert table.latent is None
+    for item in universe:
+        row = table.collaborative[table.index[item]]
+        if item in cold:
+            latent = real(toy_alignment, item, model, semantic)
+            assert np.array_equal(row, decode(toy_alignment, "collaborative", latent))
+        else:
+            assert np.array_equal(row, model.params["item_emb"][model.item_index[item]])
+
+
+def test_item_vector_and_unified_embedding_reject_an_unknown_item_alike(toy_world, toy_alignment):
+    model = toy_world["cf"]
+    pipeline = RecommendationPipeline(model, toy_alignment, toy_world["semantic"])
+    with pytest.raises(DataError) as from_pipeline:
+        pipeline.item_vector("nowhere")
+    with pytest.raises(DataError) as from_alignment:
+        unified_item_embedding(toy_alignment, "nowhere", model, toy_world["semantic"])
+    assert str(from_pipeline.value) == str(from_alignment.value)
+    assert "neither a collaborative embedding nor a semantic one" in str(from_pipeline.value)
+
+
+def test_a_cold_item_without_an_alignment_network_is_a_dependency_error(toy_world):
+    pipeline = RecommendationPipeline(toy_world["cf"], None, toy_world["semantic"])
+    with pytest.raises(DependencyError, match="'zz0'.*run train-align first"):
+        pipeline.item_table([toy_world["cf"].items[0], "zz0"])
+    with pytest.raises(ValueError, match="latent item rows need an alignment network"):
+        pipeline.item_table([toy_world["cf"].items[0]], latent=True)
 
 
 def _mixed_partition(split):

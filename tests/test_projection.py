@@ -454,4 +454,21 @@ def test_projection_slates_match_the_per_user_oracle(toy_world, toy_alignment, s
         for item, title, z in ex.slate:
             assert title == toy_world["catalog"][item][0]
             unified = unified_item_embedding(toy_alignment, item, model, toy_world["semantic"])
-            assert np.array_equal(z, unified.vector)
+            assert np.array_equal(z, unified)
+
+
+def test_a_slate_with_exactly_enough_items_draws_like_an_eval_pool(toy_world, toy_alignment):
+    split = toy_world["split"]
+    universe = sorted(split.item_universe())
+    users = split.users()
+    eligible = [len(universe) - len(set(split.full_sequence(user))) for user in users]
+    # the first user at the edge (eligible == slate_size - 1) with a later user that draws
+    edge = next(i for i, n in enumerate(eligible[:-1]) if 0 < n < max(eligible[i + 1:]))
+    slate_size = eligible[edge] + 1
+    pipeline = RecommendationPipeline(toy_world["cf"], toy_alignment, toy_world["semantic"])
+    examples = build_projection_examples(
+        pipeline, split, toy_world["catalog"], rng=np.random.default_rng(4), slate_size=slate_size
+    )
+    expected = oracle_slate_items(split, universe, slate_size, np.random.default_rng(4))
+    assert {ex.user: [item for item, _, _ in ex.slate] for ex in examples} == expected
+    assert len(expected[users[edge]]) == slate_size
