@@ -30,10 +30,10 @@ order. `encode`, `decode` and the checkpoint stay full width.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit
 
 from . import cf as cf_mod
 from .errors import DataError
@@ -247,6 +247,19 @@ def decode(net: AlignmentNetwork, modality: str, latent) -> np.ndarray:
     raise ValueError(f"unknown modality {modality!r}")
 
 
+def _sigmoid(values: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-v) for each entry of a 1-d array, and 0.0 where e^-v overflows
+    (v below about -709.78). Per entry `math.exp` rounds as scipy's `expit`
+    does; numpy's `exp` can differ from it by one ulp."""
+    out = []
+    for v in values.tolist():
+        try:
+            out.append(1.0 / (1.0 + math.exp(-v)))
+        except OverflowError:
+            out.append(0.0)
+    return np.array(out, dtype=np.float64)
+
+
 def total_loss_and_gradients(net: AlignmentNetwork, batch: AlignmentBatch):
     """The summed objective (see the module docstring) on one batch, and its
     analytic gradients over all eight parameter arrays.
@@ -284,7 +297,7 @@ def total_loss_and_gradients(net: AlignmentNetwork, batch: AlignmentBatch):
     x = batch.x
     for e_in, positive in ((batch.pos, True), (batch.neg, False)):
         u_in = e_in @ p["enc_c.w"].T + p["enc_c.b"]
-        sig = expit(np.sum(x * (u_in @ p["dec_c.w"].T + p["dec_c.b"]), axis=1))
+        sig = _sigmoid(np.sum(x * (u_in @ p["dec_c.w"].T + p["dec_c.b"]), axis=1))
         prob = sig if positive else 1.0 - sig
         loss -= float(np.sum(np.log(np.clip(prob, _CLAMP, 1.0 - _CLAMP))))
         active = (prob > _CLAMP) & (prob < 1.0 - _CLAMP)

@@ -44,6 +44,7 @@ from .cot import (
     filter_cots,
     generate_cot,
     load_cot_fixture,
+    load_explanation_fixture,
     render_sweep_report,
     score_cot,
     threshold_sweep,
@@ -58,6 +59,7 @@ from .data import (
     load_catalog,
     load_interactions,
     partition_cold_warm,
+    read_text,
 )
 from .errors import ConfigError, DataError, DependencyError, FusionrecError
 from .evaluate import RecommendationPipeline, cold_warm_report, evaluate_split, render_metric_table
@@ -67,7 +69,6 @@ from .projection import (
     build_projection_examples,
     build_vocabulary,
     init_projection_stack,
-    load_explanation_fixture,
     make_surrogate_head,
     request_explanation,
     train_projections,
@@ -200,10 +201,10 @@ def _read(path: str, parse=None):
             raise DataError(f"{path} holds a {kind!r} checkpoint, expected {stem}")
         content = (meta, arrays)
     else:
+        text = read_text(path, "artifact")
         try:
-            with open(path, encoding="utf-8") as fh:
-                content = fh.read() if ext == ".txt" else json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            content = text if ext == ".txt" else json.loads(text)
+        except json.JSONDecodeError as exc:
             raise DataError(f"{path}: corrupt artifact ({type(exc).__name__}: {exc})") from None
     parse = parse or _PARSERS.get(filename)
     if parse is None:
@@ -294,10 +295,10 @@ def _catalog(config: RunConfig) -> dict[str, tuple[str, str]]:
 
 def _prepare(run: _Run) -> dict:
     config = run.config
-    interactions = config.get("data.interactions")
-    if not interactions:
-        raise ConfigError("data.interactions: path is required for prepare")
-    log = load_interactions(interactions, config.get("data.catalog"))
+    for key in ("data.interactions", "data.catalog"):
+        if not config.get(key):
+            raise ConfigError(f"{key}: path is required for prepare")
+    log = load_interactions(config.get("data.interactions"), config.get("data.catalog"))
     filtered = filter_dataset(
         log,
         min_user_events=config.get("data.min_user_events"),
@@ -712,7 +713,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = parse_config(args.config) if args.config else default_config()
         seed = args.seed if args.seed is not None else config.get("seed")
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {args.out}: cannot be made a directory ({exc.strerror})") from None
         with _output_lock(args.out):
             run_stage(args.command, config, args.out, seed, args.force)
     except FusionrecError as exc:

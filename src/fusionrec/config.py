@@ -15,6 +15,7 @@ import os
 from dataclasses import dataclass, fields
 
 from .cf import CfConfig
+from .data import text_lines
 from .errors import ConfigError
 
 __all__ = ["RunConfig", "DEFAULTS", "default_config", "parse_config", "make_config"]
@@ -28,15 +29,7 @@ DEFAULTS: dict[str, object] = {
     "data.references": "",
     "data.min_user_events": 5,
     "data.min_item_popularity": 5,
-    "cf.embed_dim": 50,
-    "cf.max_history": 50,
-    "cf.blocks": 2,
-    "cf.heads": 1,
-    "cf.dropout": 0.0,
-    "cf.epochs": 20,
-    "cf.batch_size": 8,
-    "cf.learning_rate": 1e-3,
-    "cf.optimizer": "adam",
+    **{f"cf.{f.name}": f.default for f in fields(CfConfig)},
     "align.latent_dim": 128,
     "align.alpha": 0.5,
     "align.beta": 0.2,
@@ -204,20 +197,17 @@ def make_config(overrides: dict[str, object] | None = None) -> RunConfig:
 
 
 def parse_config(path) -> RunConfig:
-    """Read a `key = value` file on top of the defaults and validate."""
-    values = dict(DEFAULTS)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, raw = stripped.partition("=")
-            key = key.strip()
-            if key not in DEFAULTS:
-                raise ConfigError(f"unknown config key {key!r} at {path}:{lineno}")
-            values[key] = _parse_scalar(key, raw, DEFAULTS[key])
-    config = RunConfig(values=values)
-    validate(config)
-    return config
+    """Read a `key = value` file and resolve it with `make_config`."""
+    overrides: dict[str, object] = {}
+    for lineno, line in text_lines(path, "config file", ConfigError):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, _, raw = stripped.partition("=")
+        key = key.strip()
+        if key not in DEFAULTS:
+            raise ConfigError(f"unknown config key {key!r} at {path}:{lineno}")
+        overrides[key] = _parse_scalar(key, raw, DEFAULTS[key])
+    return make_config(overrides)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import text_lines
 from .errors import ConfigError, DataError
 from .lexicon import POLARITY
 from .semantic import fallback_embed, similarity_mapped
@@ -42,6 +43,7 @@ __all__ = [
     "threshold_sweep",
     "render_sweep_report",
     "load_cot_fixture",
+    "load_explanation_fixture",
 ]
 
 MAX_COT_TOKENS = 180
@@ -386,16 +388,24 @@ def _unescape(text: str) -> str:
 def load_cot_fixture(path) -> dict[tuple[str, str], str]:
     """Read `user_id<TAB>item_id<TAB>label<TAB>cot_text` records."""
     corpus: dict[tuple[str, str], str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t", 3)
-            if len(parts) != 4:
-                raise DataError(f"cot fixture line {lineno}: expected 4 tab-separated fields")
-            user, item, label, text = parts
-            if label not in ("0", "1"):
-                raise DataError(f"cot fixture line {lineno}: label must be 0 or 1")
-            corpus[(user, item)] = _unescape(text)
+    for lineno, line in text_lines(path, "cot fixture"):
+        parts = line.split("\t", 3)
+        if len(parts) != 4:
+            raise DataError(f"cot fixture line {lineno}: expected 4 tab-separated fields")
+        user, item, label, text = parts
+        if label not in ("0", "1"):
+            raise DataError(f"cot fixture line {lineno}: label must be 0 or 1")
+        corpus[(user, item)] = _unescape(text)
     return corpus
+
+
+def load_explanation_fixture(path) -> dict[tuple[str, str], str]:
+    """Read `user_id<TAB>item_id<TAB>explanation` records."""
+    out: dict[tuple[str, str], str] = {}
+    for lineno, line in text_lines(path, "explanation fixture"):
+        parts = line.split("\t", 2)
+        if len(parts) != 3:
+            raise DataError(f"explanation fixture line {lineno}: expected 3 tab-separated fields")
+        user, item, text = parts
+        out[(user, item)] = _unescape(text)
+    return out

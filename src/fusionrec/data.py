@@ -7,6 +7,10 @@ File formats (UTF-8, one record per line, tab separated):
 
 Item and user ids are opaque strings. Duplicate (user, item, timestamp)
 records are kept: re-interactions are legitimate events.
+
+`read_text` opens every text file the program reads: these two, the
+embeddings, the fixtures, the config and the JSON artifacts. The line-based
+ones iterate `text_lines`.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import DataError
+from .errors import DataError, FusionrecError
 
 __all__ = [
     "Event",
@@ -24,6 +28,8 @@ __all__ = [
     "SplitDataset",
     "TrainingSequence",
     "ColdWarmPartition",
+    "read_text",
+    "text_lines",
     "load_interactions",
     "load_catalog",
     "filter_dataset",
@@ -96,21 +102,36 @@ class ColdWarmPartition:
     frequency: dict[str, int] = field(repr=False, default_factory=dict)
 
 
+def read_text(path, kind: str, error: type[FusionrecError] = DataError) -> str:
+    """The whole file at `path` decoded as UTF-8; a file that cannot be opened
+    or decoded raises `error` naming `kind` and the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        # an OSError's strerror leaves out the path, which the message already names
+        reason = getattr(exc, "strerror", None) or exc
+        raise error(f"cannot read {kind} {path}: {reason}") from None
+
+
+def text_lines(path, kind: str, error: type[FusionrecError] = DataError):
+    """Yield (line number, line) for each non-empty line of `read_text`, newline removed."""
+    for lineno, line in enumerate(read_text(path, kind, error).split("\n"), start=1):
+        if line:
+            yield lineno, line
+
+
 def load_catalog(path) -> dict[str, tuple[str, str]]:
     """Parse a catalog file into {item_id: (title, description)}."""
     catalog: dict[str, tuple[str, str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t", 2)
-            if len(parts) < 2:
-                raise DataError(f"catalog line {lineno}: expected item_id, title[, description]")
-            item = parts[0]
-            title = parts[1]
-            description = parts[2] if len(parts) == 3 else ""
-            catalog[item] = (title, description)
+    for lineno, line in text_lines(path, "catalog file"):
+        parts = line.split("\t", 2)
+        if len(parts) < 2:
+            raise DataError(f"catalog line {lineno}: expected item_id, title[, description]")
+        item = parts[0]
+        title = parts[1]
+        description = parts[2] if len(parts) == 3 else ""
+        catalog[item] = (title, description)
     return catalog
 
 
@@ -122,27 +143,21 @@ def load_interactions(path, catalog_path) -> InteractionLog:
     """
     catalog = load_catalog(catalog_path)
     events: list[Event] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise DataError(
-                    f"interactions line {lineno}: expected 4 tab-separated fields, got {len(parts)}"
-                )
-            user, item, ts_raw, rating_raw = (p.strip() for p in parts)
-            try:
-                timestamp = int(ts_raw)
-                rating = float(rating_raw)
-            except ValueError as exc:
-                raise DataError(f"interactions line {lineno}: {exc}") from exc
-            if item not in catalog:
-                raise DataError(
-                    f"interactions line {lineno}: item {item!r} has no catalog entry"
-                )
-            events.append(Event(user, item, timestamp, rating))
+    for lineno, line in text_lines(path, "interactions file"):
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise DataError(
+                f"interactions line {lineno}: expected 4 tab-separated fields, got {len(parts)}"
+            )
+        user, item, ts_raw, rating_raw = (p.strip() for p in parts)
+        try:
+            timestamp = int(ts_raw)
+            rating = float(rating_raw)
+        except ValueError as exc:
+            raise DataError(f"interactions line {lineno}: {exc}") from exc
+        if item not in catalog:
+            raise DataError(f"interactions line {lineno}: item {item!r} has no catalog entry")
+        events.append(Event(user, item, timestamp, rating))
     users = {ev.user for ev in events}
     items = {ev.item for ev in events}
     return InteractionLog(users=users, items=items, events=events, catalog=catalog)

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cot import _unescape
 from .errors import DataError
 from .evaluate import sample_pool
 from .gradcheck import max_relative_gradient_error
@@ -53,7 +52,6 @@ __all__ = [
     "rank_candidates",
     "request_explanation",
     "build_projection_examples",
-    "load_explanation_fixture",
     "gradient_check_projection",
 ]
 
@@ -523,24 +521,6 @@ def build_projection_examples(
             )
         )
     return examples
-
-
-def load_explanation_fixture(path) -> dict[tuple[str, str], str]:
-    """Read `user_id<TAB>item_id<TAB>explanation` records."""
-    out: dict[tuple[str, str], str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t", 2)
-            if len(parts) != 3:
-                raise DataError(
-                    f"explanation fixture line {lineno}: expected 3 tab-separated fields"
-                )
-            user, item, text = parts
-            out[(user, item)] = _unescape(text)
-    return out
 
 
 def gradient_check_projection(stack: ProjectionStack, example: ProjectionExample,

@@ -12,6 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .data import text_lines
 from .errors import DataError
 
 __all__ = [
@@ -29,26 +30,22 @@ SEMANTIC_DIM = 768
 def load_embeddings(path) -> dict[str, np.ndarray]:
     """Load unit-normalized 768-dim vectors keyed by item id."""
     table: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                item, values = line.split("\t", 1)
-            except ValueError:
-                raise DataError(f"embeddings line {lineno}: missing tab separator") from None
-            vec = np.array(values.split(), dtype=np.float64)
-            if vec.shape[0] != SEMANTIC_DIM:
-                raise DataError(
-                    f"embeddings line {lineno}: expected {SEMANTIC_DIM} values, got {vec.shape[0]}"
-                )
-            if not np.all(np.isfinite(vec)):
-                raise DataError(f"embeddings line {lineno}: non-finite value")
-            norm = float(np.linalg.norm(vec))
-            if norm == 0.0:
-                raise DataError(f"embeddings line {lineno}: zero vector cannot be normalized")
-            table[item] = vec / norm
+    for lineno, line in text_lines(path, "embeddings file"):
+        try:
+            item, values = line.split("\t", 1)
+        except ValueError:
+            raise DataError(f"embeddings line {lineno}: missing tab separator") from None
+        vec = np.array(values.split(), dtype=np.float64)
+        if vec.shape[0] != SEMANTIC_DIM:
+            raise DataError(
+                f"embeddings line {lineno}: expected {SEMANTIC_DIM} values, got {vec.shape[0]}"
+            )
+        if not np.all(np.isfinite(vec)):
+            raise DataError(f"embeddings line {lineno}: non-finite value")
+        norm = float(np.linalg.norm(vec))
+        if norm == 0.0:
+            raise DataError(f"embeddings line {lineno}: zero vector cannot be normalized")
+        table[item] = vec / norm
     return table
 
 

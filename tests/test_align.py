@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
+import fusionrec
 from fusionrec.align import (
     COLLABORATIVE,
     SEMANTIC,
@@ -21,6 +26,7 @@ from fusionrec.align import (
     total_loss_and_gradients,
     train_alignment,
     unified_item_embedding,
+    _sigmoid,
 )
 from fusionrec.cf import CfConfig, train_cf
 from fusionrec.data import SplitDataset, TrainingSequence
@@ -217,6 +223,29 @@ def test_recommendation_loss_is_clamped_at_saturation():
     loss = _terms(net, _triples_only([(x, e, e)]))[2]
     assert math.isfinite(loss)
     assert loss == pytest.approx(-math.log(1e-7) - math.log(1.0 - 1e-7), rel=1e-9)
+
+
+def test_sigmoid_is_bit_identical_to_scipy_expit():
+    rng = np.random.default_rng(3)
+    random = np.concatenate([rng.normal(size=20_000) * scale for scale in (0.1, 1, 10, 100, 1000)])
+    # math.exp overflows just below -709.78, where expit returns 0.0
+    edge = -709.782712893384
+    band = np.concatenate([
+        np.linspace(-720.0, -700.0, 20_001),
+        np.linspace(700.0, 720.0, 20_001),
+        [np.nextafter(edge, 0.0), edge, np.nextafter(edge, -np.inf), np.inf, -np.inf, 0.0, -0.0],
+    ])
+    for values in (random, band):
+        assert np.array_equal(_sigmoid(values).view(np.int64), expit(values).view(np.int64))
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = "import sys, fusionrec.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fusionrec.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"
 
 
 def test_total_loss_is_the_unweighted_sum():

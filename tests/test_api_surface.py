@@ -19,7 +19,6 @@ PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "fusionrec"
 UNREFERENCED = {
     "align.gradient_check": "finite-difference check of the alignment gradients",
     "projection.gradient_check_projection": "finite-difference check of the projection gradients",
-    "config.make_config": "builds a validated config from typed overrides in code",
     "synthetic.make_planted_dataset": "generates the planted worlds the demos and benchmark run on",
     "synthetic.make_zero_shot_variant": "generates the renamed-id world of the zero-shot protocol",
     "synthetic.planted_successor": "names the planted next item that demos check against",

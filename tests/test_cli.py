@@ -552,12 +552,79 @@ def test_heads_that_do_not_divide_the_embedding_are_one_config_error_line(chain,
         assert err == "error: cf.heads: 3 does not divide cf.embed_dim 50\n", stage
 
 
+# Each data.* path key and a stage that reads the file it names.
+_INPUT_READERS = {
+    "data.interactions": "prepare",
+    "data.catalog": "prepare",
+    "data.embeddings": "train-align",
+    "data.cot_fixture": "cot",
+    "data.references": "eval",
+}
+
+
+def _make_directory(path):
+    path.mkdir()
+    return path
+
+
+def _make_not_utf8(path):
+    path.write_bytes(b"seed = 0\n# caf\xe9\n")
+    return path
+
+
+def _make_plain_file(path):
+    path.write_text("", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("make", [_make_directory, _make_not_utf8], ids=["directory", "not-utf8"])
+@pytest.mark.parametrize("key, stage", _INPUT_READERS.items(), ids=list(_INPUT_READERS))
+def test_an_unreadable_input_file_is_one_error_line_and_exit_3(chain, tmp_path, key, stage, make):
+    path = make(tmp_path / "input")
+    config = tmp_path / "run.conf"
+    _write_config(config, chain["interactions"], chain["catalog"], [f"{key} = {path}"])
+    out_dir = tmp_path / "out"
+    shutil.copytree(chain["out"], out_dir)
+    rc, _, err = _run([stage, "--config", str(config), "--out", str(out_dir), "--force"])
+    assert rc == 3
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(path) in err
+
+
+@pytest.mark.parametrize(
+    "flag, make",
+    [
+        ("--config", lambda path: path),
+        ("--config", _make_directory),
+        ("--config", _make_not_utf8),
+        ("--out", _make_plain_file),
+        ("--out", lambda path: _make_plain_file(path) / "sub"),
+    ],
+    ids=["config-missing", "config-directory", "config-not-utf8", "out-is-a-file", "out-under-a-file"],
+)
+def test_an_unusable_config_or_out_path_is_one_error_line_and_exit_2(chain, tmp_path, flag, make):
+    path = make(tmp_path / "given")
+    args = {"--config": str(chain["config"]), "--out": str(tmp_path / "out"), flag: str(path)}
+    rc, _, err = _run(["prepare", "--config", args["--config"], "--out", args["--out"]])
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(path) in err
+
+
 def test_prepare_requires_an_interactions_path(tmp_path):
     config = tmp_path / "empty.conf"
     config.write_text("seed = 0\n", encoding="utf-8")
     rc, _, err = _run(["prepare", "--config", str(config), "--out", str(tmp_path / "o"), "--seed", "0"])
     assert rc == 2
     assert "data.interactions: path is required for prepare" in err
+
+
+def test_prepare_requires_a_catalog_path(chain, tmp_path):
+    config = tmp_path / "no-catalog.conf"
+    config.write_text(f"data.interactions = {chain['interactions']}\n", encoding="utf-8")
+    rc, _, err = _run(["prepare", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert err == "error: data.catalog: path is required for prepare\n"
 
 
 def test_uncataloged_item_is_a_data_error(tmp_path):

@@ -17,6 +17,7 @@ from fusionrec.data import (
     leave_one_out_split,
     load_interactions,
     partition_cold_warm,
+    text_lines,
 )
 from fusionrec.errors import DataError
 
@@ -63,6 +64,16 @@ def test_load_interactions_empty_file(tmp_path):
     inter, cat = _write_files(tmp_path, [], ["q1\tTitle\ttext\n"])
     log = load_interactions(inter, cat)
     assert log.events == [] and log.users == set()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="a\t \n\r\x0b\x0c\x1c\x85\u2028", max_size=30))
+def test_text_lines_split_as_iterating_the_open_file_does(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("lines") / "input.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        lines = [(lineno, line.rstrip("\n")) for lineno, line in enumerate(fh, start=1)]
+    assert list(text_lines(path, "input")) == [(lineno, line) for lineno, line in lines if line]
 
 
 def test_load_interactions_reports_bad_line_number(tmp_path):

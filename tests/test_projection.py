@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionrec.align import unified_item_embedding
-from fusionrec.cot import FixtureAdapter
+from fusionrec.cot import FixtureAdapter, load_explanation_fixture
 from fusionrec.errors import DataError, TrainingError
 from fusionrec.evaluate import RecommendationPipeline
 from fusionrec.gradcheck import max_relative_gradient_error
@@ -27,7 +27,6 @@ from fusionrec.projection import (
     build_vocabulary,
     gradient_check_projection,
     init_projection_stack,
-    load_explanation_fixture,
     make_surrogate_head,
     project_components,
     rank_candidates,
