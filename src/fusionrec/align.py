@@ -205,11 +205,9 @@ def init_alignment(
     latent_dim: int = 128,
     alpha: float = 0.5,
     beta: float = 0.2,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> AlignmentNetwork:
-    if rng is None:
-        rng = np.random.default_rng(0)
-
     params = {
         "enc_c.w": xavier(rng, latent_dim, collab_dim),
         "enc_c.b": np.zeros(latent_dim),
@@ -318,7 +316,8 @@ def train_alignment(
     epochs: int = 10,
     batch_size: int = 16,
     learning_rate: float = 1e-4,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     optimizer: str = "sgd",
 ) -> AlignmentNetwork:
     """Plain gradient descent (by default) on the summed objective, with `optim.fit`.
@@ -335,8 +334,6 @@ def train_alignment(
     get an exactly zero gradient in every step (see the module docstring).
     With no dead column the view is the network itself.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     live = dataset.live_columns()
     dead = np.setdiff1d(np.arange(dataset.q.shape[1]), live)
     net.params["dec_s.w"][dead] = 0.0
@@ -366,7 +363,8 @@ def build_alignment_dataset(
     cf_model,
     split,
     semantic_map: dict[str, np.ndarray],
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     negatives_per_user: int = 1,
 ) -> AlignmentDataset:
     """Per-user training data from a trained CF model and a split.
@@ -378,8 +376,6 @@ def build_alignment_dataset(
     and sampled out-of-sequence negatives. Users contributing neither pairs
     nor triples are dropped.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     item_emb, item_index = cf_model.params["item_emb"], cf_model.item_index
     table: dict[str, int] = {}
     e_rows, q_rows = [], []

@@ -250,7 +250,7 @@ def _sequence_batch(instances, item_index: dict[str, int], max_history: int):
 
 
 def training_loss_and_gradients(
-    model_or_params, config: CfConfig, instances, item_index: dict[str, int], drop_masks=None
+    params: dict, config: CfConfig, instances, item_index: dict[str, int], drop_masks=None
 ):
     """Loss and analytic gradients on a batch of TrainingSequences.
 
@@ -260,7 +260,6 @@ def training_loss_and_gradients(
     finite-difference harness can call the exact function the training loop
     optimizes.
     """
-    params = model_or_params.params if hasattr(model_or_params, "params") else model_or_params
     ids, target_ids = _sequence_batch(instances, item_index, config.max_history)
     outputs, cache = _forward(params, config, ids, drop_masks)
     real = ids != 0

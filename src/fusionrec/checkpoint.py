@@ -87,15 +87,23 @@ def _read_header(fh, path) -> tuple[str, dict, list[tuple[str, tuple[int, ...]]]
     return kind, meta, entries
 
 
+def _open(path):
+    """`path` opened for binary reading; a file that cannot be opened is a DataError."""
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc.strerror}") from None
+
+
 def load_checkpoint_header(path) -> tuple[str, dict]:
     """Kind and meta of a size-checked checkpoint, without reading its array payload."""
-    with open(path, "rb") as fh:
+    with _open(path) as fh:
         kind, meta, _ = _read_header(fh, path)
     return kind, meta
 
 
 def load_checkpoint(path) -> tuple[str, dict, dict[str, np.ndarray]]:
-    with open(path, "rb") as fh:
+    with _open(path) as fh:
         kind, meta, entries = _read_header(fh, path)
         arrays: dict[str, np.ndarray] = {}
         for name, shape in entries:

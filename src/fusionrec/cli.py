@@ -3,12 +3,14 @@
 Subcommands chain the full system over file artifacts in one output
 directory: prepare -> train-cf -> train-align -> cot -> train-proj -> eval,
 plus sweep and report. `STAGES` describes each stage once, and one runner
-does the rest: it locks the output directory (breaking a lock whose pid no
-longer exists), checks the needed artifacts exist, refuses to overwrite an
-output unless --force is given, writes each output atomically (temp file +
-rename) and removes a declared output the stage did not produce. Artifacts
-embed the config digest and master seed. Per-stage randomness is derived
-from the master seed with a fixed per-stage offset, so reruns are
+does the rest: it holds an exclusive flock on the output directory (so a
+second stage on the same directory is refused, and the kernel frees the lock
+when a stage exits, even by a crash), checks the needed artifacts exist,
+refuses to overwrite an output unless --force is given, writes each output
+atomically (temp file + rename) and removes a declared output the stage did
+not produce. The lock uses `fcntl`, so the CLI runs on POSIX systems only.
+Artifacts embed the config digest and master seed. Per-stage randomness is
+derived from the master seed with a fixed per-stage offset, so reruns are
 byte-identical.
 """
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import fcntl
 import functools
 import json
 import os
@@ -79,54 +82,29 @@ from .semantic import SEMANTIC_DIM, embed_catalog, fallback_embed, load_embeddin
 _HEAD_OFFSET = 5
 
 
-def _lock_is_stale(lock: str) -> bool:
-    """True when the lock file names a pid that no longer exists.
-
-    Unreadable or unparsable content, and a pid we may not signal, count as
-    held: only a lock whose owner is known to be gone is broken.
-    """
-    try:
-        with open(lock, encoding="ascii") as fh:
-            pid = int(fh.read().strip())
-    except FileNotFoundError:
-        return True  # released between our attempt and this read
-    except (OSError, ValueError):
-        return False
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    except PermissionError:  # alive, but owned by another user
-        return False
-    return False
-
-
 @contextlib.contextmanager
 def _output_lock(out_dir: str):
-    lock = os.path.join(out_dir, ".lock")
-    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
+    """Hold an exclusive flock on the output directory while the body runs.
+
+    The kernel releases the lock when its descriptor closes, however the
+    holder exits, so a crashed stage leaves nothing behind to break.
+    """
     try:
-        fd = os.open(lock, flags)
-    except FileExistsError:
-        fd = None
-        if _lock_is_stale(lock):
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(lock)
-            with contextlib.suppress(FileExistsError):
-                fd = os.open(lock, flags)
-        if fd is None:
+        fd = os.open(out_dir, os.O_RDONLY | os.O_DIRECTORY)
+    except OSError as exc:
+        raise ConfigError(f"--out {out_dir}: cannot be opened ({exc.strerror})") from None
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
             raise DependencyError(
-                f"output directory is locked ({lock}); another stage is running "
-                "or a previous one crashed"
+                f"output directory is locked ({out_dir}); another stage is running in it"
             ) from None
-    try:
-        os.write(fd, f"{os.getpid()}\n".encode("ascii"))
-        os.close(fd)
+        except OSError as exc:
+            raise ConfigError(f"--out {out_dir}: cannot be locked ({exc.strerror})") from None
         yield
     finally:
-        os.unlink(lock)
+        os.close(fd)
 
 
 @contextlib.contextmanager

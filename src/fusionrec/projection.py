@@ -121,11 +121,9 @@ def init_projection_stack(
     d_cot: int = 768,
     d_token: int = 256,
     hidden: int = 256,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> ProjectionStack:
-    if rng is None:
-        rng = np.random.default_rng(0)
-
     params: dict[str, np.ndarray] = {}
     for prefix, d_in in (("fx", d_user), ("fz", d_item), ("fr", d_cot)):
         params[f"{prefix}.w1"] = xavier(rng, hidden, d_in)
@@ -394,8 +392,9 @@ def train_projections(
     epochs: int = 5,
     batch_size: int = 4,
     learning_rate: float = 1e-4,
-    head: SurrogateHead | None = None,
-    rng: np.random.Generator | None = None,
+    *,
+    head: SurrogateHead,
+    rng: np.random.Generator,
     optimizer: str = "sgd",
 ) -> ProjectionStack:
     """Gradient descent on the surrogate loss over projection parameters only,
@@ -407,10 +406,6 @@ def train_projections(
     example are computed once, before the first step, so an
     out-of-vocabulary target raises `DataError` with the parameters untouched.
     """
-    if head is None:
-        raise ValueError("a surrogate head is required")
-    if rng is None:
-        rng = np.random.default_rng(0)
     parts = _theta_free_parts(dataset, head)
 
     def batch_loss(chosen):
@@ -476,7 +471,8 @@ def build_projection_examples(
     pipeline,
     split,
     catalog: dict[str, tuple[str, str]],
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     slate_size: int = 100,
     cot_signals: dict[tuple[str, str], CotSignal] | None = None,
 ) -> list[ProjectionExample]:
@@ -490,8 +486,6 @@ def build_projection_examples(
     A split item without catalog text, or a target whose title has no
     token, is a DataError.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     universe = sorted(split.item_universe())
     position = {item: i for i, item in enumerate(universe)}
     for item in universe:

@@ -133,7 +133,7 @@ def test_loss_is_the_mean_next_item_cross_entropy_over_every_prefix():
     instances = _toy_instances()
     config = CfConfig(**{**_TOY_CONFIG, "blocks": 1})
     model = train_cf(instances, config, np.random.default_rng(5))
-    loss, _ = training_loss_and_gradients(model, config, instances, model.item_index)
+    loss, _ = training_loss_and_gradients(model.params, config, instances, model.item_index)
     terms = []
     for inst in instances:
         for t, target in enumerate(inst.targets):

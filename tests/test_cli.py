@@ -3,17 +3,21 @@
 from __future__ import annotations
 
 import contextlib
+import errno
+import fcntl
 import io
 import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import fusionrec
 from fusionrec.checkpoint import load_checkpoint, load_checkpoint_header
 from fusionrec.cli import STAGES, main
 from fusionrec.config import parse_config
@@ -248,36 +252,68 @@ def test_missing_dependencies_are_reported(chain, tmp_path):
     assert "sweep requires cots.json; run cot first" in err
 
 
-@pytest.mark.parametrize(
-    "content", ["live-pid", "not a pid\n", ""], ids=["live-pid", "not-a-pid", "empty"]
-)
-def test_live_or_unreadable_lock_blocks_the_stage(chain, tmp_path, content):
-    if content == "live-pid":
-        content = f"{os.getpid()}\n"
+def _prepare_in(chain, out_dir) -> tuple[int, str, str]:
+    return _run(["prepare", "--config", str(chain["config"]), "--out", str(out_dir), "--seed", "0"])
+
+
+def test_a_held_directory_lock_blocks_the_stage(chain, tmp_path):
     out_dir = tmp_path / "locked"
     out_dir.mkdir()
-    (out_dir / ".lock").write_text(content, encoding="utf-8")
-    rc, _, err = _run(
-        ["prepare", "--config", str(chain["config"]), "--out", str(out_dir), "--seed", "0"]
-    )
+    fd = os.open(out_dir, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        rc, _, err = _prepare_in(chain, out_dir)
+    finally:
+        os.close(fd)
     assert rc == 5
-    assert "output directory is locked" in err
-    assert (out_dir / ".lock").read_text(encoding="utf-8") == content
-    assert not (out_dir / "split.json").exists()
+    assert err.startswith("error: output directory is locked") and err.count("\n") == 1, err
+    assert os.listdir(out_dir) == []
 
 
-def test_lock_of_a_dead_process_is_broken(chain, tmp_path):
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
-    assert child.wait(timeout=60) == 0
-    out_dir = tmp_path / "stale"
+def test_a_killed_holder_leaves_no_lock(chain, tmp_path):
+    out_dir = tmp_path / "killed"
     out_dir.mkdir()
-    (out_dir / ".lock").write_text(f"{child.pid}\n", encoding="utf-8")
-    rc, _, err = _run(
-        ["prepare", "--config", str(chain["config"]), "--out", str(out_dir), "--seed", "0"]
+    holder = (
+        "import os, signal, sys\n"
+        "from fusionrec.cli import _output_lock\n"
+        "with _output_lock(sys.argv[1]):\n"
+        "    os.kill(os.getpid(), signal.SIGKILL)\n"
     )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(fusionrec.__file__))}
+    child = subprocess.run([sys.executable, "-c", holder, str(out_dir)], env=env, timeout=60)
+    assert child.returncode == -signal.SIGKILL
+    rc, _, err = _prepare_in(chain, out_dir)
     assert rc == 0, err
     assert (out_dir / "split.json").exists()
     assert not (out_dir / ".lock").exists()
+
+
+@pytest.mark.parametrize(
+    "content", ["live-pid", "not a pid\n", ""], ids=["live-pid", "not-a-pid", "empty"]
+)
+def test_a_stray_lock_file_does_not_block(chain, tmp_path, content):
+    if content == "live-pid":
+        content = f"{os.getpid()}\n"
+    out_dir = tmp_path / "stray"
+    out_dir.mkdir()
+    (out_dir / ".lock").write_text(content, encoding="utf-8")
+    rc, _, err = _prepare_in(chain, out_dir)
+    assert rc == 0, err
+    assert (out_dir / "split.json").exists()
+    assert (out_dir / ".lock").read_text(encoding="utf-8") == content
+
+
+def test_a_directory_that_cannot_be_locked_is_exit_2(chain, tmp_path, monkeypatch):
+    def refuse(fd, operation):
+        raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
+
+    monkeypatch.setattr(fcntl, "flock", refuse)
+    out_dir = tmp_path / "no-locks"
+    rc, _, err = _prepare_in(chain, out_dir)
+    assert rc == 2
+    assert err.startswith("error: --out ") and "cannot be locked" in err, err
+    assert err.count("\n") == 1, err
+    assert os.listdir(out_dir) == []
 
 
 def _ckpt_with_header(header: bytes) -> bytes:
@@ -326,7 +362,7 @@ def test_corrupt_artifact_is_one_error_line_and_exit_3(chain, tmp_path, artifact
 _OUTPUTS = [(stage, filename) for stage, spec in STAGES.items() for filename in spec.writes]
 
 
-@pytest.mark.parametrize("cut", ["empty", "half"])
+@pytest.mark.parametrize("cut", ["empty", "half", "directory"])
 @pytest.mark.parametrize("producer, artifact", _OUTPUTS, ids=[name for _, name in _OUTPUTS])
 def test_truncated_artifact_fails_cleanly_in_every_later_stage(
     chain, tmp_path, producer, artifact, cut
@@ -334,8 +370,12 @@ def test_truncated_artifact_fails_cleanly_in_every_later_stage(
     out_dir = tmp_path / "cut"
     shutil.copytree(chain["out"], out_dir)
     path = out_dir / artifact
-    blob = path.read_bytes()
-    path.write_bytes(b"" if cut == "empty" else blob[: len(blob) // 2])
+    if cut == "directory":
+        path.unlink()
+        path.mkdir()
+    else:
+        blob = path.read_bytes()
+        path.write_bytes(b"" if cut == "empty" else blob[: len(blob) // 2])
     stages = list(STAGES)
     args = ["--config", str(chain["config"]), "--out", str(out_dir), "--seed", "0", "--force"]
     for stage in stages[stages.index(producer) + 1 :]:

@@ -278,8 +278,8 @@ def test_training_with_zero_rate_is_a_noop_and_needs_a_head():
                       head=head, rng=np.random.default_rng(0))
     for name in before:
         assert np.array_equal(stack.params[name], before[name])
-    with pytest.raises(ValueError, match="surrogate head is required"):
-        train_projections(stack, examples[:4], epochs=1)
+    with pytest.raises(TypeError, match="'head'"):
+        train_projections(stack, examples[:4], epochs=1, rng=np.random.default_rng(0))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
