@@ -14,10 +14,11 @@ the set of items in the train sequences.
 
 Supplies the collaborative item embeddings, user representations, next-item
 score distributions, and verbalized priors consumed downstream. User
-representations are computed in batches: `user_representations` (and
-`user_representations_from_vectors`) group the histories by length and run
-one forward pass per group of at most `FORWARD_ROWS` histories. Grouping by
-length keeps every row bit-identical to a forward pass over that history
+representations are computed in batches: `user_representations_from_rows`
+takes a table of per-step input rows and each user's row indices into it,
+groups the users by length and runs one forward pass per group of at most
+`FORWARD_ROWS` users, gathering each group's input from the table. Grouping
+by length keeps every row bit-identical to a forward pass over that history
 alone, which one padded batch would not.
 """
 
@@ -39,6 +40,7 @@ __all__ = [
     "training_loss_and_gradients",
     "user_representation",
     "user_representations",
+    "user_representations_from_rows",
     "warm_user_representations",
     "user_representation_from_vectors",
     "user_representations_from_vectors",
@@ -332,19 +334,46 @@ def train_cf(instances, config: CfConfig, rng: np.random.Generator) -> CfModel:
     return model
 
 
+def user_representations_from_rows(model: CfModel, table: np.ndarray, rows) -> np.ndarray:
+    """(n, d) last-position outputs of the attention stack; user u's per-step
+    input vectors are `table[rows[u]]`, cut to the most recent max_history.
+
+    Users are grouped by length, and one `_forward` runs over at most
+    FORWARD_ROWS users of one length. A group's (B, L, d) input is one
+    gather, `table[ids] + pos_emb[:L]`, so no user's steps are copied out of
+    the table first.
+    """
+    window = model.config.max_history
+    groups: dict[int, list[int]] = defaultdict(list)
+    for i, r in enumerate(rows):
+        if not len(r):
+            raise ValueError("need a non-empty list of row indices per user")
+        groups[min(len(r), window)].append(i)
+    out = np.empty((len(rows), model.config.embed_dim))
+    pos_emb = model.params["pos_emb"]
+    for length, members in groups.items():
+        for start in range(0, len(members), FORWARD_ROWS):
+            chunk = members[start : start + FORWARD_ROWS]
+            ids = np.array([rows[i][len(rows[i]) - length :] for i in chunk], dtype=np.intp)
+            h0 = table[ids] + pos_emb[:length]
+            ones = np.ones(ids.shape, dtype=np.int64)  # all positions real
+            out[chunk] = _forward(model.params, model.config, ones, h0=h0)[0][:, -1]
+    return out
+
+
 def user_representations(model: CfModel, histories) -> np.ndarray:
     """(n, d) last-position outputs of the attention stack, one row per history.
 
     Each history is cut to its most recent max_history items, and runs as
     its rows of the item embedding matrix.
     """
-    item_emb = model.params["item_emb"]
-    sequences = []
+    window = model.config.max_history
+    rows = []
     for history in histories:
         if not history:
             raise ValueError("history must be non-empty; cold users take the semantic path upstream")
-        sequences.append(item_emb[model.indices_for(list(history)[-model.config.max_history:])])
-    return user_representations_from_vectors(model, sequences)
+        rows.append(model.indices_for(list(history)[-window:]))
+    return user_representations_from_rows(model, model.params["item_emb"], rows)
 
 
 def warm_user_representations(model: CfModel, split, users) -> tuple[dict, np.ndarray]:
@@ -363,9 +392,8 @@ def user_representations_from_vectors(model: CfModel, sequences) -> np.ndarray:
     per-step embedding vectors.
 
     Used when history items are outside the collaborative vocabulary and the
-    caller substitutes reconstructed embeddings (zero-shot transfer).
-    Sequences are grouped by length, and one `_forward` runs over at most
-    FORWARD_ROWS sequences of one length.
+    caller substitutes reconstructed embeddings (zero-shot transfer). The
+    windows are stacked into one table for `user_representations_from_rows`.
     """
     window = model.config.max_history
     steps = []
@@ -374,17 +402,10 @@ def user_representations_from_vectors(model: CfModel, sequences) -> np.ndarray:
         if vectors.ndim != 2 or vectors.shape[0] == 0:
             raise ValueError("need a non-empty (steps, embed_dim) array")
         steps.append(vectors[-window:])
-    out = np.empty((len(steps), model.config.embed_dim))
-    groups: dict[int, list[int]] = defaultdict(list)
-    for i, entry in enumerate(steps):
-        groups[len(entry)].append(i)
-    for length, members in groups.items():
-        for start in range(0, len(members), FORWARD_ROWS):
-            chunk = members[start : start + FORWARD_ROWS]
-            h0 = np.stack([steps[i] for i in chunk]) + model.params["pos_emb"][:length]
-            ids = np.ones((len(chunk), length), dtype=np.int64)  # all positions real
-            out[chunk] = _forward(model.params, model.config, ids, h0=h0)[0][:, -1]
-    return out
+    ends = np.cumsum([len(s) for s in steps])
+    rows = [np.arange(end - len(s), end) for s, end in zip(steps, ends)]
+    table = np.concatenate(steps) if steps else np.empty((0, model.config.embed_dim))
+    return user_representations_from_rows(model, table, rows)
 
 
 def user_representation(model: CfModel, history: list[str]) -> np.ndarray:

@@ -41,6 +41,11 @@ def atomic_open(path, mode: str = "wb", **kwargs):
         raise
 
 
+def _bytes_of(array: np.ndarray) -> np.ndarray:
+    """A flat uint8 view of a C-contiguous array's buffer, for file writes and reads."""
+    return array.reshape(-1).view(np.uint8)
+
+
 def save_checkpoint(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     names = sorted(arrays)
     header = {
@@ -55,7 +60,8 @@ def save_checkpoint(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) 
         fh.write(header_bytes)
         fh.write(b"\n")
         for n in names:
-            fh.write(np.ascontiguousarray(arrays[n], dtype="<f8").tobytes())
+            # no copy of an array that is already contiguous little-endian float64
+            fh.write(_bytes_of(np.ascontiguousarray(arrays[n], dtype="<f8")))
 
 
 def _read_header(fh, path) -> tuple[str, dict, list[tuple[str, tuple[int, ...]]]]:
@@ -107,6 +113,8 @@ def load_checkpoint(path) -> tuple[str, dict, dict[str, np.ndarray]]:
         kind, meta, entries = _read_header(fh, path)
         arrays: dict[str, np.ndarray] = {}
         for name, shape in entries:
-            buf = fh.read(8 * math.prod(shape))
-            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            array = np.empty(shape, dtype="<f8")
+            if fh.readinto(_bytes_of(array)) != array.nbytes:
+                raise DataError(f"{path}: truncated array payload for {name!r}")
+            arrays[name] = array
     return kind, meta, arrays

@@ -76,7 +76,7 @@ from .projection import (
     request_explanation,
     train_projections,
 )
-from .semantic import SEMANTIC_DIM, embed_catalog, fallback_embed, load_embeddings
+from .semantic import SEMANTIC_DIM, SparseVector, embed_catalog, fallback_embed, load_embeddings
 
 # Seed offset of the surrogate head that train-proj builds, beside its own stream.
 _HEAD_OFFSET = 5
@@ -254,14 +254,22 @@ class _Run:
         return None if path is None else _read(path, parse)
 
 
-def _semantic_map(config: RunConfig) -> dict[str, np.ndarray]:
+def _semantic_map(config: RunConfig, model: CfModel | None = None) -> dict[str, np.ndarray]:
+    """Semantic vectors from data.embeddings, or else from the catalog's text.
+
+    With a CF model, only the items outside its vocabulary keep a vector:
+    `align.unified_item_embedding` reads no other. Every embeddings line is
+    still parsed and checked.
+    """
+    skip = model.item_index if model is not None else ()
     embeddings_path = config.get("data.embeddings")
     if embeddings_path:
-        return load_embeddings(embeddings_path)
+        return load_embeddings(embeddings_path, skip)
     catalog_path = config.get("data.catalog")
     if not catalog_path:
         raise ConfigError("data.catalog: required when data.embeddings is not set")
-    return embed_catalog(load_catalog(catalog_path))
+    catalog = load_catalog(catalog_path)
+    return embed_catalog({item: text for item, text in catalog.items() if item not in skip})
 
 
 def _catalog(config: RunConfig) -> dict[str, tuple[str, str]]:
@@ -326,12 +334,12 @@ def _train_align(run: _Run) -> dict:
     config = run.config
     split = run.read("split.json")
     model = run.read("cf.ckpt")
-    semantic_map = _semantic_map(config)
     rng = run.rng()
+    # the dataset copies the semantic rows it needs; the map goes before training
     dataset = build_alignment_dataset(
         model,
         split,
-        semantic_map,
+        _semantic_map(config),
         rng=rng,
         negatives_per_user=config.get("align.negatives_per_user"),
     )
@@ -446,13 +454,14 @@ def _train_proj(run: _Run) -> dict:
     model = run.read("cf.ckpt")
     net = run.read("align.ckpt")
     catalog = _catalog(config)
-    semantic_map = _semantic_map(config)
+    semantic_map = _semantic_map(config, model)
     retained = run.read("cots.json", lambda payload: [
         ((row["user"], row["item"]), row["cot"], row["score"])
         for row in payload["records"] if row["retained"]
     ])
+    # each signal holds its nonzero hashed buckets; a batch makes its rows dense
     cot_signals = {
-        key: CotSignal(embedding=fallback_embed(cot_text), score=score)
+        key: CotSignal(embedding=SparseVector(fallback_embed(cot_text)), score=score)
         for key, cot_text, score in retained or []
     }
 
@@ -531,7 +540,7 @@ def _eval(run: _Run) -> dict:
     split = run.read("split.json")
     model = run.read("cf.ckpt")
     net = run.read("align.ckpt")
-    semantic_map = _semantic_map(config) if net is not None else None
+    semantic_map = _semantic_map(config, model) if net is not None else None
     pipeline = RecommendationPipeline(cf_model=model, alignment=net, semantic_map=semantic_map)
 
     references, explainer = _explanation_hooks(config)

@@ -12,7 +12,8 @@ report's per-user target ranks, so every cohort user keeps its standard pool.
 
 Scoring is batched. The pipeline builds one `ItemTable` for the items a
 stage needs, computing each item's row once; users are represented in
-length-grouped batches (`cf.user_representations_from_vectors`); and each
+length-grouped batches gathered from the table's rows by index
+(`cf.user_representations_from_rows`); and each
 pool is scored as a gather of table rows, multiplied by the user's
 representation and summed row by row. A target's rank is the number of
 pool items scored higher plus the tied items with a smaller id. Routing
@@ -222,9 +223,7 @@ class RecommendationPipeline(PoolRanker):
             table = self.item_table(chain.from_iterable(recent))
         rows = [table.rows(history) for history in recent]
         self._count(table, np.concatenate(rows))
-        return cf_mod.user_representations_from_vectors(
-            self.cf_model, [table.collaborative[r] for r in rows]
-        )
+        return cf_mod.user_representations_from_rows(self.cf_model, table.collaborative, rows)
 
     def user_vector(self, history: list[str]) -> np.ndarray:
         return self.user_vectors([history])[0]

@@ -72,7 +72,11 @@ class ProjectionStack:
 
 @dataclass
 class CotSignal:
-    """Embedding of a retained reasoning text plus its quality score."""
+    """Embedding of a retained reasoning text plus its quality score.
+
+    The embedding is an array or anything `np.asarray` makes one of, such as
+    a `semantic.SparseVector`.
+    """
 
     embedding: np.ndarray
     score: float
@@ -343,7 +347,8 @@ def _batch_loss_and_grads(params: dict, batch: list[ProjectionExample],
 
     One forward and one backward pass per MLP: `fx` over the stacked user
     vectors, `fz` over every slate row of the batch, `fr` over the examples
-    that carry a reasoning vector. Example b's segment mean is its text sum
+    that carry a reasoning vector, stacked dense from arrays and compact
+    vectors alike (`np.vstack`). Example b's segment mean is its text sum
     plus its projected segments over its segment count; each slate row takes
     its owner's gradient row.
     """

@@ -20,6 +20,7 @@ __all__ = [
     "load_embeddings",
     "fallback_embed",
     "embed_catalog",
+    "SparseVector",
     "similarity",
     "similarity_mapped",
 ]
@@ -27,15 +28,22 @@ __all__ = [
 SEMANTIC_DIM = 768
 
 
-def load_embeddings(path) -> dict[str, np.ndarray]:
-    """Load unit-normalized 768-dim vectors keyed by item id."""
+def load_embeddings(path, skip=()) -> dict[str, np.ndarray]:
+    """Load unit-normalized 768-dim vectors keyed by item id.
+
+    Every line is parsed and checked; the vectors of items in `skip` are
+    then dropped instead of kept.
+    """
     table: dict[str, np.ndarray] = {}
     for lineno, line in text_lines(path, "embeddings file"):
         try:
             item, values = line.split("\t", 1)
         except ValueError:
             raise DataError(f"embeddings line {lineno}: missing tab separator") from None
-        vec = np.array(values.split(), dtype=np.float64)
+        try:
+            vec = np.array(values.split(), dtype=np.float64)
+        except ValueError:
+            raise DataError(f"embeddings line {lineno}: a value is not a number") from None
         if vec.shape[0] != SEMANTIC_DIM:
             raise DataError(
                 f"embeddings line {lineno}: expected {SEMANTIC_DIM} values, got {vec.shape[0]}"
@@ -45,7 +53,8 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
         norm = float(np.linalg.norm(vec))
         if norm == 0.0:
             raise DataError(f"embeddings line {lineno}: zero vector cannot be normalized")
-        table[item] = vec / norm
+        if item not in skip:
+            table[item] = vec / norm
     return table
 
 
@@ -86,6 +95,24 @@ def embed_catalog(catalog: dict[str, tuple[str, str]]) -> dict[str, np.ndarray]:
         item: fallback_embed(f"{title} {description}".strip())
         for item, (title, description) in catalog.items()
     }
+
+
+class SparseVector:
+    """A 1-d float64 vector held as the indices and values of its nonzero
+    entries; `np.asarray` gives it back dense, with the same floats."""
+
+    __slots__ = ("index", "values", "size")
+
+    def __init__(self, dense: np.ndarray):
+        dense = np.asarray(dense, dtype=np.float64)
+        self.index = np.flatnonzero(dense)
+        self.values = dense[self.index]
+        self.size = dense.size
+
+    def __array__(self, dtype=None, copy=None):
+        dense = np.zeros(self.size)
+        dense[self.index] = self.values
+        return dense if dtype is None else dense.astype(dtype, copy=False)
 
 
 def similarity(u: np.ndarray, v: np.ndarray) -> float:

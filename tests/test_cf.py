@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import log_from_planted
+from fusionrec import cf as cf_module
 from fusionrec.cf import (
     FORWARD_ROWS,
     CfConfig,
@@ -377,3 +380,35 @@ def test_batched_representations_equal_per_user_runs_for_mixed_lengths(toy_world
         assert np.array_equal(row, _one_user_forward(model, h0=h0))
     with pytest.raises(ValueError, match="non-empty"):
         user_representations(model, [histories[0], []])
+
+
+def _peak_bytes(call) -> int:
+    """Peak bytes traced while `call()` runs, over what was held before it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_user_representations_hold_a_forward_pass_of_rows_not_every_history(monkeypatch):
+    # d = 64: in a narrow model the (B, heads, L, L) attention arrays outweigh the rows
+    n, length, d = 2000, 12, 64
+    config = CfConfig(embed_dim=d, max_history=length, blocks=1, heads=1)
+    rng = np.random.default_rng(4)
+    items = [f"i{k:03d}" for k in range(50)]
+    model = CfModel(config, {q: i + 1 for i, q in enumerate(items)}, items,
+                    _init_params(config, len(items), rng))
+    histories = [list(rng.choice(items, size=length)) for _ in range(2 * n)]
+    rows_bytes = n * length * d * 8  # every history's steps, copied out once
+
+    monkeypatch.setattr(cf_module, "FORWARD_ROWS", 8)
+    peak = _peak_bytes(lambda: user_representations(model, histories[:n]))
+    assert peak < rows_bytes / 4
+    # twice the users add their index lists and output rows, not their steps
+    assert _peak_bytes(lambda: user_representations(model, histories)) - peak < rows_bytes / 4
+    # a wider forward pass holds at least its own (B, L, d) input more
+    monkeypatch.setattr(cf_module, "FORWARD_ROWS", 64)
+    wide = _peak_bytes(lambda: user_representations(model, histories[:n]))
+    assert wide - peak > (64 - 8) * length * d * 8

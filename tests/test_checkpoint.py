@@ -110,6 +110,43 @@ def test_a_payload_of_the_wrong_size_is_refused_by_both_readers(tmp_path, reader
         reader(path)
 
 
+def test_a_payload_cut_short_after_the_size_check_is_a_data_error(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    # larger than a read buffer, so the cut is not already buffered
+    arrays = {**_sample_arrays(), "weights": np.ones((100, 100))}
+    save_checkpoint(path, "align", {"items": ["a"]}, arrays)
+    checked = checkpoint_module._read_header
+
+    def check_then_cut(fh, where):
+        found = checked(fh, where)
+        os.truncate(where, os.path.getsize(where) - 8)  # the file shrinks after its size passed
+        return found
+
+    monkeypatch.setattr(checkpoint_module, "_read_header", check_then_cut)
+    with pytest.raises(DataError, match="truncated array payload for 'weights'"):
+        load_checkpoint(path)
+
+
+def test_saved_bytes_are_each_array_as_little_endian_float64(tmp_path):
+    arrays = {
+        "a_fortran": np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+        "b_big_endian": np.arange(3.0).astype(">f8"),
+        "c_strided": np.arange(12.0).reshape(3, 4)[:, ::2],
+        "d_empty": np.zeros((2, 0)),
+        "e_read_only": np.linspace(0.0, 1.0, 5),
+    }
+    arrays["e_read_only"].flags.writeable = False
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, "cf", {}, arrays)
+    blob = path.read_bytes()
+    payload = b"".join(np.asarray(arrays[n], dtype="<f8").tobytes() for n in sorted(arrays))
+    assert blob.endswith(payload)
+    _, _, loaded = load_checkpoint(path)
+    for name, array in arrays.items():
+        assert loaded[name].dtype == np.dtype("<f8") and loaded[name].flags.writeable
+        assert np.array_equal(loaded[name], array)
+
+
 def test_checkpoint_bytes_are_deterministic(tmp_path):
     arrays = _sample_arrays()
     first = tmp_path / "a.ckpt"

@@ -515,6 +515,58 @@ def test_eval_of_a_cold_item_without_align_ckpt_asks_for_train_align(tmp_path):
     assert re.search(r"item '\w+' is outside the CF vocabulary .*run train-align first", err), err
 
 
+def _cold_world(tmp_path, extra_lines=()):
+    """A planted world whose cold users end on items outside the CF
+    vocabulary; returns the dataset and the stage arguments."""
+    dataset = make_planted_dataset(30, 16, seed=5, n_cold_users=10)
+    interactions, catalog = tmp_path / "interactions.tsv", tmp_path / "catalog.tsv"
+    write_dataset(dataset, interactions, catalog)
+    config = tmp_path / "run.conf"
+    _write_config(config, interactions, catalog, extra_lines)
+    return dataset, ["--config", str(config), "--out", str(tmp_path / "out"), "--seed", "0"]
+
+
+def test_eval_and_train_proj_embed_only_the_items_outside_the_cf_vocabulary(
+    tmp_path, monkeypatch
+):
+    dataset, args = _cold_world(tmp_path)
+    embedded: dict[str, list[set[str]]] = {}
+    stage = None
+
+    def recording_embed_catalog(catalog):
+        embedded.setdefault(stage, []).append(set(catalog))
+        return embed_catalog(catalog)
+
+    monkeypatch.setattr(fusionrec.cli, "embed_catalog", recording_embed_catalog)
+    for stage in ("prepare", "train-cf", "train-align", "cot", "train-proj", "eval"):
+        rc, _, err = _run([stage] + args)
+        assert rc == 0, (stage, err)
+    vocab = set(load_checkpoint_header(tmp_path / "out" / "cf.ckpt")[1]["items"])
+    cold = set(dataset.catalog) - vocab
+    assert cold and vocab
+    assert embedded == {"train-align": [set(dataset.catalog)], "train-proj": [cold], "eval": [cold]}
+
+
+def test_a_malformed_embeddings_line_of_a_warm_item_fails_train_proj_and_eval(tmp_path):
+    embeddings = tmp_path / "embeddings.tsv"
+    dataset, args = _cold_world(tmp_path, [f"data.embeddings = {embeddings}"])
+    vectors = embed_catalog(dataset.catalog)
+    lines = {item: item + "\t" + " ".join(map(repr, vec.tolist())) + "\n"
+             for item, vec in sorted(vectors.items())}
+    embeddings.write_text("".join(lines.values()), encoding="utf-8")
+    for stage in ("prepare", "train-cf", "train-align", "cot"):
+        rc, _, err = _run([stage] + args)
+        assert rc == 0, (stage, err)
+    warm = load_checkpoint_header(tmp_path / "out" / "cf.ckpt")[1]["items"][0]
+    lines[warm] = lines[warm].rsplit(" ", 1)[0] + "\n"  # 767 values
+    embeddings.write_text("".join(lines.values()), encoding="utf-8")
+    lineno = list(lines).index(warm) + 1
+    for stage in ("train-proj", "eval"):
+        rc, _, err = _run([stage] + args)
+        assert rc == 3, (stage, err)
+        assert err == f"error: embeddings line {lineno}: expected 768 values, got 767\n", stage
+
+
 def test_report_gives_the_hr_gap_at_the_largest_cutoff(chain):
     # the chain evaluates eval.ks = 1, 5
     payload = json.loads((chain["out"] / "report_coldwarm.json").read_text(encoding="utf-8"))

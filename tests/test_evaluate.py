@@ -8,7 +8,7 @@ import pytest
 
 from conftest import log_from_planted
 from fusionrec.align import decode, encode, unified_item_embedding
-from fusionrec.cf import user_representation
+from fusionrec.cf import FORWARD_ROWS, user_representation, user_representations
 from fusionrec.data import (
     ColdWarmPartition,
     SplitDataset,
@@ -256,6 +256,19 @@ def test_pipeline_user_vector_matches_backbone(toy_world, toy_alignment):
     )
     with pytest.raises(ValueError, match="non-empty"):
         pipeline.user_vector([])
+
+
+def test_pipeline_user_vectors_equal_the_backbone_bit_for_bit(toy_world):
+    model = toy_world["cf"]
+    window = model.config.max_history
+    rng = np.random.default_rng(21)
+    # one length holds more histories than a single forward pass takes
+    lengths = [4] * (FORWARD_ROWS + 5) + list(rng.integers(1, window + 6, size=40))
+    histories = [list(rng.choice(model.items, size=n)) for n in lengths]
+    pipeline = RecommendationPipeline(cf_model=model)  # warm histories need no alignment
+    assert np.array_equal(pipeline.user_vectors(histories), user_representations(model, histories))
+    assert pipeline.routing["collaborative_path"] == sum(min(n, window) for n in lengths)
+    assert pipeline.routing["semantic_path"] == 0
 
 
 def test_rank_pool_orders_by_score_then_id(toy_world, toy_alignment):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fusionrec.errors import DataError
 from fusionrec.semantic import (
     SEMANTIC_DIM,
+    SparseVector,
     embed_catalog,
     fallback_embed,
     load_embeddings,
@@ -42,6 +43,13 @@ def test_load_embeddings_rejects_wrong_dimension(tmp_path):
     path = tmp_path / "emb.tsv"
     path.write_text(_vector_line("q1", [1.0] * (SEMANTIC_DIM - 1)), encoding="utf-8")
     with pytest.raises(DataError, match="expected 768 values, got 767"):
+        load_embeddings(path)
+
+
+def test_load_embeddings_rejects_a_value_that_is_not_a_number(tmp_path):
+    path = tmp_path / "emb.tsv"
+    path.write_text(_vector_line("a", [1.0] * (SEMANTIC_DIM - 1) + ["abc"]), encoding="utf-8")
+    with pytest.raises(DataError, match="line 1: a value is not a number"):
         load_embeddings(path)
 
 
@@ -98,6 +106,29 @@ def test_embed_catalog_uses_title_and_description():
     assert set(table) == {"q1", "q2"}
     assert not np.array_equal(table["q1"], table["q2"])
     assert np.array_equal(table["q1"], fallback_embed("Alpine Trail grade km"))
+
+
+def test_load_embeddings_checks_every_line_but_keeps_only_the_unskipped(tmp_path):
+    path = tmp_path / "emb.tsv"
+    path.write_text(_vector_line("a", [3.0] + [0.0] * (SEMANTIC_DIM - 1))
+                    + _vector_line("b", [0.0, 4.0] + [0.0] * (SEMANTIC_DIM - 2)), encoding="utf-8")
+    full = load_embeddings(path)
+    kept = load_embeddings(path, skip={"a"})
+    assert list(kept) == ["b"] and np.array_equal(kept["b"], full["b"])
+    path.write_text(_vector_line("a", [1.0] * 5) + _vector_line("b", [1.0] * SEMANTIC_DIM),
+                    encoding="utf-8")
+    with pytest.raises(DataError, match="line 1: expected 768 values, got 5"):
+        load_embeddings(path, skip={"a"})
+
+
+@pytest.mark.parametrize("text", ["", "one short trace", "a a b", "the item fits the pattern " * 9])
+def test_sparse_vector_gives_back_the_same_floats(text):
+    dense = fallback_embed(text)
+    compact = SparseVector(dense)
+    assert len(compact.index) == np.count_nonzero(dense)
+    assert np.array_equal(np.asarray(compact), dense)
+    stacked = np.vstack([compact, dense])  # one stacking path for compact and dense rows
+    assert stacked.shape == (2, SEMANTIC_DIM) and np.array_equal(stacked[0], stacked[1])
 
 
 def test_similarity_range_and_special_values():
