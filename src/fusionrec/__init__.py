@@ -35,9 +35,9 @@ from .cot import (
     composite_score,
     filter_cots,
     generate_cot,
-    score_cot,
     score_coherence,
-    score_semantic_dimension,
+    score_cot,
+    score_cots,
     threshold_sweep,
 )
 from .data import (
@@ -87,6 +87,6 @@ from .projection import (
     request_explanation,
     train_projections,
 )
-from .semantic import embed_catalog, fallback_embed, load_embeddings, similarity
+from .semantic import embed_catalog, embed_texts, fallback_embed, load_embeddings, similarity
 
 __version__ = "0.1.0"

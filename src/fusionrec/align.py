@@ -335,10 +335,11 @@ def train_alignment(
     With no dead column the view is the network itself.
     """
     live = dataset.live_columns()
-    dead = np.setdiff1d(np.arange(dataset.q.shape[1]), live)
+    dead = np.ones(dataset.q.shape[1], dtype=bool)
+    dead[live] = False
     net.params["dec_s.w"][dead] = 0.0
     net.params["dec_s.b"][dead] = 0.0
-    if not len(dead):
+    if not dead.any():
         live = slice(None)
     params = dict(net.params)
     params["enc_s.w"] = net.params["enc_s.w"][:, live]

@@ -47,6 +47,7 @@ __all__ = [
     "next_item_probabilities",
     "item_probabilities",
     "rank_by_score",
+    "top_items",
     "verbalize_prior",
 ]
 
@@ -435,6 +436,27 @@ def rank_by_score(model: CfModel, scores: np.ndarray) -> list[str]:
     order = by_id[np.argsort(-np.asarray(scores)[by_id], kind="stable")]
     items = model.items
     return [items[i] for i in order.tolist()]
+
+
+def top_items(model: CfModel, scores: np.ndarray, k: int) -> list[list[str]]:
+    """The first k (at least 1) of `rank_by_score(model, row)` for each row of
+    (n, items) scores.
+
+    One partition over the id-ordered matrix finds each row's k-th largest
+    score; only the columns scoring at least that much (k of them unless
+    there are ties) are then sorted, by score descending and id ascending.
+    """
+    by_id = model.id_order
+    ordered = np.asarray(scores)[:, by_id]
+    k = min(k, ordered.shape[1])
+    bounds = np.partition(ordered, -k, axis=1)[:, -k]
+    items = model.items
+    top = []
+    for row, bound in zip(ordered, bounds):
+        columns = np.flatnonzero(row >= bound)
+        columns = columns[np.argsort(-row[columns], kind="stable")[:k]]
+        top.append([items[i] for i in by_id[columns].tolist()])
+    return top
 
 
 def verbalize_prior(score: float) -> str:

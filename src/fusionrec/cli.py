@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import fcntl
-import functools
 import json
 import os
 import sys
@@ -30,10 +29,11 @@ import numpy as np
 
 from .align import AlignmentNetwork, build_alignment_dataset, init_alignment, train_alignment
 from .cf import (
+    FORWARD_ROWS,
     CfConfig,
     CfModel,
     item_probabilities,
-    rank_by_score,
+    top_items,
     train_cf,
     verbalize_prior,
     warm_user_representations,
@@ -49,7 +49,7 @@ from .cot import (
     load_cot_fixture,
     load_explanation_fixture,
     render_sweep_report,
-    score_cot,
+    score_cots,
     threshold_sweep,
 )
 from .data import (
@@ -76,7 +76,7 @@ from .projection import (
     request_explanation,
     train_projections,
 )
-from .semantic import SEMANTIC_DIM, SparseVector, embed_catalog, fallback_embed, load_embeddings
+from .semantic import SEMANTIC_DIM, SparseVector, embed_catalog, embed_texts, load_embeddings
 
 # Seed offset of the surrogate head that train-proj builds, beside its own stream.
 _HEAD_OFFSET = 5
@@ -343,6 +343,10 @@ def _train_align(run: _Run) -> dict:
         rng=rng,
         negatives_per_user=config.get("align.negatives_per_user"),
     )
+    n_users = len(split.users())
+    dropped = n_users - len(dataset)
+    no_triple = dropped + int(np.count_nonzero(np.diff(dataset.triple_ptr) == 0))
+    n_examples, n_live = len(dataset), len(dataset.live_columns())
     net = init_alignment(
         collab_dim=model.config.embed_dim,
         sem_dim=SEMANTIC_DIM,
@@ -351,22 +355,23 @@ def _train_align(run: _Run) -> dict:
         beta=config.get("align.beta"),
         rng=rng,
     )
+    # train_alignment gets the only reference to the dataset, so the
+    # full-width semantic rows go once it has cut them to the live columns
+    held = [dataset]
+    del dataset
     train_alignment(
         net,
-        dataset,
+        held.pop(),
         epochs=config.get("align.epochs"),
         batch_size=config.get("align.batch_size"),
         learning_rate=config.get("align.learning_rate"),
         rng=rng,
         optimizer=config.get("align.optimizer"),
     )
-    n_users = len(split.users())
-    dropped = n_users - len(dataset)
-    no_triple = dropped + int(np.count_nonzero(np.diff(dataset.triple_ptr) == 0))
     print(
-        f"trained alignment on {len(dataset)} user examples; "
+        f"trained alignment on {n_examples} user examples; "
         f"{no_triple} of {n_users} users got no triple, {dropped} dropped; "
-        f"trained {len(dataset.live_columns())} of {net.sem_dim} semantic columns; "
+        f"trained {n_live} of {net.sem_dim} semantic columns; "
         f"final epoch loss {net.training_log[-1]:.6f}"
     )
     meta = {name: getattr(net, name) for name in _ALIGN_FIELDS}
@@ -392,32 +397,36 @@ def _cot(run: _Run) -> dict:
     weights = config.get("cot.weights")
     warm_histories, reps = warm_user_representations(model, split, users)
     skipped = len(users) - len(warm_histories)
-    # The label sentences, and often a trace's closing sentence, recur across
-    # traces; a small cache embeds them once per stage.
-    embedder = functools.lru_cache(maxsize=64)(fallback_embed)
+    warm = list(warm_histories.items())
     records = []
-    for (user, warm_history), rep in zip(warm_histories.items(), reps):
-        target = split.validation[user]
-        probs = item_probabilities(model, rep)
-        ranked = rank_by_score(model, probs)
-        candidates = [
-            (item, catalog[item][0], float(probs[model.item_index[item] - 1]))
-            for item in ranked[:3]
-            if item in catalog
-        ]
-        prior = verbalize_prior(float(probs[model.item_index[target] - 1]))
-        instance = build_instruction_instance(
-            user,
-            warm_history,
-            target,
-            prior,
-            catalog,
-            k_prompt=config.get("cot.k_prompt"),
-            label=1,
-            candidates=candidates,
+    # A chunk of users at a time: one top-k and one scoring pass per chunk,
+    # so the probabilities and text vectors held at once stay small.
+    for start in range(0, len(warm), FORWARD_ROWS):
+        chunk = warm[start : start + FORWARD_ROWS]
+        probs = np.stack(
+            [item_probabilities(model, rep) for rep in reps[start : start + FORWARD_ROWS]]
         )
-        cot_text = generate_cot(adapter, instance)
-        records.append(score_cot(instance, cot_text, embedder=embedder, weights=weights))
+        instances = []
+        for (user, warm_history), user_probs, top in zip(chunk, probs, top_items(model, probs, 3)):
+            target = split.validation[user]
+            candidates = [
+                (item, catalog[item][0], float(user_probs[model.item_index[item] - 1]))
+                for item in top
+                if item in catalog
+            ]
+            prior = verbalize_prior(float(user_probs[model.item_index[target] - 1]))
+            instances.append(build_instruction_instance(
+                user,
+                warm_history,
+                target,
+                prior,
+                catalog,
+                k_prompt=config.get("cot.k_prompt"),
+                label=1,
+                candidates=candidates,
+            ))
+        cots = [generate_cot(adapter, instance) for instance in instances]
+        records.extend(score_cots(instances, cots, weights))
     if not records:
         raise DataError("no reasoning traces could be generated (all users skipped)")
     retained, coverage = filter_cots(records, threshold=config.get("cot.threshold"))
@@ -460,10 +469,13 @@ def _train_proj(run: _Run) -> dict:
         for row in payload["records"] if row["retained"]
     ])
     # each signal holds its nonzero hashed buckets; a batch makes its rows dense
-    cot_signals = {
-        key: CotSignal(embedding=SparseVector(fallback_embed(cot_text)), score=score)
-        for key, cot_text, score in retained or []
-    }
+    retained = retained or []
+    cot_signals = {}
+    for start in range(0, len(retained), FORWARD_ROWS):
+        chunk = retained[start : start + FORWARD_ROWS]
+        vectors = embed_texts([cot_text for _, cot_text, _ in chunk])
+        for (key, _, score), vector in zip(chunk, vectors):
+            cot_signals[key] = CotSignal(embedding=SparseVector(vector), score=score)
 
     pipeline = RecommendationPipeline(cf_model=model, alignment=net, semantic_map=semantic_map)
     rng = run.rng()

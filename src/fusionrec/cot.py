@@ -15,6 +15,7 @@ threshold.
 
 from __future__ import annotations
 
+import functools
 import re
 import string
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ import numpy as np
 from .data import text_lines
 from .errors import ConfigError, DataError
 from .lexicon import POLARITY
-from .semantic import fallback_embed, similarity_mapped
+from .semantic import similarity_mapped, token_counts, unit_rows
 
 __all__ = [
     "MAX_COT_TOKENS",
@@ -36,8 +37,8 @@ __all__ = [
     "generate_cot",
     "truncate_tokens",
     "score_coherence",
-    "score_semantic_dimension",
     "composite_score",
+    "score_cots",
     "score_cot",
     "filter_cots",
     "threshold_sweep",
@@ -207,19 +208,20 @@ def _sentence_polarity(sentence: str) -> float:
     return float(np.mean(signs))
 
 
-def score_coherence(cot: str) -> float:
+def score_coherence(cot: str, sentences=None, polarity=_sentence_polarity) -> float:
     """1 - 0.5*V - 0.5*R clamped to [0, 1].
 
     V is the population variance of per-sentence lexicon polarity; R is the
     fraction of duplicate 3-grams among all (sliding-window) 3-grams of the
     token stream, 0 when there are fewer than three tokens. Empty text
-    scores 0 by convention.
+    scores 0 by convention. A caller that has split the trace already passes
+    its `sentences`, and may pass a memoised `polarity`.
     """
-    sentences = _split_sentences(cot)
+    if sentences is None:
+        sentences = _split_sentences(cot)
     if not sentences:
         return 0.0
-    polarities = [_sentence_polarity(s) for s in sentences]
-    variance = float(np.var(polarities))
+    variance = float(np.var([polarity(s) for s in sentences]))
     tokens = cot.lower().split()
     grams = [tuple(tokens[i : i + 3]) for i in range(len(tokens) - 2)]
     repetition = (len(grams) - len(set(grams))) / len(grams) if grams else 0.0
@@ -245,11 +247,12 @@ def _find_whole_word(needle: str, text: str) -> int | None:
     return None
 
 
-def _named_candidate(cot: str, candidates) -> str | None:
-    """Id of the candidate the CoT commits to, per cue-sentence scan."""
+def _named_candidate(sentences: list[str], candidates) -> str | None:
+    """Id of the candidate a trace, split into `sentences`, commits to, per
+    cue-sentence scan."""
     if not candidates:
         return None
-    for sentence in _split_sentences(cot):
+    for sentence in sentences:
         low = sentence.lower()
         if not any(cue in low for cue in _NAMING_CUES):
             continue
@@ -266,31 +269,10 @@ def _named_candidate(cot: str, candidates) -> str | None:
     return None
 
 
-def score_semantic_dimension(
-    dim: str, cot: str, instance: InstructionInstance, embedder=fallback_embed
-) -> float:
-    """Completeness, relevance, or consistency of a CoT in [0, 1]."""
-    if not cot.strip():
-        return 0.0
-    if dim == "completeness":
-        reference = " ".join(
-            [instance.history_text(), instance.target_line, instance.prior_line]
-        )
-        return similarity_mapped(embedder(cot), embedder(reference))
-    if dim == "relevance":
-        return similarity_mapped(embedder(cot), embedder(instance.text()))
-    if dim == "consistency":
-        last = _split_sentences(cot)[-1]
-        canonical = LABEL_SENTENCES[instance.label]
-        semantic_half = similarity_mapped(embedder(last), embedder(canonical))
-        named = _named_candidate(cot, instance.candidates)
-        if named is None:
-            agreement = 0.5
-        else:
-            cf_top = max(instance.candidates, key=lambda c: c[2])[0]
-            agreement = 1.0 if named == cf_top else 0.0
-        return 0.5 * semantic_half + 0.5 * agreement
-    raise ValueError(f"unknown dimension {dim!r}")
+def _frame_text(task: str) -> str:
+    """The tokens `InstructionInstance.text()` adds to the completeness
+    reference: the task instruction and the three section headers."""
+    return f"{task} User history: Target item: CF prior:"
 
 
 def composite_score(dims, weights=(0.25, 0.25, 0.25, 0.25)) -> float:
@@ -306,27 +288,81 @@ def composite_score(dims, weights=(0.25, 0.25, 0.25, 0.25)) -> float:
     return float(np.dot(dims, weights))
 
 
+def score_cots(instances, cots, weights=(0.25, 0.25, 0.25, 0.25)) -> list[CotRecord]:
+    """Score each `cots[i]` against `instances[i]` on the four dimensions.
+
+    - coherence: `score_coherence`;
+    - completeness: mapped cosine of the trace and the reference (history,
+      target line and prior);
+    - relevance: mapped cosine of the trace and `instance.text()`;
+    - consistency: half the mapped cosine of the last sentence and the
+      label's canonical sentence, half the agreement of the candidate the
+      trace names with the CF top candidate (0.5 when it names none).
+
+    A blank trace scores 0 on the last three. Each trace is split into
+    sentences once, and each sentence's polarity is computed once per call.
+    Every distinct text is tokenized once, in one `token_counts` pass; the
+    prompt text is never tokenized, since its counts are the reference's
+    plus those of the task instruction and the headers. Each of the three
+    cosines is one stacked `similarity_mapped` over the scored traces.
+    """
+    sentences = [_split_sentences(cot) for cot in cots]
+    polarity = functools.lru_cache(maxsize=None)(_sentence_polarity)
+    rows: dict[str, int] = {}
+
+    def row(text: str) -> int:
+        return rows.setdefault(text, len(rows))
+
+    # per non-blank trace: its record, then the rows of its trace, reference,
+    # frame (task and headers), last sentence and label sentence
+    scored = []
+    for i, (instance, cot, split) in enumerate(zip(instances, cots, sentences)):
+        if cot.strip():
+            texts = (
+                cot,
+                " ".join([instance.history_text(), instance.target_line, instance.prior_line]),
+                _frame_text(instance.task),
+                split[-1],
+                LABEL_SENTENCES[instance.label],
+            )
+            scored.append((i, *map(row, texts)))
+    semantic = [(0.0, 0.0, 0.0)] * len(cots)
+    if scored:
+        record, trace, reference, frame, last, label = np.array(scored, dtype=np.intp).T
+        counts = token_counts(list(rows))
+        prompts = counts[reference]
+        prompts += counts[frame]
+        unit_rows(prompts)
+        vectors = unit_rows(counts)
+        traces = vectors[trace]
+        mapped = zip(
+            record.tolist(),
+            similarity_mapped(traces, vectors[reference]).tolist(),
+            similarity_mapped(traces, prompts).tolist(),
+            similarity_mapped(vectors[last], vectors[label]).tolist(),
+        )
+        for i, completeness, relevance, last_vs_label in mapped:
+            instance = instances[i]
+            named = _named_candidate(sentences[i], instance.candidates)
+            if named is None:
+                agreement = 0.5
+            else:
+                cf_top = max(instance.candidates, key=lambda c: c[2])[0]
+                agreement = 1.0 if named == cf_top else 0.0
+            semantic[i] = (completeness, relevance, 0.5 * last_vs_label + 0.5 * agreement)
+    records = []
+    for instance, cot, split, dims in zip(instances, cots, sentences, semantic):
+        dims = (score_coherence(cot, split, polarity), *dims)
+        records.append(CotRecord(instance=instance, cot=cot, dims=dims,
+                                 score=composite_score(dims, weights)))
+    return records
+
+
 def score_cot(
-    instance: InstructionInstance,
-    cot: str,
-    embedder=fallback_embed,
-    weights=(0.25, 0.25, 0.25, 0.25),
+    instance: InstructionInstance, cot: str, weights=(0.25, 0.25, 0.25, 0.25)
 ) -> CotRecord:
-    """Score the four dimensions; each distinct text is embedded once."""
-    embedded: dict[str, np.ndarray] = {}
-
-    def embed_once(text: str) -> np.ndarray:
-        if text not in embedded:
-            embedded[text] = embedder(text)
-        return embedded[text]
-
-    dims = (
-        score_coherence(cot),
-        score_semantic_dimension("completeness", cot, instance, embed_once),
-        score_semantic_dimension("relevance", cot, instance, embed_once),
-        score_semantic_dimension("consistency", cot, instance, embed_once),
-    )
-    return CotRecord(instance=instance, cot=cot, dims=dims, score=composite_score(dims, weights))
+    """The `score_cots` record of one trace."""
+    return score_cots([instance], [cot], weights)[0]
 
 
 def filter_cots(records: list[CotRecord], threshold: float = 0.6):

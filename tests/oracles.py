@@ -381,6 +381,49 @@ def oracle_fallback_embed(text: str, dim: int = 768) -> np.ndarray:
     return vec / norm
 
 
+def oracle_similarity_mapped(u: np.ndarray, v: np.ndarray) -> float:
+    """(cosine + 1) / 2 of two vectors, from np.dot and np.linalg.norm."""
+    c = float(np.dot(u, v) / (float(np.linalg.norm(u)) * float(np.linalg.norm(v))))
+    return (min(1.0, max(-1.0, c)) + 1.0) / 2.0
+
+
+def oracle_score_semantic_dimension(dim: str, cot: str, instance, embedder=oracle_fallback_embed):
+    """Completeness, relevance, or consistency of one trace, each text embedded
+    on its own (the prompt text too)."""
+    from fusionrec.cot import LABEL_SENTENCES, _named_candidate, _split_sentences
+
+    if not cot.strip():
+        return 0.0
+    if dim == "completeness":
+        reference = " ".join([instance.history_text(), instance.target_line, instance.prior_line])
+        return oracle_similarity_mapped(embedder(cot), embedder(reference))
+    if dim == "relevance":
+        return oracle_similarity_mapped(embedder(cot), embedder(instance.text()))
+    if dim == "consistency":
+        sentences = _split_sentences(cot)
+        canonical = LABEL_SENTENCES[instance.label]
+        semantic_half = oracle_similarity_mapped(embedder(sentences[-1]), embedder(canonical))
+        named = _named_candidate(sentences, instance.candidates)
+        if named is None:
+            agreement = 0.5
+        else:
+            cf_top = max(instance.candidates, key=lambda c: c[2])[0]
+            agreement = 1.0 if named == cf_top else 0.0
+        return 0.5 * semantic_half + 0.5 * agreement
+    raise ValueError(f"unknown dimension {dim!r}")
+
+
+def oracle_score_cot(instance, cot: str, weights=(0.25, 0.25, 0.25, 0.25)):
+    """(dims, score) of one trace, one dimension at a time."""
+    from fusionrec.cot import composite_score, score_coherence
+
+    dims = (score_coherence(cot),) + tuple(
+        oracle_score_semantic_dimension(dim, cot, instance)
+        for dim in ("completeness", "relevance", "consistency")
+    )
+    return dims, composite_score(dims, weights)
+
+
 def oracle_rank_by_score(items: list, scores) -> list:
     order = sorted(range(len(items)), key=lambda i: (-scores[i], items[i]))
     return [items[i] for i in order]

@@ -24,6 +24,9 @@ UNREFERENCED = {
     "synthetic.planted_successor": "names the planted next item that demos check against",
     "synthetic.write_dataset": "writes a generated world as the files the CLI reads",
     "cf.next_item_probabilities": "wrapped by the benchmark's per-layer timing",
+    "cf.rank_by_score": "wrapped by the benchmark's per-layer timing",
+    "cot.score_cot": "wrapped by the benchmark's per-layer timing",
+    "semantic.fallback_embed": "wrapped by the benchmark's per-layer timing",
     "cf.user_representation_from_vectors": "wrapped by the benchmark's per-layer timing",
     "projection.project_components": "soft-prompt path; stays or goes with the reasoning-path verdict",
     "projection.rank_candidates": "soft-prompt ranking, to be rewritten with per-candidate contexts",

@@ -18,6 +18,7 @@ from fusionrec.cf import (
     _left_align,
     next_item_probabilities,
     rank_by_score,
+    top_items,
     train_cf,
     training_loss_and_gradients,
     user_representation,
@@ -351,6 +352,22 @@ def test_rank_by_score_matches_the_sorted_oracle_with_exact_ties():
         scores = np.round(rng.normal(size=len(items)), 1)  # many exact ties
         scores[rng.integers(len(items), size=5)] = -0.0
         assert rank_by_score(model, scores) == oracle_rank_by_score(items, scores)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 400])
+def test_top_items_match_the_sorted_oracle_with_exact_ties(k):
+    rng = np.random.default_rng(k)
+    items = [f"i{n:03d}" for n in rng.permutation(12)]  # row order is not id order
+    model = CfModel(config=CfConfig(), item_index={q: i + 1 for i, q in enumerate(items)},
+                    items=items, params={})
+    scores = rng.integers(0, 3, size=(FORWARD_ROWS + 5, len(items))) / 4.0  # many exact ties
+    scores[0] = 0.5  # every item tied
+    scores[1, rng.integers(len(items), size=3)] = -0.0
+    top = top_items(model, scores, k)
+    assert len(top) == len(scores)
+    for row, picked in zip(scores, top):
+        assert picked == oracle_rank_by_score(items, row)[:k]
+        assert picked == rank_by_score(model, row)[:k]
 
 
 def _one_user_forward(model, ids=None, h0=None):

@@ -13,16 +13,20 @@ import shutil
 import signal
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
 import fusionrec
+from fusionrec.cf import FORWARD_ROWS, item_probabilities, verbalize_prior, warm_user_representations
 from fusionrec.checkpoint import load_checkpoint, load_checkpoint_header
-from fusionrec.cli import STAGES, main
+from fusionrec.cli import STAGES, _read, main
 from fusionrec.config import parse_config
+from fusionrec.cot import FixtureAdapter, build_instruction_instance, generate_cot
 from fusionrec.semantic import embed_catalog
 from fusionrec.synthetic import make_planted_dataset, write_dataset
+from oracles import dump_cot_fixture, oracle_rank_by_score, oracle_score_cot
 
 _STAGES = [
     "prepare",
@@ -192,6 +196,115 @@ def test_align_checkpoint_stays_full_width_with_zero_dead_decoder_rows(tmp_path)
     zero_rows = ~arrays["dec_s.w"].any(axis=1)
     assert np.count_nonzero(zero_rows) == 768 - trained
     assert not arrays["dec_s.b"][zero_rows].any() and arrays["dec_s.b"][~zero_rows].all()
+
+
+def test_the_train_align_stage_frees_the_full_width_semantic_rows_before_training(
+    tmp_path, monkeypatch
+):
+    refs = []
+
+    def recording_build(*args, **kwargs):
+        dataset = fusionrec.align.build_alignment_dataset(*args, **kwargs)
+        refs.append(weakref.ref(dataset.q))
+        return dataset
+
+    alive_at_fit = []
+
+    def checking_fit(*args, **kwargs):
+        alive_at_fit.append(refs[0]() is not None)
+        return fusionrec.optim.fit(*args, **kwargs)
+
+    monkeypatch.setattr(fusionrec.cli, "build_alignment_dataset", recording_build)
+    monkeypatch.setattr(fusionrec.align, "fit", checking_fit)
+    interactions, catalog = _write_world(tmp_path)
+    config = tmp_path / "run.conf"
+    _write_config(config, interactions, catalog)
+    for stage in ("prepare", "train-cf", "train-align"):
+        rc, _, err = _run([stage, "--config", str(config), "--out", str(tmp_path / "out")])
+        assert rc == 0, err
+    assert alive_at_fit == [False]
+
+
+def test_cot_records_match_the_per_record_oracle_across_a_chunk_boundary(tmp_path, monkeypatch):
+    dataset = make_planted_dataset(FORWARD_ROWS + 15, 16, seed=3)
+    interactions, catalog = tmp_path / "interactions.tsv", tmp_path / "catalog.tsv"
+    write_dataset(dataset, interactions, catalog)
+    fixture = tmp_path / "cots.tsv"
+    fixture.touch()  # written once the split is known
+    config = tmp_path / "run.conf"
+    _write_config(config, interactions, catalog,
+                  ["cot.sample_size = 0", f"data.cot_fixture = {fixture}"])
+    out_dir = tmp_path / "out"
+    for stage in ("prepare", "train-cf"):
+        rc, _, err = _run([stage, "--config", str(config), "--out", str(out_dir)])
+        assert rc == 0, err
+    split = _read(str(out_dir / "split.json"))
+    model = _read(str(out_dir / "cf.ckpt"))
+    closing = "Therefore the user will interact with the target item."
+    titles = sorted({title for title, _ in dataset.catalog.values()})
+    shapes = [
+        lambda n: "",
+        lambda n: "  \n ",
+        lambda n: f"The history is steady. {titles[n % len(titles)]} matches the profile. {closing}",
+        lambda n: f"{closing} {closing}",
+        lambda n: "Great pick. Terrible pick.",
+        lambda n: f"{titles[(3 * n) % len(titles)]} fits best, {model.items[n % len(model.items)]}.",
+    ]
+    corpus = {(user, split.validation[user]): shapes[n % len(shapes)](n)
+              for n, user in enumerate(split.users())}
+    dump_cot_fixture(fixture, [(user, item, 1, text) for (user, item), text in corpus.items()])
+
+    def tied(model, rep):  # coarse priors, so candidates tie exactly
+        return np.round(item_probabilities(model, rep), 1)
+
+    monkeypatch.setattr(fusionrec.cli, "item_probabilities", tied)
+    rc, _, err = _run(["cot", "--config", str(config), "--out", str(out_dir)])
+    assert rc == 0, err
+    rows = json.loads((out_dir / "cots.json").read_text(encoding="utf-8"))["records"]
+
+    warm, reps = warm_user_representations(model, split, split.users())
+    assert len(warm) >= FORWARD_ROWS + 5
+    settings = parse_config(config)
+    adapter = FixtureAdapter(corpus)
+    expected, ties = [], 0
+    for (user, history), rep in zip(warm.items(), reps):
+        probs = tied(model, rep)
+        candidates = [(item, dataset.catalog[item][0], float(probs[model.item_index[item] - 1]))
+                      for item in oracle_rank_by_score(model.items, probs)[:3]]
+        ties += len({prior for _, _, prior in candidates}) < len(candidates)
+        target = split.validation[user]
+        instance = build_instruction_instance(
+            user, history, target, verbalize_prior(float(probs[model.item_index[target] - 1])),
+            dataset.catalog, k_prompt=settings.get("cot.k_prompt"), candidates=candidates,
+        )
+        cot = generate_cot(adapter, instance)
+        dims, score = oracle_score_cot(instance, cot, settings.get("cot.weights"))
+        expected.append((user, target, cot, list(dims), score))
+    assert ties > 0
+    assert sorted(expected) == [
+        (row["user"], row["item"], row["cot"], row["dims"], row["score"]) for row in rows
+    ]
+
+
+def test_no_stage_imports_numpy_ma(chain):
+    """numpy.ma costs a noticeable import time in every process that loads it;
+    `np.setdiff1d` and `np.unique` pull it in."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from fusionrec.cli import main\n"
+        f"stages = {_STAGES!r}\n"
+        "for stage in stages:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main([stage, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0, stage\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(fusionrec.__path__[0]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(chain["config"]), str(chain["root"] / "ma_out")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "False"
 
 
 def test_stage_banners_summarize_progress(chain):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,14 +20,19 @@ from fusionrec.cot import (
     render_sweep_report,
     score_coherence,
     score_cot,
-    score_semantic_dimension,
+    score_cots,
     threshold_sweep,
     truncate_tokens,
 )
-from fusionrec.cot import _find_whole_word
+from fusionrec.cot import LABEL_SENTENCES, _find_whole_word, _frame_text, _split_sentences
 from fusionrec.errors import ConfigError, DataError
-from fusionrec.semantic import fallback_embed, similarity_mapped
-from oracles import dump_cot_fixture
+from fusionrec.semantic import fallback_embed, similarity_mapped, token_counts
+from oracles import (
+    dump_cot_fixture,
+    oracle_fallback_embed,
+    oracle_score_cot,
+    oracle_score_semantic_dimension,
+)
 
 _CATALOG = {
     "q5": ("Spider-Man", "superhero adventure"),
@@ -166,8 +172,8 @@ def test_coherence_stays_in_unit_interval():
 
 def test_relevance_of_the_prompt_itself_is_perfect():
     instance = _peter_instance()
-    assert score_semantic_dimension("relevance", instance.text(), instance) == 1.0
-    assert score_semantic_dimension("relevance", "", instance) == 0.0
+    assert score_cot(instance, instance.text()).dims[2] == 1.0
+    assert score_cot(instance, "").dims[2] == 0.0
 
 
 def test_completeness_compares_against_the_three_content_parts():
@@ -177,7 +183,7 @@ def test_completeness_compares_against_the_three_content_parts():
         [instance.history_text(), instance.target_line, instance.prior_line]
     )
     expected = similarity_mapped(fallback_embed(cot), fallback_embed(reference))
-    assert score_semantic_dimension("completeness", cot, instance) == expected
+    assert score_cot(instance, cot).dims[1] == expected
 
 
 def test_consistency_rewards_cue_named_top_candidate():
@@ -187,10 +193,7 @@ def test_consistency_rewards_cue_named_top_candidate():
         "Therefore the user will interact with the target item."
     )
     bad = "The history is scattered. Nothing connects these films. The user may drift elsewhere."
-    assert (
-        score_semantic_dimension("consistency", good, instance)
-        > score_semantic_dimension("consistency", bad, instance)
-    )
+    assert score_cot(instance, good).dims[3] > score_cot(instance, bad).dims[3]
 
 
 def test_consistency_agreement_is_half_the_score():
@@ -198,8 +201,8 @@ def test_consistency_agreement_is_half_the_score():
     top_is_target = _peter_instance(candidates=_CANDIDATES)
     swapped = [("q12", "Edge of Tomorrow", 0.70), ("q20", "Oblivion", 0.82), ("q27", "District 9", 0.76)]
     top_is_oblivion = _peter_instance(candidates=swapped)
-    disagree = score_semantic_dimension("consistency", naming, top_is_target)
-    agree = score_semantic_dimension("consistency", naming, top_is_oblivion)
+    disagree = score_cot(top_is_target, naming).dims[3]
+    agree = score_cot(top_is_oblivion, naming).dims[3]
     assert agree - disagree == pytest.approx(0.5, abs=1e-12)
 
 
@@ -210,12 +213,7 @@ def test_consistency_without_candidates_uses_neutral_agreement():
         fallback_embed(cot), fallback_embed("the user will interact with the target item")
     )
     expected = 0.5 * semantic_half + 0.25
-    assert score_semantic_dimension("consistency", cot, instance) == pytest.approx(expected, abs=1e-12)
-
-
-def test_unknown_dimension_is_rejected():
-    with pytest.raises(ValueError, match="unknown dimension 'novelty'"):
-        score_semantic_dimension("novelty", "text", _peter_instance())
+    assert score_cot(instance, cot).dims[3] == pytest.approx(expected, abs=1e-12)
 
 
 def test_composite_score_calibration():
@@ -244,9 +242,9 @@ def test_score_cot_combines_the_four_dimensions():
     assert record.retained is False
     expected_dims = (
         score_coherence(cot),
-        score_semantic_dimension("completeness", cot, instance),
-        score_semantic_dimension("relevance", cot, instance),
-        score_semantic_dimension("consistency", cot, instance),
+        oracle_score_semantic_dimension("completeness", cot, instance),
+        oracle_score_semantic_dimension("relevance", cot, instance),
+        oracle_score_semantic_dimension("consistency", cot, instance),
     )
     assert record.dims == expected_dims
     assert record.score == composite_score(expected_dims)
@@ -327,14 +325,25 @@ def test_cot_fixture_load_rejects_malformed_lines(tmp_path):
     assert load_cot_fixture(path) == {("u1", "q1"): "ok"}
 
 
-def _counting(embedder):
+def _counting_tokenizer(monkeypatch):
+    """Record every list of texts the scorer tokenizes."""
+    import fusionrec.cot
+
     calls = []
 
-    def embed(text):
-        calls.append(text)
-        return embedder(text)
+    def counting(texts):
+        calls.append(list(texts))
+        return token_counts(texts)
 
-    return embed, calls
+    monkeypatch.setattr(fusionrec.cot, "token_counts", counting)
+    return calls
+
+
+def _scored_texts(instance, cot) -> set:
+    """The texts a non-blank trace is scored through; never `instance.text()`."""
+    reference = " ".join([instance.history_text(), instance.target_line, instance.prior_line])
+    last = _split_sentences(cot)[-1]
+    return {cot, reference, _frame_text(instance.task), last, LABEL_SENTENCES[instance.label]}
 
 
 @pytest.mark.parametrize(
@@ -346,16 +355,107 @@ def _counting(embedder):
         "the user will interact with the target item",
     ],
 )
-def test_score_cot_embeds_each_distinct_text_once(cot):
+def test_score_cot_embeds_each_distinct_text_once(cot, monkeypatch):
     instance = _peter_instance(candidates=_CANDIDATES)
-    embed, calls = _counting(fallback_embed)
-    record = score_cot(instance, cot, embedder=embed)
-    assert len(calls) == len(set(calls)) <= 5
+    calls = _counting_tokenizer(monkeypatch)
+    record = score_cot(instance, cot)
+    assert len(calls) == 1
+    (texts,) = calls
+    assert len(texts) == len(set(texts)) <= 5
+    assert set(texts) == _scored_texts(instance, cot)
     # every dimension equals its own computation with unshared embeddings
     assert record.dims[1:] == tuple(
-        score_semantic_dimension(dim, cot, instance, fallback_embed)
+        oracle_score_semantic_dimension(dim, cot, instance, oracle_fallback_embed)
         for dim in ("completeness", "relevance", "consistency")
     )
+
+
+def test_score_cots_tokenizes_each_distinct_text_of_a_chunk_once(monkeypatch):
+    peter = _peter_instance(candidates=_CANDIDATES)
+    other = build_instruction_instance(
+        "mary", ["q20", "q27"], "q30", "likelihood 5%", _CATALOG, label=0
+    )
+    closing = "Therefore the user will interact with the target item."
+    cots = [
+        f"Edge of Tomorrow matches the profile. {closing}",
+        f"The history covers superhero films. {closing}",
+        f"Edge of Tomorrow matches the profile. {closing}",
+        "",
+        "  \n ",
+        f"Oblivion fits the mood. {closing}",
+    ]
+    instances = [peter, peter, peter, other, other, other]
+    calls = _counting_tokenizer(monkeypatch)
+    records = score_cots(instances, cots)
+    assert len(calls) == 1
+    (texts,) = calls
+    assert len(texts) == len(set(texts))
+    expected = set()
+    for instance, cot in zip(instances, cots):
+        if cot.strip():
+            expected |= _scored_texts(instance, cot)
+    assert set(texts) == expected
+    for record, instance, cot in zip(records, instances, cots):
+        assert (record.instance, record.cot) == (instance, cot)
+        assert (record.dims, record.score) == oracle_score_cot(instance, cot)
+
+
+_WORDS = st.sampled_from(
+    ["alpine", "Trail", "matches", "fits", "best", "good", "bad", "great", "the", "user",
+     "will", "interact", "with", "target", "item", "ΑΣ", "é", "x_1", "likelihood", "88%"]
+)
+_PHRASE = st.lists(_WORDS, min_size=1, max_size=6).map(" ".join)
+
+
+@st.composite
+def _scored_instances(draw):
+    """An instance over a drawn catalog, with candidates whose priors may tie exactly."""
+    ids = [f"i{n}" for n in range(draw(st.integers(2, 6)))]
+    catalog = {item: (draw(_PHRASE), draw(st.sampled_from(["", "tech saga", "Trail ΑΣ"])))
+               for item in ids}
+    history = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=5))
+    priors = st.sampled_from([0.5, 0.25, 0.25, 0.125])
+    candidates = [(item, catalog[item][0], draw(priors))
+                  for item in draw(st.lists(st.sampled_from(ids), max_size=3, unique=True))]
+    return build_instruction_instance(
+        draw(st.sampled_from(["u1", "u2"])), history, draw(st.sampled_from(ids)),
+        f"likelihood {draw(st.integers(0, 100))}%", catalog,
+        k_prompt=draw(st.integers(1, 4)), label=draw(st.sampled_from([0, 1])),
+        candidates=candidates,
+    )
+
+
+def _trace_for(instance):
+    """Traces that name candidates after cues, end on a label sentence, or are blank."""
+    names = [title for _, title, _ in instance.candidates or []] or ["nothing"]
+    sentence = st.one_of(
+        st.builds("{} matches {}.".format, _PHRASE, st.sampled_from(names)),
+        st.builds("{}!".format, _PHRASE),
+        st.sampled_from(list(LABEL_SENTENCES.values())),
+    )
+    return st.one_of(
+        st.sampled_from(["", "   ", "\n\t"]),
+        st.lists(sentence, min_size=1, max_size=4).map(" ".join),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_score_cots_matches_the_per_record_oracle(data):
+    instances = data.draw(st.lists(_scored_instances(), min_size=1, max_size=6))
+    cots = [data.draw(_trace_for(instance)) for instance in instances]
+    records = score_cots(instances, cots)
+    assert len(records) == len(instances)
+    for record, instance, cot in zip(records, instances, cots):
+        assert (record.dims, record.score) == oracle_score_cot(instance, cot)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=_scored_instances())
+def test_prompt_counts_are_the_reference_counts_plus_the_frame(instance):
+    reference = " ".join([instance.history_text(), instance.target_line, instance.prior_line])
+    prompt, ref, frame = token_counts([instance.text(), reference, _frame_text(instance.task)])
+    assert np.array_equal(prompt, ref + frame)
 
 
 @settings(max_examples=300, deadline=None)

@@ -10,6 +10,7 @@ from fusionrec.semantic import (
     SEMANTIC_DIM,
     SparseVector,
     embed_catalog,
+    embed_texts,
     fallback_embed,
     load_embeddings,
     similarity,
@@ -196,3 +197,21 @@ def test_fully_cancelling_text_maps_to_first_basis_vector():
 def test_fallback_embed_matches_the_md5_loop(parts):
     text = " ".join(parts)
     assert np.array_equal(fallback_embed(text), oracle_fallback_embed(text))
+
+
+_TEXT = st.one_of(
+    st.sampled_from(["", " ", "\t\n ", "alpine Trail", _CANCELLING, _CANCELLING + " " + _CANCELLING]),
+    st.lists(st.sampled_from(["alpine", "TRAIL", "anchor", "ΑΣ", " ", "\n"]), max_size=12).map("".join),
+    st.text(max_size=30),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_TEXT, max_size=12))
+@example([])
+@example(["", "  ", _CANCELLING])
+def test_embed_texts_rows_match_the_md5_loop(texts):
+    rows = embed_texts(texts)
+    assert rows.shape == (len(texts), SEMANTIC_DIM) and rows.dtype == np.float64
+    for row, text in zip(rows, texts):
+        assert np.array_equal(row, oracle_fallback_embed(text))
