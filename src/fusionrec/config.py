@@ -11,6 +11,7 @@ the inputs that produced it.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -117,6 +118,10 @@ def _positive(config: RunConfig, key: str) -> None:
 
 
 def validate(config: RunConfig) -> None:
+    for key, value in config.values.items():
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in (value if isinstance(value, tuple) else (value,))):
+            raise ConfigError(f"{key}: must be finite, got {_render(value)}")
     for key in _PATH_KEYS:
         path = config.get(key)
         if path and not os.path.exists(path):

@@ -236,14 +236,42 @@ def test_adam_first_step_matches_the_reference_formula():
     assert params["w"][2] == theta[2]
 
 
-def test_adam_keeps_per_parameter_state():
+def test_one_adam_over_two_parameters_steps_each_as_its_own_adam_would():
+    rng = np.random.default_rng(9)
+    shapes = {"a": (3, 4), "b": ()}
+    params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    alone = {name: {name: arr.copy()} for name, arr in params.items()}
+    arrays = dict(params)
+    joint, single = Adam(0.05), {name: Adam(0.05) for name in shapes}
+    for _ in range(20):
+        grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        joint.step(params, grads)
+        for name in shapes:
+            single[name].step(alone[name], {name: grads[name]})
+            assert params[name] is arrays[name]
+            assert np.array_equal(params[name], alone[name][name]), name
+    assert joint.t == 20
+
+
+@pytest.mark.parametrize(
+    "later",
+    [
+        {"a": np.ones(2), "c": np.ones(3)},  # renamed
+        {"a": np.ones(2)},  # dropped
+        {"a": np.ones(2), "b": np.ones(4)},  # resized
+    ],
+    ids=["renamed", "dropped", "resized"],
+)
+def test_adam_refuses_a_changed_gradient_layout_before_any_parameter_moves(later):
+    params = {"a": np.zeros(2), "b": np.zeros(3), "c": np.zeros(3)}
     opt = Adam(0.1)
-    params = {"a": np.zeros(2), "b": np.zeros(3)}
     opt.step(params, {"a": np.ones(2), "b": -np.ones(3)})
-    opt.step(params, {"a": np.ones(2), "b": -np.ones(3)})
-    assert opt.t == 2
-    assert set(opt._m) == {"a", "b"}
-    assert params["a"][0] < 0 < params["b"][0]
+    before = {name: arr.copy() for name, arr in params.items()}
+    with pytest.raises(ValueError, match="^gradient layout changed between Adam steps"):
+        opt.step(params, later)
+    for name, arr in params.items():
+        assert np.array_equal(arr, before[name]), name
+    assert opt.t == 1
 
 
 def test_adam_in_place_update_equals_the_textbook_expression_bit_for_bit():

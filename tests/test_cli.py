@@ -757,6 +757,14 @@ def test_heads_that_do_not_divide_the_embedding_are_one_config_error_line(chain,
         assert err == "error: cf.heads: 3 does not divide cf.embed_dim 50\n", stage
 
 
+def test_a_non_finite_learning_rate_is_one_config_error_line(chain, tmp_path):
+    config = tmp_path / "nan.conf"
+    _write_config(config, chain["interactions"], chain["catalog"], ["cf.learning_rate = nan"])
+    rc, _, err = _run(["prepare", "--config", str(config), "--out", str(tmp_path / "o"), "--seed", "0"])
+    assert rc == 2
+    assert err == "error: cf.learning_rate: must be finite, got nan\n"
+
+
 # Each data.* path key and a stage that reads the file it names.
 _INPUT_READERS = {
     "data.interactions": "prepare",

@@ -115,11 +115,24 @@ def test_make_config_converts_lists_and_validates():
         ({"eval.fraction": 0.6}, r"eval.fraction: must lie in \(0, 0.5\]"),
         ({"cf.optimizer": "rmsprop"}, "must be sgd or adam"),
         ({"cf.heads": 3}, "cf.heads: 3 does not divide cf.embed_dim 50"),
+        ({"cf.learning_rate": float("nan")}, "^cf.learning_rate: must be finite, got nan$"),
+        ({"align.learning_rate": float("inf")}, "^align.learning_rate: must be finite, got inf$"),
+        ({"eval.fraction": -1e999}, "^eval.fraction: must be finite, got -inf$"),
+        ({"cot.weights": (float("nan"), 0.25, 0.25, 0.25)}, "^cot.weights: must be finite"),
+        ({"cot.sweep": (0.0, 1e999)}, r"^cot.sweep: must be finite, got 0.0,inf$"),
     ],
 )
 def test_validation_rules(overrides, message):
     with pytest.raises(ConfigError, match=message):
         make_config(overrides)
+
+
+def test_a_non_finite_float_in_a_config_file_is_a_config_error(tmp_path):
+    for raw in ("nan", "-inf", "1e999"):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"cot.sweep = 0.0, {raw}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"^cot.sweep: must be finite, got 0.0,"):
+            parse_config(path)
 
 
 def test_path_keys_must_exist_when_set(tmp_path):
