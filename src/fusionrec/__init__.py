@@ -22,7 +22,6 @@ from .cf import (
     user_representation,
     user_representation_from_vectors,
     user_representations,
-    user_representations_from_vectors,
     verbalize_prior,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -72,7 +71,6 @@ from .evaluate import (
 )
 from .metrics import bleu, rouge
 from .projection import (
-    CotSignal,
     ProjectionStack,
     PromptBundle,
     SurrogateHead,

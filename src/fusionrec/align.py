@@ -37,7 +37,6 @@ import numpy as np
 
 from . import cf as cf_mod
 from .errors import DataError
-from .gradcheck import max_relative_gradient_error
 from .optim import fit, xavier
 from .semantic import SEMANTIC_DIM
 
@@ -53,7 +52,6 @@ __all__ = [
     "build_alignment_dataset",
     "stack_alignment_dataset",
     "unified_item_embedding",
-    "gradient_check",
 ]
 
 _CLAMP = 1e-7
@@ -437,13 +435,3 @@ def unified_item_embedding(
         return encode(net, SEMANTIC, semantic_map[item])
     raise DataError(f"item {item!r} has neither a collaborative embedding nor a semantic one")
 
-
-def gradient_check(net: AlignmentNetwork, batch: AlignmentBatch, h: float = 1e-5) -> float:
-    """Max relative error between the analytic gradients of
-    total_loss_and_gradients and central differences of its loss."""
-    if not len(batch.w) and not len(batch.x):
-        return 0.0
-    _, grads = total_loss_and_gradients(net, batch)
-    return max_relative_gradient_error(
-        lambda: total_loss_and_gradients(net, batch)[0], net.params, grads, h=h
-    )

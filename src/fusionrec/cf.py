@@ -43,7 +43,6 @@ __all__ = [
     "user_representations_from_rows",
     "warm_user_representations",
     "user_representation_from_vectors",
-    "user_representations_from_vectors",
     "next_item_probabilities",
     "item_probabilities",
     "rank_by_score",
@@ -388,35 +387,22 @@ def warm_user_representations(model: CfModel, split, users) -> tuple[dict, np.nd
     return histories, user_representations(model, list(histories.values()))
 
 
-def user_representations_from_vectors(model: CfModel, sequences) -> np.ndarray:
-    """Like user_representations, but each user is a (steps, d) array of
-    per-step embedding vectors.
-
-    Used when history items are outside the collaborative vocabulary and the
-    caller substitutes reconstructed embeddings (zero-shot transfer). The
-    windows are stacked into one table for `user_representations_from_rows`.
-    """
-    window = model.config.max_history
-    steps = []
-    for vectors in sequences:
-        vectors = np.asarray(vectors, dtype=np.float64)
-        if vectors.ndim != 2 or vectors.shape[0] == 0:
-            raise ValueError("need a non-empty (steps, embed_dim) array")
-        steps.append(vectors[-window:])
-    ends = np.cumsum([len(s) for s in steps])
-    rows = [np.arange(end - len(s), end) for s, end in zip(steps, ends)]
-    table = np.concatenate(steps) if steps else np.empty((0, model.config.embed_dim))
-    return user_representations_from_rows(model, table, rows)
-
-
 def user_representation(model: CfModel, history: list[str]) -> np.ndarray:
     """Last-position output of the attention stack over the recent history."""
     return user_representations(model, [history])[0]
 
 
 def user_representation_from_vectors(model: CfModel, vectors: np.ndarray) -> np.ndarray:
-    """One user's user_representations_from_vectors row."""
-    return user_representations_from_vectors(model, [vectors])[0]
+    """Like user_representation, but the user is a (steps, d) array of
+    per-step embedding vectors, cut to the most recent max_history.
+
+    Used when history items are outside the collaborative vocabulary and the
+    caller substitutes reconstructed embeddings (zero-shot transfer).
+    """
+    vectors = np.asarray(vectors, dtype=np.float64)
+    if vectors.ndim != 2 or vectors.shape[0] == 0:
+        raise ValueError("need a non-empty (steps, embed_dim) array")
+    return user_representations_from_rows(model, vectors, [np.arange(len(vectors))])[0]
 
 
 def item_probabilities(model: CfModel, rep: np.ndarray) -> np.ndarray:

@@ -67,7 +67,6 @@ from .data import (
 from .errors import ConfigError, DataError, DependencyError, FusionrecError
 from .evaluate import RecommendationPipeline, cold_warm_report, evaluate_split, render_metric_table
 from .projection import (
-    CotSignal,
     PromptBundle,
     build_projection_examples,
     build_vocabulary,
@@ -465,17 +464,17 @@ def _train_proj(run: _Run) -> dict:
     catalog = _catalog(config)
     semantic_map = _semantic_map(config, model)
     retained = run.read("cots.json", lambda payload: [
-        ((row["user"], row["item"]), row["cot"], row["score"])
+        ((row["user"], row["item"]), row["cot"])
         for row in payload["records"] if row["retained"]
     ])
-    # each signal holds its nonzero hashed buckets; a batch makes its rows dense
+    # each embedding holds its nonzero hashed buckets; a batch makes its rows dense
     retained = retained or []
-    cot_signals = {}
+    cot_embeddings = {}
     for start in range(0, len(retained), FORWARD_ROWS):
         chunk = retained[start : start + FORWARD_ROWS]
-        vectors = embed_texts([cot_text for _, cot_text, _ in chunk])
-        for (key, _, score), vector in zip(chunk, vectors):
-            cot_signals[key] = CotSignal(embedding=SparseVector(vector), score=score)
+        vectors = embed_texts([cot_text for _, cot_text in chunk])
+        for (key, _), vector in zip(chunk, vectors):
+            cot_embeddings[key] = SparseVector(vector)
 
     pipeline = RecommendationPipeline(cf_model=model, alignment=net, semantic_map=semantic_map)
     rng = run.rng()
@@ -485,7 +484,7 @@ def _train_proj(run: _Run) -> dict:
         catalog,
         rng=rng,
         slate_size=config.get("proj.slate_size"),
-        cot_signals=cot_signals,
+        cot_embeddings=cot_embeddings,
     )
     vocabulary = build_vocabulary(catalog)
     head = make_surrogate_head(
@@ -511,7 +510,7 @@ def _train_proj(run: _Run) -> dict:
     )
     print(
         f"trained projections on {len(examples)} examples "
-        f"({len(cot_signals)} with reasoning); final epoch loss {stack.training_log[-1]:.6f}"
+        f"({len(cot_embeddings)} with reasoning); final epoch loss {stack.training_log[-1]:.6f}"
     )
     arrays = {
         **stack.params,
@@ -712,6 +711,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = parse_config(args.config) if args.config else default_config()
         seed = args.seed if args.seed is not None else config.get("seed")
+        if seed < 0:
+            raise ConfigError(f"--seed: must be >= 0, got {seed}")
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:

@@ -122,6 +122,8 @@ def validate(config: RunConfig) -> None:
         if any(isinstance(v, float) and not math.isfinite(v)
                for v in (value if isinstance(value, tuple) else (value,))):
             raise ConfigError(f"{key}: must be finite, got {_render(value)}")
+    if config.get("seed") < 0:
+        raise ConfigError(f"seed: must be >= 0, got {config.get('seed')}")
     for key in _PATH_KEYS:
         path = config.get(key)
         if path and not os.path.exists(path):

@@ -74,7 +74,6 @@ class InstructionInstance:
     target_line: str
     prior_line: str
     label: int
-    history_items: tuple[str, ...]
     target_item: str
     candidates: list[tuple[str, str, float]] | None = None  # (id, title, prior)
 
@@ -132,7 +131,6 @@ def build_instruction_instance(
         target_line=item_line(target),
         prior_line=prior_text,
         label=int(label),
-        history_items=tuple(history),
         target_item=target,
         candidates=list(candidates) if candidates else None,
     )

@@ -31,12 +31,10 @@ import numpy as np
 
 from .errors import DataError
 from .evaluate import sample_pool
-from .gradcheck import max_relative_gradient_error
 from .optim import fit, xavier
 
 __all__ = [
     "ProjectionStack",
-    "CotSignal",
     "PromptBundle",
     "SurrogateHead",
     "UserContext",
@@ -52,7 +50,6 @@ __all__ = [
     "rank_candidates",
     "request_explanation",
     "build_projection_examples",
-    "gradient_check_projection",
 ]
 
 PROMPT_INSTRUCTION = "Choose the item this user is most likely to interact with next."
@@ -71,18 +68,6 @@ class ProjectionStack:
 
 
 @dataclass
-class CotSignal:
-    """Embedding of a retained reasoning text plus its quality score.
-
-    The embedding is an array or anything `np.asarray` makes one of, such as
-    a `semantic.SparseVector`.
-    """
-
-    embedding: np.ndarray
-    score: float
-
-
-@dataclass
 class PromptBundle:
     """Ordered segments; each is ("text", str) or ("soft", name, vector)."""
 
@@ -92,7 +77,6 @@ class PromptBundle:
 
 @dataclass
 class SurrogateHead:
-    vocabulary: list[str]
     token_index: dict[str, int]
     w_out: np.ndarray  # (|V|, d_token), frozen
     b_out: np.ndarray  # (|V|,), frozen
@@ -167,8 +151,7 @@ def project_components(stack: ProjectionStack, x_user, z_item, r_cot=None):
     o_z, _ = _mlp_forward(stack.params, "fz", z_item)
     o_r = None
     if r_cot is not None:
-        r_vec = r_cot.embedding if isinstance(r_cot, CotSignal) else r_cot
-        o_r_arr, _ = _mlp_forward(stack.params, "fr", r_vec)
+        o_r_arr, _ = _mlp_forward(stack.params, "fr", r_cot)
         o_r = o_r_arr[0]
     return o_x[0], o_z[0], o_r
 
@@ -223,7 +206,6 @@ def make_surrogate_head(vocabulary: list[str], d_token: int = 256, seed: int = 0
     for arr in (w_out, b_out, token_emb):
         arr.flags.writeable = False
     return SurrogateHead(
-        vocabulary=list(vocabulary),
         token_index={tok: i for i, tok in enumerate(vocabulary)},
         w_out=w_out,
         b_out=b_out,
@@ -479,15 +461,16 @@ def build_projection_examples(
     *,
     rng: np.random.Generator,
     slate_size: int = 100,
-    cot_signals: dict[tuple[str, str], CotSignal] | None = None,
+    cot_embeddings: dict[tuple[str, str], np.ndarray] | None = None,
 ) -> list[ProjectionExample]:
     """Training rows targeting each user's validation item.
 
     The slate holds the target plus sampled items from outside the user's
     sequence (mirroring the evaluation pool structure), each with its unified
     latent embedding, gathered from one item table over the item universe.
-    User vectors are computed in one batch. When a retained CoT exists for
-    (user, target), its embedding rides along as the reasoning segment.
+    User vectors are computed in one batch. When `cot_embeddings` holds the
+    embedding of a retained CoT for (user, target), an array or a
+    `semantic.SparseVector`, it rides along as the reasoning segment.
     A split item without catalog text, or a target whose title has no
     token, is a DataError.
     """
@@ -509,25 +492,14 @@ def build_projection_examples(
             (item, catalog[item][0], table.latent[table.index[item]])
             for item in sorted(sample_pool(split, user, target, universe, position, slate_size, rng))
         ]
-        signal = (cot_signals or {}).get((user, target))
         examples.append(
             ProjectionExample(
                 x_user=x_user,
                 slate=slate,
-                r_vec=signal.embedding if signal is not None else None,
+                r_vec=(cot_embeddings or {}).get((user, target)),
                 target_tokens=catalog[target][0].lower().split(),
                 user=user,
             )
         )
     return examples
 
-
-def gradient_check_projection(stack: ProjectionStack, example: ProjectionExample,
-                              head: SurrogateHead, h: float = 1e-5) -> float:
-    """Finite-difference verification of the surrogate-loss gradients."""
-    _, grads = surrogate_loss_and_gradients(stack, example, head)
-
-    def loss_fn():
-        return surrogate_loss_and_gradients(stack, example, head)[0]
-
-    return max_relative_gradient_error(loss_fn, stack.params, grads, h=h)

@@ -20,7 +20,10 @@ import pytest
 
 from conftest import log_from_planted
 from oracles import (
+    gradient_check,
+    gradient_check_projection,
     make_linear_alignment_suite,
+    max_relative_gradient_error,
     oracle_alignment_terms,
     oracle_bleu,
     oracle_hit_rate,
@@ -33,7 +36,6 @@ from oracles import (
 from fusionrec.align import (
     AlignmentNetwork,
     build_alignment_dataset,
-    gradient_check,
     init_alignment,
     stack_alignment_dataset,
     total_loss_and_gradients,
@@ -58,12 +60,10 @@ from fusionrec.evaluate import (
     evaluate_split,
     zero_shot_eval,
 )
-from fusionrec.gradcheck import max_relative_gradient_error
 from fusionrec.metrics import bleu, hit_rate_from_ranks, ndcg_from_ranks, rouge
 from fusionrec.projection import (
     ProjectionExample,
     build_vocabulary,
-    gradient_check_projection,
     init_projection_stack,
     make_surrogate_head,
 )

@@ -20,7 +20,6 @@ from fusionrec.align import (
     build_alignment_dataset,
     decode,
     encode,
-    gradient_check,
     init_alignment,
     stack_alignment_dataset,
     total_loss_and_gradients,
@@ -31,10 +30,11 @@ from fusionrec.align import (
 from fusionrec.cf import CfConfig, train_cf
 from fusionrec.data import SplitDataset, TrainingSequence
 from fusionrec.errors import DataError, TrainingError
-from fusionrec.gradcheck import max_relative_gradient_error
 from fusionrec.optim import make_optimizer
 from fusionrec.semantic import fallback_embed
 from oracles import (
+    gradient_check,
+    max_relative_gradient_error,
     oracle_alignment_loss_and_gradients,
     oracle_alignment_records,
     oracle_alignment_terms,

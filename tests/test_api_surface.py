@@ -17,8 +17,6 @@ import pathlib
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "fusionrec"
 
 UNREFERENCED = {
-    "align.gradient_check": "finite-difference check of the alignment gradients",
-    "projection.gradient_check_projection": "finite-difference check of the projection gradients",
     "synthetic.make_planted_dataset": "generates the planted worlds the demos and benchmark run on",
     "synthetic.make_zero_shot_variant": "generates the renamed-id world of the zero-shot protocol",
     "synthetic.planted_successor": "names the planted next item that demos check against",
@@ -28,6 +26,7 @@ UNREFERENCED = {
     "cot.score_cot": "wrapped by the benchmark's per-layer timing",
     "semantic.fallback_embed": "wrapped by the benchmark's per-layer timing",
     "cf.user_representation_from_vectors": "wrapped by the benchmark's per-layer timing",
+    "projection.surrogate_loss_and_gradients": "the soft-prompt demo scores its examples with it",
     "projection.project_components": "soft-prompt path; stays or goes with the reasoning-path verdict",
     "projection.rank_candidates": "soft-prompt ranking, to be rewritten with per-candidate contexts",
     "evaluate.zero_shot_eval": "the zero-shot protocol, which eval does not run yet",

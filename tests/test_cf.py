@@ -24,7 +24,7 @@ from fusionrec.cf import (
     user_representation,
     user_representation_from_vectors,
     user_representations,
-    user_representations_from_vectors,
+    user_representations_from_rows,
     verbalize_prior,
 )
 from fusionrec.data import (
@@ -35,9 +35,13 @@ from fusionrec.data import (
     leave_one_out_split,
 )
 from fusionrec.errors import TrainingError
-from fusionrec.gradcheck import max_relative_gradient_error
 from fusionrec.synthetic import make_planted_dataset
-from oracles import oracle_cf_backward, oracle_cf_forward, oracle_rank_by_score
+from oracles import (
+    max_relative_gradient_error,
+    oracle_cf_backward,
+    oracle_cf_forward,
+    oracle_rank_by_score,
+)
 
 
 def _toy_instances():
@@ -217,10 +221,6 @@ def test_vector_override_matches_embedding_lookup(toy_world):
         user_representation(model, history),
         atol=1e-12,
     )
-    with pytest.raises(ValueError, match="non-empty"):
-        user_representation_from_vectors(model, np.zeros((0, model.config.embed_dim)))
-    with pytest.raises(ValueError):
-        user_representation_from_vectors(model, np.zeros(model.config.embed_dim))
 
 
 def test_empty_history_is_rejected(toy_world):
@@ -388,15 +388,29 @@ def test_batched_representations_equal_per_user_runs_for_mixed_lengths(toy_world
     for history, row in zip(histories, batched):
         ids = np.array([model.indices_for(history[-window:])], dtype=np.int64)
         assert np.array_equal(row, _one_user_forward(model, ids=ids))
+    with pytest.raises(ValueError, match="non-empty"):
+        user_representations(model, [histories[0], []])
 
+
+def test_one_user_vectors_match_their_rows_of_a_stacked_table(toy_world):
+    model = toy_world["cf"]
+    window = model.config.max_history
+    rng = np.random.default_rng(5)
+    # lengths 1, exactly the window and past it
+    lengths = [1, window, window + 1, window + 7] + list(rng.integers(1, window + 6, size=20))
     sequences = [rng.normal(size=(n, model.config.embed_dim)) for n in lengths]
-    batched = user_representations_from_vectors(model, sequences)
-    for vectors, row in zip(sequences, batched):
+    ends = np.cumsum(lengths)
+    rows = [np.arange(end - n, end) for n, end in zip(lengths, ends)]
+    stacked = user_representations_from_rows(model, np.concatenate(sequences), rows)
+    for vectors, row in zip(sequences, stacked):
+        assert np.array_equal(user_representation_from_vectors(model, vectors), row)
         recent = vectors[-window:]
         h0 = (recent + model.params["pos_emb"][: len(recent)])[None]
         assert np.array_equal(row, _one_user_forward(model, h0=h0))
     with pytest.raises(ValueError, match="non-empty"):
-        user_representations(model, [histories[0], []])
+        user_representation_from_vectors(model, np.zeros((0, model.config.embed_dim)))
+    with pytest.raises(ValueError, match="non-empty"):
+        user_representation_from_vectors(model, np.zeros(model.config.embed_dim))
 
 
 def _peak_bytes(call) -> int:

@@ -13,9 +13,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from fusionrec import checkpoint as checkpoint_module
 from fusionrec.checkpoint import load_checkpoint, load_checkpoint_header, save_checkpoint
 from fusionrec.errors import DataError
-from fusionrec.gradcheck import max_relative_gradient_error
 from fusionrec.optim import Adam, Sgd, make_optimizer
-from oracles import oracle_adam
+from oracles import max_relative_gradient_error, oracle_adam
 
 
 def _sample_arrays():
@@ -187,8 +186,17 @@ def _with_header(header: bytes) -> bytes:
         _with_header(b'{"arrays":[],"meta":{}}'),
         _with_header(b'{"arrays":[{"shape":[2]}],"kind":"cf","meta":{}}'),
         _with_header(b'[1, 2]'),
+        _with_header(b'{"arrays":[],"kind":"cf","meta":[]}'),
+        _with_header(b'{"arrays":[{"name":"w","shape":["x"]}],"kind":"cf","meta":{}}'),
+        _with_header(b'{"arrays":[{"name":"w","shape":[-1,2]}],"kind":"cf","meta":{}}'),
+        _with_header(b'{"arrays":[{"name":"w","shape":[1.5]}],"kind":"cf","meta":{}}'),
+        _with_header(b'{"arrays":[{"name":"w","shape":[true]}],"kind":"cf","meta":{}}'),
+        _with_header(b'{"arrays":[{"name":[1],"shape":[]}],"kind":"cf","meta":{}}') + bytes(8),
     ],
-    ids=["cut-json", "bad-utf8", "no-kind", "array-without-name", "not-an-object"],
+    ids=[
+        "cut-json", "bad-utf8", "no-kind", "array-without-name", "not-an-object", "meta-list",
+        "shape-string", "shape-negative", "shape-float", "shape-bool", "name-not-a-string",
+    ],
 )
 def test_corrupt_checkpoint_header_is_a_data_error(tmp_path, blob):
     path = tmp_path / "bad.ckpt"

@@ -445,6 +445,14 @@ def _drop_first_test_user(blob: bytes) -> bytes:
         ("cf.ckpt", lambda blob: blob[:60], "train-align"),
         ("cf.ckpt", lambda blob: _ckpt_with_header(b'{"kind":"cf","meta":{}}'), "cot"),
         ("cf.ckpt", lambda blob: _ckpt_with_header(b'{"arrays":[],"kind":"cf","meta":{}}'), "cot"),
+        (
+            "cf.ckpt",
+            lambda blob: _ckpt_with_header(
+                b'{"arrays":[{"name":"w","shape":["x"]}],"kind":"cf","meta":{}}'
+            ),
+            "report",
+        ),
+        ("cf.ckpt", lambda blob: _ckpt_with_header(b'{"arrays":[],"kind":"cf","meta":[]}'), "report"),
         ("split.json", lambda blob: blob[:3], "train-cf"),
         ("split.json", lambda blob: b"\xff\xfe" + blob, "train-align"),
         ("split.json", lambda blob: b'{"train": {}}', "eval"),
@@ -454,8 +462,9 @@ def _drop_first_test_user(blob: bytes) -> bytes:
         ("report_standard.json", lambda blob: b'{"hr": {}}', "report"),
     ],
     ids=[
-        "cf-cut", "cf-no-arrays", "cf-no-items", "split-cut", "split-bad-utf8", "split-no-keys",
-        "split-users-differ", "cots-no-records", "partition-no-warm", "report-no-users",
+        "cf-cut", "cf-no-arrays", "cf-no-items", "cf-shape-not-an-int", "cf-meta-a-list",
+        "split-cut", "split-bad-utf8", "split-no-keys", "split-users-differ", "cots-no-records",
+        "partition-no-warm", "report-no-users",
     ],
 )
 def test_corrupt_artifact_is_one_error_line_and_exit_3(chain, tmp_path, artifact, damage, stage):
@@ -763,6 +772,24 @@ def test_a_non_finite_learning_rate_is_one_config_error_line(chain, tmp_path):
     rc, _, err = _run(["prepare", "--config", str(config), "--out", str(tmp_path / "o"), "--seed", "0"])
     assert rc == 2
     assert err == "error: cf.learning_rate: must be finite, got nan\n"
+
+
+@pytest.mark.parametrize(
+    "extra, seed, message",
+    [([], "-1", "--seed: must be >= 0, got -1"), (["seed = -3"], None, "seed: must be >= 0, got -3")],
+    ids=["flag", "config"],
+)
+def test_a_negative_seed_is_one_config_error_line_before_any_write(
+    chain, tmp_path, extra, seed, message
+):
+    config = tmp_path / "seed.conf"
+    _write_config(config, chain["interactions"], chain["catalog"], extra)
+    out_dir = tmp_path / "o"
+    argv = ["prepare", "--config", str(config), "--out", str(out_dir)]
+    rc, _, err = _run(argv + (["--seed", seed] if seed else []))
+    assert rc == 2
+    assert err == f"error: {message}\n"
+    assert not out_dir.exists()
 
 
 # Each data.* path key and a stage that reads the file it names.

@@ -120,6 +120,7 @@ def test_make_config_converts_lists_and_validates():
         ({"eval.fraction": -1e999}, "^eval.fraction: must be finite, got -inf$"),
         ({"cot.weights": (float("nan"), 0.25, 0.25, 0.25)}, "^cot.weights: must be finite"),
         ({"cot.sweep": (0.0, 1e999)}, r"^cot.sweep: must be finite, got 0.0,inf$"),
+        ({"seed": -3}, "^seed: must be >= 0, got -3$"),
     ],
 )
 def test_validation_rules(overrides, message):

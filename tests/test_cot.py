@@ -78,7 +78,6 @@ def test_instruction_instance_assembles_four_parts():
     assert "User history:\n1. Spider-Man" in text
     assert "Target item:\nEdge of Tomorrow - time loop" in text
     assert text.endswith("CF prior: likelihood 88%")
-    assert instance.history_items == ("q5", "q8", "q10", "q5")
     assert instance.target_item == "q12"
     assert instance.candidates is None
 

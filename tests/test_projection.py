@@ -14,18 +14,15 @@ from fusionrec.align import unified_item_embedding
 from fusionrec.cot import FixtureAdapter, load_explanation_fixture
 from fusionrec.errors import DataError, TrainingError
 from fusionrec.evaluate import RecommendationPipeline
-from fusionrec.gradcheck import max_relative_gradient_error
 from fusionrec.projection import (
     PROMPT_INSTRUCTION,
     PROMPT_QUERY,
-    CotSignal,
     ProjectionExample,
     SurrogateHead,
     UserContext,
     assemble_prompt,
     build_projection_examples,
     build_vocabulary,
-    gradient_check_projection,
     init_projection_stack,
     make_surrogate_head,
     project_components,
@@ -38,7 +35,12 @@ from fusionrec.projection import (
     _theta_free_parts,
 )
 from fusionrec.semantic import fallback_embed
-from oracles import oracle_projection_training, oracle_slate_items
+from oracles import (
+    gradient_check_projection,
+    max_relative_gradient_error,
+    oracle_projection_training,
+    oracle_slate_items,
+)
 
 
 def _tiny_stack(seed=2):
@@ -86,9 +88,6 @@ def test_project_components_is_a_pair_of_two_layer_mlps():
     assert np.allclose(o_z, forward("fz", z_item), atol=1e-12)
     assert np.allclose(o_r, forward("fr", r_cot), atol=1e-12)
     assert o_x.shape == o_z.shape == o_r.shape == (8,)
-
-    _, _, from_signal = project_components(stack, x_user, z_item, CotSignal(r_cot, 0.9))
-    assert np.array_equal(from_signal, o_r)
     assert project_components(stack, x_user, z_item)[2] is None
 
 
@@ -158,7 +157,6 @@ def test_make_surrogate_head_is_seeded_and_frozen():
 def test_zero_head_loss_is_log_vocab_size():
     vocab = [f"t{i:02d}" for i in range(50)]
     zero_head = SurrogateHead(
-        vocabulary=vocab,
         token_index={t: i for i, t in enumerate(vocab)},
         w_out=np.zeros((50, 16)),
         b_out=np.zeros(50),
@@ -413,13 +411,13 @@ def test_build_projection_examples_structure(toy_world, toy_pipeline):
 
     user = list(split.users())[0]
     target = split.validation[user]
-    signal = CotSignal(embedding=fallback_embed("trace"), score=0.9)
+    embedding = fallback_embed("trace")
     with_cot = build_projection_examples(
         toy_pipeline, split, catalog, rng=np.random.default_rng(9), slate_size=8,
-        cot_signals={(user, target): signal},
+        cot_embeddings={(user, target): embedding},
     )
     flagged = {ex.user: ex for ex in with_cot}[user]
-    assert np.array_equal(flagged.r_vec, signal.embedding)
+    assert flagged.r_vec is embedding
 
 
 def test_load_explanation_fixture_roundtrip(tmp_path):
