@@ -11,9 +11,10 @@ import numpy as np
 
 from fusionrec.cot import FixtureAdapter
 from fusionrec.projection import (
+    PROMPT_INSTRUCTION,
+    PROMPT_QUERY,
     ProjectionExample,
-    UserContext,
-    assemble_prompt,
+    PromptBundle,
     init_projection_stack,
     make_surrogate_head,
     project_components,
@@ -46,10 +47,19 @@ for u in range(20):
         user=f"u{u:02d}",
     ))
 
+
+def one_item_prompt(example, item):
+    """The prompt for one candidate, as an adapter would be shown it."""
+    o_x, o_z, _ = project_components(stack, example.x_user, z_vecs[item], None)
+    return PromptBundle(
+        segments=[("soft", "user", o_x), ("text", PROMPT_INSTRUCTION), ("text", titles[item]),
+                  ("soft", "item0", o_z), ("text", PROMPT_QUERY)],
+        user=example.user,
+    )
+
+
 # --- what the frozen model would actually see ---
-first = examples[0]
-o_x, o_z, o_r = project_components(stack, first.x_user, z_vecs["q0"], None)
-bundle = assemble_prompt(o_x, [(titles["q0"], o_z)], user=first.user)
+bundle = one_item_prompt(examples[0], "q0")
 print("prompt segments:", [seg[0] for seg in bundle.segments])
 print("rendered as text for an adapter (truncated):")
 print(render_prompt_text(bundle)[:160], "...")
@@ -62,8 +72,7 @@ def mean_loss():
 def mean_reciprocal_rank():
     total = 0.0
     for u, ex in enumerate(examples):
-        context = UserContext(x_user=ex.x_user, r_vec=ex.r_vec)
-        ranked = rank_candidates(stack, head, context, ex.slate)
+        ranked = rank_candidates(stack, head, ex.x_user, ex.slate, ex.r_vec)
         total += 1.0 / (ranked.index(f"q{u % n_items}") + 1)
     return total / len(examples)
 
@@ -75,12 +84,10 @@ print(f"after 60 epochs:  loss {mean_loss():.4f}, MRR {mean_reciprocal_rank():.4
 
 # --- rank a slate for one user and explain the winner ---
 user = examples[4]
-context = UserContext(x_user=user.x_user, r_vec=user.r_vec)
-ranked = rank_candidates(stack, head, context, user.slate)
+ranked = rank_candidates(stack, head, user.x_user, user.slate, user.r_vec)
 print(f"\n{user.user} slate order: {ranked[:3]} ... (target q4)")
 
 winner = ranked[0]
-o_x, o_z, _ = project_components(stack, user.x_user, z_vecs[winner], None)
-bundle = assemble_prompt(o_x, [(titles[winner], o_z)], user=user.user)
+bundle = one_item_prompt(user, winner)
 fixture = FixtureAdapter({(user.user, winner): "It continues the run of even-index picks."})
 print("explanation:", request_explanation(winner, fixture, bundle))

@@ -74,8 +74,6 @@ from .projection import (
     ProjectionStack,
     PromptBundle,
     SurrogateHead,
-    UserContext,
-    assemble_prompt,
     build_projection_examples,
     build_vocabulary,
     init_projection_stack,

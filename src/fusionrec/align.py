@@ -44,6 +44,7 @@ __all__ = [
     "AlignmentNetwork",
     "AlignmentBatch",
     "AlignmentDataset",
+    "network_shapes",
     "init_alignment",
     "encode",
     "decode",
@@ -197,6 +198,20 @@ def stack_alignment_dataset(users, items, e, q, pairs, triples) -> AlignmentData
     )
 
 
+def network_shapes(collab_dim: int, sem_dim: int, latent_dim: int) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter of an alignment network, in draw order."""
+    return {
+        "enc_c.w": (latent_dim, collab_dim),
+        "enc_c.b": (latent_dim,),
+        "enc_s.w": (latent_dim, sem_dim),
+        "enc_s.b": (latent_dim,),
+        "dec_c.w": (collab_dim, latent_dim),
+        "dec_c.b": (collab_dim,),
+        "dec_s.w": (sem_dim, latent_dim),
+        "dec_s.b": (sem_dim,),
+    }
+
+
 def init_alignment(
     collab_dim: int = 50,
     sem_dim: int = 768,
@@ -207,14 +222,8 @@ def init_alignment(
     rng: np.random.Generator,
 ) -> AlignmentNetwork:
     params = {
-        "enc_c.w": xavier(rng, latent_dim, collab_dim),
-        "enc_c.b": np.zeros(latent_dim),
-        "enc_s.w": xavier(rng, latent_dim, sem_dim),
-        "enc_s.b": np.zeros(latent_dim),
-        "dec_c.w": xavier(rng, collab_dim, latent_dim),
-        "dec_c.b": np.zeros(collab_dim),
-        "dec_s.w": xavier(rng, sem_dim, latent_dim),
-        "dec_s.b": np.zeros(sem_dim),
+        name: xavier(rng, *shape) if len(shape) == 2 else np.zeros(shape)
+        for name, shape in network_shapes(collab_dim, sem_dim, latent_dim).items()
     }
     return AlignmentNetwork(collab_dim, sem_dim, latent_dim, alpha, beta, params)
 

@@ -36,6 +36,7 @@ from .optim import fit, xavier
 __all__ = [
     "CfConfig",
     "CfModel",
+    "model_shapes",
     "train_cf",
     "training_loss_and_gradients",
     "user_representation",
@@ -98,18 +99,28 @@ class CfModel:
         return np.array(sorted(range(len(self.items)), key=self.items.__getitem__), dtype=np.intp)
 
 
-def _init_params(config: CfConfig, n_items: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
+def model_shapes(config: CfConfig, n_items: int) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter of a model over `n_items` items, in draw order."""
     d = config.embed_dim
-    params: dict[str, np.ndarray] = {}
-    params["item_emb"] = rng.normal(0.0, 0.1, size=(n_items + 1, d))
-    params["item_emb"][0] = 0.0
-    params["pos_emb"] = rng.normal(0.0, 0.1, size=(config.max_history, d))
-
+    shapes = {"item_emb": (n_items + 1, d), "pos_emb": (config.max_history, d)}
     for b in range(config.blocks):
         for name in ("wq", "wk", "wv", "wo", "w1", "w2"):
-            params[f"blk{b}.{name}"] = xavier(rng, d, d)
+            shapes[f"blk{b}.{name}"] = (d, d)
         for name in ("bq", "bv", "bo", "b1", "b2"):
-            params[f"blk{b}.{name}"] = np.zeros(d)
+            shapes[f"blk{b}.{name}"] = (d,)
+    return shapes
+
+
+def _init_params(config: CfConfig, n_items: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    params: dict[str, np.ndarray] = {}
+    for name, shape in model_shapes(config, n_items).items():
+        if name in ("item_emb", "pos_emb"):
+            params[name] = rng.normal(0.0, 0.1, size=shape)
+        elif len(shape) == 2:
+            params[name] = xavier(rng, *shape)
+        else:
+            params[name] = np.zeros(shape)
+    params["item_emb"][0] = 0.0
     return params
 
 

@@ -67,7 +67,7 @@ def save_checkpoint(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) 
 def _read_header(fh, path) -> tuple[str, dict, list[tuple[str, tuple[int, ...]]]]:
     """Kind, meta and array entries of a file whose size matches them; leaves
     `fh` at the start of the payload. The meta must be a JSON object, each
-    name a string and each shape a list of non-negative integers."""
+    name a distinct string and each shape a list of non-negative integers."""
     magic = fh.read(len(_MAGIC))
     if magic != _MAGIC:
         raise DataError(f"{path}: not a checkpoint file")
@@ -87,10 +87,14 @@ def _read_header(fh, path) -> tuple[str, dict, list[tuple[str, tuple[int, ...]]]
     fh.read(1)  # trailing newline
     # the file must end where the header's arrays do; its size is checked, not read
     end, size = fh.tell(), os.fstat(fh.fileno()).st_size
+    seen: set[str] = set()
     for name, shape in entries:
         # `type(n) is int`, since bool subclasses int and `true` is no dimension
         if not isinstance(name, str) or not all(type(n) is int and n >= 0 for n in shape):
             raise DataError(f"{path}: corrupt header (array {name!r} of shape {list(shape)})")
+        if name in seen:
+            raise DataError(f"{path}: corrupt header (array {name!r} named twice)")
+        seen.add(name)
         end += 8 * math.prod(shape)
         if end > size:
             raise DataError(f"{path}: truncated array payload for {name!r}")

@@ -27,12 +27,19 @@ from typing import Callable
 
 import numpy as np
 
-from .align import AlignmentNetwork, build_alignment_dataset, init_alignment, train_alignment
+from .align import (
+    AlignmentNetwork,
+    build_alignment_dataset,
+    init_alignment,
+    network_shapes,
+    train_alignment,
+)
 from .cf import (
     FORWARD_ROWS,
     CfConfig,
     CfModel,
     item_probabilities,
+    model_shapes,
     top_items,
     train_cf,
     verbalize_prior,
@@ -130,11 +137,23 @@ def _partition_from_json(payload) -> ColdWarmPartition:
     )
 
 
+def _check_arrays(arrays: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]]) -> None:
+    """Raise ValueError unless `arrays` holds exactly the named arrays of these shapes."""
+    for name in sorted(set(arrays) | set(shapes)):
+        found, wanted = (arrays[name].shape if name in arrays else None), shapes.get(name)
+        if found != wanted:
+            raise ValueError(f"array {name!r}: shape {found} in the file, {wanted} by the header")
+
+
 def _cf_from_checkpoint(content) -> CfModel:
     meta, arrays = content
     items = list(meta["items"])
+    if len(set(items)) != len(items):
+        raise ValueError("an item is named twice in items")
+    config = CfConfig(**meta["config"])
+    _check_arrays(arrays, model_shapes(config, len(items)))
     return CfModel(
-        config=CfConfig(**meta["config"]),
+        config=config,
         item_index={item: i + 1 for i, item in enumerate(items)},
         items=items,
         params=arrays,
@@ -149,6 +168,8 @@ _ALIGN_FIELDS = ("collab_dim", "sem_dim", "latent_dim", "alpha", "beta")
 def _align_from_checkpoint(content) -> AlignmentNetwork:
     meta, arrays = content
     fields = {name: meta[name] for name in _ALIGN_FIELDS}
+    dims = (fields["collab_dim"], fields["sem_dim"], fields["latent_dim"])
+    _check_arrays(arrays, network_shapes(*dims))
     log = list(meta.get("training_log", []))
     return AlignmentNetwork(**fields, params=arrays, training_log=log)
 

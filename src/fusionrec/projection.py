@@ -1,15 +1,14 @@
-"""Projection into token space, prompt assembly, surrogate training, ranking.
+"""Projection into token space, surrogate training and ranking.
 
 Three 2-layer MLPs (affine -> ReLU -> affine) map the user representation,
 the unified item embedding, and the CoT text embedding into a shared
-d_token-dim space. Projected vectors are placed into a PromptBundle as soft
-segments: [O_X] -> instruction -> per candidate (title, O_Z) -> [O_r] ->
-query.
+d_token-dim space. The projected vectors are soft segments of one prompt:
+[O_X] -> instruction -> per slate item (title, O_Z) -> [O_r] -> query.
 
 The real frozen language model is replaced by a surrogate head: a seeded,
 frozen affine map from d_token to a title-token vocabulary plus a frozen
 token-embedding lookup. The context for each target step is the mean of all
-bundle segment vectors plus the mean of the embedded target prefix; the
+prompt segment vectors plus the mean of the embedded target prefix; the
 training loss is the negative mean log-likelihood of the target tokens,
 differentiable with respect to the projection parameters only.
 
@@ -17,8 +16,10 @@ Training works on stacked arrays, one batch per optimizer step: one forward
 and one backward pass per MLP over every row of the batch (each slate row
 of every example through the item MLP at once), and one logits GEMM over
 every target step of the batch. The parts of an example that do not depend
-on the parameters (its target indices, prefix means and text-segment sum)
-are computed once per run, before the first step.
+on the parameters (its target indices, prefix means, text-segment sum and
+segment count) are computed once per run, before the first step. Ranking
+runs the same forward over one slate and orders the candidates by the
+training loss with each one's title as the target.
 """
 
 from __future__ import annotations
@@ -37,13 +38,11 @@ __all__ = [
     "ProjectionStack",
     "PromptBundle",
     "SurrogateHead",
-    "UserContext",
     "ProjectionExample",
     "init_projection_stack",
     "build_vocabulary",
     "make_surrogate_head",
     "project_components",
-    "assemble_prompt",
     "render_prompt_text",
     "surrogate_loss_and_gradients",
     "train_projections",
@@ -85,16 +84,8 @@ class SurrogateHead:
 
 
 @dataclass
-class UserContext:
-    """Per-user inputs for ranking: projected user vector plus optional CoT."""
-
-    x_user: np.ndarray
-    r_vec: np.ndarray | None = None
-
-
-@dataclass
 class ProjectionExample:
-    """One training row: raw bundle inputs plus the target title tokens."""
+    """One training row: raw prompt inputs plus the target title tokens."""
 
     x_user: np.ndarray
     slate: list  # list of (item_id, title, z_vector)
@@ -156,21 +147,6 @@ def project_components(stack: ProjectionStack, x_user, z_item, r_cot=None):
     return o_x[0], o_z[0], o_r
 
 
-def assemble_prompt(o_x, candidates, o_r=None, user=None) -> PromptBundle:
-    """Layout: [O_X] -> instruction -> (title, O_Z) per candidate -> [O_r] -> query."""
-    if not candidates:
-        raise ValueError("need at least one candidate")
-    segments: list = [("soft", "user", np.asarray(o_x, dtype=np.float64))]
-    segments.append(("text", PROMPT_INSTRUCTION))
-    for i, (title, o_z) in enumerate(candidates):
-        segments.append(("text", title))
-        segments.append(("soft", f"item{i}", np.asarray(o_z, dtype=np.float64)))
-    if o_r is not None:
-        segments.append(("soft", "reasoning", np.asarray(o_r, dtype=np.float64)))
-    segments.append(("text", PROMPT_QUERY))
-    return PromptBundle(segments=segments, user=user)
-
-
 def render_prompt_text(bundle: PromptBundle) -> str:
     """The bundle as text for an adapter's prompt; each soft vector becomes a
     `<SOFT:name:base64>` placeholder holding its little-endian float64 bytes."""
@@ -213,25 +189,6 @@ def make_surrogate_head(vocabulary: list[str], d_token: int = 256, seed: int = 0
         seed=seed,
     )
 
-
-def _segment_vector(seg, head: SurrogateHead, d_token: int) -> np.ndarray:
-    if seg[0] == "soft":
-        vec = seg[2]
-        if vec.shape != (d_token,):
-            raise ValueError(f"soft segment {seg[1]!r} has shape {vec.shape}, want ({d_token},)")
-        return vec
-    known = [head.token_index[t] for t in seg[1].lower().split() if t in head.token_index]
-    if not known:
-        return np.zeros(d_token)
-    return head.token_emb[known].mean(axis=0)
-
-
-def _context_base(bundle: PromptBundle, head: SurrogateHead) -> tuple[np.ndarray, int]:
-    d_token = head.w_out.shape[1]
-    total = np.zeros(d_token)
-    for seg in bundle.segments:
-        total += _segment_vector(seg, head, d_token)
-    return total / len(bundle.segments), len(bundle.segments)
 
 def _prefix_means(target_idx: list[int], head: SurrogateHead) -> np.ndarray:
     """Row t = mean embedding of target tokens before step t (row 0 is zero)."""
@@ -279,35 +236,26 @@ def _nll_and_context_grads(means: np.ndarray, targets: list, prefixes: list,
     return losses, np.add.reduceat(d_logits @ head.w_out, starts, axis=0)
 
 
-def _example_text_cache(example: ProjectionExample, head: SurrogateHead,
-                        vectors: dict[str, np.ndarray]):
-    """Sum of text-segment vectors (instruction, titles, query): theta-free.
-
-    `vectors` memoises each distinct text's segment vector across examples.
-    """
-    d_token = head.w_out.shape[1]
-    total = np.zeros(d_token)
-    texts = [PROMPT_INSTRUCTION, *(title for _, title, _ in example.slate), PROMPT_QUERY]
-    for text in texts:
-        if text not in vectors:
-            vectors[text] = _segment_vector(("text", text), head, d_token)
-        total += vectors[text]
-    return total, len(texts)
-
-
 @dataclass
 class _ThetaFree:
     """The parts of one example's loss that no projection parameter moves."""
 
     text_sum: np.ndarray
-    n_text: int
+    n_seg: int
     target_idx: list[int]
     prefix: np.ndarray
 
 
 def _theta_free_parts(dataset: list[ProjectionExample], head: SurrogateHead) -> list[_ThetaFree]:
     """Each example's theta-free parts; every target is checked here, before
-    any step, so a bad token in a late example leaves the parameters as they were."""
+    any step, so a bad token in a late example leaves the parameters as they were.
+
+    The text segments (instruction, titles, query) are summed here, each the
+    mean embedding of its in-vocabulary tokens (zero if it has none), and
+    every segment of the prompt is counted: 3 + 2n for a slate of n, plus
+    one for a reasoning vector.
+    """
+    d_token = head.token_emb.shape[1]
     text_vectors: dict[str, np.ndarray] = {}
     prefixes: dict[tuple[int, ...], np.ndarray] = {}
     parts = []
@@ -318,25 +266,32 @@ def _theta_free_parts(dataset: list[ProjectionExample], head: SurrogateHead) -> 
         key = tuple(target_idx)
         if key not in prefixes:
             prefixes[key] = _prefix_means(target_idx, head)
-        text_sum, n_text = _example_text_cache(example, head, text_vectors)
-        parts.append(_ThetaFree(text_sum, n_text, target_idx, prefixes[key]))
+        texts = [PROMPT_INSTRUCTION, *(title for _, title, _ in example.slate), PROMPT_QUERY]
+        text_sum = np.zeros(d_token)
+        for text in texts:
+            if text not in text_vectors:
+                known = [head.token_index[t] for t in text.lower().split() if t in head.token_index]
+                text_vectors[text] = (
+                    head.token_emb[known].mean(axis=0) if known else np.zeros(d_token)
+                )
+            text_sum += text_vectors[text]
+        n_soft = 1 + len(example.slate) + (example.r_vec is not None)
+        parts.append(_ThetaFree(text_sum, len(texts) + n_soft, target_idx, prefixes[key]))
     return parts
 
 
-def _batch_loss_and_grads(params: dict, batch: list[ProjectionExample],
-                          parts: list[_ThetaFree], head: SurrogateHead):
-    """Mean surrogate loss over `batch` and its parameter gradients.
+def _segment_means(params: dict, batch: list[ProjectionExample], parts: list[_ThetaFree]):
+    """Each example's prompt segment mean, and what the backward pass needs.
 
-    One forward and one backward pass per MLP: `fx` over the stacked user
-    vectors, `fz` over every slate row of the batch, `fr` over the examples
-    that carry a reasoning vector, stacked dense from arrays and compact
-    vectors alike (`np.vstack`). Example b's segment mean is its text sum
-    plus its projected segments over its segment count; each slate row takes
-    its owner's gradient row.
+    One forward pass per MLP: `fx` over the stacked user vectors, `fz` over
+    every slate row of the batch, `fr` over the examples that carry a
+    reasoning vector, stacked dense from arrays and compact vectors alike
+    (`np.vstack`). Example b's mean is its text sum plus its projected
+    segments over its segment count. Returns the means, the segment counts,
+    the three MLP caches (`fr`'s None without reasoning) and the rows of the
+    examples with reasoning.
     """
-    scale = 1.0 / len(batch)
     slate_len = np.array([len(example.slate) for example in batch])
-    owner = np.repeat(np.arange(len(batch)), slate_len)
     with_r = [b for b, example in enumerate(batch) if example.r_vec is not None]
 
     o_x, cache_x = _mlp_forward(params, "fx", np.vstack([example.x_user for example in batch]))
@@ -344,17 +299,28 @@ def _batch_loss_and_grads(params: dict, batch: list[ProjectionExample],
     o_z, cache_z = _mlp_forward(params, "fz", z_rows)
     starts = np.concatenate(([0], np.cumsum(slate_len)[:-1]))
     total = np.array([part.text_sum for part in parts]) + o_x + np.add.reduceat(o_z, starts, axis=0)
+    cache_r = None
     if with_r:
         o_r, cache_r = _mlp_forward(params, "fr", np.vstack([batch[b].r_vec for b in with_r]))
         total[with_r] += o_r
-    n_seg = np.array([part.n_text for part in parts]) + 1 + slate_len
-    n_seg[with_r] += 1
-    means = total / n_seg[:, None]
+    n_seg = np.array([part.n_seg for part in parts])
+    return total / n_seg[:, None], n_seg, (cache_x, cache_z, cache_r), with_r
 
+
+def _batch_loss_and_grads(params: dict, batch: list[ProjectionExample],
+                          parts: list[_ThetaFree], head: SurrogateHead):
+    """Mean surrogate loss over `batch` and its parameter gradients.
+
+    The forward is `_segment_means`; the backward runs one pass per MLP, and
+    each slate row takes its owner's gradient row.
+    """
+    scale = 1.0 / len(batch)
+    means, n_seg, (cache_x, cache_z, cache_r), with_r = _segment_means(params, batch, parts)
     losses, d_means = _nll_and_context_grads(
         means, [part.target_idx for part in parts], [part.prefix for part in parts], head
     )
     d_rows = d_means / n_seg[:, None] * scale
+    owner = np.repeat(np.arange(len(batch)), [len(example.slate) for example in batch])
     grads = {
         **_mlp_backward(params, "fx", cache_x, d_rows),
         **_mlp_backward(params, "fz", cache_z, d_rows[owner]),
@@ -408,41 +374,30 @@ def train_projections(
     return stack
 
 
-def rank_candidates(stack: ProjectionStack, head: SurrogateHead, user_context: UserContext,
-                    candidates: list) -> list[str]:
-    """Candidates sorted by mean target-token log-likelihood, ties by id.
+def rank_candidates(stack: ProjectionStack, head: SurrogateHead, x_user, candidates: list,
+                    r_vec=None) -> list[str]:
+    """Candidate ids sorted by the surrogate training loss with each
+    candidate's title as the target: lowest loss first, ties by id.
 
-    One bundle holds the whole slate (every candidate title with its O_Z
-    adjacent), so all candidates are scored under a shared context and
-    differ only through their own title tokens.
+    One prompt holds the whole slate (every candidate title with its O_Z
+    adjacent), so the training forward runs once and the candidates differ
+    only through their own title tokens; candidates with the same title
+    tokens share one loss.
     """
     if not candidates:
         raise ValueError("need at least one candidate")
-    o_x, _ = _mlp_forward(stack.params, "fx", user_context.x_user)
-    z_mat = np.array([np.asarray(z, dtype=np.float64) for _, _, z in candidates])
-    o_z, _ = _mlp_forward(stack.params, "fz", z_mat)
-    o_r = None
-    if user_context.r_vec is not None:
-        o_r_arr, _ = _mlp_forward(stack.params, "fr", user_context.r_vec)
-        o_r = o_r_arr[0]
-    bundle = assemble_prompt(
-        o_x[0],
-        [(title, o_z[i]) for i, (_, title, _) in enumerate(candidates)],
-        o_r=o_r,
+    targets = sorted({tuple(title.lower().split()) for _, title, _ in candidates})
+    target_idx = [_target_indices(list(tokens), head) for tokens in targets]
+    # the forward reads the slate only, so the first title serves as the target
+    example = ProjectionExample(x_user, candidates, r_vec, list(targets[0]))
+    means, *_ = _segment_means(stack.params, [example], _theta_free_parts([example], head))
+    losses, _ = _nll_and_context_grads(
+        np.repeat(means, len(targets), axis=0), target_idx,
+        [_prefix_means(idx, head) for idx in target_idx], head,
     )
-    mean_seg, _ = _context_base(bundle, head)
-    scored = []
-    for item_id, title, _ in candidates:
-        target_idx = _target_indices(title.lower().split(), head)
-        contexts = mean_seg[None, :] + _prefix_means(target_idx, head)
-        logits = contexts @ head.w_out.T + head.b_out
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=1))
-        rows = np.arange(len(target_idx))
-        score = float((shifted[rows, target_idx] - log_z).mean())
-        scored.append((item_id, score))
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return [item_id for item_id, _ in scored]
+    loss_of = dict(zip(targets, losses.tolist()))
+    ranked = sorted(candidates, key=lambda c: (loss_of[tuple(c[1].lower().split())], c[0]))
+    return [item_id for item_id, _, _ in ranked]
 
 
 def request_explanation(item: str, adapter, prompt: PromptBundle, user: str | None = None) -> str:

@@ -192,10 +192,14 @@ def _with_header(header: bytes) -> bytes:
         _with_header(b'{"arrays":[{"name":"w","shape":[1.5]}],"kind":"cf","meta":{}}'),
         _with_header(b'{"arrays":[{"name":"w","shape":[true]}],"kind":"cf","meta":{}}'),
         _with_header(b'{"arrays":[{"name":[1],"shape":[]}],"kind":"cf","meta":{}}') + bytes(8),
+        _with_header(
+            b'{"arrays":[{"name":"a","shape":[2]},{"name":"a","shape":[2]}],"kind":"cf","meta":{}}'
+        ) + np.array([1.0, 2.0, 3.0, 4.0], dtype="<f8").tobytes(),
     ],
     ids=[
         "cut-json", "bad-utf8", "no-kind", "array-without-name", "not-an-object", "meta-list",
         "shape-string", "shape-negative", "shape-float", "shape-bool", "name-not-a-string",
+        "name-twice",
     ],
 )
 def test_corrupt_checkpoint_header_is_a_data_error(tmp_path, blob):

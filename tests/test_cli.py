@@ -13,6 +13,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import weakref
 
 import numpy as np
@@ -20,7 +21,7 @@ import pytest
 
 import fusionrec
 from fusionrec.cf import FORWARD_ROWS, item_probabilities, verbalize_prior, warm_user_representations
-from fusionrec.checkpoint import load_checkpoint, load_checkpoint_header
+from fusionrec.checkpoint import load_checkpoint, load_checkpoint_header, save_checkpoint
 from fusionrec.cli import STAGES, _read, main
 from fusionrec.config import parse_config
 from fusionrec.cot import FixtureAdapter, build_instruction_instance, generate_cot
@@ -433,6 +434,28 @@ def _ckpt_with_header(header: bytes) -> bytes:
     return b"FRCKPT1\n" + f"{len(header)}\n".encode("ascii") + header + b"\n"
 
 
+def _resaved(edit):
+    """A damage that loads the checkpoint, lets `edit(meta, arrays)` change it
+    in place, and saves it again as a well-formed file."""
+
+    def damage(blob: bytes) -> bytes:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "edited.ckpt")
+            with open(path, "wb") as fh:
+                fh.write(blob)
+            kind, meta, arrays = load_checkpoint(path)
+            edit(meta, arrays)
+            save_checkpoint(path, kind, meta, arrays)
+            with open(path, "rb") as fh:
+                return fh.read()
+
+    return damage
+
+
+def _repeat_the_first_item(meta, arrays):
+    meta["items"][1] = meta["items"][0]
+
+
 def _drop_first_test_user(blob: bytes) -> bytes:
     payload = json.loads(blob)
     del payload["test"][min(payload["test"])]
@@ -460,11 +483,21 @@ def _drop_first_test_user(blob: bytes) -> bytes:
         ("cots.json", lambda blob: b"{}", "sweep"),
         ("partition.json", lambda blob: b'{"cold": []}', "eval"),
         ("report_standard.json", lambda blob: b'{"hr": {}}', "report"),
+        ("cf.ckpt", _resaved(lambda meta, arrays: arrays.pop("blk0.wq")), "eval"),
+        ("cf.ckpt", _resaved(lambda meta, arrays: arrays.pop("blk0.wq")), "cot"),
+        ("cf.ckpt", _resaved(lambda meta, arrays: meta["config"].update(blocks=2)), "cot"),
+        ("cf.ckpt", _resaved(lambda meta, arrays: meta["config"].update(embed_dim=16)), "eval"),
+        ("cf.ckpt", _resaved(lambda meta, arrays: arrays.update(extra=np.zeros(2))), "eval"),
+        ("cf.ckpt", _resaved(_repeat_the_first_item), "eval"),
+        ("align.ckpt", _resaved(lambda meta, arrays: meta.update(latent_dim=7)), "train-proj"),
+        ("align.ckpt", _resaved(lambda meta, arrays: arrays.pop("dec_c.w")), "train-proj"),
     ],
     ids=[
         "cf-cut", "cf-no-arrays", "cf-no-items", "cf-shape-not-an-int", "cf-meta-a-list",
         "split-cut", "split-bad-utf8", "split-no-keys", "split-users-differ", "cots-no-records",
-        "partition-no-warm", "report-no-users",
+        "partition-no-warm", "report-no-users", "cf-array-missing-eval", "cf-array-missing-cot",
+        "cf-blocks-over-arrays", "cf-embed-dim-over-arrays", "cf-extra-array", "cf-item-twice",
+        "align-latent-dim-over-arrays", "align-array-missing",
     ],
 )
 def test_corrupt_artifact_is_one_error_line_and_exit_3(chain, tmp_path, artifact, damage, stage):

@@ -18,9 +18,8 @@ from fusionrec.projection import (
     PROMPT_INSTRUCTION,
     PROMPT_QUERY,
     ProjectionExample,
+    PromptBundle,
     SurrogateHead,
-    UserContext,
-    assemble_prompt,
     build_projection_examples,
     build_vocabulary,
     init_projection_stack,
@@ -91,42 +90,33 @@ def test_project_components_is_a_pair_of_two_layer_mlps():
     assert project_components(stack, x_user, z_item)[2] is None
 
 
-def test_prompt_layout_interleaves_titles_and_soft_segments():
-    o_x = np.arange(8.0)
-    o_z = np.arange(8.0) + 10.0
-    o_r = np.arange(8.0) + 20.0
-    bundle = assemble_prompt(o_x, [("red fox", o_z)], o_r=o_r, user="u1")
-    kinds = [seg[0] for seg in bundle.segments]
-    assert kinds == ["soft", "text", "text", "soft", "soft", "text"]
-    assert bundle.segments[1] == ("text", PROMPT_INSTRUCTION)
-    assert bundle.segments[2] == ("text", "red fox")
-    assert bundle.segments[-1] == ("text", PROMPT_QUERY)
-    names = [seg[1] for seg in bundle.segments if seg[0] == "soft"]
-    assert names == ["user", "item0", "reasoning"]
-    assert np.array_equal(bundle.segments[0][2], o_x)
-    assert bundle.user == "u1"
-    with pytest.raises(ValueError, match="at least one candidate"):
-        assemble_prompt(o_x, [])
-
-
 @given(st.integers(min_value=1, max_value=10), st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_prompt_layout_size_scales_with_candidates(n_candidates, with_cot):
-    o = np.zeros(4)
-    candidates = [(f"title {i}", o) for i in range(n_candidates)]
-    bundle = assemble_prompt(o, candidates, o_r=o if with_cot else None)
-    assert len(bundle.segments) == 3 + 2 * n_candidates + (1 if with_cot else 0)
-    names = [seg[1] for seg in bundle.segments if seg[0] == "soft"]
-    expected = ["user"] + [f"item{i}" for i in range(n_candidates)]
-    if with_cot:
-        expected.append("reasoning")
-    assert names == expected
+def test_segment_count_is_three_plus_two_per_candidate_plus_reasoning(n_candidates, with_cot):
+    head = _tiny_head()
+    rng = np.random.default_rng(n_candidates)
+    example = ProjectionExample(
+        x_user=rng.normal(size=5),
+        slate=[(f"i{j}", "red fox", rng.normal(size=4)) for j in range(n_candidates)],
+        r_vec=rng.normal(size=6) if with_cot else None,
+        target_tokens=["red"],
+    )
+    (part,) = _theta_free_parts([example], head)
+    assert part.n_seg == 3 + 2 * n_candidates + (1 if with_cot else 0)
+
+
+def _tiny_bundle(o_x, o_z, user=None):
+    return PromptBundle(
+        segments=[("soft", "user", o_x), ("text", PROMPT_INSTRUCTION), ("text", "red fox"),
+                  ("soft", "item0", o_z), ("text", PROMPT_QUERY)],
+        user=user,
+    )
 
 
 def test_render_prompt_text_encodes_soft_vectors_reversibly():
     o_x = np.linspace(-1.0, 1.0, 8)
     o_z = np.linspace(0.0, 2.0, 8)
-    bundle = assemble_prompt(o_x, [("red fox", o_z)])
+    bundle = _tiny_bundle(o_x, o_z)
     rendered = render_prompt_text(bundle)
     lines = rendered.split("\n")
     assert len(lines) == len(bundle.segments)
@@ -244,7 +234,7 @@ def _mean_reciprocal_rank(stack, head, examples, n_items):
     total = 0.0
     for u, ex in enumerate(examples):
         target = f"q{u % n_items}"
-        ranked = rank_candidates(stack, head, UserContext(x_user=ex.x_user, r_vec=ex.r_vec), ex.slate)
+        ranked = rank_candidates(stack, head, ex.x_user, ex.slate, ex.r_vec)
         total += 1.0 / (ranked.index(target) + 1)
     return total / len(examples)
 
@@ -357,20 +347,45 @@ def test_rank_candidates_is_order_invariant_with_id_tiebreak():
         ("a", "red fox", rng.normal(size=4)),
         ("b", "blue owl", rng.normal(size=4)),
     ]
-    ctx = UserContext(x_user=rng.normal(size=5))
-    ranked = rank_candidates(stack, head, ctx, slate)
+    x_user = rng.normal(size=5)
+    ranked = rank_candidates(stack, head, x_user, slate)
     assert sorted(ranked) == ["a", "b", "c"]
-    assert rank_candidates(stack, head, ctx, list(reversed(slate))) == ranked
+    assert rank_candidates(stack, head, x_user, list(reversed(slate))) == ranked
 
     twins = [("b", "red fox", rng.normal(size=4)), ("a", "red fox", rng.normal(size=4))]
-    tied = rank_candidates(stack, head, ctx, twins)
+    tied = rank_candidates(stack, head, x_user, twins)
     assert tied == ["a", "b"]
     with pytest.raises(ValueError, match="at least one candidate"):
-        rank_candidates(stack, head, ctx, [])
+        rank_candidates(stack, head, x_user, [])
+
+
+@pytest.mark.parametrize("with_cot", [False, True])
+def test_rank_candidates_sorts_by_the_training_loss_of_each_title(with_cot):
+    """The oracle: each candidate's loss is the surrogate training loss of the
+    slate's example with that candidate's title as the target."""
+    head = make_surrogate_head(_PROJ_VOCAB, d_token=8, seed=4)
+    stack = _tiny_stack(seed=6)
+    rng = np.random.default_rng(13 + with_cot)
+    for _ in range(60):
+        n = int(rng.integers(1, 7))
+        titles = [" ".join(rng.choice(_PROJ_VOCAB, size=rng.integers(1, 4))) for _ in range(n)]
+        slate = [(f"i{j}", title, rng.normal(size=4)) for j, title in enumerate(titles)]
+        # an exact-tie twin: another id with the same title, placed at random
+        twin = (f"t{int(rng.integers(10))}", titles[int(rng.integers(n))], rng.normal(size=4))
+        slate.insert(int(rng.integers(n + 1)), twin)
+        x_user = rng.normal(size=5)
+        r_vec = rng.normal(size=6) if with_cot else None
+
+        def loss(title):
+            example = ProjectionExample(x_user, slate, r_vec, title.lower().split())
+            return surrogate_loss_and_gradients(stack, example, head)[0]
+
+        expected = [item for _, item in sorted((loss(title), item) for item, title, _ in slate)]
+        assert rank_candidates(stack, head, x_user, slate, r_vec) == expected
 
 
 def test_request_explanation_via_fixture():
-    bundle = assemble_prompt(np.zeros(8), [("red fox", np.zeros(8))], user="u9")
+    bundle = _tiny_bundle(np.zeros(8), np.zeros(8), user="u9")
     fixture = FixtureAdapter({("u9", "q3"): "Because it matches the streak."})
     assert request_explanation("q3", fixture, bundle) == "Because it matches the streak."
     assert request_explanation("q3", fixture, bundle, user="u9") == "Because it matches the streak."
