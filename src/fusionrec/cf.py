@@ -14,12 +14,17 @@ the set of items in the train sequences.
 
 Supplies the collaborative item embeddings, user representations, next-item
 score distributions, and verbalized priors consumed downstream. User
-representations are computed in batches: `user_representations_from_rows`
-takes a table of per-step input rows and each user's row indices into it,
-groups the users by length and runs one forward pass per group of at most
-`FORWARD_ROWS` users, gathering each group's input from the table. Grouping
-by length keeps every row bit-identical to a forward pass over that history
-alone, which one padded batch would not.
+representations come from `_infer_last`, an inference routine kept apart
+from the training `_forward`: it keeps no backward cache, applies no dropout
+or pad mask, and runs the last block's query, attention and FFN at the last
+position only, the one row a representation reads.
+`user_representations_from_rows` takes a table of per-step input rows and
+each user's row indices into it, groups the users by length and runs
+`_infer_last` once per group of at most `FORWARD_ROWS` users, gathering each
+group's input from the table. Grouping by length keeps every row
+bit-identical to a run of `_infer_last` over that history alone, which one
+padded batch would not; a row differs from the training forward's last
+position only by rounding (about 1e-15 relative).
 """
 
 from __future__ import annotations
@@ -132,22 +137,19 @@ def _left_align(rows: list[list[int]]) -> np.ndarray:
     return ids
 
 
-def _forward(params: dict, config: CfConfig, ids: np.ndarray, drop_masks=None, h0=None):
+def _forward(params: dict, config: CfConfig, ids: np.ndarray, drop_masks=None):
     """Run the attention stack over left-aligned rows; returns (B, L, d) outputs and a cache.
 
     Pads trail every row, so the causal window of a real position holds only
     real positions and no key mask is needed; pad positions are zeroed after
-    every block. ``h0`` overrides the embedding-plus-position lookup when the
-    caller supplies per-step input vectors directly (zero-shot histories).
+    every block.
     """
     n_b, length = ids.shape
     d = config.embed_dim
     heads = config.heads
     d_h = d // heads
     mask = (ids != 0).astype(np.float64)[:, :, None]
-    if h0 is None:
-        h0 = params["item_emb"][ids] + params["pos_emb"][:length]
-    h = h0 * mask
+    h = (params["item_emb"][ids] + params["pos_emb"][:length]) * mask
     if drop_masks is not None:
         h = h * drop_masks["emb"]
     causal = np.tril(np.ones((length, length), dtype=bool))
@@ -182,6 +184,43 @@ def _forward(params: dict, config: CfConfig, ids: np.ndarray, drop_masks=None, h
         )
         h = h_new
     return h, cache
+
+
+def _infer_last(params: dict, config: CfConfig, h0: np.ndarray) -> np.ndarray:
+    """(B, d) outputs at the last position of (B, L, d) input rows, all real.
+
+    The inference counterpart of `_forward`: it keeps no cache and applies no
+    dropout or pad mask. Every block but the last runs at every position; the
+    last takes keys and values over every position but computes the query,
+    attention, output projection and FFN at the last position only, the one
+    row a representation reads. The last position stays a (B, 1, d) batch,
+    so each of its products runs per row, exactly as in a one-row batch.
+    """
+    n_b, length, d = h0.shape
+    heads = config.heads
+    d_h = d // heads
+    causal = np.tril(np.ones((length, length), dtype=bool))
+    h = h0
+    for b in range(config.blocks):
+        p = lambda n: params[f"blk{b}.{n}"]
+
+        def split(x):
+            return x.reshape(n_b, -1, heads, d_h).transpose(0, 2, 1, 3)
+
+        kh = split(h @ p("wk").T)
+        vh = split(h @ p("wv").T + p("bv"))
+        last = b == config.blocks - 1
+        if last:
+            h = h[:, -1:]  # the last position sees every position: no causal mask
+        scores = split(h @ p("wq").T + p("bq")) @ kh.swapaxes(-1, -2) / math.sqrt(d_h)
+        if not last:
+            scores = np.where(causal, scores, _NEG_INF)
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        attn = e / e.sum(axis=-1, keepdims=True)
+        ctx = (attn @ vh).transpose(0, 2, 1, 3).reshape(h.shape)
+        h = h + (ctx @ p("wo").T + p("bo"))
+        h = h + (np.maximum(h @ p("w1").T + p("b1"), 0.0) @ p("w2").T + p("b2"))
+    return h[:, -1]
 
 
 def _backward(params: dict, config: CfConfig, cache: dict, d_outputs: np.ndarray, drop_masks=None):
@@ -349,7 +388,7 @@ def user_representations_from_rows(model: CfModel, table: np.ndarray, rows) -> n
     """(n, d) last-position outputs of the attention stack; user u's per-step
     input vectors are `table[rows[u]]`, cut to the most recent max_history.
 
-    Users are grouped by length, and one `_forward` runs over at most
+    Users are grouped by length, and one `_infer_last` runs over at most
     FORWARD_ROWS users of one length. A group's (B, L, d) input is one
     gather, `table[ids] + pos_emb[:L]`, so no user's steps are copied out of
     the table first.
@@ -366,9 +405,7 @@ def user_representations_from_rows(model: CfModel, table: np.ndarray, rows) -> n
         for start in range(0, len(members), FORWARD_ROWS):
             chunk = members[start : start + FORWARD_ROWS]
             ids = np.array([rows[i][len(rows[i]) - length :] for i in chunk], dtype=np.intp)
-            h0 = table[ids] + pos_emb[:length]
-            ones = np.ones(ids.shape, dtype=np.int64)  # all positions real
-            out[chunk] = _forward(model.params, model.config, ones, h0=h0)[0][:, -1]
+            out[chunk] = _infer_last(model.params, model.config, table[ids] + pos_emb[:length])
     return out
 
 
@@ -416,11 +453,12 @@ def user_representation_from_vectors(model: CfModel, vectors: np.ndarray) -> np.
     return user_representations_from_rows(model, vectors, [np.arange(len(vectors))])[0]
 
 
-def item_probabilities(model: CfModel, rep: np.ndarray) -> np.ndarray:
-    """Softmax of one user representation's scores; entry i is model.items[i]."""
-    scores = model.params["item_emb"][1:] @ rep
-    e = np.exp(scores - scores.max())
-    return e / e.sum()
+def item_probabilities(model: CfModel, reps: np.ndarray) -> np.ndarray:
+    """Softmax of item scores for a (d,) user representation, or row by row
+    for an (n, d) stack of them in one product; entry i is model.items[i]."""
+    scores = reps @ model.params["item_emb"][1:].T
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def next_item_probabilities(model: CfModel, history: list[str]) -> np.ndarray:

@@ -274,6 +274,22 @@ class _Run:
         return None if path is None else _read(path, parse)
 
 
+def _cf_and_alignment(run: _Run) -> tuple[CfModel, AlignmentNetwork | None]:
+    """cf.ckpt and align.ckpt (None when absent), checked to be of one width.
+
+    An align.ckpt trained over a cf.ckpt of another `cf.embed_dim` cannot
+    encode this model's rows, so it is a stale dependency, not bad data.
+    """
+    model = run.read("cf.ckpt")
+    net = run.read("align.ckpt")
+    if net is not None and net.collab_dim != model.config.embed_dim:
+        raise DependencyError(
+            f"align.ckpt encodes {net.collab_dim}-wide collaborative rows but cf.ckpt is "
+            f"{model.config.embed_dim} wide; rerun train-align"
+        )
+    return model, net
+
+
 def _semantic_map(config: RunConfig, model: CfModel | None = None) -> dict[str, np.ndarray]:
     """Semantic vectors from data.embeddings, or else from the catalog's text.
 
@@ -423,9 +439,7 @@ def _cot(run: _Run) -> dict:
     # so the probabilities and text vectors held at once stay small.
     for start in range(0, len(warm), FORWARD_ROWS):
         chunk = warm[start : start + FORWARD_ROWS]
-        probs = np.stack(
-            [item_probabilities(model, rep) for rep in reps[start : start + FORWARD_ROWS]]
-        )
+        probs = item_probabilities(model, reps[start : start + FORWARD_ROWS])
         instances = []
         for (user, warm_history), user_probs, top in zip(chunk, probs, top_items(model, probs, 3)):
             target = split.validation[user]
@@ -480,8 +494,7 @@ def _cot(run: _Run) -> dict:
 def _train_proj(run: _Run) -> dict:
     config = run.config
     split = run.read("split.json")
-    model = run.read("cf.ckpt")
-    net = run.read("align.ckpt")
+    model, net = _cf_and_alignment(run)
     catalog = _catalog(config)
     semantic_map = _semantic_map(config, model)
     retained = run.read("cots.json", lambda payload: [
@@ -570,8 +583,7 @@ def _explanation_hooks(config: RunConfig):
 def _eval(run: _Run) -> dict:
     config = run.config
     split = run.read("split.json")
-    model = run.read("cf.ckpt")
-    net = run.read("align.ckpt")
+    model, net = _cf_and_alignment(run)
     semantic_map = _semantic_map(config, model) if net is not None else None
     pipeline = RecommendationPipeline(cf_model=model, alignment=net, semantic_map=semantic_map)
 

@@ -14,6 +14,7 @@ from fusionrec.cf import (
     _backward,
     _draw_drop_masks,
     _forward,
+    _infer_last,
     _init_params,
     _left_align,
     next_item_probabilities,
@@ -92,8 +93,12 @@ def test_gradients_match_finite_differences(dropout):
     assert max_relative_gradient_error(loss_fn, params, grads, h=1e-5) <= 1e-4
 
 
+def _close(a, b):
+    return np.allclose(a, b, rtol=1e-10, atol=1e-12)
+
+
 @pytest.mark.parametrize("heads", [1, 2])
-@pytest.mark.parametrize("case", ["plain", "dropout", "h0"])
+@pytest.mark.parametrize("case", ["plain", "dropout"])
 def test_attention_stack_matches_einsum_reference(case, heads):
     config = CfConfig(embed_dim=8, max_history=7, blocks=2, heads=heads,
                       dropout=0.3 if case == "dropout" else 0.0)
@@ -102,23 +107,34 @@ def test_attention_stack_matches_einsum_reference(case, heads):
     params = _random_biases(_init_params(config, n_items, rng), rng)
     histories = [list(rng.integers(1, n_items + 1, size=n)) for n in (1, 3, 7, 9, 5, 2)]
     ids = _left_align([h[-config.max_history:] for h in histories])
-    shape = (*ids.shape, config.embed_dim)
-    drop = _draw_drop_masks(config, shape, rng)
-    h0 = rng.normal(0.0, 0.1, size=shape) if case == "h0" else None
+    drop = _draw_drop_masks(config, (*ids.shape, config.embed_dim), rng)
 
-    outputs, cache = _forward(params, config, ids, drop, h0)
-    ref_outputs, ref_cache = oracle_cf_forward(params, config, ids, drop, h0)
+    outputs, cache = _forward(params, config, ids, drop)
+    ref_outputs, ref_cache = oracle_cf_forward(params, config, ids, drop)
     d_outputs = rng.normal(size=outputs.shape)
     grads = _backward(params, config, cache, d_outputs, drop)
     ref_grads = oracle_cf_backward(params, config, ref_cache, d_outputs, drop)
 
-    def close(a, b):
-        return np.allclose(a, b, rtol=1e-10, atol=1e-12)
-
-    assert close(outputs, ref_outputs)
+    assert _close(outputs, ref_outputs)
     assert grads.keys() == ref_grads.keys()
     for name in grads:
-        assert close(grads[name], ref_grads[name]), name
+        assert _close(grads[name], ref_grads[name]), name
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_last_position_inference_matches_einsum_reference(blocks, heads):
+    config = CfConfig(embed_dim=8, max_history=7, blocks=blocks, heads=heads)
+    rng = np.random.default_rng(10 * blocks + heads)
+    params = _random_biases(_init_params(config, 15, rng), rng)
+    for length in (1, 4, config.max_history):
+        h0 = rng.normal(0.0, 0.1, size=(5, length, config.embed_dim))
+        ones = np.ones(h0.shape[:2], dtype=np.int64)  # every position real
+        rows = _infer_last(params, config, h0)
+        assert rows.shape == (5, config.embed_dim)
+        assert _close(rows, oracle_cf_forward(params, config, ones, h0=h0)[0][:, -1])
+        for row, one in zip(rows, h0):
+            assert np.array_equal(row, _infer_last(params, config, one[None])[0])
 
 
 @pytest.mark.parametrize("heads", [1, 2])
@@ -370,11 +386,25 @@ def test_top_items_match_the_sorted_oracle_with_exact_ties(k):
         assert picked == rank_by_score(model, row)[:k]
 
 
-def _one_user_forward(model, ids=None, h0=None):
-    """The per-user run: one (1, L) forward pass, last position."""
-    if h0 is not None:
-        ids = np.ones((1, h0.shape[1]), dtype=np.int64)
-    return _forward(model.params, model.config, ids, h0=h0)[0][0, -1]
+def _one_user_inference(model, vectors):
+    """A one-user run of the inference routine over (L, d) per-step vectors."""
+    h0 = vectors + model.params["pos_emb"][: len(vectors)]
+    return _infer_last(model.params, model.config, h0[None])[0]
+
+
+def _training_last_position(model, vectors):
+    """The training forward's last-position output over (L, d) per-step
+    vectors, looked up as items 1..L of a one-off embedding table."""
+    table = np.vstack([np.zeros((1, model.config.embed_dim)), vectors])
+    ids = np.arange(1, len(table))[None]
+    return _forward({**model.params, "item_emb": table}, model.config, ids)[0][0, -1]
+
+
+def _assert_matches_both_forwards(model, row, vectors):
+    assert np.array_equal(row, _one_user_inference(model, vectors))
+    # the smaller last-position products round differently, by about 2e-16
+    # absolute; atol covers the entries near zero, where that is > 1e-12 relative
+    assert np.allclose(row, _training_last_position(model, vectors), rtol=1e-12, atol=1e-14)
 
 
 def test_batched_representations_equal_per_user_runs_for_mixed_lengths(toy_world):
@@ -386,8 +416,8 @@ def test_batched_representations_equal_per_user_runs_for_mixed_lengths(toy_world
     histories = [list(rng.choice(model.items, size=n)) for n in lengths]
     batched = user_representations(model, histories)
     for history, row in zip(histories, batched):
-        ids = np.array([model.indices_for(history[-window:])], dtype=np.int64)
-        assert np.array_equal(row, _one_user_forward(model, ids=ids))
+        vectors = model.params["item_emb"][model.indices_for(history[-window:])]
+        _assert_matches_both_forwards(model, row, vectors)
     with pytest.raises(ValueError, match="non-empty"):
         user_representations(model, [histories[0], []])
 
@@ -404,9 +434,7 @@ def test_one_user_vectors_match_their_rows_of_a_stacked_table(toy_world):
     stacked = user_representations_from_rows(model, np.concatenate(sequences), rows)
     for vectors, row in zip(sequences, stacked):
         assert np.array_equal(user_representation_from_vectors(model, vectors), row)
-        recent = vectors[-window:]
-        h0 = (recent + model.params["pos_emb"][: len(recent)])[None]
-        assert np.array_equal(row, _one_user_forward(model, h0=h0))
+        _assert_matches_both_forwards(model, row, vectors[-window:])
     with pytest.raises(ValueError, match="non-empty"):
         user_representation_from_vectors(model, np.zeros((0, model.config.embed_dim)))
     with pytest.raises(ValueError, match="non-empty"):
@@ -423,15 +451,20 @@ def _peak_bytes(call) -> int:
         tracemalloc.stop()
 
 
-def test_user_representations_hold_a_forward_pass_of_rows_not_every_history(monkeypatch):
-    # d = 64: in a narrow model the (B, heads, L, L) attention arrays outweigh the rows
-    n, length, d = 2000, 12, 64
-    config = CfConfig(embed_dim=d, max_history=length, blocks=1, heads=1)
+def _untrained_users(n_histories, length, d, blocks):
+    """An untrained d-wide model over 50 items, and histories of `length` of them."""
+    config = CfConfig(embed_dim=d, max_history=length, blocks=blocks, heads=1)
     rng = np.random.default_rng(4)
     items = [f"i{k:03d}" for k in range(50)]
     model = CfModel(config, {q: i + 1 for i, q in enumerate(items)}, items,
                     _init_params(config, len(items), rng))
-    histories = [list(rng.choice(items, size=length)) for _ in range(2 * n)]
+    return model, [list(rng.choice(items, size=length)) for _ in range(n_histories)]
+
+
+def test_user_representations_hold_a_forward_pass_of_rows_not_every_history(monkeypatch):
+    # d = 64: in a narrow model the (B, heads, L, L) attention arrays outweigh the rows
+    n, length, d = 2000, 12, 64
+    model, histories = _untrained_users(2 * n, length, d, blocks=1)
     rows_bytes = n * length * d * 8  # every history's steps, copied out once
 
     monkeypatch.setattr(cf_module, "FORWARD_ROWS", 8)
@@ -443,3 +476,16 @@ def test_user_representations_hold_a_forward_pass_of_rows_not_every_history(monk
     monkeypatch.setattr(cf_module, "FORWARD_ROWS", 64)
     wide = _peak_bytes(lambda: user_representations(model, histories[:n]))
     assert wide - peak > (64 - 8) * length * d * 8
+
+
+# A forward that keeps the training cache (nine activations per block) peaks
+# at about 0.56 (one block) and 0.82 (two blocks) of n*L*d*8 bytes here; one
+# that keeps none and runs the last block at the last position only, at about
+# 0.25 and 0.37.
+@pytest.mark.parametrize("blocks, share", [(1, 0.4), (2, 0.65)])
+def test_representing_users_keeps_no_backward_cache(monkeypatch, blocks, share):
+    n, length, d = 2000, 12, 64
+    model, histories = _untrained_users(n, length, d, blocks)
+    monkeypatch.setattr(cf_module, "FORWARD_ROWS", 64)
+    peak = _peak_bytes(lambda: user_representations(model, histories))
+    assert peak < share * n * length * d * 8

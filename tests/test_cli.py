@@ -670,6 +670,23 @@ def test_eval_of_a_cold_item_without_align_ckpt_asks_for_train_align(tmp_path):
     assert re.search(r"item '\w+' is outside the CF vocabulary .*run train-align first", err), err
 
 
+
+@pytest.mark.parametrize("stage", ["train-proj", "eval"])
+def test_an_align_ckpt_of_another_cf_width_asks_for_train_align(chain, tmp_path, stage):
+    out_dir = tmp_path / "stale"
+    shutil.copytree(chain["out"], out_dir)
+    config = tmp_path / "wider.conf"
+    text = chain["config"].read_text(encoding="utf-8")
+    config.write_text(text.replace("cf.embed_dim = 12", "cf.embed_dim = 16"), encoding="utf-8")
+    args = ["--config", str(config), "--out", str(out_dir), "--seed", "0", "--force"]
+    assert _run(["train-cf"] + args)[0] == 0
+    rc, _, err = _run([stage] + args)
+    assert rc == 5
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert re.search(r"align\.ckpt .*\b12\b.*cf\.ckpt is 16 wide; rerun train-align", err), err
+    assert not (out_dir / ".lock").exists()
+
+
 def _cold_world(tmp_path, extra_lines=()):
     """A planted world whose cold users end on items outside the CF
     vocabulary; returns the dataset and the stage arguments."""
