@@ -25,7 +25,10 @@ exactly 0, so their gradient and their share of the encoder's gradient are
 gradient descent and Adam (whose moments stay 0) leave all of them as they
 are, so training steps only the live columns of `enc_s.w` and the live rows
 of `dec_s`: full-width training from the zeroed start, up to summation
-order. `encode`, `decode` and the checkpoint stay full width.
+order. `encode`, `decode` and the checkpoint stay full width. The L-wide
+blocks of `enc_s.w` and `q` are C-ordered copies (`take` along the columns;
+`[:, live]` would give Fortran-ordered ones), so each optimizer step updates
+contiguous rows and each batch gathers contiguous rows of `q`.
 """
 
 from __future__ import annotations
@@ -339,21 +342,25 @@ def train_alignment(
     `enc_s.w` and the live rows of `dec_s`, over `q`'s live columns; the
     blocks are written back after the last epoch. The skipped entries would
     get an exactly zero gradient in every step (see the module docstring).
-    With no dead column the view is the network itself.
+    The view's `enc_s.w` and its `q` are C-ordered copies, one each: column
+    indexing would give Fortran-ordered ones, and every Adam step and batch
+    gather would then stride across rows. With no dead column the view is
+    the network itself.
     """
     live = dataset.live_columns()
     dead = np.ones(dataset.q.shape[1], dtype=bool)
     dead[live] = False
     net.params["dec_s.w"][dead] = 0.0
     net.params["dec_s.b"][dead] = 0.0
-    if not dead.any():
-        live = slice(None)
     params = dict(net.params)
-    params["enc_s.w"] = net.params["enc_s.w"][:, live]
-    params["dec_s.w"] = net.params["dec_s.w"][live]
-    params["dec_s.b"] = net.params["dec_s.b"][live]
+    if dead.any():
+        params["enc_s.w"] = net.params["enc_s.w"].take(live, axis=1)
+        params["dec_s.w"] = net.params["dec_s.w"][live]
+        params["dec_s.b"] = net.params["dec_s.b"][live]
+        dataset = replace(dataset, q=dataset.q.take(live, axis=1))
+    else:
+        live = slice(None)
     trained = replace(net, sem_dim=params["dec_s.b"].size, params=params)
-    dataset = replace(dataset, q=dataset.q[:, live])
 
     def batch_loss(chosen):
         return (*total_loss_and_gradients(trained, dataset.batch(chosen)), 1)

@@ -482,7 +482,7 @@ def top_items(model: CfModel, scores: np.ndarray, k: int) -> list[list[str]]:
     there are ties) are then sorted, by score descending and id ascending.
     """
     by_id = model.id_order
-    ordered = np.asarray(scores)[:, by_id]
+    ordered = np.asarray(scores).take(by_id, axis=1)
     k = min(k, ordered.shape[1])
     bounds = np.partition(ordered, -k, axis=1)[:, -k]
     items = model.items

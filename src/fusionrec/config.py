@@ -204,8 +204,10 @@ def make_config(overrides: dict[str, object] | None = None) -> RunConfig:
 
 
 def parse_config(path) -> RunConfig:
-    """Read a `key = value` file and resolve it with `make_config`."""
+    """Read a `key = value` file and resolve it with `make_config`. A key may
+    be given once."""
     overrides: dict[str, object] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in text_lines(path, "config file", ConfigError):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -216,5 +218,10 @@ def parse_config(path) -> RunConfig:
         key = key.strip()
         if key not in DEFAULTS:
             raise ConfigError(f"unknown config key {key!r} at {path}:{lineno}")
+        if key in first_line:
+            raise ConfigError(
+                f"config key {key!r} given twice in {path}, at lines {first_line[key]} and {lineno}"
+            )
+        first_line[key] = lineno
         overrides[key] = _parse_scalar(key, raw, DEFAULTS[key])
     return make_config(overrides)

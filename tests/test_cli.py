@@ -96,7 +96,10 @@ def _write_config(path, interactions, catalog, extra_lines=()):
         "eval.ks = 1, 5",
         "eval.pool_size = 10",
     ]
-    lines.extend(extra_lines)
+    # an extra line takes the place of the base line that sets its key
+    extra = {line.partition("=")[0].strip(): line for line in extra_lines}
+    lines = [extra.pop(line.partition("=")[0].strip(), line) for line in lines]
+    lines.extend(extra.values())
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -795,6 +798,17 @@ def test_unknown_config_key_fails_fast(chain, tmp_path):
     assert rc == 2
     assert "unknown config key" in err
     assert "bad.conf" in err
+
+
+def test_a_key_given_twice_is_one_config_error_line(chain, tmp_path):
+    config = tmp_path / "twice.conf"
+    _write_config(config, chain["interactions"], chain["catalog"])
+    with open(config, "a", encoding="utf-8") as fh:
+        fh.write("cf.embed_dim = 16\n")
+    rc, _, err = _run(["prepare", "--config", str(config), "--out", str(tmp_path / "o"), "--seed", "0"])
+    assert rc == 2
+    assert err == f"error: config key 'cf.embed_dim' given twice in {config}, at lines 7 and 24\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_removed_negative_sampling_key_is_a_config_error(chain, tmp_path):

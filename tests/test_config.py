@@ -90,6 +90,15 @@ def test_parse_config_error_reporting(tmp_path):
         parse_config(path)
 
 
+def test_a_key_given_twice_is_rejected_with_both_lines(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("cf.embed_dim = 12\n# again\n\ncf.embed_dim = 16\n", encoding="utf-8")
+    with pytest.raises(
+        ConfigError, match=r"^config key 'cf.embed_dim' given twice in .*run.cfg, at lines 1 and 4$"
+    ):
+        parse_config(path)
+
+
 def test_make_config_converts_lists_and_validates():
     config = make_config({"eval.ks": [1, 2, 4], "cot.sweep": [0.1, 0.2]})
     assert config.get("eval.ks") == (1, 2, 4)
