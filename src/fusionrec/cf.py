@@ -13,18 +13,17 @@ Vasilev, RecSys 2023). No negatives are drawn, so the vocabulary is exactly
 the set of items in the train sequences.
 
 Supplies the collaborative item embeddings, user representations, next-item
-score distributions, and verbalized priors consumed downstream. User
-representations come from `_infer_last`, an inference routine kept apart
-from the training `_forward`: it keeps no backward cache, applies no dropout
-or pad mask, and runs the last block's query, attention and FFN at the last
-position only, the one row a representation reads.
-`user_representations_from_rows` takes a table of per-step input rows and
-each user's row indices into it, groups the users by length and runs
-`_infer_last` once per group of at most `FORWARD_ROWS` users, gathering each
-group's input from the table. Grouping by length keeps every row
-bit-identical to a run of `_infer_last` over that history alone, which one
-padded batch would not; a row differs from the training forward's last
-position only by rounding (about 1e-15 relative).
+score distributions, and verbalized priors consumed downstream. The block's
+math is written once, in `_block`. The training `_forward` loops it with the
+pad mask and dropout and keeps each block's backward cache; the inference
+routine `_infer_last` loops it with neither, drops each cache at once, and
+runs the last block's query, attention and FFN at the last position only,
+the one row a representation reads. `user_representations_from_rows` groups
+users by length and runs `_infer_last` once per group of at most
+`FORWARD_ROWS` users, gathering each group's input from a table of per-step
+rows. Grouping by length keeps every row bit-identical to a run over that
+history alone, which one padded batch would not; a row differs from the
+training forward's last position only by rounding (about 1e-15 relative).
 """
 
 from __future__ import annotations
@@ -137,95 +136,100 @@ def _left_align(rows: list[list[int]]) -> np.ndarray:
     return ids
 
 
+def _heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """(B, L, d) rows as (B, heads, L, d / heads) slices, one per head."""
+    n_b, length, d = x.shape
+    return x.reshape(n_b, length, heads, d // heads).transpose(0, 2, 1, 3)
+
+
+def _unheads(x: np.ndarray) -> np.ndarray:
+    """(B, heads, L, d_h) slices back as (B, L, heads * d_h) rows."""
+    n_b, heads, length, d_h = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(n_b, length, heads * d_h)
+
+
+def _block(params: dict, config: CfConfig, b: int, h: np.ndarray, causal=None, mask=None,
+           drop_masks=None):
+    """Attention block `b` over (B, L, d) rows; returns its output and backward cache.
+
+    Keys and values run at every position. Given `causal`, the (L, L) lower
+    triangle, the query, attention, output projection and FFN run at every
+    position under it (training). Without it they run at the last position
+    only, which sees every key, as a (B, 1, d) batch: each product then runs
+    per row, exactly as in a one-row batch, and the output is (B, 1, d).
+    `mask` zeroes pad positions after each residual and `drop_masks` scales
+    the attention and FFN outputs; inference passes neither.
+    """
+    p = lambda n: params[f"blk{b}.{n}"]
+    heads = config.heads
+    kh = _heads(h @ p("wk").T, heads)
+    vh = _heads(h @ p("wv").T + p("bv"), heads)
+    rows = h if causal is not None else h[:, -1:]
+    qh = _heads(rows @ p("wq").T + p("bq"), heads)
+    attn = qh @ kh.swapaxes(-1, -2) / math.sqrt(config.embed_dim // heads)
+    if causal is not None:
+        attn = np.where(causal, attn, _NEG_INF)
+    attn = np.exp(attn - attn.max(axis=-1, keepdims=True))  # exactly 0 above the diagonal
+    attn /= attn.sum(axis=-1, keepdims=True)
+    ctx = _unheads(attn @ vh)
+    # each residual sum is built in place in its branch's output, so the
+    # branch output and the sum are one array
+    h_attn = ctx @ p("wo").T + p("bo")
+    if drop_masks is not None:
+        h_attn *= drop_masks[f"attn{b}"]
+    h_attn += rows
+    if mask is not None:
+        h_attn *= mask
+    pre = h_attn @ p("w1").T + p("b1")
+    act = np.maximum(pre, 0.0)
+    out = act @ p("w2").T + p("b2")
+    if drop_masks is not None:
+        out *= drop_masks[f"ffn{b}"]
+    out += h_attn
+    if mask is not None:
+        out *= mask
+    return out, {"h_in": h, "qh": qh, "kh": kh, "vh": vh, "attn": attn, "ctx": ctx,
+                 "h_attn": h_attn, "pre": pre, "act": act}
+
+
 def _forward(params: dict, config: CfConfig, ids: np.ndarray, drop_masks=None):
     """Run the attention stack over left-aligned rows; returns (B, L, d) outputs and a cache.
 
     Pads trail every row, so the causal window of a real position holds only
     real positions and no key mask is needed; pad positions are zeroed after
-    every block.
+    every residual.
     """
-    n_b, length = ids.shape
-    d = config.embed_dim
-    heads = config.heads
-    d_h = d // heads
+    length = ids.shape[1]
     mask = (ids != 0).astype(np.float64)[:, :, None]
     h = (params["item_emb"][ids] + params["pos_emb"][:length]) * mask
     if drop_masks is not None:
         h = h * drop_masks["emb"]
     causal = np.tril(np.ones((length, length), dtype=bool))
-    cache = {"ids": ids, "mask": mask, "length": length, "blocks": []}
+    blocks = []
     for b in range(config.blocks):
-        p = lambda n: params[f"blk{b}.{n}"]
-        q = h @ p("wq").T + p("bq")
-        k = h @ p("wk").T
-        v = h @ p("wv").T + p("bv")
-
-        def split(x):
-            return x.reshape(n_b, length, heads, d_h).transpose(0, 2, 1, 3)
-
-        qh, kh, vh = split(q), split(k), split(v)
-        scores = np.where(causal, qh @ kh.swapaxes(-1, -2) / math.sqrt(d_h), _NEG_INF)
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))  # exactly 0 above the diagonal
-        attn = e / e.sum(axis=-1, keepdims=True)
-        ctx = (attn @ vh).transpose(0, 2, 1, 3).reshape(n_b, length, d)
-        out = ctx @ p("wo").T + p("bo")
-        if drop_masks is not None:
-            out = out * drop_masks[f"attn{b}"]
-        h_attn = (h + out) * mask
-        pre = h_attn @ p("w1").T + p("b1")
-        act = np.maximum(pre, 0.0)
-        ffn = act @ p("w2").T + p("b2")
-        if drop_masks is not None:
-            ffn = ffn * drop_masks[f"ffn{b}"]
-        h_new = (h_attn + ffn) * mask
-        cache["blocks"].append(
-            {"h_in": h, "qh": qh, "kh": kh, "vh": vh, "attn": attn, "ctx": ctx,
-             "h_attn": h_attn, "pre": pre, "act": act}
-        )
-        h = h_new
-    return h, cache
+        h, blk = _block(params, config, b, h, causal, mask, drop_masks)
+        blocks.append(blk)
+    return h, {"ids": ids, "mask": mask, "blocks": blocks}
 
 
 def _infer_last(params: dict, config: CfConfig, h0: np.ndarray) -> np.ndarray:
     """(B, d) outputs at the last position of (B, L, d) input rows, all real.
 
-    The inference counterpart of `_forward`: it keeps no cache and applies no
-    dropout or pad mask. Every block but the last runs at every position; the
-    last takes keys and values over every position but computes the query,
-    attention, output projection and FFN at the last position only, the one
-    row a representation reads. The last position stays a (B, 1, d) batch,
-    so each of its products runs per row, exactly as in a one-row batch.
+    `_block` with no pad mask and no dropout, each cache dropped as soon as
+    it is made; the last block runs at the last position only, the one row a
+    representation reads.
     """
-    n_b, length, d = h0.shape
-    heads = config.heads
-    d_h = d // heads
+    length = h0.shape[1]
     causal = np.tril(np.ones((length, length), dtype=bool))
     h = h0
     for b in range(config.blocks):
-        p = lambda n: params[f"blk{b}.{n}"]
-
-        def split(x):
-            return x.reshape(n_b, -1, heads, d_h).transpose(0, 2, 1, 3)
-
-        kh = split(h @ p("wk").T)
-        vh = split(h @ p("wv").T + p("bv"))
-        last = b == config.blocks - 1
-        if last:
-            h = h[:, -1:]  # the last position sees every position: no causal mask
-        scores = split(h @ p("wq").T + p("bq")) @ kh.swapaxes(-1, -2) / math.sqrt(d_h)
-        if not last:
-            scores = np.where(causal, scores, _NEG_INF)
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        attn = e / e.sum(axis=-1, keepdims=True)
-        ctx = (attn @ vh).transpose(0, 2, 1, 3).reshape(h.shape)
-        h = h + (ctx @ p("wo").T + p("bo"))
-        h = h + (np.maximum(h @ p("w1").T + p("b1"), 0.0) @ p("w2").T + p("b2"))
+        h = _block(params, config, b, h, causal if b < config.blocks - 1 else None)[0]
     return h[:, -1]
 
 
 def _backward(params: dict, config: CfConfig, cache: dict, d_outputs: np.ndarray, drop_masks=None):
     """Backpropagate d(loss)/d(outputs), given at every (B, L) position, through the stack."""
-    n_b, length, d = d_outputs.shape
+    length, d = d_outputs.shape[1:]
     heads = config.heads
     d_h = d // heads
     mask = cache["mask"]
@@ -258,8 +262,7 @@ def _backward(params: dict, config: CfConfig, cache: dict, d_outputs: np.ndarray
         # out = ctx @ wo.T + bo
         g("wo")[...] += d_out.reshape(-1, d).T @ blk["ctx"].reshape(-1, d)
         g("bo")[...] += d_out.sum(axis=(0, 1))
-        d_ctx = d_out @ p("wo")
-        d_ctx_h = d_ctx.reshape(n_b, length, heads, d_h).transpose(0, 2, 1, 3)
+        d_ctx_h = _heads(d_out @ p("wo"), heads)
         attn = blk["attn"]
         d_attn = d_ctx_h @ blk["vh"].swapaxes(-1, -2)
         d_vh = attn.swapaxes(-1, -2) @ d_ctx_h
@@ -268,11 +271,7 @@ def _backward(params: dict, config: CfConfig, cache: dict, d_outputs: np.ndarray
         d_scores = attn * (d_attn - inner) / math.sqrt(d_h)
         d_qh = d_scores @ blk["kh"]
         d_kh = d_scores.swapaxes(-1, -2) @ blk["qh"]
-
-        def merge(x):
-            return x.transpose(0, 2, 1, 3).reshape(n_b, length, d)
-
-        d_q, d_k, d_v = merge(d_qh), merge(d_kh), merge(d_vh)
+        d_q, d_k, d_v = _unheads(d_qh), _unheads(d_kh), _unheads(d_vh)
         h_in = blk["h_in"].reshape(-1, d)
         for nm, dx in (("wq", d_q), ("wk", d_k), ("wv", d_v)):
             g(nm)[...] += dx.reshape(-1, d).T @ h_in
@@ -467,15 +466,12 @@ def next_item_probabilities(model: CfModel, history: list[str]) -> np.ndarray:
 
 def rank_by_score(model: CfModel, scores: np.ndarray) -> list[str]:
     """Item ids sorted by score descending, ties broken by id ascending."""
-    by_id = model.id_order
-    order = by_id[np.argsort(-np.asarray(scores)[by_id], kind="stable")]
-    items = model.items
-    return [items[i] for i in order.tolist()]
+    return top_items(model, np.asarray(scores)[None], len(model.items))[0]
 
 
 def top_items(model: CfModel, scores: np.ndarray, k: int) -> list[list[str]]:
-    """The first k (at least 1) of `rank_by_score(model, row)` for each row of
-    (n, items) scores.
+    """The first k (at least 1) item ids of each row of (n, items) scores, by
+    score descending, ties broken by id ascending.
 
     One partition over the id-ordered matrix finds each row's k-th largest
     score; only the columns scoring at least that much (k of them unless

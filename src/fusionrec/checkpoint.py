@@ -103,6 +103,11 @@ def _read_header(fh, path) -> tuple[str, dict, list[tuple[str, tuple[int, ...]]]
     return kind, meta, entries
 
 
+def _check_kind(path, found, kind: str | None) -> None:
+    if kind is not None and found != kind:
+        raise DataError(f"{path} holds a {found!r} checkpoint, expected {kind}")
+
+
 def _open(path):
     """`path` opened for binary reading; a file that cannot be opened is a DataError."""
     try:
@@ -111,20 +116,25 @@ def _open(path):
         raise DataError(f"cannot read checkpoint {path}: {exc.strerror}") from None
 
 
-def load_checkpoint_header(path) -> tuple[str, dict]:
-    """Kind and meta of a size-checked checkpoint, without reading its array payload."""
+def load_checkpoint_header(path, kind: str | None = None) -> tuple[str, dict]:
+    """Kind and meta of a size-checked checkpoint, without reading its array
+    payload; given `kind`, a checkpoint of another kind is a DataError."""
     with _open(path) as fh:
-        kind, meta, _ = _read_header(fh, path)
-    return kind, meta
+        found, meta, _ = _read_header(fh, path)
+    _check_kind(path, found, kind)
+    return found, meta
 
 
-def load_checkpoint(path) -> tuple[str, dict, dict[str, np.ndarray]]:
+def load_checkpoint(path, kind: str | None = None) -> tuple[str, dict, dict[str, np.ndarray]]:
+    """Kind, meta and arrays of a checkpoint; given `kind`, a checkpoint of
+    another kind is a DataError."""
     with _open(path) as fh:
-        kind, meta, entries = _read_header(fh, path)
+        found, meta, entries = _read_header(fh, path)
+        _check_kind(path, found, kind)
         arrays: dict[str, np.ndarray] = {}
         for name, shape in entries:
             array = np.empty(shape, dtype="<f8")
             if fh.readinto(_bytes_of(array)) != array.nbytes:
                 raise DataError(f"{path}: truncated array payload for {name!r}")
             arrays[name] = array
-    return kind, meta, arrays
+    return found, meta, arrays

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import fcntl
+import itertools
 import json
 import os
 import sys
@@ -122,19 +123,76 @@ def _artifact_fields(path: str):
         raise DataError(f"{path}: missing or malformed field ({type(exc).__name__}: {exc})") from None
 
 
+# JSON decodes to exact types, so a bool is neither of these.
+_NUMBER = {int, float}
+
+
+def _only(values, types: set, what: str) -> None:
+    """Raise a TypeError naming `what` if one of `values` has a type outside `types`."""
+    others = set(map(type, values)) - types
+    if others:
+        raise TypeError(f"{what} holds a value of type {min(t.__name__ for t in others)}")
+
+
 def _split_from_json(payload) -> SplitDataset:
     split = SplitDataset(
         train=payload["train"], validation=payload["validation"], test=payload["test"]
     )
+    _only((split.train, split.validation, split.test), {dict}, "train, validation or test")
+    _only(split.train.values(), {list}, "train")
+    _only(itertools.chain.from_iterable(split.train.values()), {str}, "a train sequence")
+    _only(split.validation.values(), {str}, "validation")
+    _only(split.test.values(), {str}, "test")
     if not set(split.train) == set(split.validation) == set(split.test):
         raise ValueError("train, validation and test hold different users")
     return split
 
 
-def _partition_from_json(payload) -> ColdWarmPartition:
-    return ColdWarmPartition(
-        cold=set(payload["cold"]), warm=set(payload["warm"]), frequency=payload["frequency"]
+@dataclass(frozen=True)
+class _Cots:
+    """cots.json as one column per record field, then the retained share of
+    the records and the threshold that retained them."""
+
+    keys: list[tuple[str, str]]  # (user, item)
+    cots: list[str]
+    dims: list[list[float]]
+    scores: list[float]
+    retained: list[bool]
+    coverage: float
+    threshold: float
+
+
+def _cots_from_json(payload) -> _Cots:
+    rows, coverage, threshold = payload["records"], payload["coverage"], payload["threshold"]
+    _only((rows,), {list}, "records")
+    _only(rows, {dict}, "records")
+    _only((coverage, threshold), _NUMBER, "coverage or threshold")
+
+    def column(name: str, types: set) -> list:
+        values = [row[name] for row in rows]
+        _only(values, types, f"records' {name}")
+        return values
+
+    dims = column("dims", {list})
+    _only(itertools.chain.from_iterable(dims), _NUMBER, "records' dims")
+    return _Cots(
+        keys=list(zip(column("user", {str}), column("item", {str}))),
+        cots=column("cot", {str}),
+        dims=dims,
+        scores=column("score", _NUMBER),
+        retained=column("retained", {bool}),
+        coverage=coverage,
+        threshold=threshold,
     )
+
+
+def _partition_from_json(payload) -> ColdWarmPartition:
+    cold, warm, frequency = payload["cold"], payload["warm"], payload["frequency"]
+    _only((cold, warm), {list}, "cold or warm")
+    _only(itertools.chain(cold, warm), {str}, "cold or warm")
+    _only((frequency,), {dict}, "frequency")
+    _only(frequency.values(), {int}, "frequency")
+    return ColdWarmPartition(cold=set(cold), warm=set(warm), frequency=frequency)
 
 
 def _check_arrays(arrays: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]]) -> None:
@@ -174,29 +232,48 @@ def _align_from_checkpoint(content) -> AlignmentNetwork:
     return AlignmentNetwork(**fields, params=arrays, training_log=log)
 
 
-# What `_read` builds from each typed artifact; any other artifact is its content.
+def _coldwarm_line(payload) -> str:
+    """Cohort sizes and the hr gap at the largest cutoff evaluated."""
+    hr_gap = payload["gap"]["hr"]
+    k = max(hr_gap, key=int)
+    return (
+        f"warm n={payload['warm']['n_users']}, cold n={payload['cold']['n_users']}; "
+        f"hr@{k} gap {hr_gap[k]}"
+    )
+
+
+def _standard_line(report) -> str:
+    hr = ", ".join(
+        f"hr@{k}={v:.4f}" for k, v in sorted(report["hr"].items(), key=lambda kv: int(kv[0]))
+    )
+    return f"n_users={report['n_users']}; {hr}"
+
+
+# What `_read` builds from each typed artifact; any other artifact is its
+# content. Only `report` reads the eval reports, so theirs is its summary line.
 _PARSERS = {
     "split.json": _split_from_json,
     "partition.json": _partition_from_json,
+    "cots.json": _cots_from_json,
+    "report_standard.json": _standard_line,
+    "report_coldwarm.json": _coldwarm_line,
     "cf.ckpt": _cf_from_checkpoint,
     "align.ckpt": _align_from_checkpoint,
 }
 
 
-def _read(path: str, parse=None):
-    """Read an artifact by file type, then build it with `parse` or its `_PARSERS` entry.
+def _read(path: str):
+    """Read an artifact by file type, then build it with its `_PARSERS` entry.
 
     A `.ckpt` file's content is (meta, arrays) of a checkpoint whose kind is
     the file's stem, a `.txt` file's is its text, and any other file's is its
-    JSON. Undecodable content, or a field that `parse` finds missing or
+    JSON. Undecodable content, or a field that the parser finds missing or
     malformed, is a DataError naming the file.
     """
     filename = os.path.basename(path)
     stem, ext = os.path.splitext(filename)
     if ext == ".ckpt":
-        kind, meta, arrays = load_checkpoint(path)
-        if kind != stem:
-            raise DataError(f"{path} holds a {kind!r} checkpoint, expected {stem}")
+        _, meta, arrays = load_checkpoint(path, stem)
         content = (meta, arrays)
     else:
         text = read_text(path, "artifact")
@@ -204,7 +281,7 @@ def _read(path: str, parse=None):
             content = text if ext == ".txt" else json.loads(text)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: corrupt artifact ({type(exc).__name__}: {exc})") from None
-    parse = parse or _PARSERS.get(filename)
+    parse = _PARSERS.get(filename)
     if parse is None:
         return content
     with _artifact_fields(path):
@@ -268,10 +345,10 @@ class _Run:
         path = os.path.join(self.out_dir, filename)
         return path if os.path.exists(path) else None
 
-    def read(self, filename: str, parse=None):
+    def read(self, filename: str):
         """A declared input read by `_read`, or None when it does not exist."""
         path = self.path(filename)
-        return None if path is None else _read(path, parse)
+        return None if path is None else _read(path)
 
 
 def _cf_and_alignment(run: _Run) -> tuple[CfModel, AlignmentNetwork | None]:
@@ -290,8 +367,18 @@ def _cf_and_alignment(run: _Run) -> tuple[CfModel, AlignmentNetwork | None]:
     return model, net
 
 
-def _semantic_map(config: RunConfig, model: CfModel | None = None) -> dict[str, np.ndarray]:
-    """Semantic vectors from data.embeddings, or else from the catalog's text.
+def _catalog(config: RunConfig) -> dict[str, tuple[str, str]]:
+    catalog_path = config.get("data.catalog")
+    if not catalog_path:
+        raise ConfigError("data.catalog: path is required for this stage")
+    return load_catalog(catalog_path)
+
+
+def _semantic_map(
+    config: RunConfig, model: CfModel | None = None, catalog: dict | None = None
+) -> dict[str, np.ndarray]:
+    """Semantic vectors from data.embeddings, or else from the catalog's text;
+    `catalog` is the stage's parsed data.catalog, when it has one.
 
     With a CF model, only the items outside its vocabulary keep a vector:
     `align.unified_item_embedding` reads no other. Every embeddings line is
@@ -301,18 +388,8 @@ def _semantic_map(config: RunConfig, model: CfModel | None = None) -> dict[str, 
     embeddings_path = config.get("data.embeddings")
     if embeddings_path:
         return load_embeddings(embeddings_path, skip)
-    catalog_path = config.get("data.catalog")
-    if not catalog_path:
-        raise ConfigError("data.catalog: required when data.embeddings is not set")
-    catalog = load_catalog(catalog_path)
+    catalog = _catalog(config) if catalog is None else catalog
     return embed_catalog({item: text for item, text in catalog.items() if item not in skip})
-
-
-def _catalog(config: RunConfig) -> dict[str, tuple[str, str]]:
-    catalog_path = config.get("data.catalog")
-    if not catalog_path:
-        raise ConfigError("data.catalog: path is required for this stage")
-    return load_catalog(catalog_path)
 
 
 def _prepare(run: _Run) -> dict:
@@ -496,13 +573,13 @@ def _train_proj(run: _Run) -> dict:
     split = run.read("split.json")
     model, net = _cf_and_alignment(run)
     catalog = _catalog(config)
-    semantic_map = _semantic_map(config, model)
-    retained = run.read("cots.json", lambda payload: [
-        ((row["user"], row["item"]), row["cot"])
-        for row in payload["records"] if row["retained"]
-    ])
+    semantic_map = _semantic_map(config, model, catalog)
+    cots = run.read("cots.json")
+    retained = [] if cots is None else [
+        (key, cot) for key, cot, kept in zip(cots.keys, cots.cots, cots.retained) if kept
+    ]
+    del cots  # the parsed columns go before training; only the retained traces stay
     # each embedding holds its nonzero hashed buckets; a batch makes its rows dense
-    retained = retained or []
     cot_embeddings = {}
     for start in range(0, len(retained), FORWARD_ROWS):
         chunk = retained[start : start + FORWARD_ROWS]
@@ -623,34 +700,15 @@ def _eval(run: _Run) -> dict:
 
 
 def _sweep(run: _Run) -> dict:
-    records = run.read(
-        "cots.json",
-        lambda payload: [
-            CotRecord(instance=None, cot=row["cot"], dims=tuple(row["dims"]), score=row["score"])
-            for row in payload["records"]
-        ],
-    )
+    cots = run.read("cots.json")
+    records = [
+        CotRecord(instance=None, cot=cot, dims=tuple(dims), score=score)
+        for cot, dims, score in zip(cots.cots, cots.dims, cots.scores)
+    ]
     rows = threshold_sweep(records, list(run.config.get("cot.sweep")))
     table = render_sweep_report(rows)
     print(table, end="")
     return {"sweep.json": {"rows": rows, "meta": run.meta}, "sweep.txt": table}
-
-
-def _coldwarm_line(payload) -> str:
-    """Cohort sizes and the hr gap at the largest cutoff evaluated."""
-    hr_gap = payload["gap"]["hr"]
-    k = max(hr_gap, key=int)
-    return (
-        f"warm n={payload['warm']['n_users']}, cold n={payload['cold']['n_users']}; "
-        f"hr@{k} gap {hr_gap[k]}"
-    )
-
-
-def _standard_line(report) -> str:
-    hr = ", ".join(
-        f"hr@{k}={v:.4f}" for k, v in sorted(report["hr"].items(), key=lambda kv: int(kv[0]))
-    )
-    return f"n_users={report['n_users']}; {hr}"
 
 
 def _report(run: _Run) -> dict:
@@ -660,25 +718,23 @@ def _report(run: _Run) -> dict:
         if body is not None:
             lines.extend([f"== {title} ==", body.rstrip("\n"), ""])
 
-    section("data", run.read("split.json", lambda payload: f"users: {len(payload['train'])}"))
-    for name, ckpt in (("cf", "cf.ckpt"), ("alignment", "align.ckpt"), ("projection", "proj.ckpt")):
+    split = run.read("split.json")
+    section("data", None if split is None else f"users: {len(split.train)}")
+    for name, kind in (("cf", "cf"), ("alignment", "align"), ("projection", "proj")):
+        ckpt = f"{kind}.ckpt"
         path = run.path(ckpt)
         if path is not None:
-            _, meta = load_checkpoint_header(path)
+            _, meta = load_checkpoint_header(path, kind)
             with _artifact_fields(path):
                 log = meta.get("training_log", [])
                 tail = f"final loss {log[-1]:.6f}" if log else "no training log"
             section(name, f"checkpoint {ckpt}; {tail}")
-    section(
-        "reasoning traces",
-        run.read(
-            "cots.json",
-            lambda payload: f"records: {len(payload['records'])}; coverage "
-            f"{payload['coverage']:.4f} at threshold {payload['threshold']}",
-        ),
-    )
-    section("evaluation (standard)", run.read("report_standard.json", _standard_line))
-    section("evaluation (cold/warm)", run.read("report_coldwarm.json", _coldwarm_line))
+    cots = run.read("cots.json")
+    section("reasoning traces", None if cots is None else (
+        f"records: {len(cots.keys)}; coverage {cots.coverage:.4f} at threshold {cots.threshold}"
+    ))
+    section("evaluation (standard)", run.read("report_standard.json"))
+    section("evaluation (cold/warm)", run.read("report_coldwarm.json"))
     section("threshold sweep", run.read("sweep.txt"))
     body = "\n".join(lines).rstrip("\n") + "\n"
     print(body, end="")

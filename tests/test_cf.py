@@ -480,8 +480,8 @@ def test_user_representations_hold_a_forward_pass_of_rows_not_every_history(monk
 
 # A forward that keeps the training cache (nine activations per block) peaks
 # at about 0.56 (one block) and 0.82 (two blocks) of n*L*d*8 bytes here; one
-# that keeps none and runs the last block at the last position only, at about
-# 0.25 and 0.37.
+# that drops each block's cache when the block returns and runs the last block
+# at the last position only, at about 0.25 and 0.45.
 @pytest.mark.parametrize("blocks, share", [(1, 0.4), (2, 0.65)])
 def test_representing_users_keeps_no_backward_cache(monkeypatch, blocks, share):
     n, length, d = 2000, 12, 64

@@ -459,10 +459,31 @@ def _repeat_the_first_item(meta, arrays):
     meta["items"][1] = meta["items"][0]
 
 
-def _drop_first_test_user(blob: bytes) -> bytes:
-    payload = json.loads(blob)
+def _json_edited(edit):
+    """A damage that parses a JSON artifact, lets `edit(payload)` change it in
+    place, and writes it again as well-formed JSON."""
+
+    def damage(blob: bytes) -> bytes:
+        payload = json.loads(blob)
+        edit(payload)
+        return json.dumps(payload).encode("utf-8")
+
+    return damage
+
+
+def _drop_first_test_user(payload):
     del payload["test"][min(payload["test"])]
-    return json.dumps(payload).encode("utf-8")
+
+
+def _first_validation_a_list(payload):
+    validation = payload["validation"]
+    user = min(validation)
+    validation[user] = [validation[user]]
+
+
+def _first_train_sequence_a_string(payload):
+    user = min(payload["train"])
+    payload["train"][user] = "".join(payload["train"][user])
 
 
 @pytest.mark.parametrize(
@@ -479,12 +500,25 @@ def _drop_first_test_user(blob: bytes) -> bytes:
             "report",
         ),
         ("cf.ckpt", lambda blob: _ckpt_with_header(b'{"arrays":[],"kind":"cf","meta":[]}'), "report"),
+        (
+            "cf.ckpt",
+            lambda blob: _ckpt_with_header(
+                b'{"arrays":[],"kind":"align","meta":{"training_log":[0.5]}}'
+            ),
+            "report",
+        ),
         ("split.json", lambda blob: blob[:3], "train-cf"),
         ("split.json", lambda blob: b"\xff\xfe" + blob, "train-align"),
         ("split.json", lambda blob: b'{"train": {}}', "eval"),
-        ("split.json", _drop_first_test_user, "train-align"),
+        ("split.json", _json_edited(_drop_first_test_user), "train-align"),
+        ("split.json", _json_edited(_first_validation_a_list), "train-align"),
+        ("split.json", _json_edited(_first_validation_a_list), "eval"),
+        ("split.json", _json_edited(_first_train_sequence_a_string), "train-cf"),
         ("cots.json", lambda blob: b"{}", "sweep"),
+        ("cots.json", _json_edited(lambda payload: payload["records"][0].update(score="1")), "sweep"),
+        ("cots.json", _json_edited(lambda payload: payload["records"][0].update(cot=7)), "train-proj"),
         ("partition.json", lambda blob: b'{"cold": []}', "eval"),
+        ("partition.json", _json_edited(lambda payload: payload.update(cold="u1")), "eval"),
         ("report_standard.json", lambda blob: b'{"hr": {}}', "report"),
         ("cf.ckpt", _resaved(lambda meta, arrays: arrays.pop("blk0.wq")), "eval"),
         ("cf.ckpt", _resaved(lambda meta, arrays: arrays.pop("blk0.wq")), "cot"),
@@ -497,8 +531,11 @@ def _drop_first_test_user(blob: bytes) -> bytes:
     ],
     ids=[
         "cf-cut", "cf-no-arrays", "cf-no-items", "cf-shape-not-an-int", "cf-meta-a-list",
-        "split-cut", "split-bad-utf8", "split-no-keys", "split-users-differ", "cots-no-records",
-        "partition-no-warm", "report-no-users", "cf-array-missing-eval", "cf-array-missing-cot",
+        "cf-of-kind-align",
+        "split-cut", "split-bad-utf8", "split-no-keys", "split-users-differ",
+        "split-validation-a-list-align", "split-validation-a-list-eval", "split-train-a-string",
+        "cots-no-records", "cots-score-a-string", "cots-cot-an-int",
+        "partition-no-warm", "partition-cold-a-string", "report-no-users", "cf-array-missing-eval", "cf-array-missing-cot",
         "cf-blocks-over-arrays", "cf-embed-dim-over-arrays", "cf-extra-array", "cf-item-twice",
         "align-latent-dim-over-arrays", "align-array-missing",
     ],
@@ -929,6 +966,32 @@ def test_prepare_requires_a_catalog_path(chain, tmp_path):
     rc, _, err = _run(["prepare", "--config", str(config), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert err == "error: data.catalog: path is required for prepare\n"
+
+
+@pytest.mark.parametrize("stage", ["train-align", "cot", "train-proj", "eval"])
+def test_a_stage_without_a_catalog_path_names_it_in_one_message(chain, tmp_path, stage):
+    lines = chain["config"].read_text(encoding="utf-8").splitlines(keepends=True)
+    config = tmp_path / "no-catalog.conf"
+    config.write_text("".join(line for line in lines if not line.startswith("data.catalog")),
+                      encoding="utf-8")
+    out_dir = tmp_path / "out"
+    shutil.copytree(chain["out"], out_dir)
+    rc, _, err = _run([stage, "--config", str(config), "--out", str(out_dir), "--force"])
+    assert rc == 2
+    assert err == "error: data.catalog: path is required for this stage\n"
+
+
+def test_train_proj_parses_the_catalog_once(chain, tmp_path, monkeypatch):
+    out_dir = tmp_path / "out"
+    shutil.copytree(chain["out"], out_dir)
+    parsed = []
+    load_catalog = fusionrec.cli.load_catalog
+    monkeypatch.setattr(fusionrec.cli, "load_catalog",
+                        lambda path: parsed.append(path) or load_catalog(path))
+    rc, _, err = _run(["train-proj", "--config", str(chain["config"]), "--out", str(out_dir),
+                       "--seed", "0", "--force"])
+    assert rc == 0, err
+    assert parsed == [str(chain["catalog"])]
 
 
 def test_uncataloged_item_is_a_data_error(tmp_path):
