@@ -7,7 +7,6 @@ traces, one self-contradictory and one off-topic, and watch where they land.
 """
 
 from fusionrec.cot import (
-    CotRecord,
     FixtureAdapter,
     build_instruction_instance,
     filter_cots,
@@ -68,7 +67,7 @@ print("the off-topic trace squeaks by: fluent nonsense needs the harsher 0.8 gat
 
 print("\n--- threshold sweep ---")
 rows = threshold_sweep(
-    [CotRecord(instance=None, cot=r.cot, dims=r.dims, score=r.score) for r in records],
+    records,
     [0.0, 0.2, 0.4, 0.6, 0.8],
     downstream_eval=lambda kept: {"kept": float(len(kept))},
 )

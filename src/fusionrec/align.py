@@ -43,21 +43,6 @@ from .errors import DataError
 from .optim import fit, xavier
 from .semantic import SEMANTIC_DIM
 
-__all__ = [
-    "AlignmentNetwork",
-    "AlignmentBatch",
-    "AlignmentDataset",
-    "network_shapes",
-    "init_alignment",
-    "encode",
-    "decode",
-    "total_loss_and_gradients",
-    "train_alignment",
-    "build_alignment_dataset",
-    "stack_alignment_dataset",
-    "unified_item_embedding",
-]
-
 _CLAMP = 1e-7
 
 COLLABORATIVE = "collaborative"

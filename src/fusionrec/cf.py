@@ -37,24 +37,6 @@ import numpy as np
 
 from .optim import fit, xavier
 
-__all__ = [
-    "CfConfig",
-    "CfModel",
-    "model_shapes",
-    "train_cf",
-    "training_loss_and_gradients",
-    "user_representation",
-    "user_representations",
-    "user_representations_from_rows",
-    "warm_user_representations",
-    "user_representation_from_vectors",
-    "next_item_probabilities",
-    "item_probabilities",
-    "rank_by_score",
-    "top_items",
-    "verbalize_prior",
-]
-
 _NEG_INF = -1e30
 
 # Histories per forward pass when representing users in batches. A fixed cap

@@ -18,8 +18,6 @@ import numpy as np
 
 from .errors import DataError
 
-__all__ = ["atomic_open", "save_checkpoint", "load_checkpoint", "load_checkpoint_header"]
-
 _MAGIC = b"FRCKPT1\n"
 
 

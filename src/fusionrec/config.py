@@ -19,8 +19,6 @@ from .cf import CfConfig
 from .data import text_lines
 from .errors import ConfigError
 
-__all__ = ["RunConfig", "DEFAULTS", "default_config", "parse_config", "make_config"]
-
 DEFAULTS: dict[str, object] = {
     "seed": 0,
     "data.interactions": "",

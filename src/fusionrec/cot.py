@@ -27,26 +27,6 @@ from .errors import ConfigError, DataError
 from .lexicon import POLARITY
 from .semantic import similarity_mapped, token_counts, unit_rows
 
-__all__ = [
-    "MAX_COT_TOKENS",
-    "TASK_INSTRUCTION",
-    "InstructionInstance",
-    "CotRecord",
-    "FixtureAdapter",
-    "build_instruction_instance",
-    "generate_cot",
-    "truncate_tokens",
-    "score_coherence",
-    "composite_score",
-    "score_cots",
-    "score_cot",
-    "filter_cots",
-    "threshold_sweep",
-    "render_sweep_report",
-    "load_cot_fixture",
-    "load_explanation_fixture",
-]
-
 MAX_COT_TOKENS = 180
 
 TASK_INSTRUCTION = (
@@ -75,6 +55,8 @@ class InstructionInstance:
     prior_line: str
     label: int
     target_item: str
+    history_titles: list[str]  # catalog title of each history line
+    target_title: str
     candidates: list[tuple[str, str, float]] | None = None  # (id, title, prior)
 
     def history_text(self) -> str:
@@ -119,11 +101,12 @@ def build_instruction_instance(
         return f"{title} - {description}" if description else title
 
     start = max(0, len(history) - k_prompt)
-    lines = []
+    lines, titles = [], []
     for offset, item in enumerate(history[start:]):
         pos = start + offset
         rewatch = " (re-watch)" if item in history[:pos] else ""
         lines.append(f"{offset + 1}. {item_line(item)}{rewatch}")
+        titles.append(catalog[item][0])
     return InstructionInstance(
         user=user,
         task=TASK_INSTRUCTION,
@@ -132,6 +115,8 @@ def build_instruction_instance(
         prior_line=prior_text,
         label=int(label),
         target_item=target,
+        history_titles=titles,
+        target_title=catalog[target][0],
         candidates=list(candidates) if candidates else None,
     )
 
@@ -145,21 +130,19 @@ def truncate_tokens(text: str, limit: int = MAX_COT_TOKENS) -> str:
 
 def _template_expansion(instance: InstructionInstance) -> str:
     """Deterministic three-step reasoning text rendered from the instance."""
-    titles = [line.split(". ", 1)[-1].split(" - ")[0] for line in instance.history_lines[-3:]]
-    target_title = instance.target_line.split(" - ")[0]
     profile = (
-        f"The recent history covers {', '.join(titles)}. "
+        f"The recent history covers {', '.join(instance.history_titles[-3:])}. "
         "These interactions point to a settled preference profile."
     )
     if instance.label == 1:
         assessment = (
-            f"The target item {target_title} matches the preference profile; "
+            f"The target item {instance.target_title} matches the preference profile; "
             f"the prior states {instance.prior_line}."
         )
         verdict = "Therefore the user will interact with the target item."
     else:
         assessment = (
-            f"The target item {target_title} sits outside the preference profile; "
+            f"The target item {instance.target_title} sits outside the preference profile; "
             f"the prior states {instance.prior_line}."
         )
         verdict = "Therefore the user will not interact with the target item."
@@ -363,26 +346,34 @@ def score_cot(
     return score_cots([instance], [cot], weights)[0]
 
 
-def filter_cots(records: list[CotRecord], threshold: float = 0.6):
-    """Retain records with score >= threshold; returns (retained, coverage)."""
+def _retained(records: list[CotRecord], threshold: float):
+    """The records with score >= threshold, and their share of `records`."""
     if not records:
         raise DataError("coverage is undefined for an empty record list")
-    retained = []
-    for record in records:
-        record.retained = record.score >= threshold
-        if record.retained:
-            retained.append(record)
+    retained = [record for record in records if record.score >= threshold]
     return retained, len(retained) / len(records)
 
 
+def filter_cots(records: list[CotRecord], threshold: float = 0.6):
+    """Retain records with score >= threshold and set each record's
+    `retained` flag; returns (retained, coverage)."""
+    retained, coverage = _retained(records, threshold)
+    for record in records:
+        record.retained = False
+    for record in retained:
+        record.retained = True
+    return retained, coverage
+
+
 def threshold_sweep(records: list[CotRecord], thresholds, downstream_eval=None) -> list[dict]:
-    """Coverage (and optional downstream metrics) at each ascending threshold."""
+    """Coverage (and optional downstream metrics) at each ascending threshold;
+    leaves each record's `retained` flag as it was."""
     thresholds = list(thresholds)
     if any(b < a for a, b in zip(thresholds, thresholds[1:])):
         raise ValueError("thresholds must be sorted ascending")
     rows = []
     for threshold in thresholds:
-        retained, coverage = filter_cots(records, threshold)
+        retained, coverage = _retained(records, threshold)
         row = {"threshold": threshold, "coverage": coverage}
         if downstream_eval is not None:
             row.update(downstream_eval(retained))

@@ -21,24 +21,6 @@ from dataclasses import dataclass, field
 
 from .errors import DataError, FusionrecError
 
-__all__ = [
-    "Event",
-    "InteractionLog",
-    "UserSequence",
-    "SplitDataset",
-    "TrainingSequence",
-    "ColdWarmPartition",
-    "read_text",
-    "text_lines",
-    "load_interactions",
-    "load_catalog",
-    "filter_dataset",
-    "build_sequences",
-    "leave_one_out_split",
-    "build_training_instances",
-    "partition_cold_warm",
-]
-
 
 @dataclass(frozen=True)
 class Event:

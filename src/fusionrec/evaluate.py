@@ -37,20 +37,6 @@ from .data import ColdWarmPartition, SplitDataset
 from .errors import DataError, DependencyError
 from .metrics import bleu, hit_rate_from_ranks, ndcg_from_ranks, rouge, tokenize
 
-__all__ = [
-    "PROTOCOLS",
-    "MetricReport",
-    "ItemTable",
-    "PoolRanker",
-    "RecommendationPipeline",
-    "CohortComparison",
-    "sample_pool",
-    "evaluate_split",
-    "cold_warm_report",
-    "zero_shot_eval",
-    "render_metric_table",
-]
-
 logger = logging.getLogger(__name__)
 
 PROTOCOLS = ("standard", "cold", "warm", "zero_shot")

@@ -9,14 +9,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-__all__ = [
-    "hit_rate_from_ranks",
-    "ndcg_from_ranks",
-    "bleu",
-    "rouge",
-    "tokenize",
-]
-
 
 def tokenize(text: str) -> list[str]:
     return text.lower().split()

@@ -20,8 +20,6 @@ import numpy as np
 
 from .errors import TrainingError
 
-__all__ = ["Sgd", "Adam", "make_optimizer", "fit", "xavier"]
-
 
 def xavier(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
     """Glorot-uniform ``(fan_out, fan_in)`` weight matrix drawn from ``rng``."""

@@ -34,23 +34,6 @@ from .errors import DataError
 from .evaluate import sample_pool
 from .optim import fit, xavier
 
-__all__ = [
-    "ProjectionStack",
-    "PromptBundle",
-    "SurrogateHead",
-    "ProjectionExample",
-    "init_projection_stack",
-    "build_vocabulary",
-    "make_surrogate_head",
-    "project_components",
-    "render_prompt_text",
-    "surrogate_loss_and_gradients",
-    "train_projections",
-    "rank_candidates",
-    "request_explanation",
-    "build_projection_examples",
-]
-
 PROMPT_INSTRUCTION = "Choose the item this user is most likely to interact with next."
 PROMPT_QUERY = "Which candidate item comes next for this user?"
 

@@ -15,19 +15,6 @@ import numpy as np
 from .data import text_lines
 from .errors import DataError
 
-__all__ = [
-    "SEMANTIC_DIM",
-    "load_embeddings",
-    "token_counts",
-    "unit_rows",
-    "embed_texts",
-    "fallback_embed",
-    "embed_catalog",
-    "SparseVector",
-    "similarity",
-    "similarity_mapped",
-]
-
 SEMANTIC_DIM = 768
 
 

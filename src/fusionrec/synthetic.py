@@ -21,14 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "PlantedDataset",
-    "make_planted_dataset",
-    "make_zero_shot_variant",
-    "write_dataset",
-    "planted_successor",
-]
-
 _BLOCK_WORDS = ("alpine", "coastal")
 _GROUP_WORDS = ("trail", "ridge", "summit", "valley", "glacier")
 _SLOT_WORDS = (

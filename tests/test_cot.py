@@ -149,6 +149,18 @@ def test_fixture_adapter_expands_template_when_no_corpus():
     assert negative.endswith("Therefore the user will not interact with the target item.")
 
 
+def test_template_names_the_catalog_titles_not_the_prompt_lines():
+    # a re-watched item without a description, and a title holding " - "
+    catalog = {"p": ("Plain", ""), "s": ("Mr. Smith - Vol 2", "spy caper"), "t": ("Tail", "x")}
+    instance = build_instruction_instance("u", ["p", "t", "p"], "s", "likelihood 5%", catalog)
+    assert instance.history_lines[-1] == "3. Plain (re-watch)"
+    trace = generate_cot(FixtureAdapter(), instance)
+    assert trace.startswith("The recent history covers Plain, Tail, Plain. ")
+    assert "The target item Mr. Smith - Vol 2 matches" in trace
+    dashed = build_instruction_instance("u", ["s"], "p", "likelihood 5%", catalog, label=0)
+    assert "covers Mr. Smith - Vol 2. " in generate_cot(FixtureAdapter(), dashed)
+
+
 def test_coherence_calibration_points():
     assert score_coherence("The pack sits level.") == 1.0
     # seven identical tokens: 4 of 5 sliding 3-grams are duplicates
@@ -277,6 +289,14 @@ def test_threshold_sweep_coverage_is_non_increasing():
         assert coverage == matching
     with pytest.raises(ValueError, match="sorted ascending"):
         threshold_sweep(records, [0.5, 0.2])
+
+
+def test_threshold_sweep_leaves_the_retained_flags_as_filter_cots_set_them():
+    records = [_record(0.9), _record(0.3)]
+    filter_cots(records, threshold=0.6)
+    assert [r.retained for r in records] == [True, False]
+    threshold_sweep(records, [0.0, 0.95])
+    assert [r.retained for r in records] == [True, False]
 
 
 def test_threshold_sweep_carries_downstream_columns():
