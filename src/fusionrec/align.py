@@ -40,7 +40,7 @@ import numpy as np
 
 from . import cf as cf_mod
 from .errors import DataError
-from .optim import fit, xavier
+from .optim import fit, init_params
 from .semantic import SEMANTIC_DIM
 
 _CLAMP = 1e-7
@@ -209,10 +209,7 @@ def init_alignment(
     *,
     rng: np.random.Generator,
 ) -> AlignmentNetwork:
-    params = {
-        name: xavier(rng, *shape) if len(shape) == 2 else np.zeros(shape)
-        for name, shape in network_shapes(collab_dim, sem_dim, latent_dim).items()
-    }
+    params = init_params(network_shapes(collab_dim, sem_dim, latent_dim), rng)
     return AlignmentNetwork(collab_dim, sem_dim, latent_dim, alpha, beta, params)
 
 

@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .optim import fit, xavier
+from .optim import fit, init_params
 
 _NEG_INF = -1e30
 
@@ -98,14 +98,12 @@ def model_shapes(config: CfConfig, n_items: int) -> dict[str, tuple[int, ...]]:
 
 
 def _init_params(config: CfConfig, n_items: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    params: dict[str, np.ndarray] = {}
-    for name, shape in model_shapes(config, n_items).items():
-        if name in ("item_emb", "pos_emb"):
-            params[name] = rng.normal(0.0, 0.1, size=shape)
-        elif len(shape) == 2:
-            params[name] = xavier(rng, *shape)
-        else:
-            params[name] = np.zeros(shape)
+    """The two embeddings drawn from N(0, 0.1) (the padding row then zeroed),
+    then the blocks from `optim.init_params`, in `model_shapes` order."""
+    shapes = model_shapes(config, n_items)
+    params = {name: rng.normal(0.0, 0.1, size=shapes.pop(name))
+              for name in ("item_emb", "pos_emb")}
+    params.update(init_params(shapes, rng))
     params["item_emb"][0] = 0.0
     return params
 

@@ -101,34 +101,17 @@ def _read_header(fh, path) -> tuple[str, dict, list[tuple[str, tuple[int, ...]]]
     return kind, meta, entries
 
 
-def _check_kind(path, found, kind: str | None) -> None:
-    if kind is not None and found != kind:
-        raise DataError(f"{path} holds a {found!r} checkpoint, expected {kind}")
-
-
-def _open(path):
-    """`path` opened for binary reading; a file that cannot be opened is a DataError."""
+def load_checkpoint(path, kind: str | None = None) -> tuple[str, dict, dict[str, np.ndarray]]:
+    """Kind, meta and arrays of a checkpoint. A file that cannot be opened, or
+    given `kind` a checkpoint of another kind, is a DataError."""
     try:
-        return open(path, "rb")
+        fh = open(path, "rb")
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc.strerror}") from None
-
-
-def load_checkpoint_header(path, kind: str | None = None) -> tuple[str, dict]:
-    """Kind and meta of a size-checked checkpoint, without reading its array
-    payload; given `kind`, a checkpoint of another kind is a DataError."""
-    with _open(path) as fh:
-        found, meta, _ = _read_header(fh, path)
-    _check_kind(path, found, kind)
-    return found, meta
-
-
-def load_checkpoint(path, kind: str | None = None) -> tuple[str, dict, dict[str, np.ndarray]]:
-    """Kind, meta and arrays of a checkpoint; given `kind`, a checkpoint of
-    another kind is a DataError."""
-    with _open(path) as fh:
+    with fh:
         found, meta, entries = _read_header(fh, path)
-        _check_kind(path, found, kind)
+        if kind is not None and found != kind:
+            raise DataError(f"{path} holds a {found!r} checkpoint, expected {kind}")
         arrays: dict[str, np.ndarray] = {}
         for name, shape in entries:
             array = np.empty(shape, dtype="<f8")

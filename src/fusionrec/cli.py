@@ -46,7 +46,7 @@ from .cf import (
     verbalize_prior,
     warm_user_representations,
 )
-from .checkpoint import atomic_open, load_checkpoint, load_checkpoint_header, save_checkpoint
+from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .config import RunConfig, default_config, parse_config
 from .cot import (
     CotRecord,
@@ -75,12 +75,14 @@ from .data import (
 from .errors import ConfigError, DataError, DependencyError, FusionrecError
 from .evaluate import RecommendationPipeline, cold_warm_report, evaluate_split, render_metric_table
 from .projection import (
+    ProjectionStack,
     PromptBundle,
     build_projection_examples,
     build_vocabulary,
     init_projection_stack,
     make_surrogate_head,
     request_explanation,
+    stack_shapes,
     train_projections,
 )
 from .semantic import SEMANTIC_DIM, SparseVector, embed_catalog, embed_texts, load_embeddings
@@ -112,15 +114,6 @@ def _output_lock(out_dir: str):
         yield
     finally:
         os.close(fd)
-
-
-@contextlib.contextmanager
-def _artifact_fields(path: str):
-    """Turn a missing or malformed field of a parsed artifact into a DataError."""
-    try:
-        yield
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: missing or malformed field ({type(exc).__name__}: {exc})") from None
 
 
 # JSON decodes to exact types, so a bool is neither of these.
@@ -196,11 +189,22 @@ def _partition_from_json(payload) -> ColdWarmPartition:
 
 
 def _check_arrays(arrays: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]]) -> None:
-    """Raise ValueError unless `arrays` holds exactly the named arrays of these shapes."""
+    """Raise ValueError unless `arrays` holds exactly the named arrays of these
+    shapes, each of finite values only."""
     for name in sorted(set(arrays) | set(shapes)):
         found, wanted = (arrays[name].shape if name in arrays else None), shapes.get(name)
         if found != wanted:
             raise ValueError(f"array {name!r}: shape {found} in the file, {wanted} by the header")
+        if not np.isfinite(arrays[name]).all():
+            raise ValueError(f"array {name!r} holds a non-finite value")
+
+
+def _training_log(meta: dict) -> list:
+    """A checkpoint's training log: a list of JSON numbers, empty when absent."""
+    log = meta.get("training_log", [])
+    _only((log,), {list}, "training_log")
+    _only(log, _NUMBER, "training_log")
+    return log
 
 
 def _cf_from_checkpoint(content) -> CfModel:
@@ -215,7 +219,7 @@ def _cf_from_checkpoint(content) -> CfModel:
         item_index={item: i + 1 for i, item in enumerate(items)},
         items=items,
         params=arrays,
-        training_log=list(meta.get("training_log", [])),
+        training_log=_training_log(meta),
     )
 
 
@@ -228,8 +232,28 @@ def _align_from_checkpoint(content) -> AlignmentNetwork:
     fields = {name: meta[name] for name in _ALIGN_FIELDS}
     dims = (fields["collab_dim"], fields["sem_dim"], fields["latent_dim"])
     _check_arrays(arrays, network_shapes(*dims))
-    log = list(meta.get("training_log", []))
-    return AlignmentNetwork(**fields, params=arrays, training_log=log)
+    return AlignmentNetwork(**fields, params=arrays, training_log=_training_log(meta))
+
+
+# The ProjectionStack fields a proj.ckpt header holds, beside its vocabulary,
+# head seed and training log.
+_PROJ_FIELDS = ("d_user", "d_item", "d_cot", "d_token", "hidden")
+
+
+def _proj_from_checkpoint(content) -> ProjectionStack:
+    """The trained stack; the frozen surrogate head beside it is checked, not kept."""
+    meta, arrays = content
+    fields = {name: meta[name] for name in _PROJ_FIELDS}
+    shapes = stack_shapes(**fields)
+    n_tokens, d_token = len(meta["vocabulary"]), fields["d_token"]
+    _check_arrays(arrays, {
+        **shapes,
+        "head.w_out": (n_tokens, d_token),
+        "head.b_out": (n_tokens,),
+        "head.token_emb": (n_tokens, d_token),
+    })
+    params = {name: arrays[name] for name in shapes}
+    return ProjectionStack(**fields, params=params, training_log=_training_log(meta))
 
 
 def _coldwarm_line(payload) -> str:
@@ -259,6 +283,7 @@ _PARSERS = {
     "report_coldwarm.json": _coldwarm_line,
     "cf.ckpt": _cf_from_checkpoint,
     "align.ckpt": _align_from_checkpoint,
+    "proj.ckpt": _proj_from_checkpoint,
 }
 
 
@@ -284,8 +309,10 @@ def _read(path: str):
     parse = _PARSERS.get(filename)
     if parse is None:
         return content
-    with _artifact_fields(path):
+    try:
         return parse(content)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: missing or malformed field ({type(exc).__name__}: {exc})") from None
 
 
 def _write(path: str, value) -> None:
@@ -338,17 +365,12 @@ class _Run:
         """The config digest and master seed that every artifact embeds."""
         return {"config_digest": self.config.digest(), "seed": self.seed}
 
-    def path(self, filename: str) -> str | None:
-        """Path of a declared input, or None when it does not exist."""
+    def read(self, filename: str):
+        """A declared input read by `_read`, or None when it does not exist."""
         if filename not in self.stage.needs + self.stage.uses:
             raise ValueError(f"{filename} is not a declared input of this stage")
         path = os.path.join(self.out_dir, filename)
-        return path if os.path.exists(path) else None
-
-    def read(self, filename: str):
-        """A declared input read by `_read`, or None when it does not exist."""
-        path = self.path(filename)
-        return None if path is None else _read(path)
+        return _read(path) if os.path.exists(path) else None
 
 
 def _cf_and_alignment(run: _Run) -> tuple[CfModel, AlignmentNetwork | None]:
@@ -629,17 +651,9 @@ def _train_proj(run: _Run) -> dict:
         "head.b_out": head.b_out,
         "head.token_emb": head.token_emb,
     }
-    meta = {
-        "d_user": stack.d_user,
-        "d_item": stack.d_item,
-        "d_cot": stack.d_cot,
-        "d_token": stack.d_token,
-        "hidden": stack.hidden,
-        "vocabulary": vocabulary,
-        "head_seed": head.seed,
-        "training_log": stack.training_log,
-        **run.meta,
-    }
+    meta = {name: getattr(stack, name) for name in _PROJ_FIELDS}
+    meta.update(vocabulary=vocabulary, head_seed=head.seed, training_log=stack.training_log,
+                **run.meta)
     return {"proj.ckpt": (meta, arrays)}
 
 
@@ -720,14 +734,11 @@ def _report(run: _Run) -> dict:
 
     split = run.read("split.json")
     section("data", None if split is None else f"users: {len(split.train)}")
-    for name, kind in (("cf", "cf"), ("alignment", "align"), ("projection", "proj")):
-        ckpt = f"{kind}.ckpt"
-        path = run.path(ckpt)
-        if path is not None:
-            _, meta = load_checkpoint_header(path, kind)
-            with _artifact_fields(path):
-                log = meta.get("training_log", [])
-                tail = f"final loss {log[-1]:.6f}" if log else "no training log"
+    for name, ckpt in (("cf", "cf.ckpt"), ("alignment", "align.ckpt"), ("projection", "proj.ckpt")):
+        model = run.read(ckpt)
+        if model is not None:
+            log = model.training_log
+            tail = f"final loss {log[-1]:.6f}" if log else "no training log"
             section(name, f"checkpoint {ckpt}; {tail}")
     cots = run.read("cots.json")
     section("reasoning traces", None if cots is None else (

@@ -234,22 +234,28 @@ class RecommendationPipeline(PoolRanker):
         return [pool[i] for i in sorted(range(len(pool)), key=lambda i: (-scores[i], pool[i]))]
 
 
-def sample_pool(split: SplitDataset, user: str, target: str, universe: list[str],
-                position: dict[str, int], size: int, rng: np.random.Generator) -> list[str]:
-    """The target plus `size - 1` items drawn without replacement from the
-    universe items outside the user's sequence, or all of them when there
-    are too few (logged). `position` maps each universe item to its index."""
-    mask = np.ones(len(universe), dtype=bool)
-    mask[[position[item] for item in split.full_sequence(user)]] = False
-    eligible = np.flatnonzero(mask)
+def draw_pools(split: SplitDataset, targets: dict[str, str], size: int,
+               rng: np.random.Generator) -> list[list[str]]:
+    """One pool per user, in user order: the user's target plus `size - 1`
+    items drawn without replacement from the universe items outside the
+    user's sequence, or all of them when there are too few (logged)."""
+    universe = sorted(split.item_universe())
+    position = {item: i for i, item in enumerate(universe)}
     wanted = size - 1
-    if len(eligible) < wanted:
-        logger.info("pool shortfall for target %s: %d eligible < %d wanted; using all",
-                    target, len(eligible), wanted)
-        negatives = eligible
-    else:
-        negatives = eligible[rng.choice(len(eligible), size=wanted, replace=False)]
-    return [target] + [universe[i] for i in negatives]
+    pools = []
+    for user in split.users():
+        target = targets[user]
+        mask = np.ones(len(universe), dtype=bool)
+        mask[[position[item] for item in split.full_sequence(user)]] = False
+        eligible = np.flatnonzero(mask)
+        if len(eligible) < wanted:
+            logger.info("pool shortfall for target %s: %d eligible < %d wanted; using all",
+                        target, len(eligible), wanted)
+            negatives = eligible
+        else:
+            negatives = eligible[rng.choice(len(eligible), size=wanted, replace=False)]
+        pools.append([target] + [universe[i] for i in negatives])
+    return pools
 
 
 def _report_from_ranks(ranks: dict[str, int], ks, protocol, seed, config_digest, **text):
@@ -273,13 +279,12 @@ def evaluate_split(
 ) -> MetricReport:
     """Pooled leave-one-out ranking over the split's test targets.
 
-    Negatives are drawn per user, in user order, from the item universe minus
-    the user's own sequence; a short pool falls back to all eligible items
-    (logged), and a pool shorter than the largest cutoff is a DataError. All
-    pools are then ranked in one `pipeline.target_ranks` call, and the report
-    keeps each user's target rank. When an explanation generator and
-    reference texts are both supplied, BLEU-4 / ROUGE are averaged over the
-    covered (user, target) pairs.
+    Each user's pool is its `draw_pools` pool around its test item; a pool
+    shorter than the largest cutoff is a DataError. All pools are ranked in
+    one `pipeline.target_ranks` call, and the report keeps each user's target
+    rank. When an explanation generator and reference texts are both
+    supplied, BLEU-4 / ROUGE are averaged over the covered (user, target)
+    pairs.
     """
     if not ks:
         raise ValueError("ks must be non-empty")
@@ -287,25 +292,20 @@ def evaluate_split(
         raise ValueError(
             f"candidate pool {candidate_pool_size} is smaller than max k {max(ks)}"
         )
-    rng = np.random.default_rng(seed)
-    universe = sorted(split.item_universe())
-    position = {item: i for i, item in enumerate(universe)}
-    users = sorted(split.train)
+    users = split.users()
     if not users:
         raise DataError(f"{protocol} evaluation covered no users")
+    pools = draw_pools(split, split.test, candidate_pool_size, np.random.default_rng(seed))
 
     histories: list[list[str]] = []
-    pools: list[list[str]] = []
     text_rows: dict[str, list[float]] = {"bleu4": [], "rouge1": [], "rougeL": []}
-    for user in users:
+    for user, pool in zip(users, pools):
         target = split.test[user]
-        pool = sample_pool(split, user, target, universe, position, candidate_pool_size, rng)
         if len(pool) < max(ks):
             raise DataError(
                 f"user {user!r} has a pool of {len(pool)} items (candidate pool size "
                 f"{candidate_pool_size}), fewer than k={max(ks)}"
             )
-        pools.append(pool)
         histories.append(split.train[user] + [split.validation[user]])
         if references is not None and explainer is not None:
             reference = references.get((user, target))

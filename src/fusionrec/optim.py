@@ -1,4 +1,4 @@
-"""Optimizers, the one minibatch loop, and the shared weight initializer.
+"""Optimizers, the one minibatch loop, and the one weight initializer.
 
 Parameters are dicts of named numpy arrays; gradients use the same keys.
 Updates are in-place so model objects keep their array identities. `fit` is
@@ -21,10 +21,24 @@ import numpy as np
 from .errors import TrainingError
 
 
-def xavier(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
-    """Glorot-uniform ``(fan_out, fan_in)`` weight matrix drawn from ``rng``."""
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_out, fan_in))
+# Adam's moment decay rates and denominator guard; no model sets its own.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
+def init_params(shapes: dict[str, tuple[int, ...]],
+                rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """One array per entry of a model's shape table, drawn in table order: a
+    ``(fan_out, fan_in)`` matrix is Glorot-uniform, with limit
+    ``sqrt(6 / (fan_in + fan_out))``, and a vector is zeros."""
+    params: dict[str, np.ndarray] = {}
+    for name, shape in shapes.items():
+        if len(shape) == 2:
+            fan_out, fan_in = shape
+            limit = math.sqrt(6.0 / (fan_in + fan_out))
+            params[name] = rng.uniform(-limit, limit, size=shape)
+        else:
+            params[name] = np.zeros(shape)
+    return params
 
 
 class Sgd:
@@ -37,17 +51,8 @@ class Sgd:
 
 
 class Adam:
-    def __init__(
-        self,
-        learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._layout: tuple | None = None
         self._m = self._v = np.empty(0)
@@ -77,23 +82,23 @@ class Adam:
             changed = sorted(set(layout) ^ set(self._layout)) or "order only"
             raise ValueError(f"gradient layout changed between Adam steps: {changed}")
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        c1 = 1.0 - BETA1**self.t
+        c2 = 1.0 - BETA2**self.t
         m, v = self._m, self._v
         a, b = np.empty((2, m.size))
         np.concatenate([grad.ravel() for grad in grads.values()], out=a)
-        np.multiply(a, 1.0 - self.beta1, out=b)
-        m *= self.beta1
+        np.multiply(a, 1.0 - BETA1, out=b)
+        m *= BETA1
         m += b
-        np.multiply(a, 1.0 - self.beta2, out=b)
+        np.multiply(a, 1.0 - BETA2, out=b)
         b *= a
-        v *= self.beta2
+        v *= BETA2
         v += b
         np.divide(m, c1, out=a)  # m_hat
         a *= self.learning_rate
         np.divide(v, c2, out=b)  # v_hat
         np.sqrt(b, out=b)
-        b += self.eps
+        b += EPS
         a /= b
         offset = 0
         for name, grad in grads.items():

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .evaluate import sample_pool
-from .optim import fit, xavier
+from .evaluate import draw_pools
+from .optim import fit, init_params
 
 PROMPT_INSTRUCTION = "Choose the item this user is most likely to interact with next."
 PROMPT_QUERY = "Which candidate item comes next for this user?"
@@ -77,6 +77,18 @@ class ProjectionExample:
     user: str | None = None
 
 
+def stack_shapes(d_user: int, d_item: int, d_cot: int, d_token: int,
+                 hidden: int) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter of a projection stack, in draw order."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    for prefix, d_in in (("fx", d_user), ("fz", d_item), ("fr", d_cot)):
+        shapes[f"{prefix}.w1"] = (hidden, d_in)
+        shapes[f"{prefix}.b1"] = (hidden,)
+        shapes[f"{prefix}.w2"] = (d_token, hidden)
+        shapes[f"{prefix}.b2"] = (d_token,)
+    return shapes
+
+
 def init_projection_stack(
     d_user: int = 50,
     d_item: int = 128,
@@ -86,12 +98,7 @@ def init_projection_stack(
     *,
     rng: np.random.Generator,
 ) -> ProjectionStack:
-    params: dict[str, np.ndarray] = {}
-    for prefix, d_in in (("fx", d_user), ("fz", d_item), ("fr", d_cot)):
-        params[f"{prefix}.w1"] = xavier(rng, hidden, d_in)
-        params[f"{prefix}.b1"] = np.zeros(hidden)
-        params[f"{prefix}.w2"] = xavier(rng, d_token, hidden)
-        params[f"{prefix}.b2"] = np.zeros(d_token)
+    params = init_params(stack_shapes(d_user, d_item, d_cot, d_token, hidden), rng)
     return ProjectionStack(d_user, d_item, d_cot, d_token, hidden, params)
 
 
@@ -403,9 +410,9 @@ def build_projection_examples(
 ) -> list[ProjectionExample]:
     """Training rows targeting each user's validation item.
 
-    The slate holds the target plus sampled items from outside the user's
-    sequence (mirroring the evaluation pool structure), each with its unified
-    latent embedding, gathered from one item table over the item universe.
+    The slate is the user's `evaluate.draw_pools` pool around the target, in
+    id order, each item with its unified latent embedding, gathered from one
+    item table over the item universe.
     User vectors are computed in one batch. When `cot_embeddings` holds the
     embedding of a retained CoT for (user, target), an array or a
     `semantic.SparseVector`, it rides along as the reasoning segment.
@@ -413,7 +420,6 @@ def build_projection_examples(
     token, is a DataError.
     """
     universe = sorted(split.item_universe())
-    position = {item: i for i, item in enumerate(universe)}
     for item in universe:
         if item not in catalog:
             raise DataError(f"item {item!r} of the split has no catalog text")
@@ -423,13 +429,11 @@ def build_projection_examples(
     users = split.users()
     table = pipeline.item_table(universe, latent=True)
     x_users = pipeline.user_vectors([split.train[user] for user in users], table)
+    pools = draw_pools(split, split.validation, slate_size, rng)
     examples: list[ProjectionExample] = []
-    for user, x_user in zip(users, x_users):
+    for user, x_user, pool in zip(users, x_users, pools):
         target = split.validation[user]
-        slate = [
-            (item, catalog[item][0], table.latent[table.index[item]])
-            for item in sorted(sample_pool(split, user, target, universe, position, slate_size, rng))
-        ]
+        slate = [(item, catalog[item][0], table.latent[table.index[item]]) for item in sorted(pool)]
         examples.append(
             ProjectionExample(
                 x_user=x_user,

@@ -243,6 +243,55 @@ def oracle_adam(params: dict, grad_seq: list, lr: float, beta1=0.9, beta2=0.999,
     return params
 
 
+# Each model's initial weights as its own loop first drew them: the CF
+# embeddings from N(0, 0.1), then one Glorot-uniform draw per matrix in
+# parameter order, with zero vectors between them.
+
+
+def _oracle_glorot(rng, fan_out: int, fan_in: int) -> np.ndarray:
+    limit = math.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=(fan_out, fan_in))
+
+
+def oracle_cf_init(config, n_items: int, rng) -> dict:
+    d = config.embed_dim
+    params = {
+        "item_emb": rng.normal(0.0, 0.1, size=(n_items + 1, d)),
+        "pos_emb": rng.normal(0.0, 0.1, size=(config.max_history, d)),
+    }
+    for b in range(config.blocks):
+        for name in ("wq", "wk", "wv", "wo", "w1", "w2"):
+            params[f"blk{b}.{name}"] = _oracle_glorot(rng, d, d)
+        for name in ("bq", "bv", "bo", "b1", "b2"):
+            params[f"blk{b}.{name}"] = np.zeros(d)
+    params["item_emb"][0] = 0.0
+    return params
+
+
+def oracle_alignment_init(collab_dim: int, sem_dim: int, latent_dim: int, rng) -> dict:
+    params = {}
+    for prefix, d_out, d_in in (
+        ("enc_c", latent_dim, collab_dim),
+        ("enc_s", latent_dim, sem_dim),
+        ("dec_c", collab_dim, latent_dim),
+        ("dec_s", sem_dim, latent_dim),
+    ):
+        params[f"{prefix}.w"] = _oracle_glorot(rng, d_out, d_in)
+        params[f"{prefix}.b"] = np.zeros(d_out)
+    return params
+
+
+def oracle_projection_init(d_user: int, d_item: int, d_cot: int, d_token: int, hidden: int,
+                           rng) -> dict:
+    params = {}
+    for prefix, d_in in (("fx", d_user), ("fz", d_item), ("fr", d_cot)):
+        params[f"{prefix}.w1"] = _oracle_glorot(rng, hidden, d_in)
+        params[f"{prefix}.b1"] = np.zeros(hidden)
+        params[f"{prefix}.w2"] = _oracle_glorot(rng, d_token, hidden)
+        params[f"{prefix}.b2"] = np.zeros(d_token)
+    return params
+
+
 # The alignment loss and gradients as first written: lists of per-user
 # (collab_vec, sem_vec) groups and (user_rep, pos, neg) triples, one encoder
 # and decoder pass per occurrence. The package stacks its data once and

@@ -42,7 +42,7 @@ from fusionrec.align import (
     train_alignment,
 )
 from fusionrec.cf import CfConfig, train_cf, training_loss_and_gradients
-from fusionrec.checkpoint import load_checkpoint_header
+from fusionrec.checkpoint import load_checkpoint
 from fusionrec.cli import main
 from fusionrec.cot import CotRecord, composite_score, filter_cots, threshold_sweep
 from fusionrec.data import (
@@ -456,7 +456,7 @@ def test_cold_start_through_the_cli_routes_held_out_items_semantically(tmp_path)
     split = json.loads((out_dir / "split.json").read_text(encoding="utf-8"))
     cold = set(json.loads((out_dir / "partition.json").read_text(encoding="utf-8"))["cold"])
     cold_hr = json.loads((out_dir / "report_coldwarm.json").read_text(encoding="utf-8"))["cold"]["hr"]["10"]
-    _, meta = load_checkpoint_header(out_dir / "cf.ckpt")
+    _, meta = load_checkpoint(out_dir / "cf.ckpt")[:2]
     vocabulary = set(meta["items"])
 
     train_items = {item for sequence in split["train"].values() for item in sequence}

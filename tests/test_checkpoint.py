@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import io
 import os
 import tempfile
 
@@ -11,7 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from fusionrec import checkpoint as checkpoint_module
-from fusionrec.checkpoint import load_checkpoint, load_checkpoint_header, save_checkpoint
+from fusionrec.checkpoint import load_checkpoint, save_checkpoint
+from fusionrec.cli import _read
 from fusionrec.errors import DataError
 from fusionrec.optim import Adam, Sgd, make_optimizer
 from oracles import max_relative_gradient_error, oracle_adam
@@ -65,7 +65,6 @@ def test_checkpoint_roundtrip_over_random_shapes(arrays_in, meta):
         path = os.path.join(tmp, "any.ckpt")
         save_checkpoint(path, "kind", meta, arrays_in)
         kind, loaded_meta, loaded = load_checkpoint(path)
-        assert load_checkpoint_header(path) == (kind, loaded_meta)
     assert kind == "kind"
     assert loaded_meta == meta
     assert set(loaded) == set(arrays_in)
@@ -75,30 +74,9 @@ def test_checkpoint_roundtrip_over_random_shapes(arrays_in, meta):
         assert loaded[name].tobytes() == array.tobytes()  # bit-equal, NaN and -0.0 included
 
 
-class _CountingReader(io.BufferedReader):
-    def read(self, size=-1):
-        data = super().read(size)
-        _CountingReader.bytes_read += len(data)
-        return data
-
-
-def test_header_read_skips_the_payload(tmp_path, monkeypatch):
-    path = tmp_path / "model.ckpt"
-    meta = {"training_log": [0.5, 0.25], "items": ["a"]}
-    save_checkpoint(path, "align", meta, _sample_arrays())
-    full = path.read_bytes()
-    header_end = full.index(b"}\n") + 2
-    _CountingReader.bytes_read = 0
-    monkeypatch.setattr(
-        checkpoint_module, "open", lambda p, mode: _CountingReader(io.FileIO(p, mode)), raising=False
-    )
-    assert load_checkpoint_header(path) == ("align", meta)
-    assert 0 < _CountingReader.bytes_read <= header_end  # the payload was never read
-
-
-@pytest.mark.parametrize("reader", [load_checkpoint, load_checkpoint_header])
+@pytest.mark.parametrize("reader", [load_checkpoint, _read])
 def test_a_payload_of_the_wrong_size_is_refused_by_both_readers(tmp_path, reader):
-    path = tmp_path / "model.ckpt"
+    path = tmp_path / "align.ckpt"
     save_checkpoint(path, "align", {"items": ["a"]}, _sample_arrays())
     full = path.read_bytes()
     path.write_bytes(full[: full.index(b"}\n") + 2])  # header only: the payload is cut away
@@ -207,8 +185,6 @@ def test_corrupt_checkpoint_header_is_a_data_error(tmp_path, blob):
     path.write_bytes(blob)
     with pytest.raises(DataError, match="corrupt header"):
         load_checkpoint(path)
-    with pytest.raises(DataError, match="corrupt header"):
-        load_checkpoint_header(path)
 
 
 def test_failed_save_keeps_the_previous_checkpoint_and_no_temp_file(tmp_path):

@@ -21,7 +21,7 @@ import pytest
 
 import fusionrec
 from fusionrec.cf import FORWARD_ROWS, item_probabilities, verbalize_prior, warm_user_representations
-from fusionrec.checkpoint import load_checkpoint, load_checkpoint_header, save_checkpoint
+from fusionrec.checkpoint import load_checkpoint, save_checkpoint
 from fusionrec.cli import STAGES, _read, main
 from fusionrec.config import parse_config
 from fusionrec.cot import FixtureAdapter, build_instruction_instance, generate_cot
@@ -165,7 +165,7 @@ def test_train_align_summary_counts_users_and_trained_columns(tmp_path):
         assert rc == 0, err
 
     split = json.loads((out_dir / "split.json").read_text(encoding="utf-8"))
-    vocab = set(load_checkpoint_header(out_dir / "cf.ckpt")[1]["items"])
+    vocab = set(load_checkpoint(out_dir / "cf.ckpt")[1]["items"])
     users = sorted(split["train"])
     paired = {u for u in users if vocab.intersection(split["train"][u])}
     tripled = {u for u in paired if split["validation"][u] in vocab}
@@ -459,6 +459,15 @@ def _repeat_the_first_item(meta, arrays):
     meta["items"][1] = meta["items"][0]
 
 
+def _poke(name: str, index: tuple, value: float):
+    """An edit that sets entry `index` of array `name` to `value`."""
+
+    def edit(meta, arrays):
+        arrays[name][index] = value
+
+    return edit
+
+
 def _json_edited(edit):
     """A damage that parses a JSON artifact, lets `edit(payload)` change it in
     place, and writes it again as well-formed JSON."""
@@ -528,6 +537,11 @@ def _first_train_sequence_a_string(payload):
         ("cf.ckpt", _resaved(_repeat_the_first_item), "eval"),
         ("align.ckpt", _resaved(lambda meta, arrays: meta.update(latent_dim=7)), "train-proj"),
         ("align.ckpt", _resaved(lambda meta, arrays: arrays.pop("dec_c.w")), "train-proj"),
+        ("cf.ckpt", _resaved(_poke("item_emb", (5, 0), np.nan)), "eval"),
+        ("align.ckpt", _resaved(_poke("enc_s.w", (0, 0), np.inf)), "train-proj"),
+        ("proj.ckpt", _resaved(_poke("fz.w2", (0, 0), np.nan)), "report"),
+        ("proj.ckpt", _resaved(lambda meta, arrays: arrays.pop("head.token_emb")), "report"),
+        ("proj.ckpt", _resaved(lambda meta, arrays: meta.update(training_log=[0.5, "0.25"])), "report"),
     ],
     ids=[
         "cf-cut", "cf-no-arrays", "cf-no-items", "cf-shape-not-an-int", "cf-meta-a-list",
@@ -538,6 +552,8 @@ def _first_train_sequence_a_string(payload):
         "partition-no-warm", "partition-cold-a-string", "report-no-users", "cf-array-missing-eval", "cf-array-missing-cot",
         "cf-blocks-over-arrays", "cf-embed-dim-over-arrays", "cf-extra-array", "cf-item-twice",
         "align-latent-dim-over-arrays", "align-array-missing",
+        "cf-nan-eval", "align-inf-train-proj", "proj-nan-report", "proj-array-missing",
+        "proj-log-a-string",
     ],
 )
 def test_corrupt_artifact_is_one_error_line_and_exit_3(chain, tmp_path, artifact, damage, stage):
@@ -753,7 +769,7 @@ def test_eval_and_train_proj_embed_only_the_items_outside_the_cf_vocabulary(
     for stage in ("prepare", "train-cf", "train-align", "cot", "train-proj", "eval"):
         rc, _, err = _run([stage] + args)
         assert rc == 0, (stage, err)
-    vocab = set(load_checkpoint_header(tmp_path / "out" / "cf.ckpt")[1]["items"])
+    vocab = set(load_checkpoint(tmp_path / "out" / "cf.ckpt")[1]["items"])
     cold = set(dataset.catalog) - vocab
     assert cold and vocab
     assert embedded == {"train-align": [set(dataset.catalog)], "train-proj": [cold], "eval": [cold]}
@@ -769,7 +785,7 @@ def test_a_malformed_embeddings_line_of_a_warm_item_fails_train_proj_and_eval(tm
     for stage in ("prepare", "train-cf", "train-align", "cot"):
         rc, _, err = _run([stage] + args)
         assert rc == 0, (stage, err)
-    warm = load_checkpoint_header(tmp_path / "out" / "cf.ckpt")[1]["items"][0]
+    warm = load_checkpoint(tmp_path / "out" / "cf.ckpt")[1]["items"][0]
     lines[warm] = lines[warm].rsplit(" ", 1)[0] + "\n"  # 767 values
     embeddings.write_text("".join(lines.values()), encoding="utf-8")
     lineno = list(lines).index(warm) + 1

@@ -1,12 +1,17 @@
-"""The one minibatch loop that trains every model: `optim.fit`."""
+"""The one minibatch loop that trains every model, `optim.fit`, and the one
+weight initializer every model draws from, `optim.init_params`."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from fusionrec.align import init_alignment
+from fusionrec.cf import CfConfig, _init_params
 from fusionrec.errors import TrainingError
 from fusionrec.optim import fit
+from fusionrec.projection import init_projection_stack
+from oracles import oracle_alignment_init, oracle_cf_init, oracle_projection_init
 
 _SGD = dict(optimizer="sgd", learning_rate=0.1, what="toy loss")
 
@@ -93,3 +98,22 @@ def test_an_empty_dataset_is_a_value_error():
     with pytest.raises(ValueError, match="no examples"):
         fit({"w": np.zeros(1)}, 0, lambda chosen: (0.0, {}, 1), epochs=1, batch_size=2,
             rng=np.random.default_rng(0), **_SGD)
+
+
+def _bit_equal(got: dict, expected: dict) -> bool:
+    return list(got) == list(expected) and all(
+        got[name].shape == expected[name].shape and got[name].tobytes() == expected[name].tobytes()
+        for name in expected
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 17])
+def test_every_model_draws_the_weights_of_its_own_init_loop(seed):
+    config = CfConfig(embed_dim=3, max_history=5, blocks=2)
+    cf = _init_params(config, 7, np.random.default_rng(seed))
+    assert _bit_equal(cf, oracle_cf_init(config, 7, np.random.default_rng(seed)))
+    net = init_alignment(3, 7, 5, rng=np.random.default_rng(seed))
+    assert _bit_equal(net.params, oracle_alignment_init(3, 7, 5, np.random.default_rng(seed)))
+    stack = init_projection_stack(3, 5, 7, 9, 11, rng=np.random.default_rng(seed))
+    expected = oracle_projection_init(3, 5, 7, 9, 11, np.random.default_rng(seed))
+    assert _bit_equal(stack.params, expected)
