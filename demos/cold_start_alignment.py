@@ -17,9 +17,7 @@ from fusionrec.align import (
 from fusionrec.cf import CfConfig, train_cf
 from fusionrec.data import (
     Event,
-    InteractionLog,
     SplitDataset,
-    build_sequences,
     build_training_instances,
     filter_dataset,
     leave_one_out_split,
@@ -36,19 +34,14 @@ from fusionrec.semantic import embed_catalog
 from fusionrec.synthetic import make_planted_dataset, make_zero_shot_variant
 
 
-def as_log(dataset):
-    return InteractionLog(
-        users={u for u, _, _, _ in dataset.events},
-        items={i for _, i, _, _ in dataset.events},
-        events=[Event(u, i, t, r) for u, i, t, r in dataset.events],
-        catalog=dataset.catalog,
-    )
+def as_events(dataset):
+    return [Event(*event) for event in dataset.events]
 
 
 planted = make_planted_dataset(n_users=120, n_items=60, seed=0, n_cold_users=36)
-filtered = filter_dataset(as_log(planted), min_user_events=5, min_item_popularity=1)
-split = leave_one_out_split(build_sequences(filtered))
-partition = partition_cold_warm(filtered, fraction=0.35)
+events = filter_dataset(as_events(planted), min_user_events=5, min_item_popularity=1)
+split = leave_one_out_split(events)
+partition = partition_cold_warm(events, fraction=0.35)
 print(f"{len(split.train)} users; {len(partition.cold)} cold items, "
       f"{len(partition.warm)} warm items")
 
@@ -91,8 +84,9 @@ standard = evaluate_split(pipeline, split, ks=[5, 10], candidate_pool_size=59, s
 comparison = cold_warm_report(standard, split, partition)  # cuts of the standard ranks
 
 variant = make_zero_shot_variant(planted)
-zs_filtered = filter_dataset(as_log(variant), min_user_events=5, min_item_popularity=1)
-zs_split = leave_one_out_split(build_sequences(zs_filtered))
+zs_split = leave_one_out_split(
+    filter_dataset(as_events(variant), min_user_events=5, min_item_popularity=1)
+)
 zs_report = zero_shot_eval(pipeline, zs_split, embed_catalog(variant.catalog),
                            ks=[5, 10], candidate_pool_size=59, seed=3)
 print()

@@ -14,7 +14,6 @@ import numpy as np
 
 from fusionrec.cf import CfConfig, next_item_probabilities, rank_by_score, train_cf, verbalize_prior
 from fusionrec.data import (
-    build_sequences,
     build_training_instances,
     filter_dataset,
     leave_one_out_split,
@@ -29,11 +28,11 @@ dataset = make_planted_dataset(n_users=60, n_items=40, seed=3)
 interactions = os.path.join(workdir, "interactions.tsv")
 catalog = os.path.join(workdir, "catalog.tsv")
 write_dataset(dataset, interactions, catalog)
-log = load_interactions(interactions, catalog)
-print(f"{len(log.users)} users, {len(log.items)} items, {len(log.events)} events")
+events = load_interactions(interactions, catalog)
+n_users, n_items = len({e.user for e in events}), len({e.item for e in events})
+print(f"{n_users} users, {n_items} items, {len(events)} events")
 
-filtered = filter_dataset(log, min_user_events=3, min_item_popularity=1)
-split = leave_one_out_split(build_sequences(filtered))
+split = leave_one_out_split(filter_dataset(events, min_user_events=3, min_item_popularity=1))
 
 # --- train the self-attention backbone ---
 # One record per user: the next train item is predicted at every position,

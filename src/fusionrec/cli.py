@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import fcntl
 import itertools
 import json
@@ -63,7 +64,6 @@ from .cot import (
 from .data import (
     ColdWarmPartition,
     SplitDataset,
-    build_sequences,
     build_training_instances,
     filter_dataset,
     leave_one_out_split,
@@ -157,8 +157,7 @@ class _Cots:
 
 def _cots_from_json(payload) -> _Cots:
     rows, coverage, threshold = payload["records"], payload["coverage"], payload["threshold"]
-    _only((rows,), {list}, "records")
-    _only(rows, {dict}, "records")
+    _list_of(rows, {dict}, "records")
     _only((coverage, threshold), _NUMBER, "coverage or threshold")
 
     def column(name: str, types: set) -> list:
@@ -199,20 +198,37 @@ def _check_arrays(arrays: dict[str, np.ndarray], shapes: dict[str, tuple[int, ..
             raise ValueError(f"array {name!r} holds a non-finite value")
 
 
+# The JSON types a checkpoint field may hold, by the annotation of its model field.
+_FIELD_TYPES = {"int": {int}, "float": _NUMBER, "str": {str}}
+
+
+def _fields(cls, meta: dict, names) -> dict:
+    """{name: meta[name]} for `names`, each checked to hold a JSON value of the
+    type that `cls` annotates its field of that name with."""
+    types = {f.name: _FIELD_TYPES.get(f.type) for f in dataclasses.fields(cls)}
+    for name in names:
+        _only((meta[name],), types[name], name)
+    return {name: meta[name] for name in names}
+
+
+def _list_of(values, types: set, what: str) -> list:
+    """`values`, checked to be a list that holds values of `types` only."""
+    _only((values,), {list}, what)
+    _only(values, types, what)
+    return values
+
+
 def _training_log(meta: dict) -> list:
     """A checkpoint's training log: a list of JSON numbers, empty when absent."""
-    log = meta.get("training_log", [])
-    _only((log,), {list}, "training_log")
-    _only(log, _NUMBER, "training_log")
-    return log
+    return _list_of(meta.get("training_log", []), _NUMBER, "training_log")
 
 
 def _cf_from_checkpoint(content) -> CfModel:
     meta, arrays = content
-    items = list(meta["items"])
+    items = _list_of(meta["items"], {str}, "items")
     if len(set(items)) != len(items):
         raise ValueError("an item is named twice in items")
-    config = CfConfig(**meta["config"])
+    config = CfConfig(**_fields(CfConfig, meta["config"], meta["config"]))
     _check_arrays(arrays, model_shapes(config, len(items)))
     return CfModel(
         config=config,
@@ -229,7 +245,7 @@ _ALIGN_FIELDS = ("collab_dim", "sem_dim", "latent_dim", "alpha", "beta")
 
 def _align_from_checkpoint(content) -> AlignmentNetwork:
     meta, arrays = content
-    fields = {name: meta[name] for name in _ALIGN_FIELDS}
+    fields = _fields(AlignmentNetwork, meta, _ALIGN_FIELDS)
     dims = (fields["collab_dim"], fields["sem_dim"], fields["latent_dim"])
     _check_arrays(arrays, network_shapes(*dims))
     return AlignmentNetwork(**fields, params=arrays, training_log=_training_log(meta))
@@ -243,9 +259,10 @@ _PROJ_FIELDS = ("d_user", "d_item", "d_cot", "d_token", "hidden")
 def _proj_from_checkpoint(content) -> ProjectionStack:
     """The trained stack; the frozen surrogate head beside it is checked, not kept."""
     meta, arrays = content
-    fields = {name: meta[name] for name in _PROJ_FIELDS}
+    fields = _fields(ProjectionStack, meta, _PROJ_FIELDS)
+    _only((meta["head_seed"],), {int}, "head_seed")
     shapes = stack_shapes(**fields)
-    n_tokens, d_token = len(meta["vocabulary"]), fields["d_token"]
+    n_tokens, d_token = len(_list_of(meta["vocabulary"], {str}, "vocabulary")), fields["d_token"]
     _check_arrays(arrays, {
         **shapes,
         "head.w_out": (n_tokens, d_token),
@@ -419,17 +436,16 @@ def _prepare(run: _Run) -> dict:
     for key in ("data.interactions", "data.catalog"):
         if not config.get(key):
             raise ConfigError(f"{key}: path is required for prepare")
-    log = load_interactions(config.get("data.interactions"), config.get("data.catalog"))
-    filtered = filter_dataset(
-        log,
+    events = filter_dataset(
+        load_interactions(config.get("data.interactions"), config.get("data.catalog")),
         min_user_events=config.get("data.min_user_events"),
         min_item_popularity=config.get("data.min_item_popularity"),
     )
-    split = leave_one_out_split(build_sequences(filtered))
-    partition = partition_cold_warm(filtered, fraction=config.get("eval.fraction"))
+    split = leave_one_out_split(events)
+    partition = partition_cold_warm(events, fraction=config.get("eval.fraction"))
     print(
         f"prepared {len(split.train)} users, {len(split.item_universe())} items, "
-        f"{len(filtered.events)} events; cold={len(partition.cold)} warm={len(partition.warm)}"
+        f"{len(events)} events; cold={len(partition.cold)} warm={len(partition.warm)}"
     )
     meta = run.meta
     return {

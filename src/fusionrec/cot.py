@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import text_lines
+from .data import keyed_lines
 from .errors import ConfigError, DataError
 from .lexicon import POLARITY
 from .semantic import similarity_mapped, token_counts, unit_rows
@@ -413,7 +413,7 @@ def _unescape(text: str) -> str:
 def load_cot_fixture(path) -> dict[tuple[str, str], str]:
     """Read `user_id<TAB>item_id<TAB>label<TAB>cot_text` records."""
     corpus: dict[tuple[str, str], str] = {}
-    for lineno, line in text_lines(path, "cot fixture"):
+    for lineno, line in keyed_lines(path, "cot fixture", 2):
         parts = line.split("\t", 3)
         if len(parts) != 4:
             raise DataError(f"cot fixture line {lineno}: expected 4 tab-separated fields")
@@ -427,7 +427,7 @@ def load_cot_fixture(path) -> dict[tuple[str, str], str]:
 def load_explanation_fixture(path) -> dict[tuple[str, str], str]:
     """Read `user_id<TAB>item_id<TAB>explanation` records."""
     out: dict[tuple[str, str], str] = {}
-    for lineno, line in text_lines(path, "explanation fixture"):
+    for lineno, line in keyed_lines(path, "explanation fixture", 2):
         parts = line.split("\t", 2)
         if len(parts) != 3:
             raise DataError(f"explanation fixture line {lineno}: expected 3 tab-separated fields")

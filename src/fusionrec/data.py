@@ -1,4 +1,4 @@
-"""Interaction ingestion, filtering, sequence building, splits, and CF training records.
+"""Interaction ingestion, filtering, splits, and CF training records.
 
 File formats (UTF-8, one record per line, tab separated):
 
@@ -6,7 +6,9 @@ File formats (UTF-8, one record per line, tab separated):
 * catalog:      ``item_id<TAB>title<TAB>description``
 
 Item and user ids are opaque strings. Duplicate (user, item, timestamp)
-records are kept: re-interactions are legitimate events.
+records are kept: re-interactions are legitimate events. The catalog, the
+embeddings and the two fixtures are keyed files: they read `keyed_lines`, so
+an id given twice in one of them is an error.
 
 `read_text` opens every text file the program reads: these two, the
 embeddings, the fixtures, the config and the JSON artifacts. The line-based
@@ -31,23 +33,6 @@ class Event:
 
 
 @dataclass
-class InteractionLog:
-    users: set[str]
-    items: set[str]
-    events: list[Event]
-    catalog: dict[str, tuple[str, str]]  # item id -> (title, description)
-
-    def item_frequency(self) -> Counter:
-        return Counter(ev.item for ev in self.events)
-
-
-@dataclass
-class UserSequence:
-    user: str
-    items: list[str]
-
-
-@dataclass
 class SplitDataset:
     train: dict[str, list[str]]
     validation: dict[str, str]
@@ -60,12 +45,7 @@ class SplitDataset:
         return sorted(self.train)
 
     def item_universe(self) -> set[str]:
-        items: set[str] = set()
-        for user in self.train:
-            items.update(self.train[user])
-            items.add(self.validation[user])
-            items.add(self.test[user])
-        return items
+        return {item for user in self.train for item in self.full_sequence(user)}
 
 
 @dataclass(frozen=True)
@@ -103,10 +83,26 @@ def text_lines(path, kind: str, error: type[FusionrecError] = DataError):
             yield lineno, line
 
 
+def keyed_lines(path, kind: str, key_fields: int = 1):
+    """`text_lines` of a file whose records are keyed by their first
+    `key_fields` tab-separated fields. A key given twice is a DataError naming
+    it, the file and both line numbers."""
+    first_line: dict[tuple[str, ...], int] = {}
+    for lineno, line in text_lines(path, kind):
+        key = tuple(line.split("\t", key_fields)[:key_fields])
+        first = first_line.setdefault(key, lineno)
+        if first != lineno:
+            shown = key[0] if key_fields == 1 else key
+            raise DataError(
+                f"id {shown!r} given twice in {kind} {path}, at lines {first} and {lineno}"
+            )
+        yield lineno, line
+
+
 def load_catalog(path) -> dict[str, tuple[str, str]]:
     """Parse a catalog file into {item_id: (title, description)}."""
     catalog: dict[str, tuple[str, str]] = {}
-    for lineno, line in text_lines(path, "catalog file"):
+    for lineno, line in keyed_lines(path, "catalog file"):
         parts = line.split("\t", 2)
         if len(parts) < 2:
             raise DataError(f"catalog line {lineno}: expected item_id, title[, description]")
@@ -117,8 +113,8 @@ def load_catalog(path) -> dict[str, tuple[str, str]]:
     return catalog
 
 
-def load_interactions(path, catalog_path) -> InteractionLog:
-    """Load interaction events plus the item catalog.
+def load_interactions(path, catalog_path) -> list[Event]:
+    """Load interaction events in file order.
 
     Every event's item must have a catalog entry; a reference to an
     uncataloged item is a data error (not silently dropped).
@@ -140,14 +136,12 @@ def load_interactions(path, catalog_path) -> InteractionLog:
         if item not in catalog:
             raise DataError(f"interactions line {lineno}: item {item!r} has no catalog entry")
         events.append(Event(user, item, timestamp, rating))
-    users = {ev.user for ev in events}
-    items = {ev.item for ev in events}
-    return InteractionLog(users=users, items=items, events=events, catalog=catalog)
+    return events
 
 
 def filter_dataset(
-    log: InteractionLog, min_user_events: int = 5, min_item_popularity: int = 5
-) -> InteractionLog:
+    events: list[Event], min_user_events: int = 5, min_item_popularity: int = 5
+) -> list[Event]:
     """Drop unpopular items and sparse users until a fixed point is reached.
 
     Removing a user lowers item popularity and vice versa, so the two rules
@@ -155,7 +149,6 @@ def filter_dataset(
     """
     if min_user_events < 1 or min_item_popularity < 1:
         raise ValueError("thresholds must be >= 1")
-    events = list(log.events)
     while True:
         item_counts = Counter(ev.item for ev in events)
         kept = [ev for ev in events if item_counts[ev.item] >= min_item_popularity]
@@ -166,33 +159,23 @@ def filter_dataset(
         events = kept
     if not events:
         raise DataError("filtering removed every event")
-    users = {ev.user for ev in events}
-    items = {ev.item for ev in events}
-    return InteractionLog(users=users, items=items, events=events, catalog=dict(log.catalog))
+    return events
 
 
-def build_sequences(log: InteractionLog) -> dict[str, UserSequence]:
-    """Order each user's events by (timestamp, item id) into a sequence."""
+def leave_one_out_split(events: list[Event]) -> SplitDataset:
+    """Order each user's events by (timestamp, item id); the last item goes to
+    test, the second-to-last to validation and the rest to train."""
     per_user: dict[str, list[Event]] = {}
-    for ev in log.events:
+    for ev in events:
         per_user.setdefault(ev.user, []).append(ev)
-    sequences: dict[str, UserSequence] = {}
-    for user, evs in per_user.items():
-        evs.sort(key=lambda e: (e.timestamp, e.item))
-        sequences[user] = UserSequence(user=user, items=[e.item for e in evs])
-    return sequences
-
-
-def leave_one_out_split(sequences: dict[str, UserSequence]) -> SplitDataset:
-    """Last interaction to test, second-to-last to validation, rest to train."""
     train: dict[str, list[str]] = {}
     validation: dict[str, str] = {}
     test: dict[str, str] = {}
-    for user in sorted(sequences):
-        items = sequences[user].items
+    for user in sorted(per_user):
+        items = [ev.item for ev in sorted(per_user[user], key=lambda e: (e.timestamp, e.item))]
         if len(items) < 3:
             raise DataError(f"user {user!r} has {len(items)} interactions, need >= 3 to split")
-        train[user] = list(items[:-2])
+        train[user] = items[:-2]
         validation[user] = items[-2]
         test[user] = items[-1]
     return SplitDataset(train=train, validation=validation, test=test)
@@ -223,12 +206,12 @@ def build_training_instances(split: SplitDataset, max_history: int) -> list[Trai
     return records
 
 
-def partition_cold_warm(log: InteractionLog, fraction: float = 0.35) -> ColdWarmPartition:
+def partition_cold_warm(events: list[Event], fraction: float = 0.35) -> ColdWarmPartition:
     """Split items into top/bottom frequency bands of floor(fraction*|items|) each."""
     if not 0.0 < fraction <= 0.5:
         raise ValueError("fraction must be in (0, 0.5]")
-    freq = log.item_frequency()
-    items = sorted(log.items, key=lambda q: (-freq[q], q))
+    freq = Counter(ev.item for ev in events)
+    items = sorted(freq, key=lambda q: (-freq[q], q))
     if len(items) < 2:
         raise DataError("need at least 2 distinct items to partition")
     n_band = math.floor(fraction * len(items))

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .data import text_lines
+from .data import keyed_lines
 from .errors import DataError
 
 SEMANTIC_DIM = 768
@@ -25,7 +25,7 @@ def load_embeddings(path, skip=()) -> dict[str, np.ndarray]:
     then dropped instead of kept.
     """
     table: dict[str, np.ndarray] = {}
-    for lineno, line in text_lines(path, "embeddings file"):
+    for lineno, line in keyed_lines(path, "embeddings file"):
         try:
             item, values = line.split("\t", 1)
         except ValueError:

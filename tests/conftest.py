@@ -5,26 +5,14 @@ import pytest
 
 from fusionrec.align import build_alignment_dataset, init_alignment, train_alignment
 from fusionrec.cf import CfConfig, train_cf
-from fusionrec.data import (
-    Event,
-    InteractionLog,
-    build_sequences,
-    build_training_instances,
-    filter_dataset,
-    leave_one_out_split,
-)
+from fusionrec.data import Event, build_training_instances, filter_dataset, leave_one_out_split
 from fusionrec.evaluate import RecommendationPipeline
 from fusionrec.semantic import embed_catalog
 from fusionrec.synthetic import make_planted_dataset
 
 
-def log_from_planted(dataset) -> InteractionLog:
-    return InteractionLog(
-        users={u for u, _, _, _ in dataset.events},
-        items={i for _, i, _, _ in dataset.events},
-        events=[Event(u, i, t, r) for u, i, t, r in dataset.events],
-        catalog=dataset.catalog,
-    )
+def planted_events(dataset) -> list[Event]:
+    return [Event(*event) for event in dataset.events]
 
 
 @pytest.fixture(scope="session")
@@ -35,8 +23,9 @@ def toy_world():
     that beats chance on the planted structure, not a converged one.
     """
     dataset = make_planted_dataset(40, 20, seed=7)
-    filtered = filter_dataset(log_from_planted(dataset), min_user_events=3, min_item_popularity=1)
-    split = leave_one_out_split(build_sequences(filtered))
+    split = leave_one_out_split(
+        filter_dataset(planted_events(dataset), min_user_events=3, min_item_popularity=1)
+    )
     rng = np.random.default_rng(11)
     config = CfConfig(embed_dim=16, max_history=12, blocks=1, heads=2, epochs=6, batch_size=8)
     instances = build_training_instances(split, config.max_history)

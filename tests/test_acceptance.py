@@ -18,7 +18,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import log_from_planted
+from conftest import planted_events
 from oracles import (
     gradient_check,
     gradient_check_projection,
@@ -48,7 +48,6 @@ from fusionrec.cot import CotRecord, composite_score, filter_cots, threshold_swe
 from fusionrec.data import (
     SplitDataset,
     TrainingSequence,
-    build_sequences,
     build_training_instances,
     filter_dataset,
     leave_one_out_split,
@@ -133,9 +132,9 @@ def cold_world():
     The CF model trains on the train sequences with the cold band removed.
     """
     planted = make_planted_dataset(200, 100, seed=0, n_cold_users=60)
-    filtered = filter_dataset(log_from_planted(planted), min_user_events=5, min_item_popularity=1)
-    split = leave_one_out_split(build_sequences(filtered))
-    partition = partition_cold_warm(filtered, fraction=0.35)
+    events = filter_dataset(planted_events(planted), min_user_events=5, min_item_popularity=1)
+    split = leave_one_out_split(events)
+    partition = partition_cold_warm(events, fraction=0.35)
     rng = np.random.default_rng(1)
     warm_split = SplitDataset(
         train={
@@ -364,13 +363,14 @@ def test_split_and_partition_invariants_hold_on_random_datasets():
         n_users = int(rng.integers(8, 40))
         n_items = int(rng.integers(3, 13)) * 2
         planted = make_planted_dataset(n_users, n_items, seed=int(rng.integers(10_000)))
-        log = log_from_planted(planted)
-        sequences = build_sequences(log)
-        split = leave_one_out_split(sequences)
-        for user, sequence in sequences.items():
-            assert split.full_sequence(user) == sequence.items
-        users_checked += len(sequences)
-        partition = partition_cold_warm(log, fraction=0.35)
+        events = planted_events(planted)
+        split = leave_one_out_split(events)
+        ordered: dict[str, list[str]] = {}
+        for event in sorted(events, key=lambda e: (e.timestamp, e.item)):
+            ordered.setdefault(event.user, []).append(event.item)
+        assert {user: split.full_sequence(user) for user in split.users()} == ordered
+        users_checked += len(ordered)
+        partition = partition_cold_warm(events, fraction=0.35)
         band = math.floor(0.35 * len(partition.frequency))
         assert len(partition.cold) == len(partition.warm) == band
         assert not partition.cold & partition.warm
@@ -481,8 +481,9 @@ def test_cold_start_through_the_cli_routes_held_out_items_semantically(tmp_path)
 
 def test_zero_shot_domain_routes_semantically_at_comparable_quality(cold_world):
     variant = make_zero_shot_variant(cold_world["planted"])
-    filtered = filter_dataset(log_from_planted(variant), min_user_events=5, min_item_popularity=1)
-    zs_split = leave_one_out_split(build_sequences(filtered))
+    zs_split = leave_one_out_split(
+        filter_dataset(planted_events(variant), min_user_events=5, min_item_popularity=1)
+    )
     zs_semantic = embed_catalog(variant.catalog)
     targets = sorted(set(zs_split.test.values()))
     routes = RecommendationPipeline(cold_world["cf"], cold_world["net"], zs_semantic).item_table(

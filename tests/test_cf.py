@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import log_from_planted
+from conftest import planted_events
 from fusionrec import cf as cf_module
 from fusionrec.cf import (
     FORWARD_ROWS,
@@ -30,7 +30,6 @@ from fusionrec.cf import (
 )
 from fusionrec.data import (
     TrainingSequence,
-    build_sequences,
     build_training_instances,
     filter_dataset,
     leave_one_out_split,
@@ -303,7 +302,7 @@ def test_trained_model_separates_planted_targets(toy_world):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_training_raises():
     planted = make_planted_dataset(n_users=12, n_items=10, seed=5, length_range=(6, 8))
-    split = leave_one_out_split(build_sequences(filter_dataset(log_from_planted(planted), 3, 1)))
+    split = leave_one_out_split(filter_dataset(planted_events(planted), 3, 1))
     instances = build_training_instances(split, 6)
     config = CfConfig(
         embed_dim=8, max_history=6, blocks=1, heads=1,

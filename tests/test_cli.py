@@ -468,6 +468,18 @@ def _poke(name: str, index: tuple, value: float):
     return edit
 
 
+def _meta(*path, to):
+    """An edit that replaces the meta entry at `path` with `to` of its value."""
+
+    def edit(meta, arrays):
+        *parents, last = path
+        for key in parents:
+            meta = meta[key]
+        meta[last] = to(meta[last])
+
+    return edit
+
+
 def _json_edited(edit):
     """A damage that parses a JSON artifact, lets `edit(payload)` change it in
     place, and writes it again as well-formed JSON."""
@@ -542,6 +554,17 @@ def _first_train_sequence_a_string(payload):
         ("proj.ckpt", _resaved(_poke("fz.w2", (0, 0), np.nan)), "report"),
         ("proj.ckpt", _resaved(lambda meta, arrays: arrays.pop("head.token_emb")), "report"),
         ("proj.ckpt", _resaved(lambda meta, arrays: meta.update(training_log=[0.5, "0.25"])), "report"),
+        ("cf.ckpt", _resaved(_meta("config", "embed_dim", to=float)), "eval"),
+        ("cf.ckpt", _resaved(_meta("config", "heads", to=float)), "eval"),
+        ("cf.ckpt", _resaved(_meta("config", "heads", to=lambda value: True)), "eval"),
+        ("cf.ckpt", _resaved(_meta("config", "learning_rate", to=lambda value: "fast")), "eval"),
+        ("cf.ckpt", _resaved(_meta("config", "optimizer", to=lambda value: 3)), "eval"),
+        ("cf.ckpt", _resaved(_meta("items", 0, to=lambda value: 12345)), "eval"),
+        ("align.ckpt", _resaved(_meta("latent_dim", to=float)), "train-proj"),
+        ("align.ckpt", _resaved(_meta("alpha", to=lambda value: True)), "train-proj"),
+        ("proj.ckpt", _resaved(_meta("d_token", to=float)), "report"),
+        ("proj.ckpt", _resaved(_meta("vocabulary", 0, to=lambda value: 7)), "report"),
+        ("proj.ckpt", _resaved(_meta("head_seed", to=str)), "report"),
     ],
     ids=[
         "cf-cut", "cf-no-arrays", "cf-no-items", "cf-shape-not-an-int", "cf-meta-a-list",
@@ -554,6 +577,9 @@ def _first_train_sequence_a_string(payload):
         "align-latent-dim-over-arrays", "align-array-missing",
         "cf-nan-eval", "align-inf-train-proj", "proj-nan-report", "proj-array-missing",
         "proj-log-a-string",
+        "cf-embed-dim-a-float", "cf-heads-a-float", "cf-heads-a-bool", "cf-rate-a-string",
+        "cf-optimizer-an-int", "cf-item-an-int", "align-latent-dim-a-float", "align-alpha-a-bool",
+        "proj-d-token-a-float", "proj-token-an-int", "proj-head-seed-a-string",
     ],
 )
 def test_corrupt_artifact_is_one_error_line_and_exit_3(chain, tmp_path, artifact, damage, stage):
@@ -1008,6 +1034,59 @@ def test_train_proj_parses_the_catalog_once(chain, tmp_path, monkeypatch):
                        "--seed", "0", "--force"])
     assert rc == 0, err
     assert parsed == [str(chain["catalog"])]
+
+
+# user, item, timestamp: u2's b and a tie at 5, u1 returns to a, u6 has too
+# few events, and x's removal takes u5 below the floor too.
+_GOLDEN_EVENTS = [
+    ("u1", "a", 1), ("u1", "b", 2), ("u1", "c", 3), ("u1", "a", 4),
+    ("u2", "b", 5), ("u2", "a", 5), ("u2", "c", 6), ("u2", "d", 7),
+    ("u3", "c", 1), ("u3", "d", 2), ("u3", "e", 3), ("u3", "b", 4),
+    ("u4", "d", 1), ("u4", "e", 2), ("u4", "a", 3),
+    ("u5", "a", 1), ("u5", "x", 2), ("u5", "b", 3),
+    ("u6", "e", 1), ("u6", "b", 2),
+]
+
+
+def test_prepare_writes_the_hand_computed_split_and_partition(tmp_path):
+    catalog = tmp_path / "catalog.tsv"
+    catalog.write_text("".join(f"{q}\tTitle {q}\tText {q}\n" for q in "abcdefx"), encoding="utf-8")
+    interactions = tmp_path / "interactions.tsv"
+    interactions.write_text(
+        "".join(f"{u}\t{q}\t{t}\t4.0\n" for u, q, t in _GOLDEN_EVENTS), encoding="utf-8"
+    )
+    config = tmp_path / "run.conf"
+    config.write_text(
+        f"data.interactions = {interactions}\ndata.catalog = {catalog}\n"
+        "data.min_user_events = 3\ndata.min_item_popularity = 2\neval.fraction = 0.4\n",
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "o"
+    rc, _, err = _run(["prepare", "--config", str(config), "--out", str(out_dir), "--seed", "0"])
+    assert rc == 0, err
+    split = json.loads((out_dir / "split.json").read_text(encoding="utf-8"))
+    assert split["train"] == {"u1": ["a", "b"], "u2": ["a", "b"], "u3": ["c", "d"], "u4": ["d"]}
+    assert split["validation"] == {"u1": "c", "u2": "c", "u3": "e", "u4": "e"}
+    assert split["test"] == {"u1": "a", "u2": "d", "u3": "b", "u4": "a"}
+    partition = json.loads((out_dir / "partition.json").read_text(encoding="utf-8"))
+    # b, c and d tie at 3 across both band edges; the item id breaks the ties
+    assert partition["warm"] == ["a", "b"]
+    assert partition["cold"] == ["d", "e"]
+    assert partition["frequency"] == {"a": 4, "b": 3, "c": 3, "d": 3, "e": 2}
+
+
+def test_a_catalog_id_given_twice_is_one_data_error_line(chain, tmp_path):
+    lines = chain["catalog"].read_text(encoding="utf-8").splitlines(keepends=True)
+    second = 2 + next(n for n, line in enumerate(lines) if line.startswith("a00\t"))
+    catalog = tmp_path / "catalog.tsv"
+    catalog.write_text("a00\tAnother title\tanother text\n" + "".join(lines), encoding="utf-8")
+    config = tmp_path / "run.conf"
+    _write_config(config, chain["interactions"], catalog)
+    out_dir = tmp_path / "o"
+    rc, _, err = _run(["prepare", "--config", str(config), "--out", str(out_dir), "--seed", "0"])
+    assert rc == 3
+    assert err == f"error: id 'a00' given twice in catalog file {catalog}, at lines 1 and {second}\n"
+    assert not (out_dir / "split.json").exists()
 
 
 def test_uncataloged_item_is_a_data_error(tmp_path):

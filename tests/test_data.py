@@ -7,31 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusionrec.cot import load_cot_fixture, load_explanation_fixture
 from fusionrec.data import (
     Event,
-    InteractionLog,
     TrainingSequence,
-    build_sequences,
     build_training_instances,
     filter_dataset,
     leave_one_out_split,
+    load_catalog,
     load_interactions,
     partition_cold_warm,
     text_lines,
 )
 from fusionrec.errors import DataError
+from fusionrec.semantic import load_embeddings
 
 
-def _log(events, catalog=None):
-    if catalog is None:
-        catalog = {i: (f"title {i}", f"text {i}") for _, i, _, _ in events}
-    evs = [Event(*e) for e in events]
-    return InteractionLog(
-        users={e.user for e in evs},
-        items={e.item for e in evs},
-        events=evs,
-        catalog=catalog,
-    )
+def _events(rows):
+    return [Event(*row) for row in rows]
 
 
 def _write_files(tmp_path, interaction_lines, catalog_lines):
@@ -53,17 +46,15 @@ def test_load_interactions_counts_and_duplicates(tmp_path):
         ],
         ["q1\tFirst\tfirst text\n", "q2\tSecond\tsecond text\n"],
     )
-    log = load_interactions(inter, cat)
-    assert len(log.events) == 4
-    assert log.users == {"u1", "u2"}
-    assert log.items == {"q1", "q2"}
-    assert log.catalog["q1"] == ("First", "first text")
+    assert load_interactions(inter, cat) == _events(
+        [("u1", "q1", 1, 5.0), ("u1", "q2", 2, 4.0), ("u2", "q1", 1, 3.0), ("u1", "q1", 3, 5.0)]
+    )
+    assert load_catalog(cat)["q1"] == ("First", "first text")
 
 
 def test_load_interactions_empty_file(tmp_path):
     inter, cat = _write_files(tmp_path, [], ["q1\tTitle\ttext\n"])
-    log = load_interactions(inter, cat)
-    assert log.events == [] and log.users == set()
+    assert load_interactions(inter, cat) == []
 
 
 @settings(max_examples=200, deadline=None)
@@ -98,6 +89,30 @@ def test_load_interactions_rejects_uncataloged_item(tmp_path):
         load_interactions(inter, cat)
 
 
+_VECTOR = " ".join(["0.5"] * 768)
+
+
+@pytest.mark.parametrize(
+    "load, lines, kind, shown",
+    [
+        (load_catalog, ["a\tFirst\n", "b\tOther\n", "a\tSecond\ttext\n"], "catalog file", "'a'"),
+        (load_embeddings, [f"a\t{_VECTOR}\n", f"b\t{_VECTOR}\n", f"a\t{_VECTOR}\n"],
+         "embeddings file", "'a'"),
+        (load_cot_fixture, ["u1\ta\t1\tfirst\n", "u2\ta\t1\tother\n", "u1\ta\t0\tsecond\n"],
+         "cot fixture", "('u1', 'a')"),
+        (load_explanation_fixture, ["u1\ta\tfirst\n", "u1\tb\tother\n", "u1\ta\tsecond\n"],
+         "explanation fixture", "('u1', 'a')"),
+    ],
+    ids=["catalog", "embeddings", "cot-fixture", "explanation-fixture"],
+)
+def test_an_id_given_twice_in_a_keyed_file_is_a_data_error(tmp_path, load, lines, kind, shown):
+    path = tmp_path / "input.tsv"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(DataError) as raised:
+        load(path)
+    assert str(raised.value) == f"id {shown} given twice in {kind} {path}, at lines 1 and 3"
+
+
 def _bruteforce_filter(events, min_user, min_item):
     kept = list(events)
     while True:
@@ -114,10 +129,8 @@ def _bruteforce_filter(events, min_user, min_item):
 
 
 def test_filter_keeps_dense_data_unchanged():
-    events = [(f"u{u}", f"q{i}", i, 5.0) for u in range(3) for i in range(5)]
-    log = _log(events)
-    filtered = filter_dataset(log, min_user_events=5, min_item_popularity=3)
-    assert len(filtered.events) == len(log.events)
+    events = _events((f"u{u}", f"q{i}", i, 5.0) for u in range(3) for i in range(5))
+    assert filter_dataset(events, min_user_events=5, min_item_popularity=3) == events
 
 
 def test_filter_cascades_to_a_fixed_point():
@@ -130,22 +143,21 @@ def test_filter_cascades_to_a_fixed_point():
     events.append(("u_rich", "q_rare", 9, 5.0))
     events += [("u_mid", "q0", 1, 5.0), ("u_mid", "q1", 2, 5.0), ("u_mid", "q_rare", 9, 5.0)]
     events.append(("u_sparse", "q_rare", 9, 5.0))
-    log = _log(events)
-    filtered = filter_dataset(log, min_user_events=3, min_item_popularity=3)
-    expected = _bruteforce_filter(log.events, 3, 3)
-    assert filtered.events == expected
-    assert "u_sparse" not in filtered.users
-    assert "q_rare" not in filtered.items
-    assert "u_mid" not in filtered.users  # second-round casualty
-    assert "u_rich" in filtered.users
+    filtered = filter_dataset(_events(events), min_user_events=3, min_item_popularity=3)
+    assert filtered == _bruteforce_filter(_events(events), 3, 3)
+    users = {e.user for e in filtered}
+    assert "u_sparse" not in users
+    assert "q_rare" not in {e.item for e in filtered}
+    assert "u_mid" not in users  # second-round casualty
+    assert "u_rich" in users
 
 
 def test_filter_rejects_bad_thresholds_and_total_wipeout():
-    log = _log([("u1", "q1", 1, 5.0)])
+    events = _events([("u1", "q1", 1, 5.0)])
     with pytest.raises(ValueError):
-        filter_dataset(log, min_user_events=0)
+        filter_dataset(events, min_user_events=0)
     with pytest.raises(DataError, match="removed every event"):
-        filter_dataset(log, min_user_events=2, min_item_popularity=2)
+        filter_dataset(events, min_user_events=2, min_item_popularity=2)
 
 
 @given(
@@ -159,44 +171,45 @@ def test_filter_rejects_bad_thresholds_and_total_wipeout():
 )
 @settings(max_examples=60, deadline=None)
 def test_filter_matches_bruteforce_and_is_idempotent(raw, min_user, min_item):
-    events = [(f"u{u}", f"q{i}", t, 5.0) for u, i, t in raw]
-    log = _log(events)
-    expected = _bruteforce_filter(log.events, min_user, min_item)
+    events = _events((f"u{u}", f"q{i}", t, 5.0) for u, i, t in raw)
+    expected = _bruteforce_filter(events, min_user, min_item)
     try:
-        filtered = filter_dataset(log, min_user, min_item)
+        filtered = filter_dataset(events, min_user, min_item)
     except DataError:
         assert expected == []
         return
-    assert filtered.events == expected
-    again = filter_dataset(filtered, min_user, min_item)
-    assert again.events == filtered.events
+    assert filtered == expected
+    assert filter_dataset(filtered, min_user, min_item) == filtered
 
 
-def test_build_sequences_orders_by_timestamp():
-    log = _log([("u1", "c", 3, 5.0), ("u1", "a", 1, 5.0), ("u1", "b", 2, 5.0)])
-    assert build_sequences(log)["u1"].items == ["a", "b", "c"]
+def test_split_orders_by_timestamp():
+    events = _events([("u1", "c", 3, 5.0), ("u1", "a", 1, 5.0), ("u1", "b", 2, 5.0)])
+    split = leave_one_out_split(events)
+    assert split.full_sequence("u1") == ["a", "b", "c"]
 
 
-def test_build_sequences_breaks_timestamp_ties_by_item_id():
-    log = _log([("u1", "z", 1, 5.0), ("u1", "a", 1, 5.0)])
-    assert build_sequences(log)["u1"].items == ["a", "z"]
+def test_split_breaks_timestamp_ties_by_item_id():
+    events = _events([("u1", "z", 1, 5.0), ("u1", "a", 1, 5.0), ("u1", "m", 2, 5.0)])
+    split = leave_one_out_split(events)
+    assert split.full_sequence("u1") == ["a", "z", "m"]
 
 
-def test_build_sequences_keeps_repeat_interactions():
-    log = _log(
-        [
-            ("peter", "q5", 1, 5.0),
-            ("peter", "q8", 2, 5.0),
-            ("peter", "q10", 3, 5.0),
-            ("peter", "q5", 4, 5.0),
-        ]
+def test_split_keeps_repeat_interactions():
+    split = leave_one_out_split(
+        _events(
+            [
+                ("peter", "q5", 1, 5.0),
+                ("peter", "q8", 2, 5.0),
+                ("peter", "q10", 3, 5.0),
+                ("peter", "q5", 4, 5.0),
+            ]
+        )
     )
-    assert build_sequences(log)["peter"].items == ["q5", "q8", "q10", "q5"]
+    assert split.full_sequence("peter") == ["q5", "q8", "q10", "q5"]
 
 
 def test_split_assigns_last_two_positions():
-    log = _log([("u1", i, t, 5.0) for t, i in enumerate(["a", "b", "c"], start=1)])
-    split = leave_one_out_split(build_sequences(log))
+    split = leave_one_out_split(_events((("u1", i, t, 5.0) for t, i in enumerate("abc", start=1))))
     assert split.train["u1"] == ["a"]
     assert split.validation["u1"] == "b"
     assert split.test["u1"] == "c"
@@ -204,9 +217,8 @@ def test_split_assigns_last_two_positions():
 
 
 def test_split_rejects_short_sequences():
-    log = _log([("u1", "a", 1, 5.0), ("u1", "b", 2, 5.0)])
     with pytest.raises(DataError, match="'u1'"):
-        leave_one_out_split(build_sequences(log))
+        leave_one_out_split(_events([("u1", "a", 1, 5.0), ("u1", "b", 2, 5.0)]))
 
 
 @given(st.lists(st.integers(3, 9), min_size=1, max_size=8))
@@ -216,7 +228,7 @@ def test_split_reconstructs_every_sequence(lengths):
     for u, n in enumerate(lengths):
         for t in range(n):
             events.append((f"u{u}", f"q{u}_{t}", t, 5.0))
-    split = leave_one_out_split(build_sequences(_log(events)))
+    split = leave_one_out_split(_events(events))
     for u, n in enumerate(lengths):
         assert split.full_sequence(f"u{u}") == [f"q{u}_{t}" for t in range(n)]
 
@@ -224,7 +236,7 @@ def test_split_reconstructs_every_sequence(lengths):
 def _two_user_split():
     events = [("u1", i, t, 5.0) for t, i in enumerate(["a", "b", "c", "d", "e"], start=1)]
     events += [("u2", i, t, 5.0) for t, i in enumerate(["x", "y", "z"], start=1)]
-    return leave_one_out_split(build_sequences(_log(events)))
+    return leave_one_out_split(_events(events))
 
 
 def test_training_instances_shift_positives_by_one():
@@ -236,7 +248,7 @@ def test_training_instances_shift_positives_by_one():
 
 def test_training_instances_cut_to_max_history():
     events = [("u1", f"q{k}", k, 5.0) for k in range(9)]  # train region q0..q6
-    split = leave_one_out_split(build_sequences(_log(events)))
+    split = leave_one_out_split(_events(events))
     (record,) = build_training_instances(split, max_history=3)
     assert record.history == ("q3", "q4", "q5")
     assert record.targets == ("q4", "q5", "q6")
@@ -269,8 +281,7 @@ def test_partition_bands_by_frequency():
     for rank, i in enumerate(range(10)):
         for t in range(10 - rank):
             events.append((f"u{t}", f"q{i}", t, 5.0))
-    log = _log(events)
-    partition = partition_cold_warm(log, fraction=0.35)
+    partition = partition_cold_warm(_events(events), fraction=0.35)
     assert partition.warm == {"q0", "q1", "q2"}
     assert partition.cold == {"q7", "q8", "q9"}
     assert partition.frequency["q0"] == 10
@@ -278,17 +289,17 @@ def test_partition_bands_by_frequency():
 
 def test_partition_ties_break_by_item_id():
     events = [(f"u{t}", i, t, 5.0) for i in ("a", "b", "c", "d") for t in range(2)]
-    partition = partition_cold_warm(_log(events), fraction=0.5)
+    partition = partition_cold_warm(_events(events), fraction=0.5)
     assert partition.warm == {"a", "b"}
     assert partition.cold == {"c", "d"}
 
 
 def test_partition_validates_inputs():
-    log = _log([("u1", "a", 1, 5.0)])
+    events = _events([("u1", "a", 1, 5.0)])
     with pytest.raises(ValueError):
-        partition_cold_warm(log, fraction=0.6)
+        partition_cold_warm(events, fraction=0.6)
     with pytest.raises(DataError, match="at least 2"):
-        partition_cold_warm(log, fraction=0.35)
+        partition_cold_warm(events, fraction=0.35)
 
 
 @given(
@@ -297,15 +308,15 @@ def test_partition_validates_inputs():
 )
 @settings(max_examples=60, deadline=None)
 def test_partition_invariants_hold_on_random_logs(raw, fraction):
-    events = [(f"u{u}", f"q{i:02d}", t, 5.0) for t, (u, i) in enumerate(raw)]
-    log = _log(events)
-    if len(log.items) < 2:
+    events = _events((f"u{u}", f"q{i:02d}", t, 5.0) for t, (u, i) in enumerate(raw))
+    freq = Counter(e.item for e in events)
+    if len(freq) < 2:
         return
-    partition = partition_cold_warm(log, fraction=fraction)
-    n_band = math.floor(fraction * len(log.items))
+    partition = partition_cold_warm(events, fraction=fraction)
+    n_band = math.floor(fraction * len(freq))
     assert len(partition.cold) == n_band
     assert len(partition.warm) == n_band
     assert not partition.cold & partition.warm
-    freq = log.item_frequency()
+    assert partition.frequency == freq
     if partition.cold and partition.warm:
         assert max(freq[i] for i in partition.cold) <= min(freq[i] for i in partition.warm)

@@ -6,13 +6,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import log_from_planted
+from conftest import planted_events
 from fusionrec.align import decode, encode, unified_item_embedding
 from fusionrec.cf import FORWARD_ROWS, user_representation, user_representations
 from fusionrec.data import (
     ColdWarmPartition,
     SplitDataset,
-    build_sequences,
     filter_dataset,
     leave_one_out_split,
 )
@@ -301,8 +300,9 @@ def test_zero_shot_requires_alignment_and_disjoint_vocab(toy_world, toy_pipeline
 
 def test_zero_shot_runs_entirely_on_the_semantic_path(toy_world, toy_pipeline):
     variant = make_zero_shot_variant(toy_world["dataset"])
-    filtered = filter_dataset(log_from_planted(variant), min_user_events=3, min_item_popularity=1)
-    zs_split = leave_one_out_split(build_sequences(filtered))
+    zs_split = leave_one_out_split(
+        filter_dataset(planted_events(variant), min_user_events=3, min_item_popularity=1)
+    )
     zs_semantic = embed_catalog(variant.catalog)
     report = zero_shot_eval(
         toy_pipeline, zs_split, zs_semantic, [1, 3], candidate_pool_size=10, seed=5
@@ -432,8 +432,9 @@ def test_batched_evaluation_matches_the_per_user_oracle(toy_world, toy_alignment
 
 def test_batched_zero_shot_matches_the_per_user_oracle(toy_world, toy_pipeline):
     variant = make_zero_shot_variant(toy_world["dataset"])
-    filtered = filter_dataset(log_from_planted(variant), min_user_events=3, min_item_popularity=1)
-    zs_split = leave_one_out_split(build_sequences(filtered))
+    zs_split = leave_one_out_split(
+        filter_dataset(planted_events(variant), min_user_events=3, min_item_popularity=1)
+    )
     zs_semantic = embed_catalog(variant.catalog)
     results, routing = oracle_pooled_evaluation(
         toy_pipeline.cf_model, toy_pipeline.alignment, zs_semantic, zs_split, 10, seed=5

@@ -5,7 +5,7 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 
-from fusionrec.data import load_catalog, load_interactions
+from fusionrec.data import Event, load_catalog, load_interactions
 from fusionrec.synthetic import (
     make_planted_dataset,
     make_zero_shot_variant,
@@ -135,11 +135,7 @@ def test_write_dataset_roundtrips_through_the_loaders(tmp_path):
     write_dataset(dataset, interactions, catalog_path)
     catalog = load_catalog(catalog_path)
     assert catalog == dataset.catalog
-    log = load_interactions(interactions, catalog_path)
-    assert len(log.events) == len(dataset.events)
-    by_key = {(e.user, e.timestamp): (e.item, e.rating) for e in log.events}
-    for user, item, ts, rating in dataset.events:
-        assert by_key[(user, ts)] == (item, rating)
+    assert load_interactions(interactions, catalog_path) == [Event(*e) for e in dataset.events]
 
 
 def test_linear_alignment_suite_is_exactly_linear():
