@@ -11,16 +11,10 @@ import numpy as np
 
 from fusionrec.cot import FixtureAdapter
 from fusionrec.projection import (
-    PROMPT_INSTRUCTION,
-    PROMPT_QUERY,
     ProjectionExample,
-    PromptBundle,
     init_projection_stack,
     make_surrogate_head,
-    project_components,
     rank_candidates,
-    render_prompt_text,
-    request_explanation,
     surrogate_loss_and_gradients,
     train_projections,
 )
@@ -48,23 +42,6 @@ for u in range(20):
     ))
 
 
-def one_item_prompt(example, item):
-    """The prompt for one candidate, as an adapter would be shown it."""
-    o_x, o_z, _ = project_components(stack, example.x_user, z_vecs[item], None)
-    return PromptBundle(
-        segments=[("soft", "user", o_x), ("text", PROMPT_INSTRUCTION), ("text", titles[item]),
-                  ("soft", "item0", o_z), ("text", PROMPT_QUERY)],
-        user=example.user,
-    )
-
-
-# --- what the frozen model would actually see ---
-bundle = one_item_prompt(examples[0], "q0")
-print("prompt segments:", [seg[0] for seg in bundle.segments])
-print("rendered as text for an adapter (truncated):")
-print(render_prompt_text(bundle)[:160], "...")
-
-
 def mean_loss():
     return float(np.mean([surrogate_loss_and_gradients(stack, ex, head)[0] for ex in examples]))
 
@@ -77,7 +54,7 @@ def mean_reciprocal_rank():
     return total / len(examples)
 
 
-print(f"\nbefore training: loss {mean_loss():.4f}, MRR {mean_reciprocal_rank():.4f}")
+print(f"before training: loss {mean_loss():.4f}, MRR {mean_reciprocal_rank():.4f}")
 train_projections(stack, examples, epochs=60, batch_size=4, learning_rate=0.01,
                   head=head, rng=np.random.default_rng(3), optimizer="adam")
 print(f"after 60 epochs:  loss {mean_loss():.4f}, MRR {mean_reciprocal_rank():.4f}")
@@ -88,6 +65,5 @@ ranked = rank_candidates(stack, head, user.x_user, user.slate, user.r_vec)
 print(f"\n{user.user} slate order: {ranked[:3]} ... (target q4)")
 
 winner = ranked[0]
-bundle = one_item_prompt(user, winner)
 fixture = FixtureAdapter({(user.user, winner): "It continues the run of even-index picks."})
-print("explanation:", request_explanation(winner, fixture, bundle))
+print("explanation:", fixture.generate(user.user, winner, "", None))

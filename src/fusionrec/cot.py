@@ -156,15 +156,13 @@ class FixtureAdapter:
     def __init__(self, corpus: dict[tuple[str, str], str] | None = None):
         self.corpus = corpus
 
-    def generate(self, user: str, item: str, prompt: str, instance=None) -> str:
+    def generate(self, user: str, item: str, prompt: str, instance) -> str:
         if self.corpus is not None:
             try:
                 return self.corpus[(user, item)]
             except KeyError:
                 raise DataError(f"no fixture entry for user {user!r}, item {item!r}") from None
-        if instance is not None:
-            return _template_expansion(instance)
-        return f"The target item fits the user's recent history. likelihood unknown for {item}."
+        return _template_expansion(instance)
 
 
 def generate_cot(adapter, instance: InstructionInstance) -> str:

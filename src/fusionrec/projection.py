@@ -24,7 +24,6 @@ training loss with each one's title as the target.
 
 from __future__ import annotations
 
-import base64
 import math
 from dataclasses import dataclass, field
 
@@ -47,14 +46,6 @@ class ProjectionStack:
     hidden: int
     params: dict[str, np.ndarray]
     training_log: list[float] = field(default_factory=list)
-
-
-@dataclass
-class PromptBundle:
-    """Ordered segments; each is ("text", str) or ("soft", name, vector)."""
-
-    segments: list
-    user: str | None = None
 
 
 @dataclass
@@ -124,32 +115,6 @@ def _mlp_backward(params: dict, prefix: str, cache, d_out: np.ndarray) -> dict:
         f"{prefix}.w2": d_out.T @ act,
         f"{prefix}.b2": d_out.sum(axis=0),
     }
-
-
-def project_components(stack: ProjectionStack, x_user, z_item, r_cot=None):
-    """(O_X, O_Z, O_r) in token space; O_r is None in CoT-less mode."""
-    o_x, _ = _mlp_forward(stack.params, "fx", x_user)
-    o_z, _ = _mlp_forward(stack.params, "fz", z_item)
-    o_r = None
-    if r_cot is not None:
-        o_r_arr, _ = _mlp_forward(stack.params, "fr", r_cot)
-        o_r = o_r_arr[0]
-    return o_x[0], o_z[0], o_r
-
-
-def render_prompt_text(bundle: PromptBundle) -> str:
-    """The bundle as text for an adapter's prompt; each soft vector becomes a
-    `<SOFT:name:base64>` placeholder holding its little-endian float64 bytes."""
-    lines = []
-    for seg in bundle.segments:
-        if seg[0] == "text":
-            lines.append(seg[1])
-        else:
-            payload = base64.b64encode(
-                np.ascontiguousarray(seg[2], dtype="<f8").tobytes()
-            ).decode("ascii")
-            lines.append(f"<SOFT:{seg[1]}:{payload}>")
-    return "\n".join(lines)
 
 
 def build_vocabulary(catalog: dict[str, tuple[str, str]]) -> list[str]:
@@ -388,15 +353,6 @@ def rank_candidates(stack: ProjectionStack, head: SurrogateHead, x_user, candida
     loss_of = dict(zip(targets, losses.tolist()))
     ranked = sorted(candidates, key=lambda c: (loss_of[tuple(c[1].lower().split())], c[0]))
     return [item_id for item_id, _, _ in ranked]
-
-
-def request_explanation(item: str, adapter, prompt: PromptBundle, user: str | None = None) -> str:
-    """Explanation text for (user, item) from the adapter, given the rendered prompt.
-
-    `user` defaults to the bundle's user.
-    """
-    key_user = user if user is not None else prompt.user
-    return adapter.generate(key_user, item, render_prompt_text(prompt), None)
 
 
 def build_projection_examples(

@@ -35,7 +35,6 @@ UNREFERENCED = {
     "semantic.fallback_embed": "wrapped by the benchmark's per-layer timing",
     "cf.user_representation_from_vectors": "wrapped by the benchmark's per-layer timing",
     "projection.surrogate_loss_and_gradients": "the soft-prompt demo scores its examples with it",
-    "projection.project_components": "soft-prompt path; stays or goes with the reasoning-path verdict",
     "projection.rank_candidates": "soft-prompt ranking, to be rewritten with per-candidate contexts",
     "evaluate.zero_shot_eval": "the zero-shot protocol, which eval does not run yet",
     "evaluate.RecommendationPipeline.item_vector": "wrapped by the benchmark's per-layer timing",

@@ -507,79 +507,210 @@ def _first_train_sequence_a_string(payload):
     payload["train"][user] = "".join(payload["train"][user])
 
 
+def _first_train_sequence_empty(payload):
+    payload["train"][min(payload["train"])] = []
+
+
+def _second_record_for_the_first_pair(payload):
+    """A second record for the first (user, item), with another trace; the
+    coverage stays the retained share of the records."""
+    records = payload["records"]
+    records.append(dict(records[0], cot=records[0]["cot"] + " Again."))
+    payload["coverage"] = sum(row["retained"] for row in records) / len(records)
+
+
+def _coverage_one_record_off(payload):
+    records = payload["records"]
+    payload["coverage"] = (sum(row["retained"] for row in records) + 1) / len(records)
+
+
+def _first_warm_item_also_cold(payload):
+    payload["cold"].append(payload["warm"][0])
+
+
 @pytest.mark.parametrize(
     "artifact, damage, stage",
     [
-        ("cf.ckpt", lambda blob: blob[:60], "train-align"),
-        ("cf.ckpt", lambda blob: _ckpt_with_header(b'{"kind":"cf","meta":{}}'), "cot"),
-        ("cf.ckpt", lambda blob: _ckpt_with_header(b'{"arrays":[],"kind":"cf","meta":{}}'), "cot"),
-        (
+        pytest.param("cf.ckpt", lambda blob: blob[:60], "train-align", id="cf-cut"),
+        pytest.param(
+            "cf.ckpt", lambda blob: _ckpt_with_header(b'{"kind":"cf","meta":{}}'), "cot",
+            id="cf-no-arrays",
+        ),
+        pytest.param(
+            "cf.ckpt", lambda blob: _ckpt_with_header(b'{"arrays":[],"kind":"cf","meta":{}}'), "cot",
+            id="cf-no-items",
+        ),
+        pytest.param(
             "cf.ckpt",
             lambda blob: _ckpt_with_header(
                 b'{"arrays":[{"name":"w","shape":["x"]}],"kind":"cf","meta":{}}'
             ),
             "report",
+            id="cf-shape-not-an-int",
         ),
-        ("cf.ckpt", lambda blob: _ckpt_with_header(b'{"arrays":[],"kind":"cf","meta":[]}'), "report"),
-        (
+        pytest.param(
+            "cf.ckpt", lambda blob: _ckpt_with_header(b'{"arrays":[],"kind":"cf","meta":[]}'), "report",
+            id="cf-meta-a-list",
+        ),
+        pytest.param(
             "cf.ckpt",
             lambda blob: _ckpt_with_header(
                 b'{"arrays":[],"kind":"align","meta":{"training_log":[0.5]}}'
             ),
             "report",
+            id="cf-of-kind-align",
         ),
-        ("split.json", lambda blob: blob[:3], "train-cf"),
-        ("split.json", lambda blob: b"\xff\xfe" + blob, "train-align"),
-        ("split.json", lambda blob: b'{"train": {}}', "eval"),
-        ("split.json", _json_edited(_drop_first_test_user), "train-align"),
-        ("split.json", _json_edited(_first_validation_a_list), "train-align"),
-        ("split.json", _json_edited(_first_validation_a_list), "eval"),
-        ("split.json", _json_edited(_first_train_sequence_a_string), "train-cf"),
-        ("cots.json", lambda blob: b"{}", "sweep"),
-        ("cots.json", _json_edited(lambda payload: payload["records"][0].update(score="1")), "sweep"),
-        ("cots.json", _json_edited(lambda payload: payload["records"][0].update(cot=7)), "train-proj"),
-        ("partition.json", lambda blob: b'{"cold": []}', "eval"),
-        ("partition.json", _json_edited(lambda payload: payload.update(cold="u1")), "eval"),
-        ("report_standard.json", lambda blob: b'{"hr": {}}', "report"),
-        ("cf.ckpt", _resaved(lambda meta, arrays: arrays.pop("blk0.wq")), "eval"),
-        ("cf.ckpt", _resaved(lambda meta, arrays: arrays.pop("blk0.wq")), "cot"),
-        ("cf.ckpt", _resaved(lambda meta, arrays: meta["config"].update(blocks=2)), "cot"),
-        ("cf.ckpt", _resaved(lambda meta, arrays: meta["config"].update(embed_dim=16)), "eval"),
-        ("cf.ckpt", _resaved(lambda meta, arrays: arrays.update(extra=np.zeros(2))), "eval"),
-        ("cf.ckpt", _resaved(_repeat_the_first_item), "eval"),
-        ("align.ckpt", _resaved(lambda meta, arrays: meta.update(latent_dim=7)), "train-proj"),
-        ("align.ckpt", _resaved(lambda meta, arrays: arrays.pop("dec_c.w")), "train-proj"),
-        ("cf.ckpt", _resaved(_poke("item_emb", (5, 0), np.nan)), "eval"),
-        ("align.ckpt", _resaved(_poke("enc_s.w", (0, 0), np.inf)), "train-proj"),
-        ("proj.ckpt", _resaved(_poke("fz.w2", (0, 0), np.nan)), "report"),
-        ("proj.ckpt", _resaved(lambda meta, arrays: arrays.pop("head.token_emb")), "report"),
-        ("proj.ckpt", _resaved(lambda meta, arrays: meta.update(training_log=[0.5, "0.25"])), "report"),
-        ("cf.ckpt", _resaved(_meta("config", "embed_dim", to=float)), "eval"),
-        ("cf.ckpt", _resaved(_meta("config", "heads", to=float)), "eval"),
-        ("cf.ckpt", _resaved(_meta("config", "heads", to=lambda value: True)), "eval"),
-        ("cf.ckpt", _resaved(_meta("config", "learning_rate", to=lambda value: "fast")), "eval"),
-        ("cf.ckpt", _resaved(_meta("config", "optimizer", to=lambda value: 3)), "eval"),
-        ("cf.ckpt", _resaved(_meta("items", 0, to=lambda value: 12345)), "eval"),
-        ("align.ckpt", _resaved(_meta("latent_dim", to=float)), "train-proj"),
-        ("align.ckpt", _resaved(_meta("alpha", to=lambda value: True)), "train-proj"),
-        ("proj.ckpt", _resaved(_meta("d_token", to=float)), "report"),
-        ("proj.ckpt", _resaved(_meta("vocabulary", 0, to=lambda value: 7)), "report"),
-        ("proj.ckpt", _resaved(_meta("head_seed", to=str)), "report"),
-    ],
-    ids=[
-        "cf-cut", "cf-no-arrays", "cf-no-items", "cf-shape-not-an-int", "cf-meta-a-list",
-        "cf-of-kind-align",
-        "split-cut", "split-bad-utf8", "split-no-keys", "split-users-differ",
-        "split-validation-a-list-align", "split-validation-a-list-eval", "split-train-a-string",
-        "cots-no-records", "cots-score-a-string", "cots-cot-an-int",
-        "partition-no-warm", "partition-cold-a-string", "report-no-users", "cf-array-missing-eval", "cf-array-missing-cot",
-        "cf-blocks-over-arrays", "cf-embed-dim-over-arrays", "cf-extra-array", "cf-item-twice",
-        "align-latent-dim-over-arrays", "align-array-missing",
-        "cf-nan-eval", "align-inf-train-proj", "proj-nan-report", "proj-array-missing",
-        "proj-log-a-string",
-        "cf-embed-dim-a-float", "cf-heads-a-float", "cf-heads-a-bool", "cf-rate-a-string",
-        "cf-optimizer-an-int", "cf-item-an-int", "align-latent-dim-a-float", "align-alpha-a-bool",
-        "proj-d-token-a-float", "proj-token-an-int", "proj-head-seed-a-string",
+        pytest.param("split.json", lambda blob: blob[:3], "train-cf", id="split-cut"),
+        pytest.param("split.json", lambda blob: b"\xff\xfe" + blob, "train-align", id="split-bad-utf8"),
+        pytest.param("split.json", lambda blob: b'{"train": {}}', "eval", id="split-no-keys"),
+        pytest.param(
+            "split.json", _json_edited(_drop_first_test_user), "train-align",
+            id="split-users-differ",
+        ),
+        pytest.param(
+            "split.json", _json_edited(_first_validation_a_list), "train-align",
+            id="split-validation-a-list-align",
+        ),
+        pytest.param(
+            "split.json", _json_edited(_first_validation_a_list), "eval",
+            id="split-validation-a-list-eval",
+        ),
+        pytest.param(
+            "split.json", _json_edited(_first_train_sequence_a_string), "train-cf",
+            id="split-train-a-string",
+        ),
+        pytest.param("cots.json", lambda blob: b"{}", "sweep", id="cots-no-records"),
+        pytest.param(
+            "cots.json", _json_edited(lambda payload: payload["records"][0].update(score="1")), "sweep",
+            id="cots-score-a-string",
+        ),
+        pytest.param(
+            "cots.json",
+            _json_edited(lambda payload: payload["records"][0].update(cot=7)),
+            "train-proj",
+            id="cots-cot-an-int",
+        ),
+        pytest.param("partition.json", lambda blob: b'{"cold": []}', "eval", id="partition-no-warm"),
+        pytest.param(
+            "partition.json", _json_edited(lambda payload: payload.update(cold="u1")), "eval",
+            id="partition-cold-a-string",
+        ),
+        pytest.param(
+            "report_standard.json", lambda blob: b'{"hr": {}}', "report",
+            id="report-no-users",
+        ),
+        pytest.param(
+            "cf.ckpt", _resaved(lambda meta, arrays: arrays.pop("blk0.wq")), "eval",
+            id="cf-array-missing-eval",
+        ),
+        pytest.param(
+            "cf.ckpt", _resaved(lambda meta, arrays: arrays.pop("blk0.wq")), "cot",
+            id="cf-array-missing-cot",
+        ),
+        pytest.param(
+            "cf.ckpt", _resaved(lambda meta, arrays: meta["config"].update(blocks=2)), "cot",
+            id="cf-blocks-over-arrays",
+        ),
+        pytest.param(
+            "cf.ckpt", _resaved(lambda meta, arrays: meta["config"].update(embed_dim=16)), "eval",
+            id="cf-embed-dim-over-arrays",
+        ),
+        pytest.param(
+            "cf.ckpt", _resaved(lambda meta, arrays: arrays.update(extra=np.zeros(2))), "eval",
+            id="cf-extra-array",
+        ),
+        pytest.param("cf.ckpt", _resaved(_repeat_the_first_item), "eval", id="cf-item-twice"),
+        pytest.param(
+            "align.ckpt", _resaved(lambda meta, arrays: meta.update(latent_dim=7)), "train-proj",
+            id="align-latent-dim-over-arrays",
+        ),
+        pytest.param(
+            "align.ckpt", _resaved(lambda meta, arrays: arrays.pop("dec_c.w")), "train-proj",
+            id="align-array-missing",
+        ),
+        pytest.param("cf.ckpt", _resaved(_poke("item_emb", (5, 0), np.nan)), "eval", id="cf-nan-eval"),
+        pytest.param(
+            "align.ckpt", _resaved(_poke("enc_s.w", (0, 0), np.inf)), "train-proj",
+            id="align-inf-train-proj",
+        ),
+        pytest.param(
+            "proj.ckpt", _resaved(_poke("fz.w2", (0, 0), np.nan)), "report",
+            id="proj-nan-report",
+        ),
+        pytest.param(
+            "proj.ckpt", _resaved(lambda meta, arrays: arrays.pop("head.token_emb")), "report",
+            id="proj-array-missing",
+        ),
+        pytest.param(
+            "proj.ckpt",
+            _resaved(lambda meta, arrays: meta.update(training_log=[0.5, "0.25"])),
+            "report",
+            id="proj-log-a-string",
+        ),
+        pytest.param(
+            "cf.ckpt", _resaved(_meta("config", "embed_dim", to=float)), "eval",
+            id="cf-embed-dim-a-float",
+        ),
+        pytest.param(
+            "cf.ckpt", _resaved(_meta("config", "heads", to=float)), "eval",
+            id="cf-heads-a-float",
+        ),
+        pytest.param(
+            "cf.ckpt", _resaved(_meta("config", "heads", to=lambda value: True)), "eval",
+            id="cf-heads-a-bool",
+        ),
+        pytest.param(
+            "cf.ckpt", _resaved(_meta("config", "learning_rate", to=lambda value: "fast")), "eval",
+            id="cf-rate-a-string",
+        ),
+        pytest.param(
+            "cf.ckpt", _resaved(_meta("config", "optimizer", to=lambda value: 3)), "eval",
+            id="cf-optimizer-an-int",
+        ),
+        pytest.param(
+            "cf.ckpt", _resaved(_meta("items", 0, to=lambda value: 12345)), "eval",
+            id="cf-item-an-int",
+        ),
+        pytest.param(
+            "align.ckpt", _resaved(_meta("latent_dim", to=float)), "train-proj",
+            id="align-latent-dim-a-float",
+        ),
+        pytest.param(
+            "align.ckpt", _resaved(_meta("alpha", to=lambda value: True)), "train-proj",
+            id="align-alpha-a-bool",
+        ),
+        pytest.param(
+            "proj.ckpt", _resaved(_meta("d_token", to=float)), "report",
+            id="proj-d-token-a-float",
+        ),
+        pytest.param(
+            "proj.ckpt", _resaved(_meta("vocabulary", 0, to=lambda value: 7)), "report",
+            id="proj-token-an-int",
+        ),
+        pytest.param(
+            "proj.ckpt", _resaved(_meta("head_seed", to=str)), "report",
+            id="proj-head-seed-a-string",
+        ),
+        pytest.param(
+            "split.json", _json_edited(_first_train_sequence_empty), "train-proj",
+            id="split-train-empty",
+        ),
+        pytest.param(
+            "cf.ckpt", _resaved(lambda meta, arrays: meta["config"].pop("heads")), "eval",
+            id="cf-heads-missing",
+        ),
+        pytest.param(
+            "cots.json", _json_edited(_second_record_for_the_first_pair), "train-proj",
+            id="cots-pair-twice",
+        ),
+        pytest.param(
+            "cots.json", _json_edited(_coverage_one_record_off), "report",
+            id="cots-coverage-not-the-retained-share",
+        ),
+        pytest.param(
+            "partition.json", _json_edited(_first_warm_item_also_cold), "eval",
+            id="partition-item-cold-and-warm",
+        ),
     ],
 )
 def test_corrupt_artifact_is_one_error_line_and_exit_3(chain, tmp_path, artifact, damage, stage):
@@ -835,7 +966,7 @@ def test_eval_scores_the_explainer_against_references(chain, tmp_path):
     out_dir = tmp_path / "explained"
     shutil.copytree(chain["out"], out_dir)
     split = json.loads((out_dir / "split.json").read_text(encoding="utf-8"))
-    # the text the fixture adapter gives without a corpus, for the explained item
+    # the fixed sentence eval explains every pick with, for the explained item
     references = tmp_path / "references.tsv"
     references.write_text(
         "".join(

@@ -127,7 +127,7 @@ def test_fixture_adapter_returns_corpus_text_verbatim():
     seen = []
 
     class _Spy(FixtureAdapter):
-        def generate(self, user, item, prompt, instance=None):
+        def generate(self, user, item, prompt, instance):
             seen.append((user, item))
             return super().generate(user, item, prompt, instance)
 
@@ -136,7 +136,7 @@ def test_fixture_adapter_returns_corpus_text_verbatim():
     assert generate_cot(adapter, instance) == "A short stored trace."
     assert seen == [("peter", "q12")]
     with pytest.raises(DataError, match="no fixture entry for user 'peter', item 'q5'"):
-        adapter.generate("peter", "q5", "prompt")
+        adapter.generate("peter", "q5", "prompt", instance)
 
 
 def test_fixture_adapter_expands_template_when_no_corpus():

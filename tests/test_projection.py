@@ -1,8 +1,6 @@
 from __future__ import annotations
 
-import base64
 import math
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,23 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionrec.align import unified_item_embedding
-from fusionrec.cot import FixtureAdapter, load_explanation_fixture
+from fusionrec.cot import load_explanation_fixture
 from fusionrec.errors import DataError, TrainingError
 from fusionrec.evaluate import RecommendationPipeline
 from fusionrec.projection import (
-    PROMPT_INSTRUCTION,
-    PROMPT_QUERY,
     ProjectionExample,
-    PromptBundle,
     SurrogateHead,
     build_projection_examples,
     build_vocabulary,
     init_projection_stack,
     make_surrogate_head,
-    project_components,
     rank_candidates,
-    render_prompt_text,
-    request_explanation,
     surrogate_loss_and_gradients,
     train_projections,
     _batch_loss_and_grads,
@@ -70,26 +62,6 @@ def _tiny_example(rng, with_cot=True):
     )
 
 
-def test_project_components_is_a_pair_of_two_layer_mlps():
-    stack = _tiny_stack()
-    rng = np.random.default_rng(0)
-    x_user = rng.normal(size=5)
-    z_item = rng.normal(size=4)
-    r_cot = rng.normal(size=6)
-    o_x, o_z, o_r = project_components(stack, x_user, z_item, r_cot)
-
-    def forward(prefix, x):
-        p = stack.params
-        act = np.maximum(p[f"{prefix}.w1"] @ x + p[f"{prefix}.b1"], 0.0)
-        return p[f"{prefix}.w2"] @ act + p[f"{prefix}.b2"]
-
-    assert np.allclose(o_x, forward("fx", x_user), atol=1e-12)
-    assert np.allclose(o_z, forward("fz", z_item), atol=1e-12)
-    assert np.allclose(o_r, forward("fr", r_cot), atol=1e-12)
-    assert o_x.shape == o_z.shape == o_r.shape == (8,)
-    assert project_components(stack, x_user, z_item)[2] is None
-
-
 @given(st.integers(min_value=1, max_value=10), st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_segment_count_is_three_plus_two_per_candidate_plus_reasoning(n_candidates, with_cot):
@@ -103,29 +75,6 @@ def test_segment_count_is_three_plus_two_per_candidate_plus_reasoning(n_candidat
     )
     (part,) = _theta_free_parts([example], head)
     assert part.n_seg == 3 + 2 * n_candidates + (1 if with_cot else 0)
-
-
-def _tiny_bundle(o_x, o_z, user=None):
-    return PromptBundle(
-        segments=[("soft", "user", o_x), ("text", PROMPT_INSTRUCTION), ("text", "red fox"),
-                  ("soft", "item0", o_z), ("text", PROMPT_QUERY)],
-        user=user,
-    )
-
-
-def test_render_prompt_text_encodes_soft_vectors_reversibly():
-    o_x = np.linspace(-1.0, 1.0, 8)
-    o_z = np.linspace(0.0, 2.0, 8)
-    bundle = _tiny_bundle(o_x, o_z)
-    rendered = render_prompt_text(bundle)
-    lines = rendered.split("\n")
-    assert len(lines) == len(bundle.segments)
-    assert lines[1] == PROMPT_INSTRUCTION
-    assert lines[2] == "red fox"
-    match = re.fullmatch(r"<SOFT:user:(.+)>", lines[0])
-    assert match
-    decoded = np.frombuffer(base64.b64decode(match.group(1)), dtype="<f8")
-    assert np.array_equal(decoded, o_x)
 
 
 def test_build_vocabulary_sorted_unique_lowercase():
@@ -382,24 +331,6 @@ def test_rank_candidates_sorts_by_the_training_loss_of_each_title(with_cot):
 
         expected = [item for _, item in sorted((loss(title), item) for item, title, _ in slate)]
         assert rank_candidates(stack, head, x_user, slate, r_vec) == expected
-
-
-def test_request_explanation_via_fixture():
-    bundle = _tiny_bundle(np.zeros(8), np.zeros(8), user="u9")
-    fixture = FixtureAdapter({("u9", "q3"): "Because it matches the streak."})
-    assert request_explanation("q3", fixture, bundle) == "Because it matches the streak."
-    assert request_explanation("q3", fixture, bundle, user="u9") == "Because it matches the streak."
-    with pytest.raises(DataError, match="no fixture entry for user 'u1'"):
-        request_explanation("q3", fixture, bundle, user="u1")
-
-    class _Spy:
-        def generate(self, user, item, prompt, instance=None):
-            self.seen = (user, item, prompt, instance)
-            return "ok"
-
-    spy = _Spy()
-    assert request_explanation("q3", spy, bundle) == "ok"
-    assert spy.seen == ("u9", "q3", render_prompt_text(bundle), None)
 
 
 def test_build_projection_examples_structure(toy_world, toy_pipeline):
