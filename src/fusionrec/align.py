@@ -39,6 +39,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import cf as cf_mod
+from .data import unowned_columns
 from .errors import DataError
 from .optim import fit, init_params
 from .semantic import SEMANTIC_DIM
@@ -370,19 +371,32 @@ def build_alignment_dataset(
     pair per occurrence of an item that has both representations; each such
     item gets one row of the item table. Each recommendation triple uses the
     user's train history representation, the validation item as positive,
-    and sampled out-of-sequence negatives. Users contributing neither pairs
-    nor triples are dropped.
+    and a negative drawn from the vocabulary items outside the user's
+    sequence, one `rng.integers` call per draw in user order; each chunk of
+    FORWARD_ROWS users gets one ownership mask over the vocabulary. Users
+    contributing neither pairs nor triples are dropped.
     """
     item_emb, item_index = cf_model.params["item_emb"], cf_model.item_index
+    warm_histories, warm_reps = cf_mod.warm_user_representations(cf_model, split, split.users())
+    warm = list(warm_histories)
+    # user -> the item_emb rows of its negatives
+    negatives: dict[str, list[int]] = {}
+    position = {item: i for i, item in enumerate(cf_model.items)}
+    for start in range(0, len(warm), cf_mod.FORWARD_ROWS):
+        chunk = warm[start : start + cf_mod.FORWARD_ROWS]
+        eligible, starts, counts = unowned_columns(
+            [split.full_sequence(user) for user in chunk], position, len(cf_model.items)
+        )
+        for user, first, count in zip(chunk, starts.tolist(), counts.tolist()):
+            draws = range(negatives_per_user) if count else ()
+            negatives[user] = [int(eligible[first + int(rng.integers(count))]) + 1 for _ in draws]
+    reps = dict(zip(warm, warm_reps))
     table: dict[str, int] = {}
     e_rows, q_rows = [], []
     users, pairs, triples = [], [], []
-    warm_histories, warm_reps = cf_mod.warm_user_representations(cf_model, split, split.users())
-    reps = dict(zip(warm_histories, warm_reps))
     for user in split.users():
-        sequence = split.train[user]
         group = []
-        for item in sequence:
+        for item in split.train[user]:
             if item not in table:
                 if item not in item_index or item not in semantic_map:
                     continue
@@ -392,18 +406,8 @@ def build_alignment_dataset(
             group.append(table[item])
         trip = []
         if user in reps:
-            x = reps[user]
             positive = item_emb[item_index[split.validation[user]]]
-            # positions in cf_model.items of the items the user does not own
-            unowned = np.ones(len(cf_model.items), dtype=bool)
-            unowned[[item_index[item] - 1 for item in set(split.full_sequence(user))
-                     if item in item_index]] = False
-            eligible = np.flatnonzero(unowned)
-            for _ in range(negatives_per_user):
-                if not len(eligible):
-                    break
-                negative = cf_model.items[eligible[int(rng.integers(len(eligible)))]]
-                trip.append((x, positive, item_emb[item_index[negative]]))
+            trip = [(reps[user], positive, item_emb[row]) for row in negatives[user]]
         if group or trip:
             users.append(user)
             pairs.append(group)

@@ -173,11 +173,18 @@ def _cots_from_json(payload) -> _Cots:
     retained = column("retained", {bool})
     if not rows or coverage != sum(retained) / len(rows):
         raise ValueError(f"coverage {coverage} is not the retained share of the records")
+    scores = column("score", _NUMBER)
+    for (user, item), score, kept in zip(keys, scores, retained):
+        if kept != (score >= threshold):
+            raise ValueError(
+                f"record ({user!r}, {item!r}) has retained {kept} but score {score} "
+                f"against threshold {threshold}"
+            )
     return _Cots(
         keys=keys,
         cots=column("cot", {str}),
         dims=dims,
-        scores=column("score", _NUMBER),
+        scores=scores,
         retained=retained,
         coverage=coverage,
         threshold=threshold,
@@ -669,7 +676,8 @@ def _train_proj(run: _Run) -> dict:
     )
     print(
         f"trained projections on {len(examples)} examples "
-        f"({len(cot_embeddings)} with reasoning); final epoch loss {stack.training_log[-1]:.6f}"
+        f"({len(cot_embeddings)} with reasoning); final epoch loss {stack.training_log[-1]:.6f}; "
+        f"pool shortfalls: {examples.pool_shortfalls} of {len(examples)} users"
     )
     arrays = {
         **stack.params,
@@ -708,6 +716,7 @@ def _eval(run: _Run) -> dict:
         references=references,
         explainer=_fixed_explanation,
     )
+    print(f"pool shortfalls: {standard.pool_shortfalls} of {standard.n_users} users")
     outputs = {"report_standard.json": standard.to_dict()}
     reports = [standard]
 

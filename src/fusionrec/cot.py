@@ -184,25 +184,28 @@ def _sentence_polarity(sentence: str) -> float:
             signs.append(POLARITY[word])
     if not signs:
         return 0.0
-    return float(np.mean(signs))
+    # the signs are +-1, so the sum is exact in any order
+    return sum(signs) / len(signs)
 
 
 def score_coherence(cot: str, sentences=None, polarity=_sentence_polarity) -> float:
     """1 - 0.5*V - 0.5*R clamped to [0, 1].
 
-    V is the population variance of per-sentence lexicon polarity; R is the
-    fraction of duplicate 3-grams among all (sliding-window) 3-grams of the
-    token stream, 0 when there are fewer than three tokens. Empty text
-    scores 0 by convention. A caller that has split the trace already passes
-    its `sentences`, and may pass a memoised `polarity`.
+    V is the population variance of per-sentence lexicon polarity (0 when
+    every polarity is 0); R is the fraction of duplicate 3-grams among all
+    (sliding-window) 3-grams of the token stream, 0 when there are fewer
+    than three tokens. Empty text scores 0 by convention. A caller that has
+    split the trace already passes its `sentences`, and may pass a memoised
+    `polarity`.
     """
     if sentences is None:
         sentences = _split_sentences(cot)
     if not sentences:
         return 0.0
-    variance = float(np.var([polarity(s) for s in sentences]))
+    polarities = [polarity(s) for s in sentences]
+    variance = float(np.var(polarities)) if any(polarities) else 0.0
     tokens = cot.lower().split()
-    grams = [tuple(tokens[i : i + 3]) for i in range(len(tokens) - 2)]
+    grams = list(zip(tokens, tokens[1:], tokens[2:]))
     repetition = (len(grams) - len(set(grams))) / len(grams) if grams else 0.0
     return min(1.0, max(0.0, 1.0 - 0.5 * variance - 0.5 * repetition))
 
@@ -254,17 +257,25 @@ def _frame_text(task: str) -> str:
     return f"{task} User history: Target item: CF prior:"
 
 
-def composite_score(dims, weights=(0.25, 0.25, 0.25, 0.25)) -> float:
-    """Weighted sum of the four dimension scores; weights must sum to 1."""
-    dims = [float(d) for d in dims]
+def composite_score(dims, weights=(0.25, 0.25, 0.25, 0.25)):
+    """Weighted sum of the four dimension scores, each in [0, 1]; weights
+    must lie in [0, 1] and sum to 1.
+
+    `dims` is one record's four scores, which gives a float, or an (n, 4)
+    stack of records, which gives an array with one sum per record. A
+    record's sum is one `np.matmul` of a (1, 4) by a (4, 1) row, so it is
+    the float that `np.dot` of the record alone gives.
+    """
     weights = [float(w) for w in weights]
-    if len(dims) != 4 or len(weights) != 4:
+    dims = np.asarray(dims, dtype=np.float64)
+    if len(weights) != 4 or dims.ndim not in (1, 2) or dims.shape[-1] != 4:
         raise ConfigError("expected exactly four dimensions and four weights")
-    if any(not 0.0 <= v <= 1.0 for v in dims + weights):
+    if any(not 0.0 <= w <= 1.0 for w in weights) or not np.all((dims >= 0.0) & (dims <= 1.0)):
         raise ConfigError("dimensions and weights must lie in [0, 1]")
     if abs(sum(weights) - 1.0) > 1e-9:
         raise ConfigError(f"weights must sum to 1, got {sum(weights)!r}")
-    return float(np.dot(dims, weights))
+    sums = (dims[..., None, :] @ np.array(weights)[:, None])[..., 0, 0]
+    return float(sums) if dims.ndim == 1 else sums
 
 
 def score_cots(instances, cots, weights=(0.25, 0.25, 0.25, 0.25)) -> list[CotRecord]:
@@ -280,35 +291,42 @@ def score_cots(instances, cots, weights=(0.25, 0.25, 0.25, 0.25)) -> list[CotRec
 
     A blank trace scores 0 on the last three. Each trace is split into
     sentences once, and each sentence's polarity is computed once per call.
-    Every distinct text is tokenized once, in one `token_counts` pass; the
-    prompt text is never tokenized, since its counts are the reference's
-    plus those of the task instruction and the headers. Each of the three
-    cosines is one stacked `similarity_mapped` over the scored traces.
+    Every distinct text is tokenized once, in one `token_counts` pass. A
+    reference is counted as its parts (each history line, the target line
+    and the prior), which whitespace joins, so a history line that recurs
+    across users is tokenized once. The prompt text is never tokenized,
+    since its counts are the reference's plus those of the task instruction
+    and the headers. Each of the three cosines is one stacked
+    `similarity_mapped` over the scored traces, and one `composite_score`
+    call checks the weights once and weighs every record.
     """
     sentences = [_split_sentences(cot) for cot in cots]
     polarity = functools.lru_cache(maxsize=None)(_sentence_polarity)
-    rows: dict[str, int] = {}
+    texts: dict[str, int] = {}
+    groups: dict[tuple[int, ...], int] = {}
 
-    def row(text: str) -> int:
-        return rows.setdefault(text, len(rows))
+    def row(*parts: str) -> int:
+        """The counts row of the parts' tokens together."""
+        key = tuple(texts.setdefault(text, len(texts)) for text in parts)
+        return groups.setdefault(key, len(groups))
 
     # per non-blank trace: its record, then the rows of its trace, reference,
     # frame (task and headers), last sentence and label sentence
     scored = []
     for i, (instance, cot, split) in enumerate(zip(instances, cots, sentences)):
         if cot.strip():
-            texts = (
-                cot,
-                " ".join([instance.history_text(), instance.target_line, instance.prior_line]),
-                _frame_text(instance.task),
-                split[-1],
-                LABEL_SENTENCES[instance.label],
-            )
-            scored.append((i, *map(row, texts)))
+            scored.append((
+                i,
+                row(cot),
+                row(*instance.history_lines, instance.target_line, instance.prior_line),
+                row(_frame_text(instance.task)),
+                row(split[-1]),
+                row(LABEL_SENTENCES[instance.label]),
+            ))
     semantic = [(0.0, 0.0, 0.0)] * len(cots)
     if scored:
         record, trace, reference, frame, last, label = np.array(scored, dtype=np.intp).T
-        counts = token_counts(list(rows))
+        counts = token_counts(list(texts), groups=list(groups))
         prompts = counts[reference]
         prompts += counts[frame]
         unit_rows(prompts)
@@ -329,12 +347,15 @@ def score_cots(instances, cots, weights=(0.25, 0.25, 0.25, 0.25)) -> list[CotRec
                 cf_top = max(instance.candidates, key=lambda c: c[2])[0]
                 agreement = 1.0 if named == cf_top else 0.0
             semantic[i] = (completeness, relevance, 0.5 * last_vs_label + 0.5 * agreement)
-    records = []
-    for instance, cot, split, dims in zip(instances, cots, sentences, semantic):
-        dims = (score_coherence(cot, split, polarity), *dims)
-        records.append(CotRecord(instance=instance, cot=cot, dims=dims,
-                                 score=composite_score(dims, weights)))
-    return records
+    dims = [
+        (score_coherence(cot, split, polarity), *semantic_dims)
+        for cot, split, semantic_dims in zip(cots, sentences, semantic)
+    ]
+    scores = composite_score(np.array(dims, dtype=np.float64).reshape(-1, 4), weights).tolist()
+    return [
+        CotRecord(instance=instance, cot=cot, dims=record_dims, score=score)
+        for instance, cot, record_dims, score in zip(instances, cots, dims, scores)
+    ]
 
 
 def score_cot(

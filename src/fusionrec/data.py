@@ -20,6 +20,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from .errors import DataError, FusionrecError
 
@@ -179,6 +182,24 @@ def leave_one_out_split(events: list[Event]) -> SplitDataset:
         validation[user] = items[-2]
         test[user] = items[-1]
     return SplitDataset(train=train, validation=validation, test=test)
+
+
+def unowned_columns(sequences, position: dict[str, int], width: int):
+    """The columns of `range(width)` that no item of a sequence maps to in
+    `position` (an item outside it owns none), from one ownership mask over
+    all the sequences.
+
+    Returns (columns, starts, counts): sequence b's unowned columns, in
+    ascending order, are `columns[starts[b] : starts[b] + counts[b]]`.
+    """
+    owned_columns = [[position[item] for item in seq if item in position] for seq in sequences]
+    owned = np.zeros((len(owned_columns), width), dtype=bool)
+    owners = np.repeat(np.arange(len(owned_columns)), [len(cols) for cols in owned_columns])
+    owned[owners, np.fromiter(chain.from_iterable(owned_columns), dtype=np.intp,
+                              count=len(owners))] = True
+    counts = width - np.count_nonzero(owned, axis=1)
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.intp)
+    return np.nonzero(~owned)[1], starts, counts
 
 
 def build_training_instances(split: SplitDataset, max_history: int) -> list[TrainingSequence]:

@@ -10,20 +10,23 @@ protocol assertions (zero-shot must be 100% semantic) stay checkable. Each
 test user is ranked once: the warm and cold reports are cuts of the standard
 report's per-user target ranks, so every cohort user keeps its standard pool.
 
-Scoring is batched. The pipeline builds one `ItemTable` for the items a
-stage needs, computing each item's row once; users are represented in
-length-grouped batches gathered from the table's rows by index
-(`cf.user_representations_from_rows`); and each
-pool is scored as a gather of table rows, multiplied by the user's
-representation and summed row by row. A target's rank is the number of
-pool items scored higher plus the tied items with a smaller id. Routing
-counts are sums over the table's semantic-route mask, one per lookup: each
-history step inside the window and each pool item.
+Scoring is batched. Pools are rows of the sorted item universe (`Pools`),
+drawn with one ownership mask per chunk of users. The pipeline builds one
+`ItemTable` for the items a stage needs, computing each item's row once;
+users are represented in length-grouped batches gathered from the table's
+rows by index (`cf.user_representations_from_rows`); and all pools are
+mapped to table rows at once, then scored a chunk of pools at a time (as
+many table rows as one CF forward group of `cf.FORWARD_ROWS` users
+gathers) as one gather of table rows, multiplied by the users'
+representations and summed over the last axis. A target's rank is the
+number of pool items scored higher plus the tied items with a smaller id,
+two counts per chunk. Routing counts are sums over the table's
+semantic-route mask, one per lookup: each history step inside the window
+and each pool item.
 """
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
@@ -32,12 +35,10 @@ import numpy as np
 
 from . import cf as cf_mod
 from .align import COLLABORATIVE, AlignmentNetwork, decode, unified_item_embedding
-from .cf import CfModel
-from .data import ColdWarmPartition, SplitDataset
+from .cf import FORWARD_ROWS, CfModel
+from .data import ColdWarmPartition, SplitDataset, unowned_columns
 from .errors import DataError, DependencyError
 from .metrics import bleu, hit_rate_from_ranks, ndcg_from_ranks, rouge, tokenize
-
-logger = logging.getLogger(__name__)
 
 PROTOCOLS = ("standard", "cold", "warm", "zero_shot")
 
@@ -59,6 +60,8 @@ class MetricReport:
     skipped: int = 0
     # user -> 0-based target rank, in user order; not part of the JSON form
     ranks: dict[str, int] = field(default_factory=dict, repr=False)
+    # users whose pool came up short of the pool size; not part of the JSON form
+    pool_shortfalls: int = 0
 
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
@@ -110,27 +113,62 @@ class ItemTable:
         return np.fromiter((index[item] for item in items), dtype=np.intp, count=len(items))
 
 
+@dataclass(frozen=True)
+class Pools:
+    """Candidate pools as rows of one sorted item universe.
+
+    Pool u is `rows[u, :lengths[u]]`, its target first; the entries past
+    `lengths[u]` are padding. `pools[u]` is pool u as item ids, so a
+    `PoolRanker` that iterates the pools sees id lists.
+    """
+
+    universe: list[str]
+    rows: np.ndarray
+    lengths: np.ndarray
+
+    @classmethod
+    def of(cls, pools) -> Pools:
+        """Pools given as id lists, over the sorted set of their items."""
+        pools = [list(pool) for pool in pools]
+        universe = sorted(set(chain.from_iterable(pools)))
+        position = {item: i for i, item in enumerate(universe)}
+        lengths = np.array([len(pool) for pool in pools], dtype=np.intp)
+        rows = np.zeros((len(pools), max(lengths, default=0)), dtype=np.intp)
+        rows[np.arange(rows.shape[1]) < lengths[:, None]] = np.fromiter(
+            (position[item] for item in chain.from_iterable(pools)), dtype=np.intp,
+            count=int(lengths.sum()),
+        )
+        return cls(universe, rows, lengths)
+
+    def valid(self) -> np.ndarray:
+        """(n, width) mask of the entries that belong to a pool."""
+        return np.arange(self.rows.shape[1]) < self.lengths[:, None]
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, u: int) -> list[str]:
+        universe = self.universe
+        return [universe[r] for r in self.rows[u, : self.lengths[u]].tolist()]
+
+    def __iter__(self):
+        return (self[u] for u in range(len(self)))
+
+
 class PoolRanker:
     """A ranker that orders one candidate pool at a time.
 
     `evaluate_split` asks for `target_ranks(histories, pools)`: the 0-based
-    position of each pool's first item (the target) in its ordered pool.
-    Subclasses implement `rank_pool`; a batched ranker overrides both.
+    position of each pool's first item (the target) in its ordered pool,
+    with the pools a sequence of id lists. Subclasses implement `rank_pool`;
+    a batched ranker overrides both.
     """
 
     def rank_pool(self, history: list[str], pool: list[str]) -> list[str]:
         raise NotImplementedError
 
-    def target_ranks(self, histories: list[list[str]], pools: list[list[str]]) -> list[int]:
+    def target_ranks(self, histories: list[list[str]], pools) -> list[int]:
         return [list(self.rank_pool(h, pool)).index(pool[0]) for h, pool in zip(histories, pools)]
-
-
-def _target_rank(scores: np.ndarray, pool: list[str]) -> int:
-    """0-based position of pool[0] in the pool ordered by score descending,
-    ties by id ascending."""
-    top = scores[0]
-    tied = np.flatnonzero(scores == top)
-    return int(np.count_nonzero(scores > top)) + sum(pool[i] < pool[0] for i in tied)
 
 
 @dataclass
@@ -207,26 +245,62 @@ class RecommendationPipeline(PoolRanker):
         recent = self._recent(histories)
         if table is None:
             table = self.item_table(chain.from_iterable(recent))
-        rows = [table.rows(history) for history in recent]
-        self._count(table, np.concatenate(rows))
+        steps = table.rows(list(chain.from_iterable(recent)))
+        self._count(table, steps)
+        rows = np.split(steps, np.cumsum([len(history) for history in recent])[:-1])
         return cf_mod.user_representations_from_rows(self.cf_model, table.collaborative, rows)
 
     def user_vector(self, history: list[str]) -> np.ndarray:
         return self.user_vectors([history])[0]
 
+    def _scored_chunks(self, histories, pools: Pools):
+        """(rows, valid, scores) per chunk of pools, each (B, width): the pool
+        entries as table rows, the mask of real entries and their scores
+        against the user's representation.
+
+        The table holds the history items and the items some pool holds; all
+        pools map to its rows in one gather. Each pool item counts as one lookup.
+        """
+        recent = self._recent(histories)
+        valid = pools.valid()
+        used = np.zeros(len(pools.universe), dtype=bool)
+        used[pools.rows[valid]] = True
+        used_items = [pools.universe[i] for i in np.flatnonzero(used).tolist()]
+        table = self.item_table(chain(chain.from_iterable(recent), used_items))
+        reps = self.user_vectors(recent, table)
+        to_table = np.zeros(len(pools.universe), dtype=np.intp)
+        to_table[used] = table.rows(used_items)
+        rows = to_table[pools.rows]
+        self._count(table, rows[valid])
+        # a chunk gathers at most as many rows as one CF forward group of FORWARD_ROWS users
+        size = max(1, FORWARD_ROWS * self.cf_model.config.max_history // max(rows.shape[1], 1))
+        for start in range(0, len(rows), size):
+            block = rows[start : start + size]
+            vectors = table.collaborative[block]
+            vectors *= reps[start : start + size, None, :]
+            yield block, valid[start : start + size], vectors.sum(axis=-1)
+
     def pool_scores(self, histories, pools) -> list[np.ndarray]:
         """Each pool's item scores against its user's representation; each
         pool item counts as one lookup."""
-        recent = self._recent(histories)
-        table = self.item_table(chain(chain.from_iterable(recent), chain.from_iterable(pools)))
-        reps = self.user_vectors(recent, table)
-        rows = [table.rows(pool) for pool in pools]
-        self._count(table, np.concatenate(rows))
-        return [(table.collaborative[r] * rep).sum(axis=1) for r, rep in zip(rows, reps)]
+        pools = pools if isinstance(pools, Pools) else Pools.of(pools)
+        return [
+            pool_scores[pool_valid]
+            for _, valid, scores in self._scored_chunks(histories, pools)
+            for pool_valid, pool_scores in zip(valid, scores)
+        ]
 
     def target_ranks(self, histories, pools) -> list[int]:
-        scores = self.pool_scores(histories, pools)
-        return [_target_rank(s, pool) for s, pool in zip(scores, pools)]
+        """Each target's 0-based rank: the pool items scored above it, plus
+        the tied ones with a smaller id (a smaller table row)."""
+        pools = pools if isinstance(pools, Pools) else Pools.of(pools)
+        ranks: list[int] = []
+        for rows, valid, scores in self._scored_chunks(histories, pools):
+            top = scores[:, :1]
+            above = np.count_nonzero((scores > top) & valid, axis=1)
+            tied = np.count_nonzero((scores == top) & (rows < rows[:, :1]) & valid, axis=1)
+            ranks.extend((above + tied).tolist())
+        return ranks
 
     def rank_pool(self, history: list[str], pool: list[str]) -> list[str]:
         """Pool ids by score descending, ties broken by id ascending."""
@@ -235,27 +309,37 @@ class RecommendationPipeline(PoolRanker):
 
 
 def draw_pools(split: SplitDataset, targets: dict[str, str], size: int,
-               rng: np.random.Generator) -> list[list[str]]:
+               rng: np.random.Generator) -> Pools:
     """One pool per user, in user order: the user's target plus `size - 1`
     items drawn without replacement from the universe items outside the
-    user's sequence, or all of them when there are too few (logged)."""
+    user's sequence, or all of them when there are too few (a shortfall).
+
+    Each chunk of FORWARD_ROWS users gets one ownership mask over the
+    universe. Each user with enough eligible items makes one `rng.choice`
+    call over their positions, in user order.
+    """
     universe = sorted(split.item_universe())
     position = {item: i for i, item in enumerate(universe)}
+    users = split.users()
     wanted = size - 1
-    pools = []
-    for user in split.users():
-        target = targets[user]
-        mask = np.ones(len(universe), dtype=bool)
-        mask[[position[item] for item in split.full_sequence(user)]] = False
-        eligible = np.flatnonzero(mask)
-        if len(eligible) < wanted:
-            logger.info("pool shortfall for target %s: %d eligible < %d wanted; using all",
-                        target, len(eligible), wanted)
-            negatives = eligible
-        else:
-            negatives = eligible[rng.choice(len(eligible), size=wanted, replace=False)]
-        pools.append([target] + [universe[i] for i in negatives])
-    return pools
+    rows = np.zeros((len(users), min(size, len(universe))), dtype=np.intp)
+    rows[:, :1] = np.array([position[targets[user]] for user in users], dtype=np.intp)[:, None]
+    lengths = np.empty(len(users), dtype=np.intp)
+    for start in range(0, len(users), FORWARD_ROWS):
+        chunk = [split.full_sequence(user) for user in users[start : start + FORWARD_ROWS]]
+        eligible, starts, counts = unowned_columns(chunk, position, len(universe))
+        block = rows[start : start + len(chunk)]
+        full = counts >= wanted
+        picks = [rng.choice(count, size=wanted, replace=False) for count in counts[full].tolist()]
+        if picks:
+            block[full, 1:] = eligible[starts[full, None] + np.array(picks)]
+        if not full.all():  # a short pool takes every eligible item, in universe order
+            short = np.zeros(block.shape, dtype=bool)
+            column = np.arange(block.shape[1])
+            short[~full] = (column >= 1) & (column <= counts[~full, None])
+            block[short] = eligible[np.repeat(~full, counts)]
+        lengths[start : start + len(chunk)] = np.where(full, size, 1 + counts)
+    return Pools(universe, rows, lengths)
 
 
 def _report_from_ranks(ranks: dict[str, int], ks, protocol, seed, config_digest, **text):
@@ -282,9 +366,9 @@ def evaluate_split(
     Each user's pool is its `draw_pools` pool around its test item; a pool
     shorter than the largest cutoff is a DataError. All pools are ranked in
     one `pipeline.target_ranks` call, and the report keeps each user's target
-    rank. When an explanation generator and reference texts are both
-    supplied, BLEU-4 / ROUGE are averaged over the covered (user, target)
-    pairs.
+    rank and counts the pools shorter than `candidate_pool_size`. When an
+    explanation generator and reference texts are both supplied, BLEU-4 /
+    ROUGE are averaged over the covered (user, target) pairs.
     """
     if not ks:
         raise ValueError("ks must be non-empty")
@@ -296,18 +380,19 @@ def evaluate_split(
     if not users:
         raise DataError(f"{protocol} evaluation covered no users")
     pools = draw_pools(split, split.test, candidate_pool_size, np.random.default_rng(seed))
+    short = np.flatnonzero(pools.lengths < max(ks))
+    if len(short):
+        user = users[short[0]]
+        raise DataError(
+            f"user {user!r} has a pool of {pools.lengths[short[0]]} items (candidate pool size "
+            f"{candidate_pool_size}), fewer than k={max(ks)}"
+        )
 
-    histories: list[list[str]] = []
+    histories = [split.train[user] + [split.validation[user]] for user in users]
     text_rows: dict[str, list[float]] = {"bleu4": [], "rouge1": [], "rougeL": []}
-    for user, pool in zip(users, pools):
-        target = split.test[user]
-        if len(pool) < max(ks):
-            raise DataError(
-                f"user {user!r} has a pool of {len(pool)} items (candidate pool size "
-                f"{candidate_pool_size}), fewer than k={max(ks)}"
-            )
-        histories.append(split.train[user] + [split.validation[user]])
-        if references is not None and explainer is not None:
+    if references is not None and explainer is not None:
+        for user in users:
+            target = split.test[user]
             reference = references.get((user, target))
             if reference is not None:
                 generated = tokenize(explainer(user, target))
@@ -317,7 +402,9 @@ def evaluate_split(
                 text_rows["rougeL"].append(rouge(generated, ref_tokens, "rougeL"))
     ranks = pipeline.target_ranks(histories, pools)
     text = {name: float(np.mean(rows)) if rows else None for name, rows in text_rows.items()}
-    return _report_from_ranks(dict(zip(users, ranks)), ks, protocol, seed, config_digest, **text)
+    report = _report_from_ranks(dict(zip(users, ranks)), ks, protocol, seed, config_digest, **text)
+    report.pool_shortfalls = int(np.count_nonzero(pools.lengths < candidate_pool_size))
+    return report
 
 
 @dataclass

@@ -12,14 +12,16 @@ prompt segment vectors plus the mean of the embedded target prefix; the
 training loss is the negative mean log-likelihood of the target tokens,
 differentiable with respect to the projection parameters only.
 
-Training works on stacked arrays, one batch per optimizer step: one forward
-and one backward pass per MLP over every row of the batch (each slate row
-of every example through the item MLP at once), and one logits GEMM over
-every target step of the batch. The parts of an example that do not depend
-on the parameters (its target indices, prefix means, text-segment sum and
-segment count) are computed once per run, before the first step. Ranking
-runs the same forward over one slate and orders the candidates by the
-training loss with each one's title as the target.
+Training works on stacked arrays (`ProjectionDataset`): user vectors in one
+array, and each slate as rows of one item table. The parts of the examples
+that do not depend on the parameters (text-segment sums, segment counts,
+target indices and prefix means) are stacked once per run, before the first
+step. A step assembles its batch by gathers from those arrays, then runs one
+forward and one backward pass per MLP over every row of the batch (each
+slate row of every example through the item MLP at once), and one logits
+GEMM over every target step of the batch. Ranking runs the same forward
+over one slate and orders the candidates by the training loss with each
+one's title as the target.
 """
 
 from __future__ import annotations
@@ -59,13 +61,70 @@ class SurrogateHead:
 
 @dataclass
 class ProjectionExample:
-    """One training row: raw prompt inputs plus the target title tokens."""
+    """One training row in list form: raw prompt inputs plus the target title tokens."""
 
     x_user: np.ndarray
     slate: list  # list of (item_id, title, z_vector)
     r_vec: np.ndarray | None
     target_tokens: list[str]
     user: str | None = None
+
+
+@dataclass
+class ProjectionDataset:
+    """Training rows whose slates are rows of one item table.
+
+    Table row r is item `items[r]`, with title `titles[r]` and vector
+    `z[r]`. Example b has the user vector `x_users[b]`, the slate
+    `slates[b, :slate_lengths[b]]` of table rows (the entries past its
+    length are padding), the reasoning vector `r_vecs[b]` (an array, a
+    `semantic.SparseVector` or None), the target tokens `target_tokens[b]`
+    and the user `users[b]`. `dataset[b]` is example b in list form.
+    `pool_shortfalls` counts the slates drawn short of the slate size.
+    """
+
+    items: list[str]
+    titles: list[str]
+    z: np.ndarray
+    x_users: np.ndarray
+    slates: np.ndarray
+    slate_lengths: np.ndarray
+    r_vecs: list
+    target_tokens: list[list[str]]
+    users: list
+    pool_shortfalls: int = 0
+
+    @classmethod
+    def of(cls, examples: list[ProjectionExample]) -> ProjectionDataset:
+        """List-form examples stacked, each slate entry its own table row."""
+        lengths = np.array([len(example.slate) for example in examples], dtype=np.intp)
+        entries = [entry for example in examples for entry in example.slate]
+        slates = np.zeros((len(examples), max(lengths, default=0)), dtype=np.intp)
+        slates[np.arange(slates.shape[1]) < lengths[:, None]] = np.arange(len(entries))
+        x_users = [example.x_user for example in examples]
+        return cls(
+            items=[item for item, _, _ in entries],
+            titles=[title for _, title, _ in entries],
+            z=np.array([z for _, _, z in entries], dtype=np.float64),
+            x_users=np.vstack(x_users) if x_users else np.zeros((0, 0)),
+            slates=slates,
+            slate_lengths=lengths,
+            r_vecs=[example.r_vec for example in examples],
+            target_tokens=[example.target_tokens for example in examples],
+            users=[example.user for example in examples],
+        )
+
+    def __len__(self) -> int:
+        return len(self.slate_lengths)
+
+    def __getitem__(self, b: int) -> ProjectionExample:
+        slate = [(self.items[r], self.titles[r], self.z[r])
+                 for r in self.slates[b, : self.slate_lengths[b]].tolist()]
+        return ProjectionExample(self.x_users[b], slate, self.r_vecs[b], self.target_tokens[b],
+                                 self.users[b])
+
+    def __iter__(self):
+        return (self[b] for b in range(len(self)))
 
 
 def stack_shapes(d_user: int, d_item: int, d_cot: int, d_token: int,
@@ -167,19 +226,19 @@ def _target_indices(target_tokens: list[str], head: SurrogateHead) -> list[int]:
     return idx
 
 
-def _nll_and_context_grads(means: np.ndarray, targets: list, prefixes: list,
-                           head: SurrogateHead):
+def _nll_and_context_grads(means: np.ndarray, steps: np.ndarray, target: np.ndarray,
+                           prefix: np.ndarray, head: SurrogateHead):
     """Per-example negative mean log-likelihood and its gradient w.r.t. each
     example's segment mean.
 
-    Example b's steps are the rows `means[b] + prefixes[b]`; the steps of all
-    examples go through one logits GEMM. Each step's gradient is weighted by
-    1/len(targets[b]) and summed back onto its example.
+    Example b has `steps[b]` target steps, the next rows of `target` (token
+    indices) and `prefix` (prefix means); its steps are the rows
+    `means[b] + prefix`. The steps of all examples go through one logits
+    GEMM. Each step's gradient is weighted by 1/steps[b] and summed back
+    onto its example.
     """
-    steps = np.array([len(idx) for idx in targets])
     starts = np.concatenate(([0], np.cumsum(steps)[:-1]))
-    target = np.concatenate(targets)
-    contexts = np.repeat(means, steps, axis=0) + np.concatenate(prefixes)
+    contexts = np.repeat(means, steps, axis=0) + prefix
     logits = contexts @ head.w_out.T + head.b_out
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1))
@@ -191,91 +250,136 @@ def _nll_and_context_grads(means: np.ndarray, targets: list, prefixes: list,
     return losses, np.add.reduceat(d_logits @ head.w_out, starts, axis=0)
 
 
-@dataclass
+def _target_steps(target_tokens, head: SurrogateHead):
+    """(steps, first, target, prefix) of target token lists: list b has
+    `steps[b]` steps, rows `first[b]` onward of `target` (token indices) and
+    `prefix` (prefix means), which hold each distinct target once, in order
+    of first appearance. Every list is checked, in order."""
+    first_row: dict[tuple[int, ...], int] = {}
+    targets, prefixes, steps, first = [], [], [], []
+    for tokens in target_tokens:
+        idx = _target_indices(tokens, head)
+        key = tuple(idx)
+        if key not in first_row:
+            first_row[key] = len(targets)
+            targets.extend(idx)
+            prefixes.append(_prefix_means(idx, head))
+        steps.append(len(idx))
+        first.append(first_row[key])
+    return (
+        np.array(steps, dtype=np.intp),
+        np.array(first, dtype=np.intp),
+        np.array(targets, dtype=np.intp),
+        np.concatenate(prefixes) if prefixes else np.zeros((0, head.token_emb.shape[1])),
+    )
+
+
+@dataclass(frozen=True)
 class _ThetaFree:
-    """The parts of one example's loss that no projection parameter moves."""
+    """The parts of every example's loss that no projection parameter
+    moves, stacked: example b's text-segment sum `text_sum[b]`, its segment
+    count `n_seg[b]`, and its target steps as `_target_steps` gives them."""
 
     text_sum: np.ndarray
-    n_seg: int
-    target_idx: list[int]
+    n_seg: np.ndarray
+    steps: np.ndarray
+    first: np.ndarray
+    target: np.ndarray
     prefix: np.ndarray
 
+    def step_rows(self, chosen: np.ndarray) -> np.ndarray:
+        """The rows of `target` and `prefix` of the chosen examples' steps, in order."""
+        steps = self.steps[chosen]
+        ends = np.cumsum(steps)
+        return np.repeat(self.first[chosen] - (ends - steps), steps) + np.arange(ends[-1])
 
-def _theta_free_parts(dataset: list[ProjectionExample], head: SurrogateHead) -> list[_ThetaFree]:
-    """Each example's theta-free parts; every target is checked here, before
+
+def _theta_free_parts(data: ProjectionDataset, head: SurrogateHead) -> _ThetaFree:
+    """Every example's theta-free parts; every target is checked here, before
     any step, so a bad token in a late example leaves the parameters as they were.
 
-    The text segments (instruction, titles, query) are summed here, each the
-    mean embedding of its in-vocabulary tokens (zero if it has none), and
-    every segment of the prompt is counted: 3 + 2n for a slate of n, plus
-    one for a reasoning vector.
+    The text segments (instruction, titles, query) are summed here in prompt
+    order, one slate position at a time over all examples, each the mean
+    embedding of its in-vocabulary tokens (zero if it has none). Every
+    segment of the prompt is counted: 3 + 2n for a slate of n, plus one for
+    a reasoning vector.
     """
+    if not data.slate_lengths.all():
+        raise ValueError("a projection example needs a non-empty slate")
+    steps, first, target, prefix = _target_steps(data.target_tokens, head)
     d_token = head.token_emb.shape[1]
     text_vectors: dict[str, np.ndarray] = {}
-    prefixes: dict[tuple[int, ...], np.ndarray] = {}
-    parts = []
-    for example in dataset:
-        if not example.slate:
-            raise ValueError("a projection example needs a non-empty slate")
-        target_idx = _target_indices(example.target_tokens, head)
-        key = tuple(target_idx)
-        if key not in prefixes:
-            prefixes[key] = _prefix_means(target_idx, head)
-        texts = [PROMPT_INSTRUCTION, *(title for _, title, _ in example.slate), PROMPT_QUERY]
-        text_sum = np.zeros(d_token)
-        for text in texts:
-            if text not in text_vectors:
-                known = [head.token_index[t] for t in text.lower().split() if t in head.token_index]
-                text_vectors[text] = (
-                    head.token_emb[known].mean(axis=0) if known else np.zeros(d_token)
-                )
-            text_sum += text_vectors[text]
-        n_soft = 1 + len(example.slate) + (example.r_vec is not None)
-        parts.append(_ThetaFree(text_sum, len(texts) + n_soft, target_idx, prefixes[key]))
-    return parts
+
+    def text_vector(text: str) -> np.ndarray:
+        if text not in text_vectors:
+            known = [head.token_index[t] for t in text.lower().split() if t in head.token_index]
+            text_vectors[text] = head.token_emb[known].mean(axis=0) if known else np.zeros(d_token)
+        return text_vectors[text]
+
+    titles = np.array([text_vector(title) for title in data.titles]).reshape(-1, d_token)
+    text_sum = np.zeros((len(data), d_token))
+    text_sum += text_vector(PROMPT_INSTRUCTION)
+    for j in range(data.slates.shape[1]):
+        live = data.slate_lengths > j
+        if live.all():
+            text_sum += titles[data.slates[:, j]]
+        else:
+            text_sum[live] += titles[data.slates[live, j]]
+    text_sum += text_vector(PROMPT_QUERY)
+    with_r = np.array([r_vec is not None for r_vec in data.r_vecs], dtype=np.intp)
+    n_seg = 3 + 2 * data.slate_lengths + with_r
+    return _ThetaFree(text_sum, n_seg, steps, first, target, prefix)
 
 
-def _segment_means(params: dict, batch: list[ProjectionExample], parts: list[_ThetaFree]):
-    """Each example's prompt segment mean, and what the backward pass needs.
+def _segment_means(params: dict, data: ProjectionDataset, parts: _ThetaFree,
+                   chosen: np.ndarray):
+    """Each chosen example's prompt segment mean, and what the backward pass needs.
 
-    One forward pass per MLP: `fx` over the stacked user vectors, `fz` over
-    every slate row of the batch, `fr` over the examples that carry a
-    reasoning vector, stacked dense from arrays and compact vectors alike
-    (`np.vstack`). Example b's mean is its text sum plus its projected
-    segments over its segment count. Returns the means, the segment counts,
-    the three MLP caches (`fr`'s None without reasoning) and the rows of the
-    examples with reasoning.
+    The batch is gathered from the stacked arrays, then one forward pass
+    runs per MLP: `fx` over the user vectors, `fz` over every slate row of
+    the batch, `fr` over the examples that carry a reasoning vector,
+    stacked dense from arrays and compact vectors alike (`np.vstack`).
+    Example b's mean is its text sum plus its projected segments over its
+    segment count. Returns the means, the segment counts, the slate lengths,
+    the three MLP caches (`fr`'s None without reasoning) and the batch
+    positions of the examples with reasoning.
     """
-    slate_len = np.array([len(example.slate) for example in batch])
-    with_r = [b for b, example in enumerate(batch) if example.r_vec is not None]
+    lengths = data.slate_lengths[chosen]
+    slate_rows = data.slates[chosen][np.arange(data.slates.shape[1]) < lengths[:, None]]
+    with_r = [b for b, i in enumerate(chosen.tolist()) if data.r_vecs[i] is not None]
 
-    o_x, cache_x = _mlp_forward(params, "fx", np.vstack([example.x_user for example in batch]))
-    z_rows = np.array([z for example in batch for _, _, z in example.slate], dtype=np.float64)
-    o_z, cache_z = _mlp_forward(params, "fz", z_rows)
-    starts = np.concatenate(([0], np.cumsum(slate_len)[:-1]))
-    total = np.array([part.text_sum for part in parts]) + o_x + np.add.reduceat(o_z, starts, axis=0)
+    o_x, cache_x = _mlp_forward(params, "fx", data.x_users[chosen])
+    o_z, cache_z = _mlp_forward(params, "fz", data.z[slate_rows])
+    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    total = parts.text_sum[chosen] + o_x + np.add.reduceat(o_z, starts, axis=0)
     cache_r = None
     if with_r:
-        o_r, cache_r = _mlp_forward(params, "fr", np.vstack([batch[b].r_vec for b in with_r]))
+        o_r, cache_r = _mlp_forward(
+            params, "fr", np.vstack([data.r_vecs[i] for i in chosen[with_r].tolist()])
+        )
         total[with_r] += o_r
-    n_seg = np.array([part.n_seg for part in parts])
-    return total / n_seg[:, None], n_seg, (cache_x, cache_z, cache_r), with_r
+    n_seg = parts.n_seg[chosen]
+    return total / n_seg[:, None], n_seg, lengths, (cache_x, cache_z, cache_r), with_r
 
 
-def _batch_loss_and_grads(params: dict, batch: list[ProjectionExample],
-                          parts: list[_ThetaFree], head: SurrogateHead):
-    """Mean surrogate loss over `batch` and its parameter gradients.
+def _batch_loss_and_grads(params: dict, data: ProjectionDataset, parts: _ThetaFree,
+                          chosen, head: SurrogateHead):
+    """Mean surrogate loss over the chosen examples and its parameter gradients.
 
     The forward is `_segment_means`; the backward runs one pass per MLP, and
     each slate row takes its owner's gradient row.
     """
-    scale = 1.0 / len(batch)
-    means, n_seg, (cache_x, cache_z, cache_r), with_r = _segment_means(params, batch, parts)
+    chosen = np.asarray(chosen, dtype=np.intp)
+    scale = 1.0 / len(chosen)
+    means, n_seg, lengths, (cache_x, cache_z, cache_r), with_r = _segment_means(
+        params, data, parts, chosen
+    )
+    rows = parts.step_rows(chosen)
     losses, d_means = _nll_and_context_grads(
-        means, [part.target_idx for part in parts], [part.prefix for part in parts], head
+        means, parts.steps[chosen], parts.target[rows], parts.prefix[rows], head
     )
     d_rows = d_means / n_seg[:, None] * scale
-    owner = np.repeat(np.arange(len(batch)), [len(example.slate) for example in batch])
+    owner = np.repeat(np.arange(len(chosen)), lengths)
     grads = {
         **_mlp_backward(params, "fx", cache_x, d_rows),
         **_mlp_backward(params, "fz", cache_z, d_rows[owner]),
@@ -291,12 +395,13 @@ def surrogate_loss_and_gradients(stack: ProjectionStack, example: ProjectionExam
                                  head: SurrogateHead):
     """Loss and analytic parameter gradients for one example: the training
     step's batched loss over a batch of one."""
-    return _batch_loss_and_grads(stack.params, [example], _theta_free_parts([example], head), head)
+    data = ProjectionDataset.of([example])
+    return _batch_loss_and_grads(stack.params, data, _theta_free_parts(data, head), [0], head)
 
 
 def train_projections(
     stack: ProjectionStack,
-    dataset: list[ProjectionExample],
+    dataset,
     epochs: int = 5,
     batch_size: int = 4,
     learning_rate: float = 1e-4,
@@ -308,22 +413,23 @@ def train_projections(
     """Gradient descent on the surrogate loss over projection parameters only,
     with `optim.fit`.
 
-    A batch holds `batch_size` examples, steps on their mean loss computed in
-    stacked arrays, and weighs its example count, so each epoch's log entry
-    is the mean loss over its examples. The theta-free parts of every
-    example are computed once, before the first step, so an
-    out-of-vocabulary target raises `DataError` with the parameters untouched.
+    `dataset` is a `ProjectionDataset` or a list of `ProjectionExample`s,
+    which is stacked first. A batch holds `batch_size` examples, steps on
+    their mean loss computed in stacked arrays, and weighs its example
+    count, so each epoch's log entry is the mean loss over its examples. The
+    theta-free parts of every example are stacked once, before the first
+    step, so an out-of-vocabulary target raises `DataError` with the
+    parameters untouched.
     """
-    parts = _theta_free_parts(dataset, head)
+    data = dataset if isinstance(dataset, ProjectionDataset) else ProjectionDataset.of(dataset)
+    parts = _theta_free_parts(data, head)
 
     def batch_loss(chosen):
-        loss, grads = _batch_loss_and_grads(
-            stack.params, [dataset[i] for i in chosen], [parts[i] for i in chosen], head
-        )
+        loss, grads = _batch_loss_and_grads(stack.params, data, parts, chosen, head)
         return loss, grads, len(chosen)
 
     stack.training_log.extend(
-        fit(stack.params, len(dataset), batch_loss, epochs=epochs, batch_size=batch_size,
+        fit(stack.params, len(data), batch_loss, epochs=epochs, batch_size=batch_size,
             optimizer=optimizer, learning_rate=learning_rate, rng=rng, what="projection loss")
     )
     return stack
@@ -342,13 +448,13 @@ def rank_candidates(stack: ProjectionStack, head: SurrogateHead, x_user, candida
     if not candidates:
         raise ValueError("need at least one candidate")
     targets = sorted({tuple(title.lower().split()) for _, title, _ in candidates})
-    target_idx = [_target_indices(list(tokens), head) for tokens in targets]
+    steps, _, target, prefix = _target_steps([list(tokens) for tokens in targets], head)
     # the forward reads the slate only, so the first title serves as the target
-    example = ProjectionExample(x_user, candidates, r_vec, list(targets[0]))
-    means, *_ = _segment_means(stack.params, [example], _theta_free_parts([example], head))
+    data = ProjectionDataset.of([ProjectionExample(x_user, candidates, r_vec, list(targets[0]))])
+    means, *_ = _segment_means(stack.params, data, _theta_free_parts(data, head),
+                               np.zeros(1, dtype=np.intp))
     losses, _ = _nll_and_context_grads(
-        np.repeat(means, len(targets), axis=0), target_idx,
-        [_prefix_means(idx, head) for idx in target_idx], head,
+        np.repeat(means, len(targets), axis=0), steps, target, prefix, head
     )
     loss_of = dict(zip(targets, losses.tolist()))
     ranked = sorted(candidates, key=lambda c: (loss_of[tuple(c[1].lower().split())], c[0]))
@@ -363,15 +469,15 @@ def build_projection_examples(
     rng: np.random.Generator,
     slate_size: int = 100,
     cot_embeddings: dict[tuple[str, str], np.ndarray] | None = None,
-) -> list[ProjectionExample]:
-    """Training rows targeting each user's validation item.
+) -> ProjectionDataset:
+    """Training rows targeting each user's validation item, in user order.
 
     The slate is the user's `evaluate.draw_pools` pool around the target, in
-    id order, each item with its unified latent embedding, gathered from one
-    item table over the item universe.
-    User vectors are computed in one batch. When `cot_embeddings` holds the
-    embedding of a retained CoT for (user, target), an array or a
-    `semantic.SparseVector`, it rides along as the reasoning segment.
+    id order, as rows of one item table over the item universe that holds
+    each item's unified latent embedding and title. User vectors are
+    computed in one batch. When `cot_embeddings` holds the embedding of a
+    retained CoT for (user, target), an array or a `semantic.SparseVector`,
+    it rides along as the reasoning segment.
     A split item without catalog text, or a target whose title has no
     token, is a DataError.
     """
@@ -383,21 +489,24 @@ def build_projection_examples(
         if not catalog[target][0].split():
             raise DataError(f"target item {target!r} has an empty catalog title")
     users = split.users()
+    targets = [split.validation[user] for user in users]
+    # the table's rows are the universe's, so a pool's rows are its slate's
     table = pipeline.item_table(universe, latent=True)
     x_users = pipeline.user_vectors([split.train[user] for user in users], table)
     pools = draw_pools(split, split.validation, slate_size, rng)
-    examples: list[ProjectionExample] = []
-    for user, x_user, pool in zip(users, x_users, pools):
-        target = split.validation[user]
-        slate = [(item, catalog[item][0], table.latent[table.index[item]]) for item in sorted(pool)]
-        examples.append(
-            ProjectionExample(
-                x_user=x_user,
-                slate=slate,
-                r_vec=(cot_embeddings or {}).get((user, target)),
-                target_tokens=catalog[target][0].lower().split(),
-                user=user,
-            )
-        )
-    return examples
-
+    valid = pools.valid()
+    slates = np.sort(np.where(valid, pools.rows, len(universe)), axis=1)
+    slates[~valid] = 0
+    cot_embeddings = cot_embeddings or {}
+    return ProjectionDataset(
+        items=universe,
+        titles=[catalog[item][0] for item in universe],
+        z=table.latent,
+        x_users=x_users,
+        slates=slates,
+        slate_lengths=pools.lengths,
+        r_vecs=[cot_embeddings.get(key) for key in zip(users, targets)],
+        target_tokens=[catalog[target][0].lower().split() for target in targets],
+        users=users,
+        pool_shortfalls=int(np.count_nonzero(pools.lengths < slate_size)),
+    )

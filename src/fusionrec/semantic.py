@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -58,12 +59,15 @@ def _token_code(token: str) -> int:
     return bucket + 1 if digest[8] & 1 else -(bucket + 1)
 
 
-def token_counts(texts) -> np.ndarray:
+def token_counts(texts, groups=None) -> np.ndarray:
     """(n, 768) signed-hash bag of words of each text's lowercased whitespace
     tokens: entry (i, b) sums +-1 over the tokens of text i in bucket b.
 
-    The entries are small integers held exactly as float64, so rows can be
-    added and their squares summed in any order without rounding.
+    With `groups`, a list of lists of text indices, row g instead counts the
+    tokens of the texts `groups[g]` names, as if they were joined by
+    whitespace; each text is still tokenized once. The entries are small
+    integers held exactly as float64, so rows can be added and their squares
+    summed in any order without rounding.
     """
     lengths: list[int] = []
 
@@ -75,12 +79,23 @@ def token_counts(texts) -> np.ndarray:
             yield from map(_token_code, tokens)
 
     codes = np.fromiter(each_code(), dtype=np.int64)
-    owners = np.repeat(np.arange(len(lengths)), lengths)
+    if groups is None:
+        n_rows, owners = len(lengths), np.repeat(np.arange(len(lengths)), lengths)
+    else:
+        sizes = np.array(lengths, dtype=np.intp)
+        members = np.fromiter(chain.from_iterable(groups), dtype=np.intp)
+        spans = sizes[members]
+        ends = np.cumsum(spans)
+        # each member's token positions in `codes`, member after member
+        starts = (np.cumsum(sizes) - sizes)[members]
+        codes = codes[np.repeat(starts - (ends - spans), spans) + np.arange(spans.sum())]
+        n_rows = len(groups)
+        owners = np.repeat(np.repeat(np.arange(n_rows), [len(group) for group in groups]), spans)
     cells = owners * SEMANTIC_DIM + np.abs(codes) - 1
     counts = np.bincount(cells, weights=np.sign(codes).astype(np.float64),
-                         minlength=len(lengths) * SEMANTIC_DIM)
+                         minlength=n_rows * SEMANTIC_DIM)
     # with no token at all bincount returns integers
-    return counts.astype(np.float64, copy=False).reshape(len(lengths), SEMANTIC_DIM)
+    return counts.astype(np.float64, copy=False).reshape(n_rows, SEMANTIC_DIM)
 
 
 def unit_rows(counts: np.ndarray) -> np.ndarray:

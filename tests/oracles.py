@@ -463,14 +463,13 @@ def oracle_score_semantic_dimension(dim: str, cot: str, instance, embedder=oracl
 
 
 def oracle_score_cot(instance, cot: str, weights=(0.25, 0.25, 0.25, 0.25)):
-    """(dims, score) of one trace, one dimension at a time."""
-    from fusionrec.cot import composite_score, score_coherence
-
-    dims = (score_coherence(cot),) + tuple(
+    """(dims, score) of one trace, one dimension at a time; the score is
+    `np.dot` of the dims and the weights."""
+    dims = (oracle_score_coherence(cot),) + tuple(
         oracle_score_semantic_dimension(dim, cot, instance)
         for dim in ("completeness", "relevance", "consistency")
     )
-    return dims, composite_score(dims, weights)
+    return dims, float(np.dot(dims, weights))
 
 
 def oracle_rank_by_score(items: list, scores) -> list:
@@ -536,6 +535,170 @@ def oracle_pooled_evaluation(cf_model, net, semantic_map, split, pool_size: int,
         results[user] = {"pool": pool, "history": history, "scores": scores,
                          "ranking": ranking, "target": target}
     return results, routing
+
+
+# --- the per-user, per-pool, per-example and per-trace loops ----------------
+#
+# The package draws pools and alignment negatives from one ownership mask per
+# chunk of users, ranks a chunk of pools in one pass, stacks projection
+# examples once per run and scores trace coherence without per-trace numpy
+# calls. These are the loops it replaced, kept as they were.
+
+
+def oracle_draw_pools(split, targets: dict, size: int, rng) -> list[list[str]]:
+    """One pool per user, in user order: the user's target plus `size - 1`
+    items drawn without replacement from the universe items outside the
+    user's sequence, or all of them when there are too few."""
+    universe = sorted(split.item_universe())
+    position = {item: i for i, item in enumerate(universe)}
+    wanted = size - 1
+    pools = []
+    for user in split.users():
+        target = targets[user]
+        mask = np.ones(len(universe), dtype=bool)
+        mask[[position[item] for item in split.full_sequence(user)]] = False
+        eligible = np.flatnonzero(mask)
+        if len(eligible) < wanted:
+            negatives = eligible
+        else:
+            negatives = eligible[rng.choice(len(eligible), size=wanted, replace=False)]
+        pools.append([target] + [universe[i] for i in negatives])
+    return pools
+
+
+def oracle_target_rank(scores: np.ndarray, pool: list) -> int:
+    """0-based position of pool[0] in the pool ordered by score descending,
+    ties by id ascending."""
+    top = scores[0]
+    tied = np.flatnonzero(scores == top)
+    return int(np.count_nonzero(scores > top)) + sum(pool[i] < pool[0] for i in tied)
+
+
+def oracle_pool_scores(pipeline, histories, pools) -> list[np.ndarray]:
+    """Each pool scored on its own: a gather of its table rows, multiplied by
+    its user's representation and summed row by row."""
+    from itertools import chain
+
+    recent = pipeline._recent(histories)
+    table = pipeline.item_table(chain(chain.from_iterable(recent), chain.from_iterable(pools)))
+    reps = pipeline.user_vectors(recent, table)
+    rows = [table.rows(pool) for pool in pools]
+    return [(table.collaborative[r] * rep).sum(axis=1) for r, rep in zip(rows, reps)]
+
+
+def oracle_projection_examples(pipeline, split, catalog: dict, rng, slate_size: int,
+                               cot_embeddings=None) -> list:
+    """The list-form training rows, one slate of (item, title, z) tuples per
+    user, built from the oracle pools."""
+    from fusionrec.projection import ProjectionExample
+
+    universe = sorted(split.item_universe())
+    users = split.users()
+    table = pipeline.item_table(universe, latent=True)
+    x_users = pipeline.user_vectors([split.train[user] for user in users], table)
+    pools = oracle_draw_pools(split, split.validation, slate_size, rng)
+    examples = []
+    for user, x_user, pool in zip(users, x_users, pools):
+        target = split.validation[user]
+        slate = [(item, catalog[item][0], table.latent[table.index[item]]) for item in sorted(pool)]
+        examples.append(
+            ProjectionExample(
+                x_user=x_user,
+                slate=slate,
+                r_vec=(cot_embeddings or {}).get((user, target)),
+                target_tokens=catalog[target][0].lower().split(),
+                user=user,
+            )
+        )
+    return examples
+
+
+def oracle_theta_free_parts(dataset: list, head) -> list[tuple]:
+    """Per example: (text_sum, n_seg, target_idx, prefix), the text segments
+    summed one by one in prompt order."""
+    from fusionrec.projection import PROMPT_INSTRUCTION, PROMPT_QUERY, _prefix_means
+
+    d_token = head.token_emb.shape[1]
+    parts = []
+    for example in dataset:
+        target_idx = [head.token_index[tok] for tok in example.target_tokens]
+        texts = [PROMPT_INSTRUCTION, *(title for _, title, _ in example.slate), PROMPT_QUERY]
+        text_sum = np.zeros(d_token)
+        for text in texts:
+            known = [head.token_index[t] for t in text.lower().split() if t in head.token_index]
+            text_sum += head.token_emb[known].mean(axis=0) if known else np.zeros(d_token)
+        n_soft = 1 + len(example.slate) + (example.r_vec is not None)
+        parts.append((text_sum, len(texts) + n_soft, target_idx, _prefix_means(target_idx, head)))
+    return parts
+
+
+def oracle_score_coherence(cot: str) -> float:
+    """1 - 0.5*V - 0.5*R clamped to [0, 1], with `np.var` and `np.mean` on
+    every trace and sentence."""
+    import string
+
+    from fusionrec.cot import _split_sentences
+    from fusionrec.lexicon import POLARITY
+
+    def polarity(sentence: str) -> float:
+        signs = []
+        for token in sentence.lower().split():
+            word = token.strip(string.punctuation)
+            if word in POLARITY:
+                signs.append(POLARITY[word])
+        return float(np.mean(signs)) if signs else 0.0
+
+    sentences = _split_sentences(cot)
+    if not sentences:
+        return 0.0
+    variance = float(np.var([polarity(s) for s in sentences]))
+    tokens = cot.lower().split()
+    grams = [tuple(tokens[i : i + 3]) for i in range(len(tokens) - 2)]
+    repetition = (len(grams) - len(set(grams))) / len(grams) if grams else 0.0
+    return min(1.0, max(0.0, 1.0 - 0.5 * variance - 0.5 * repetition))
+
+
+def oracle_alignment_dataset(cf_model, split, semantic_map: dict, rng, negatives_per_user: int):
+    """(users, items, e_rows, q_rows, pairs, triples) in the form that
+    `stack_alignment_dataset` takes; each user's negatives are drawn from
+    its own mask over the vocabulary."""
+    from fusionrec.cf import warm_user_representations
+
+    item_emb, item_index = cf_model.params["item_emb"], cf_model.item_index
+    table: dict[str, int] = {}
+    e_rows, q_rows = [], []
+    users, pairs, triples = [], [], []
+    warm_histories, warm_reps = warm_user_representations(cf_model, split, split.users())
+    reps = dict(zip(warm_histories, warm_reps))
+    for user in split.users():
+        sequence = split.train[user]
+        group = []
+        for item in sequence:
+            if item not in table:
+                if item not in item_index or item not in semantic_map:
+                    continue
+                table[item] = len(e_rows)
+                e_rows.append(item_emb[item_index[item]])
+                q_rows.append(semantic_map[item])
+            group.append(table[item])
+        trip = []
+        if user in reps:
+            x = reps[user]
+            positive = item_emb[item_index[split.validation[user]]]
+            unowned = np.ones(len(cf_model.items), dtype=bool)
+            unowned[[item_index[item] - 1 for item in set(split.full_sequence(user))
+                     if item in item_index]] = False
+            eligible = np.flatnonzero(unowned)
+            for _ in range(negatives_per_user):
+                if not len(eligible):
+                    break
+                negative = cf_model.items[eligible[int(rng.integers(len(eligible)))]]
+                trip.append((x, positive, item_emb[item_index[negative]]))
+        if group or trip:
+            users.append(user)
+            pairs.append(group)
+            triples.append(trip)
+    return users, list(table), e_rows, q_rows, pairs, triples
 
 
 # --- alignment training at full width ---------------------------------------

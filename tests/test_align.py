@@ -30,7 +30,7 @@ from fusionrec.align import (
     unified_item_embedding,
     _sigmoid,
 )
-from fusionrec.cf import CfConfig, train_cf
+from fusionrec.cf import FORWARD_ROWS, CfConfig, train_cf
 from fusionrec.data import SplitDataset, TrainingSequence
 from fusionrec.errors import DataError, TrainingError
 from fusionrec.optim import make_optimizer
@@ -38,6 +38,7 @@ from fusionrec.semantic import fallback_embed
 from oracles import (
     gradient_check,
     max_relative_gradient_error,
+    oracle_alignment_dataset,
     oracle_alignment_loss_and_gradients,
     oracle_alignment_records,
     oracle_alignment_terms,
@@ -670,3 +671,43 @@ def test_unified_embedding_routes_by_vocabulary(toy_world, toy_alignment):
 
     with pytest.raises(DataError, match="neither"):
         unified_item_embedding(net, "missing", model, {})
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_alignment_dataset_matches_the_per_user_oracle_on_random_splits(toy_world, data):
+    """Random splits over the vocabulary and two items outside it, with
+    repeated items, users who own every vocabulary item and, at times, more
+    users than one ownership chunk."""
+    model = toy_world["cf"]
+    item = st.sampled_from([*model.items, "zz0", "zz1"])
+    train, validation, test = {}, {}, {}
+    for u in range(data.draw(st.sampled_from([1, 5, FORWARD_ROWS + 3]))):
+        user = f"u{u:03d}"
+        if data.draw(st.booleans()):
+            train[user] = data.draw(st.lists(item, min_size=1, max_size=8))
+        else:
+            train[user] = list(model.items)
+        validation[user], test[user] = data.draw(item), data.draw(item)
+    split = SplitDataset(train=train, validation=validation, test=test)
+    negatives = data.draw(st.integers(0, 3))
+    seed = data.draw(st.integers(0, 2**16))
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        dataset = build_alignment_dataset(model, split, toy_world["semantic"], rng=rng,
+                                          negatives_per_user=negatives)
+    except DataError:
+        assert not oracle_alignment_dataset(model, split, toy_world["semantic"], oracle_rng,
+                                            negatives)[0]
+        return
+    users, items, e_rows, q_rows, pairs, triples = oracle_alignment_dataset(
+        model, split, toy_world["semantic"], oracle_rng, negatives
+    )
+    expected = stack_alignment_dataset(
+        users, items, np.reshape(e_rows, (-1, model.config.embed_dim)),
+        np.reshape(q_rows, (-1, 768)), pairs, triples,
+    )
+    assert dataset.users == expected.users and dataset.items == expected.items
+    for name in ("e", "q", "pair_ptr", "pair_item", "triple_ptr", "x", "pos", "neg"):
+        assert np.array_equal(getattr(dataset, name), getattr(expected, name)), name
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state

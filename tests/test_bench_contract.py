@@ -2,8 +2,9 @@
 
 `bench/layers.py` wraps program functions by name and reads their
 arguments, so a renamed function or a changed argument drops a per-layer
-metric without failing anything else. This runs one traced `chain` round in
-a subprocess, exactly as `bench/run.py` starts it, and only reads `bench/`.
+metric without failing anything else, and a layer whose result changes shape
+can zero a counter. This runs one traced `chain` round in a subprocess,
+exactly as `bench/run.py` starts it, and only reads `bench/`.
 """
 
 from __future__ import annotations
@@ -39,3 +40,8 @@ def test_traced_round_reports_every_per_layer_metric(tmp_path):
     assert round_result["missing"] == []
     assert set(round_result["layers"]) == declared - {"trace.overhead_s"}
     assert all(row["rc"] == 0 for row in round_result["stages"])
+    # the counters read what the wrapped layers return and do, so a layer
+    # that returns another shape or skips its lookups shows as a zero here
+    for name in ("evaluate.users", "projection.examples", "align.examples",
+                 "evaluate.collaborative_lookups"):
+        assert round_result["layers"][name] > 0, name

@@ -322,6 +322,24 @@ def test_stage_banners_summarize_progress(chain):
     assert "== cf ==" in results["report"][1]
 
 
+def test_eval_and_train_proj_print_their_pool_shortfalls(chain):
+    with open(chain["out"] / "split.json", encoding="utf-8") as fh:
+        split = json.load(fh)
+    owned = {
+        user: {*split["train"][user], split["validation"][user], split["test"][user]}
+        for user in split["train"]
+    }
+    universe = set().union(*owned.values())
+
+    def short(size: int) -> int:
+        return sum(len(universe - items) < size - 1 for items in owned.values())
+
+    n_users = len(owned)
+    results = chain["results"]
+    assert f"pool shortfalls: {short(10)} of {n_users} users" in results["eval"][1]
+    assert f"pool shortfalls: {short(8)} of {n_users} users" in results["train-proj"][1]
+
+
 def test_artifacts_embed_config_digest_and_seed(chain):
     digest = parse_config(str(chain["config"])).digest()
     with open(chain["out"] / "split.json", encoding="utf-8") as fh:
@@ -524,6 +542,13 @@ def _coverage_one_record_off(payload):
     payload["coverage"] = (sum(row["retained"] for row in records) + 1) / len(records)
 
 
+def _first_kept_record_dropped(payload):
+    """A retained record marked dropped, with the coverage still its share."""
+    records = payload["records"]
+    next(row for row in records if row["retained"])["retained"] = False
+    payload["coverage"] = sum(row["retained"] for row in records) / len(records)
+
+
 def _first_warm_item_also_cold(payload):
     payload["cold"].append(payload["warm"][0])
 
@@ -710,6 +735,10 @@ def _first_warm_item_also_cold(payload):
         pytest.param(
             "partition.json", _json_edited(_first_warm_item_also_cold), "eval",
             id="partition-item-cold-and-warm",
+        ),
+        pytest.param(
+            "cots.json", _json_edited(_first_kept_record_dropped), "train-proj",
+            id="cots-retained-against-the-threshold",
         ),
     ],
 )

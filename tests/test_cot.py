@@ -30,6 +30,7 @@ from fusionrec.semantic import fallback_embed, similarity_mapped, token_counts
 from oracles import (
     dump_cot_fixture,
     oracle_fallback_embed,
+    oracle_score_coherence,
     oracle_score_cot,
     oracle_score_semantic_dimension,
 )
@@ -350,19 +351,20 @@ def _counting_tokenizer(monkeypatch):
 
     calls = []
 
-    def counting(texts):
+    def counting(texts, groups=None):
         calls.append(list(texts))
-        return token_counts(texts)
+        return token_counts(texts, groups)
 
     monkeypatch.setattr(fusionrec.cot, "token_counts", counting)
     return calls
 
 
 def _scored_texts(instance, cot) -> set:
-    """The texts a non-blank trace is scored through; never `instance.text()`."""
-    reference = " ".join([instance.history_text(), instance.target_line, instance.prior_line])
+    """The texts a non-blank trace is scored through: the reference by its
+    parts; never `instance.text()`."""
+    parts = {*instance.history_lines, instance.target_line, instance.prior_line}
     last = _split_sentences(cot)[-1]
-    return {cot, reference, _frame_text(instance.task), last, LABEL_SENTENCES[instance.label]}
+    return {cot, *parts, _frame_text(instance.task), last, LABEL_SENTENCES[instance.label]}
 
 
 @pytest.mark.parametrize(
@@ -380,7 +382,7 @@ def test_score_cot_embeds_each_distinct_text_once(cot, monkeypatch):
     record = score_cot(instance, cot)
     assert len(calls) == 1
     (texts,) = calls
-    assert len(texts) == len(set(texts)) <= 5
+    assert len(texts) == len(set(texts))
     assert set(texts) == _scored_texts(instance, cot)
     # every dimension equals its own computation with unshared embeddings
     assert record.dims[1:] == tuple(
@@ -486,3 +488,15 @@ def test_whole_word_search_matches_the_regex(needle, text):
     pattern = re.compile(rf"(?<!\w){re.escape(needle)}(?!\w)")
     found = pattern.search(text)
     assert _find_whole_word(needle, text) == (found.start() if found else None)
+
+
+_SENTENCE = st.builds("{}{}".format, _PHRASE, st.sampled_from([".", "!", "?", ""]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cot=st.one_of(st.sampled_from(["", "  \n"]),
+                     st.lists(_SENTENCE, min_size=1, max_size=6).map(" ".join)))
+def test_coherence_matches_the_per_trace_oracle(cot):
+    """Polar words vary the sentence polarities and repeated words repeat
+    3-grams; the score is the oracle's float."""
+    assert score_coherence(cot) == oracle_score_coherence(cot)

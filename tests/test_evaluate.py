@@ -1,10 +1,11 @@
 from __future__ import annotations
 
-import logging
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import planted_events
 from fusionrec.align import decode, encode, unified_item_embedding
@@ -23,6 +24,7 @@ from fusionrec.evaluate import (
     PoolRanker,
     RecommendationPipeline,
     cold_warm_report,
+    draw_pools,
     evaluate_split,
     render_metric_table,
     zero_shot_eval,
@@ -30,10 +32,13 @@ from fusionrec.evaluate import (
 from fusionrec.semantic import embed_catalog, fallback_embed
 from fusionrec.synthetic import make_zero_shot_variant
 from oracles import (
+    oracle_draw_pools,
     oracle_hit_rate,
     oracle_ndcg,
+    oracle_pool_scores,
     oracle_pooled_evaluation,
     oracle_sample_pool,
+    oracle_target_rank,
     oracle_target_ranks,
 )
 
@@ -115,11 +120,13 @@ def test_evaluation_is_deterministic_per_seed(toy_pipeline, toy_world):
     assert first.n_users == second.n_users
 
 
-def test_pool_shortfall_is_logged_not_fatal(toy_pipeline, toy_world, caplog):
-    with caplog.at_level(logging.INFO, logger="fusionrec.evaluate"):
-        report = evaluate_split(toy_pipeline, toy_world["split"], [1, 5],
-                                candidate_pool_size=100, seed=4)
-    assert any("pool shortfall" in record.message for record in caplog.records)
+def test_pool_shortfall_is_logged_not_fatal(toy_pipeline, toy_world):
+    split = toy_world["split"]
+    report = evaluate_split(toy_pipeline, split, [1, 5], candidate_pool_size=100, seed=4)
+    universe = split.item_universe()
+    short = sum(len(universe - set(split.full_sequence(user))) < 99 for user in split.users())
+    # the count that eval prints as "pool shortfalls: k of n users"
+    assert 0 < short and report.pool_shortfalls == short
     assert set(report.hr) == {1, 5}
     assert report.hr[5] >= report.hr[1]
 
@@ -568,3 +575,50 @@ def test_cohort_reports_are_the_oracle_metrics_over_the_standard_rankings(toy_wo
         targets = {user: results[user]["target"] for user in users}
         assert report.hr == {k: oracle_hit_rate(rankings, targets, k) for k in ks}
         assert report.ndcg == {k: oracle_ndcg(rankings, targets, k) for k in ks}
+
+
+@st.composite
+def _random_splits(draw):
+    """Splits over a few items, so that some pools come up short, with items
+    repeated inside a sequence and sometimes more users than one chunk."""
+    items = [f"i{j:02d}" for j in range(draw(st.integers(2, 12)))]
+    item = st.sampled_from(items)
+    train, validation, test = {}, {}, {}
+    for u in range(draw(st.sampled_from([1, 3, 8, FORWARD_ROWS + 5]))):
+        user = f"u{u:03d}"
+        train[user] = draw(st.lists(item, min_size=1, max_size=6))
+        validation[user], test[user] = draw(item), draw(item)
+    return SplitDataset(train=train, validation=validation, test=test)
+
+
+@settings(max_examples=60, deadline=None)
+@given(split=_random_splits(), size=st.integers(1, 12), seed=st.integers(0, 2**16))
+def test_pools_match_the_per_user_oracle_on_random_splits(split, size, seed):
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    pools = draw_pools(split, split.test, size, rng)
+    expected = oracle_draw_pools(split, split.test, size, oracle_rng)
+    assert list(pools) == expected
+    assert pools.lengths.tolist() == [len(pool) for pool in expected]
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_target_ranks_match_the_per_pool_oracle_with_ties(toy_world, toy_alignment, data):
+    """Twin cold items score exactly alike and pools repeat items, so ranks
+    rest on the id tie-break; enough users to span two scoring chunks."""
+    model = toy_world["cf"]
+    semantic = dict(toy_world["semantic"])
+    semantic["zz_a"] = semantic["zz_b"] = fallback_embed("one text shared by two unseen items")
+    items = st.sampled_from([*model.items[:8], "zz_a", "zz_b"])
+    pipeline = RecommendationPipeline(model, toy_alignment, semantic)
+    n_users = data.draw(st.integers(1, FORWARD_ROWS + 20))
+    histories = [data.draw(st.lists(items, min_size=1, max_size=15)) for _ in range(n_users)]
+    pools = [data.draw(st.lists(items, min_size=1, max_size=12)) for _ in range(n_users)]
+
+    expected = oracle_pool_scores(pipeline, histories, pools)
+    assert pipeline.target_ranks(histories, pools) == [
+        oracle_target_rank(scores, pool) for scores, pool in zip(expected, pools)
+    ]
+    for scores, want in zip(pipeline.pool_scores(histories, pools), expected):
+        assert np.array_equal(scores, want)

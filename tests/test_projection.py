@@ -13,6 +13,7 @@ from fusionrec.cot import load_explanation_fixture
 from fusionrec.errors import DataError, TrainingError
 from fusionrec.evaluate import RecommendationPipeline
 from fusionrec.projection import (
+    ProjectionDataset,
     ProjectionExample,
     SurrogateHead,
     build_projection_examples,
@@ -29,8 +30,10 @@ from fusionrec.semantic import fallback_embed
 from oracles import (
     gradient_check_projection,
     max_relative_gradient_error,
+    oracle_projection_examples,
     oracle_projection_training,
     oracle_slate_items,
+    oracle_theta_free_parts,
 )
 
 
@@ -73,8 +76,8 @@ def test_segment_count_is_three_plus_two_per_candidate_plus_reasoning(n_candidat
         r_vec=rng.normal(size=6) if with_cot else None,
         target_tokens=["red"],
     )
-    (part,) = _theta_free_parts([example], head)
-    assert part.n_seg == 3 + 2 * n_candidates + (1 if with_cot else 0)
+    parts = _theta_free_parts(ProjectionDataset.of([example]), head)
+    assert parts.n_seg.tolist() == [3 + 2 * n_candidates + (1 if with_cot else 0)]
 
 
 def test_build_vocabulary_sorted_unique_lowercase():
@@ -140,11 +143,12 @@ def test_mixed_batch_gradients_match_finite_differences():
     batch[0].slate = batch[0].slate[:1]
     batch[2].slate = batch[2].slate[:2]
     batch[2].target_tokens = ["green", "elk", "red"]
-    parts = _theta_free_parts(batch, head)
-    _, grads = _batch_loss_and_grads(stack.params, batch, parts, head)
+    data = ProjectionDataset.of(batch)
+    parts = _theta_free_parts(data, head)
+    _, grads = _batch_loss_and_grads(stack.params, data, parts, [0, 1, 2], head)
 
     def loss_fn():
-        return _batch_loss_and_grads(stack.params, batch, parts, head)[0]
+        return _batch_loss_and_grads(stack.params, data, parts, [0, 1, 2], head)[0]
 
     assert max_relative_gradient_error(loss_fn, stack.params, grads) <= 1e-4
 
@@ -415,3 +419,67 @@ def test_a_slate_with_exactly_enough_items_draws_like_an_eval_pool(toy_world, to
     expected = oracle_slate_items(split, universe, slate_size, np.random.default_rng(4))
     assert {ex.user: [item for item, _, _ in ex.slate] for ex in examples} == expected
     assert len(expected[users[edge]]) == slate_size
+
+
+@given(dataset=_projection_datasets())
+@settings(max_examples=60, deadline=None)
+def test_stacked_parts_match_the_per_example_oracle(dataset):
+    head = make_surrogate_head(_PROJ_VOCAB, d_token=8, seed=4)
+    data = ProjectionDataset.of(dataset)
+    parts = _theta_free_parts(data, head)
+    expected = oracle_theta_free_parts(dataset, head)
+    for b, (text_sum, n_seg, target_idx, prefix) in enumerate(expected):
+        assert np.array_equal(parts.text_sum[b], text_sum)
+        assert parts.n_seg[b] == n_seg
+        steps = slice(parts.first[b], parts.first[b] + parts.steps[b])
+        assert parts.target[steps].tolist() == target_idx
+        assert np.array_equal(parts.prefix[steps], prefix)
+    for example, view in zip(dataset, data):
+        assert (view.user, view.target_tokens, view.r_vec) == (
+            example.user, example.target_tokens, example.r_vec
+        )
+        assert [(item, title) for item, title, _ in view.slate] == [
+            (item, title) for item, title, _ in example.slate
+        ]
+        assert all(np.array_equal(z, ez) for (_, _, z), (_, _, ez) in zip(view.slate, example.slate))
+
+
+@given(slate_size=st.integers(1, 25), seed=st.integers(0, 2**16))
+@settings(max_examples=15, deadline=None)
+def test_projection_examples_match_the_per_user_oracle(toy_world, toy_alignment, slate_size, seed):
+    """Slates as table rows equal the list-form slates, short ones included,
+    and train to the same floats as their list form."""
+    split, catalog = toy_world["split"], toy_world["catalog"]
+    pipeline = RecommendationPipeline(toy_world["cf"], toy_alignment, toy_world["semantic"])
+    user = split.users()[0]
+    cots = {(user, split.validation[user]): fallback_embed("a retained trace")}
+    examples = build_projection_examples(
+        pipeline, split, catalog, rng=np.random.default_rng(seed), slate_size=slate_size,
+        cot_embeddings=cots,
+    )
+    expected = oracle_projection_examples(
+        pipeline, split, catalog, np.random.default_rng(seed), slate_size, cots
+    )
+    assert len(examples) == len(expected)
+    for got, want in zip(examples, expected):
+        assert (got.user, got.target_tokens, got.r_vec) == (want.user, want.target_tokens, want.r_vec)
+        assert np.array_equal(got.x_user, want.x_user)
+        assert [(item, title) for item, title, _ in got.slate] == [
+            (item, title) for item, title, _ in want.slate
+        ]
+        assert all(np.array_equal(z, wz) for (_, _, z), (_, _, wz) in zip(got.slate, want.slate))
+    assert examples.pool_shortfalls == sum(len(want.slate) < slate_size for want in expected)
+
+    vocabulary = build_vocabulary(catalog)
+    head = make_surrogate_head(vocabulary, d_token=8, seed=1)
+    stacks = []
+    for dataset in (examples, expected):
+        stack = init_projection_stack(d_user=toy_world["cf"].config.embed_dim,
+                                      d_item=toy_alignment.latent_dim, d_cot=768, d_token=8,
+                                      hidden=6, rng=np.random.default_rng(2))
+        train_projections(stack, dataset, epochs=1, batch_size=3, learning_rate=0.01, head=head,
+                          rng=np.random.default_rng(3), optimizer="adam")
+        stacks.append(stack)
+    for name, value in stacks[0].params.items():
+        assert np.array_equal(value, stacks[1].params[name]), name
+    assert stacks[0].training_log == stacks[1].training_log
